@@ -4,9 +4,11 @@ Answer matching is intentionally forgiving about surface form: predictions
 and gold answers are lowercased, trimmed, whitespace-collapsed, and
 underscores count as spaces. Normalization lives here and nowhere else.
 
-Batch evaluation isolates per-question faults: a question that errors scores
-zero and lands in a failure tally while the rest of the batch proceeds. All
-aggregates are macro-averages recomputable from the per-question records.
+Batch evaluation isolates per-question faults: a question whose backend
+fails, whose topic entities are missing or whose input is rejected scores
+zero and lands in a failure tally while the rest of the batch proceeds. Any
+other exception is a programming error and aborts the batch. All aggregates
+are macro-averages recomputable from the per-question records.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, validate_path
-from .llm import LlmBackend, LlmClient, UsageLedger
+from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
 from .pathrag import KeywordSet, RetrievalConfig, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
     AnswerSet,
     SearchConfig,
     SearchTrace,
+    TopicEntityError,
+    run_config,
     run_dvbs,
 )
 
@@ -334,7 +338,9 @@ def evaluate_question(
     retrieval_config: RetrievalConfig,
     demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> tuple[QuestionResult, SearchTrace | None]:
-    """Run one question with a fresh ledger and score the outcome."""
+    """Run one question with a fresh ledger and score the outcome. A backend
+    failure, a missing topic entity or a rejected input scores as a failed
+    question; any other exception propagates."""
     ledger = UsageLedger()
     client = LlmClient(backend, ledger=ledger)
     started = time.monotonic()
@@ -350,7 +356,7 @@ def evaluate_question(
             retrieval_config,
             demonstrations,
         )
-    except Exception as exc:
+    except (LlmError, TopicEntityError, ValueError) as exc:
         logger.warning("question %s failed: %s", record.id, exc)
         usage = ledger.snapshot()
         return (
@@ -426,40 +432,31 @@ def run_experiment(
     demonstrations: Mapping[str, Sequence[str]] | None = None,
     parallelism: int = 1,
 ) -> RunReport:
-    """Evaluate a dataset; per-question failures never abort the batch, and
-    the per-question record order always follows the dataset order."""
+    """Evaluate a dataset; a failed question (see ``evaluate_question``)
+    never aborts the batch, and the per-question record order always follows
+    the dataset order."""
     if not dataset:
         raise ValueError("no records in dataset")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
 
-    def one(record: QARecord) -> QuestionResult:
+    def one(record: QARecord, backend: LlmBackend) -> QuestionResult:
         result, _ = evaluate_question(
             record, g, idx, emb, backend, search_config, retrieval_config, demonstrations
         )
         return result
 
     if parallelism == 1 or len(dataset) == 1:
-        results = [one(r) for r in dataset]
+        results = [one(r, backend) for r in dataset]
     else:
-        workers = min(parallelism, getattr(backend, "concurrency_limit", 1), len(dataset))
-        workers = max(workers, 1)
+        # Each question may verify concurrently too, so all the questions'
+        # calls share the backend's concurrency_limit slots.
+        shared = SharedBackend(backend)
+        workers = min(parallelism, shared.concurrency_limit, len(dataset))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, dataset))
-    config = {
-        "beam_width": search_config.beam_width,
-        "max_depth": search_config.max_depth,
-        "adequacy_mode": search_config.adequacy_mode,
-        "use_planning": search_config.use_planning,
-        "use_deductive_verifier": search_config.use_deductive_verifier,
-        "use_beam_search": search_config.use_beam_search,
-        "use_last_step_reasoning": search_config.use_last_step_reasoning,
-        "retriever_mode": retrieval_config.mode,
-        "alpha": retrieval_config.alpha,
-        "m": retrieval_config.m,
-    }
+            results = list(pool.map(lambda r: one(r, shared), dataset))
     return RunReport(
         results=tuple(results),
         aggregates=compute_aggregates(results),
-        config=config,
+        config=run_config(search_config, retrieval_config),
     )

@@ -1,23 +1,29 @@
 """Language-model gateway.
 
 Every model interaction in the package flows through LlmClient, which books
-calls and tokens into a UsageLedger and keeps an ordered record of calls for
-tracing and replay. Backends plug in behind one interface: a wire client for
-chat-completion HTTP endpoints, a deterministic mock that answers from a
-knowledge graph, a scripted sequence for fault injection, and a replay
-backend that re-serves recorded responses.
+calls, tokens and wall time into a UsageLedger and keeps a record of calls
+for tracing and replay. A CallRecorder gives one search run its own view of
+the client: calls are booked by the logical step that made them, and
+independent steps can run concurrently once calls are seen to wait; a
+SharedBackend bounds the calls in flight when several runs share a backend.
+Backends plug in behind one interface: a wire client for chat-completion HTTP
+endpoints, a deterministic mock that answers from a knowledge graph, a
+scripted sequence for fault injection, and a replay backend that re-serves
+recorded responses.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 from .kg import KnowledgeGraph, neighbors
 from .prompts import (
@@ -143,8 +149,29 @@ class UsageLedger:
             }
 
 
+class SharedBackend:
+    """A backend shared by concurrent callers: each call holds one of the
+    wrapped backend's ``concurrency_limit`` slots, so the calls in flight
+    through this wrapper never exceed that limit."""
+
+    def __init__(self, backend: LlmBackend):
+        if backend.concurrency_limit < 1:
+            raise ValueError(
+                f"backend concurrency_limit must be >= 1, got {backend.concurrency_limit}"
+            )
+        self.backend = backend
+        self.concurrency_limit = backend.concurrency_limit
+        self._slots = threading.BoundedSemaphore(backend.concurrency_limit)
+
+    def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion:
+        with self._slots:
+            return self.backend.complete(rendered, params)
+
+
 class LlmClient:
-    """Books every completion into the ledger and the call log."""
+    """Books every completion into the ledger and the call log. A backend
+    that reports no wall time is booked the time measured around its
+    ``complete``."""
 
     def __init__(
         self,
@@ -159,7 +186,21 @@ class LlmClient:
         self.call_records: list[CallRecord] = []
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams | None = None) -> Completion:
+        return self.call(rendered, params)[0]
+
+    def call(
+        self, rendered: RenderedPrompt, params: DecodeParams | None = None
+    ) -> tuple[Completion, CallRecord]:
+        """Complete, returning the call's record with the completion."""
+        started = time.perf_counter()
         completion = self.backend.complete(rendered, params or self.params)
+        if not completion.wall_time:
+            completion = Completion(
+                completion.text,
+                completion.prompt_tokens,
+                completion.completion_tokens,
+                time.perf_counter() - started,
+            )
         self.ledger.record(
             calls=1,
             prompt_tokens=completion.prompt_tokens,
@@ -175,7 +216,98 @@ class LlmClient:
         )
         with self._lock:
             self.call_records.append(record)
+        return completion, record
+
+
+class Completer(Protocol):
+    """What the prompt helpers need of a client: an LlmClient or one step of
+    a CallRecorder."""
+
+    def complete(
+        self, rendered: RenderedPrompt, params: DecodeParams | None = None
+    ) -> Completion: ...
+
+
+# A batch of independent steps runs on threads only once the fastest call of
+# the run took longer than this. In-process backends answer in about 0.1 ms,
+# less than handing a call to another thread costs; a call that waits on a
+# network or a sleep takes far longer.
+FAN_OUT_MIN_CALL_S = 0.001
+
+
+class StepCalls:
+    """The model calls of one logical step of a run, in the order the step
+    made them. Stands in for the client in the prompt helpers."""
+
+    def __init__(self, recorder: "CallRecorder"):
+        self._recorder = recorder
+        self.records: list[CallRecord] = []
+
+    def complete(self, rendered: RenderedPrompt, params: DecodeParams | None = None) -> Completion:
+        completion, record = self._recorder.client.call(rendered, params)
+        self.records.append(record)
+        self._recorder.observe(completion.wall_time)
         return completion
+
+
+class CallRecorder:
+    """One run's model calls, booked by the logical step that made them, so
+    a trace lists them in step order however the calls interleave.
+
+    ``run_steps`` runs a batch of independent steps; once the run's calls
+    are seen to wait, it runs them on a thread pool the recorder starts on
+    first use. ``close`` shuts that pool down.
+    """
+
+    def __init__(self, client: LlmClient):
+        self.client = client
+        self.fastest_call_s = math.inf
+        self._lock = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+
+    def observe(self, seconds: float) -> None:
+        with self._lock:
+            self.fastest_call_s = min(self.fastest_call_s, seconds)
+
+    def run_steps(
+        self, fn: Callable[[StepCalls, Any], Any], items: Sequence
+    ) -> list[tuple[StepCalls, Any, Exception | None]]:
+        """Call ``fn(step, item)`` for each item, each with a step of its
+        own, and return ``(step, result, error)`` per item in item order.
+
+        Items run one after another, stopping at the first error, unless the
+        run has made a call and its fastest call so far took longer than
+        FAN_OUT_MIN_CALL_S. Then they run concurrently, as many at once as
+        the backend's ``concurrency_limit`` allows, and every item runs to
+        completion before the outcomes come back; the pool starts threads
+        only as a batch needs them.
+        """
+        steps = [StepCalls(self) for _ in items]
+        limit = self.client.backend.concurrency_limit
+        calls_wait = FAN_OUT_MIN_CALL_S < self.fastest_call_s < math.inf
+        if min(len(items), limit) < 2 or not calls_wait:
+            outcomes = []
+            for step, item in zip(steps, items):
+                try:
+                    outcomes.append((step, fn(step, item), None))
+                except Exception as exc:
+                    outcomes.append((step, None, exc))
+                    break
+            return outcomes
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(max_workers=limit, thread_name_prefix="kgreason-call")
+        futures = [self._pool.submit(fn, step, item) for step, item in zip(steps, items)]
+        wait(futures)
+        outcomes = []
+        for step, future in zip(steps, futures):
+            error = future.exception()
+            outcomes.append((step, None if error else future.result(), error))
+        return outcomes
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
 
 
 def _estimate_tokens(text: str) -> int:
@@ -271,7 +403,7 @@ def extract_json(text: str, schema_hint: str | None = None):
 
 
 def complete_json(
-    client: LlmClient,
+    client: Completer,
     rendered: RenderedPrompt,
     schema_hint: str | None = None,
     retries: int = 2,
@@ -368,7 +500,7 @@ def _coerce_plan(parsed: object) -> Plan:
 
 
 def generate_plan(
-    client: LlmClient,
+    client: Completer,
     question: str,
     demonstrations: Mapping[str, Sequence[str]] | None = None,
     demo_count: int | None = None,

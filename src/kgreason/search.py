@@ -10,12 +10,20 @@ Every candidate step comes from the graph's real adjacency, so emitted paths
 are valid by construction; the model can gate and rank but never invent an
 edge. Call count per question is bounded by width*depth verification calls,
 one selection call per non-final depth, one plan call and one answer call.
+
+The verifications of one depth depend only on the question, the plan and
+their own path, so once the run's model calls are seen to wait they overlap,
+up to the backend's ``concurrency_limit``. Wall time then grows with about
+2*depth + 1 call latencies instead of width*depth + depth + 1. Each call is
+booked by the step that made it, and the trace lists calls and verdicts in
+selection-rank order, so it is byte-identical to a serial run's.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence, Union
 
@@ -24,10 +32,13 @@ from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, validate_path
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
+    CallRecorder,
+    Completer,
     JsonDecodeFailure,
     LlmClient,
     LlmError,
     Plan,
+    StepCalls,
     classify_verdict,
     complete_json,
     degraded_plan,
@@ -93,6 +104,22 @@ class SearchConfig:
     @property
     def effective_width(self) -> int:
         return self.beam_width if self.use_beam_search else 1
+
+
+def run_config(search: SearchConfig, retrieval: RetrievalConfig) -> dict:
+    """The settings a trace's ``run_start`` and an eval report record."""
+    return {
+        "beam_width": search.beam_width,
+        "max_depth": search.max_depth,
+        "use_planning": search.use_planning,
+        "use_deductive_verifier": search.use_deductive_verifier,
+        "use_beam_search": search.use_beam_search,
+        "use_last_step_reasoning": search.use_last_step_reasoning,
+        "adequacy_mode": search.adequacy_mode,
+        "retriever_mode": retrieval.mode,
+        "alpha": retrieval.alpha,
+        "m": retrieval.m,
+    }
 
 
 def call_budget(config: SearchConfig) -> int:
@@ -200,7 +227,7 @@ def _path_sentences(path: ReasoningPath) -> str:
 
 
 def verify_local(
-    client: LlmClient,
+    client: Completer,
     question: str,
     path_prefix: ReasoningPath,
     step: ReasoningStep,
@@ -233,7 +260,7 @@ def verify_local(
 
 
 def verify_global(
-    client: LlmClient,
+    client: Completer,
     question: str,
     declarative_statement: str,
     path: ReasoningPath,
@@ -264,7 +291,7 @@ def verify_global(
 
 
 def adequacy_verify(
-    client: LlmClient,
+    client: Completer,
     question: str,
     path: ReasoningPath,
     config: SearchConfig = SearchConfig(),
@@ -288,7 +315,7 @@ def adequacy_verify(
 
 
 def select_steps(
-    client: LlmClient,
+    client: Completer,
     question: str,
     plan: Plan,
     pool: Sequence[tuple[Hypothesis, ScoredCandidate]],
@@ -348,7 +375,7 @@ def select_steps(
 
 
 def final_reason(
-    client: LlmClient,
+    client: Completer,
     question: str,
     halted_paths: Sequence[ReasoningPath],
     config: SearchConfig = SearchConfig(),
@@ -428,18 +455,7 @@ def run_dvbs(
         schema=TRACE_SCHEMA,
         question=question,
         topic_entities=list(topic_entities),
-        config={
-            "beam_width": search_config.beam_width,
-            "max_depth": search_config.max_depth,
-            "use_planning": search_config.use_planning,
-            "use_deductive_verifier": search_config.use_deductive_verifier,
-            "use_beam_search": search_config.use_beam_search,
-            "use_last_step_reasoning": search_config.use_last_step_reasoning,
-            "adequacy_mode": search_config.adequacy_mode,
-            "retriever_mode": retrieval_config.mode,
-            "alpha": retrieval_config.alpha,
-            "m": retrieval_config.m,
-        },
+        config=run_config(search_config, retrieval_config),
     )
     present = []
     for entity in topic_entities:
@@ -451,34 +467,31 @@ def run_dvbs(
     if not present:
         raise TopicEntityError(f"no topic entity of {list(topic_entities)!r} exists in the graph")
 
-    drainer = _CallDrainer(client)
+    recorder = CallRecorder(client)
     try:
         return _search(
-            question, present, g, idx, emb, client, search_config, retrieval_config,
-            demonstrations, trace, drainer,
+            question, present, g, idx, emb, search_config, retrieval_config,
+            demonstrations, trace, recorder,
         )
     except LlmError as exc:
         logger.error("backend failure during search: %s", exc)
-        trace.add_calls(drainer.drain())
         trace.add("backend-failure", error=str(exc), error_type=type(exc).__name__)
         answers = AnswerSet(reason=REASON_BACKEND_FAILURE)
         trace.add("final", answers=[], reason=REASON_BACKEND_FAILURE)
         return answers, trace
+    finally:
+        recorder.close()
 
 
-class _CallDrainer:
-    """Hands out the client's call records made since the last drain, so a
-    client that served earlier questions does not leak old calls into this
-    trace."""
-
-    def __init__(self, client: LlmClient):
-        self.client = client
-        self.cursor = len(client.call_records)
-
-    def drain(self) -> list[CallRecord]:
-        records = self.client.call_records[self.cursor :]
-        self.cursor = len(self.client.call_records)
-        return records
+@contextmanager
+def _step(recorder: CallRecorder, trace: SearchTrace):
+    """One logical step's calls, added to the trace when the step ends,
+    also when it fails."""
+    step = StepCalls(recorder)
+    try:
+        yield step
+    finally:
+        trace.add_calls(step.records)
 
 
 def _search(
@@ -487,23 +500,22 @@ def _search(
     g: KnowledgeGraph,
     idx: EmbeddingIndex,
     emb: Embedder,
-    client: LlmClient,
     config: SearchConfig,
     retrieval: RetrievalConfig,
     demonstrations: Mapping[str, Sequence[str]] | None,
     trace: SearchTrace,
-    drainer: "_CallDrainer",
+    recorder: CallRecorder,
 ) -> tuple[AnswerSet, SearchTrace]:
     k = config.effective_width
 
     if config.use_planning:
-        plan = generate_plan(
-            client, question, demonstrations=demonstrations,
-            demo_count=config.demo_count, retries=config.json_retries,
-        )
+        with _step(recorder, trace) as calls:
+            plan = generate_plan(
+                calls, question, demonstrations=demonstrations,
+                demo_count=config.demo_count, retries=config.json_retries,
+            )
     else:
         plan = replace(degraded_plan(question), degraded=False)
-    trace.add_calls(drainer.drain())
     trace.add(
         "plan",
         keywords=list(plan.keywords),
@@ -515,6 +527,13 @@ def _search(
 
     live = [Hypothesis(path=ReasoningPath(start=e), selection_rank=i) for i, e in enumerate(seeds)]
     halted: list[Hypothesis] = []
+
+    def verify(calls: Completer, path: ReasoningPath) -> bool:
+        if config.adequacy_mode:
+            return adequacy_verify(calls, question, path, config, demonstrations)
+        return verify_global(
+            calls, question, plan.declarative_statement, path, config, demonstrations
+        )
 
     for depth in range(1, config.max_depth + 1):
         if not live:
@@ -550,10 +569,10 @@ def _search(
         if depth == config.max_depth:
             chosen, mode = list(pool[:k]), SELECT_FINAL_DEPTH
         else:
-            chosen, mode = select_steps(
-                client, question, plan, pool, k, config, demonstrations
-            )
-        trace.add_calls(drainer.drain())
+            with _step(recorder, trace) as calls:
+                chosen, mode = select_steps(
+                    calls, question, plan, pool, k, config, demonstrations
+                )
         if len(pool) > k:
             kept = {(hyp.path.to_arrow(), cand.step) for hyp, cand in chosen}
             for hyp, cand in pool:
@@ -571,11 +590,18 @@ def _search(
             selected=[h.path.extend(c.step).to_arrow() for h, c in chosen],
         )
 
+        # Validate every extension first, then verify the valid ones as one
+        # batch (concurrently when calls wait) and fold the outcomes back in
+        # selection-rank order, so the trace reads as if run one by one.
+        paths = [hyp.path.extend(cand.step) for hyp, cand in chosen]
+        valid = [validate_path(g, path).all_valid for path in paths]
+        checked = [path for path, ok in zip(paths, valid) if ok]
+        outcomes = iter(
+            recorder.run_steps(verify, checked) if config.use_deductive_verifier else ()
+        )
         next_live: list[Hypothesis] = []
-        for rank, (hyp, cand) in enumerate(chosen):
-            new_path = hyp.path.extend(cand.step)
-            report = validate_path(g, new_path)
-            if not report.all_valid:
+        for rank, (new_path, ok) in enumerate(zip(paths, valid)):
+            if not ok:
                 logger.error("candidate produced an invalid path %s; pruning", new_path.to_arrow())
                 trace.add(
                     "prune", depth=depth, path=new_path.to_arrow(), reason=PRUNE_INVALID_STEP
@@ -583,16 +609,10 @@ def _search(
                 continue
             new_hyp = Hypothesis(path=new_path, selection_rank=rank)
             if config.use_deductive_verifier:
-                if config.adequacy_mode:
-                    deduced = adequacy_verify(
-                        client, question, new_path, config, demonstrations
-                    )
-                else:
-                    deduced = verify_global(
-                        client, question, plan.declarative_statement, new_path,
-                        config, demonstrations,
-                    )
-                trace.add_calls(drainer.drain())
+                calls, deduced, error = next(outcomes)
+                trace.add_calls(calls.records)
+                if error is not None:
+                    raise error
                 trace.add(
                     "verdict",
                     depth=depth,
@@ -613,14 +633,14 @@ def _search(
     answer_hypotheses = sorted(
         answer_hypotheses, key=lambda h: (h.selection_rank, h.path.to_arrow())
     )
-    answers = final_reason(
-        client,
-        question,
-        [h.path for h in answer_hypotheses],
-        config,
-        demonstrations,
-    )
-    trace.add_calls(drainer.drain())
+    with _step(recorder, trace) as calls:
+        answers = final_reason(
+            calls,
+            question,
+            [h.path for h in answer_hypotheses],
+            config,
+            demonstrations,
+        )
     trace.add(
         "final",
         answers=list(answers.answers),

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +25,7 @@ from kgreason.evaluate import (
 )
 from kgreason.search import AnswerSet, SearchConfig
 from kgreason.pathrag import RetrievalConfig
+from kgreason.prompts import DEDUCTIVE_VERIFY
 
 
 def load_fixture(name):
@@ -269,6 +271,29 @@ def test_mock_miss_is_isolated_as_failure():
     assert failed.f1 == 0.0
     # the two healthy questions still average in: 2/3 on hits@1
     assert agg["hits_at_1"] == pytest.approx(2 / 3, abs=1e-12)
+
+
+class VerifyBugBackend:
+    """Answers like the mock, but its verification calls wait and then fail
+    with a programming error, so the error surfaces on a pool thread."""
+
+    json_mode = True
+    concurrency_limit = 4
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def complete(self, rendered, params):
+        time.sleep(0.005)
+        if rendered.key == DEDUCTIVE_VERIFY:
+            raise RuntimeError("bug in verification")
+        return self.inner.complete(rendered, params)
+
+
+def test_programming_error_aborts_the_batch():
+    g, idx, emb, dataset, backend = fixture_harness()
+    with pytest.raises(RuntimeError, match="bug in verification"):
+        run_experiment(dataset, g, idx, emb, VerifyBugBackend(backend))
 
 
 def test_results_preserve_dataset_order_under_parallelism():

@@ -11,6 +11,7 @@ from kgreason.llm import (
     HINT_INDEX_LIST,
     HINT_YES_NO,
     AuthError,
+    Completion,
     DecodeParams,
     JsonDecodeFailure,
     LlmClient,
@@ -22,6 +23,7 @@ from kgreason.llm import (
     ReplayBackend,
     ReplayMismatchError,
     ScriptedBackend,
+    SharedBackend,
     UsageLedger,
     WireBackend,
     WireConfig,
@@ -163,6 +165,33 @@ def test_ledger_is_thread_safe():
         t.join()
     assert ledger.llm_calls == 1600
     assert ledger.prompt_tokens == 1600
+
+
+def test_client_books_measured_wall_time_when_backend_reports_none():
+    client = LlmClient(ScriptedBackend(["hello world"]))
+    got = client.complete(plan_prompt("what?"))
+    assert got.wall_time > 0
+    assert client.ledger.wall_time == got.wall_time
+
+
+def test_client_books_backend_wall_time_when_reported():
+    class TimedBackend:
+        json_mode = False
+        concurrency_limit = 1
+
+        def complete(self, rendered, params):
+            return Completion(text="ok", wall_time=2.5)
+
+    client = LlmClient(TimedBackend())
+    assert client.complete(plan_prompt("what?")).wall_time == 2.5
+    assert client.ledger.wall_time == 2.5
+
+
+def test_shared_backend_rejects_backend_without_call_slots():
+    backend = ScriptedBackend([])
+    backend.concurrency_limit = 0
+    with pytest.raises(ValueError, match="concurrency_limit"):
+        SharedBackend(backend)
 
 
 def test_client_books_usage_and_call_records():

@@ -1,8 +1,12 @@
 import io
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+from kgreason import llm as llm_module
 from kgreason.embedding import HashingEmbedder, build_index
 from kgreason.kg import (
     KnowledgeGraph,
@@ -14,12 +18,15 @@ from kgreason.kg import (
 )
 from kgreason.llm import (
     LlmClient,
+    LlmError,
     MockBackend,
     ScriptedBackend,
     ReplayBackend,
     load_mock_script,
 )
+from kgreason.evaluate import QARecord, load_dataset, run_experiment
 from kgreason.pathrag import RetrievalConfig, ScoredCandidate
+from kgreason.prompts import DEDUCTIVE_VERIFY
 from kgreason.search import (
     PRUNE_NO_CANDIDATES,
     PRUNE_WIDTH_TRUNCATION,
@@ -76,6 +83,48 @@ class RecordingBackend:
     def complete(self, rendered, params):
         self.seen.append(rendered)
         return self.inner.complete(rendered, params)
+
+
+class SlowBackend:
+    """Wraps a backend: every call sleeps ``delay`` seconds first, the most
+    calls in flight at once is kept, and calls ``fail`` picks raise. Like
+    any third-party wrapper, it declares only what the client reads."""
+
+    def __init__(self, inner, concurrency_limit, delay=0.005, fail=None):
+        self.inner = inner
+        self.concurrency_limit = concurrency_limit
+        self.delay = delay
+        self.fail = fail
+        self._lock = threading.Lock()
+        self.in_flight = 0
+        self.max_in_flight = 0
+
+    def complete(self, rendered, params):
+        with self._lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        try:
+            time.sleep(self.delay)
+            if self.fail is not None and self.fail(rendered):
+                raise LlmError(f"injected failure for {rendered.bindings.get('terminal_entity')}")
+            return self.inner.complete(rendered, params)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+@pytest.fixture
+def pools_started(monkeypatch):
+    """Every thread pool a run starts."""
+    started = []
+    real = llm_module.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        started.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(llm_module, "ThreadPoolExecutor", counting)
+    return started
 
 
 # --- call budget ---------------------------------------------------------------
@@ -595,6 +644,95 @@ def test_early_halt_uses_fewer_calls_than_full_depth():
     run_dvbs(BIEBER_Q, ["Justin_Bieber"], g2, idx2, HashingEmbedder(), never_client)
     assert halted_calls < call_budget(SearchConfig())
     assert halted_calls <= never_client.ledger.llm_calls + 1  # early halt never costs more
+
+
+# --- concurrent verification --------------------------------------------------------
+
+
+def slow_iran_run(concurrency_limit, fail=None):
+    g, idx, emb, client = mock_runner()
+    backend = SlowBackend(client.backend, concurrency_limit, fail=fail)
+    slow_client = LlmClient(backend)
+    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, slow_client)
+    return answers, trace, backend, slow_client
+
+
+def test_concurrent_verification_trace_matches_serial(pools_started):
+    serial_answers, serial_trace, serial_backend, _ = slow_iran_run(1)
+    assert serial_backend.max_in_flight == 1
+    assert pools_started == []
+    answers, trace, backend, client = slow_iran_run(4)
+    assert backend.max_in_flight >= 2
+    assert len(pools_started) == 1
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert answers == serial_answers
+    assert client.ledger.llm_calls == 6
+
+
+def test_concurrent_trace_replays():
+    answers, trace, _, _ = slow_iran_run(4)
+    g, idx, emb, _ = mock_runner()
+    replay_client = LlmClient(ReplayBackend(trace.call_records()))
+    replayed, replay_trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, replay_client)
+    assert replayed == answers
+    assert replay_trace.to_jsonl() == trace.to_jsonl()
+
+
+@pytest.mark.parametrize("failing_rank", [0, 2])
+def test_failure_in_concurrent_batch_traces_like_serial(failing_rank):
+    # The depth-2 batch verifies these three paths, in this rank order.
+    terminal = ["Theocracy", "Islamic_republic", "Unitary_state"][failing_rank]
+
+    def fail(rendered):
+        return (
+            rendered.key == DEDUCTIVE_VERIFY
+            and rendered.bindings.get("terminal_entity") == terminal
+        )
+
+    serial_answers, serial_trace, _, serial_client = slow_iran_run(1, fail)
+    answers, trace, _, client = slow_iran_run(4, fail)
+    assert answers.reason == serial_answers.reason == REASON_BACKEND_FAILURE
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    kinds = [e["event"] for e in trace.events]
+    assert kinds[-2:] == ["backend-failure", "final"]
+    assert sum(e["event"] == "verdict" for e in trace.events) == 1 + failing_rank
+    # Higher ranks of the batch ran anyway; their calls stay booked.
+    assert client.ledger.llm_calls == 4
+    assert serial_client.ledger.llm_calls == 2 + failing_rank
+    assert client.ledger.llm_calls <= call_budget(SearchConfig())
+
+
+def test_calls_in_flight_never_exceed_limit_across_questions():
+    g, idx, emb, client = mock_runner()
+    backend = SlowBackend(client.backend, concurrency_limit=2)
+    dataset = [
+        QARecord(
+            id=f"{record.id}-{i}",
+            question=record.question,
+            answers=record.answers,
+            topic_entities=record.topic_entities,
+            ground_truth_paths=record.ground_truth_paths,
+        )
+        for i in range(4)
+        for record in load_dataset("fixtures/dataset.jsonl")
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_experiment(dataset, g, idx, emb, backend, parallelism=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.aggregates["failures"] == 0
+    assert report.aggregates["hits_at_1"] == 1.0
+    assert [r.llm_calls for r in report.results] == [5, 6] * 4
+    assert backend.max_in_flight == 2
+
+
+def test_plain_mock_run_never_starts_a_pool(pools_started):
+    g, idx, emb, client = mock_runner()
+    answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
+    assert len(answers.answers) == 3
+    assert pools_started == []
 
 
 # --- trace serialization ----------------------------------------------------------
