@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .config import ConfigError, RunConfig, load_config
 from .embedding import (
@@ -34,6 +35,7 @@ from .llm import (
     WireConfig,
     load_mock_script,
 )
+from .pathrag import RETRIEVER_MODES
 from .prompts import load_demonstrations
 from .search import (
     REASON_BACKEND_FAILURE,
@@ -53,30 +55,13 @@ def _load_kg(path: str):
 
 
 def _effective_config(args) -> RunConfig:
-    """Start from defaults, apply the config file, then explicit flags."""
-    rc = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    overrides = {
-        "kg": "kg",
-        "index": "index",
-        "dataset": None,
-        "width": "search_width",
-        "depth": "search_depth",
-        "retriever": "retriever_mode",
-        "script": "backend_script",
-        "demonstrations": "demonstrations",
-        "parallelism": "eval_parallelism",
-        "out": "out_report",
-        "trace": "out_trace",
-    }
-    for flag, attr in overrides.items():
-        if attr is None:
-            continue
-        value = getattr(args, flag, None)
+    """Start from defaults, apply the config file, then explicit flags: a
+    flag's ``dest`` is the RunConfig field it overrides."""
+    rc = load_config(args.config) if args.config else RunConfig()
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(rc, attr, value)
-    mode = getattr(args, "mode", None)
-    if mode is not None:
-        rc.search_adequacy_mode = mode == "adequacy"
+            setattr(rc, f.name, value)
     return rc
 
 
@@ -260,6 +245,14 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+class _AdequacyModeAction(argparse.Action):
+    """``--mode adequacy`` sets search_adequacy_mode, ``--mode deductive``
+    clears it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values == "adequacy")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kgreason",
@@ -273,35 +266,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--dimension", type=int, default=64)
     p_index.set_defaults(func=cmd_index)
 
-    p_ask = sub.add_parser("ask", help="answer one question")
-    p_ask.add_argument("--config", help="run config file")
-    p_ask.add_argument("--kg", help="knowledge graph TSV file")
-    p_ask.add_argument("--index", help="index file")
+    # Flags shared by ask and eval; each dest is the RunConfig field it sets.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument("--config", help="run config file")
+    run_flags.add_argument("--kg", help="knowledge graph TSV file")
+    run_flags.add_argument("--index", help="index file")
+    run_flags.add_argument("--width", dest="search_width", type=int, help="beam width")
+    run_flags.add_argument("--depth", dest="search_depth", type=int, help="maximum path depth")
+    run_flags.add_argument(
+        "--mode", dest="search_adequacy_mode", action=_AdequacyModeAction,
+        choices=["deductive", "adequacy"], help="halting check",
+    )
+    run_flags.add_argument("--retriever", dest="retriever_mode", choices=RETRIEVER_MODES)
+    run_flags.add_argument("--script", dest="backend_script", help="mock backend script file")
+    run_flags.add_argument("--demonstrations", help="few-shot demonstrations JSON file")
+
+    p_ask = sub.add_parser("ask", parents=[run_flags], help="answer one question")
     p_ask.add_argument("--question", help="the question to answer")
     p_ask.add_argument("--topic-entity", action="append", help="starting entity (repeatable)")
-    p_ask.add_argument("--width", type=int, help="beam width")
-    p_ask.add_argument("--depth", type=int, help="maximum path depth")
-    p_ask.add_argument("--mode", choices=["deductive", "adequacy"], help="halting check")
-    p_ask.add_argument("--retriever", choices=["path-rag", "vanilla", "kaping"])
-    p_ask.add_argument("--script", help="mock backend script file")
-    p_ask.add_argument("--demonstrations", help="few-shot demonstrations JSON file")
-    p_ask.add_argument("--trace", help="write a JSONL trace here")
+    p_ask.add_argument("--trace", dest="out_trace", help="write a JSONL trace here")
     p_ask.add_argument("--replay", help="replay a recorded trace instead of calling a backend")
     p_ask.set_defaults(func=cmd_ask)
 
-    p_eval = sub.add_parser("eval", help="evaluate a dataset")
-    p_eval.add_argument("--config", help="run config file")
+    p_eval = sub.add_parser("eval", parents=[run_flags], help="evaluate a dataset")
     p_eval.add_argument("--dataset", required=True, help="JSON-lines dataset")
-    p_eval.add_argument("--kg", help="knowledge graph TSV file")
-    p_eval.add_argument("--index", help="index file")
-    p_eval.add_argument("--width", type=int, help="beam width")
-    p_eval.add_argument("--depth", type=int, help="maximum path depth")
-    p_eval.add_argument("--mode", choices=["deductive", "adequacy"], help="halting check")
-    p_eval.add_argument("--retriever", choices=["path-rag", "vanilla", "kaping"])
-    p_eval.add_argument("--script", help="mock backend script file")
-    p_eval.add_argument("--demonstrations", help="few-shot demonstrations JSON file")
-    p_eval.add_argument("--parallelism", type=int, help="questions evaluated concurrently")
-    p_eval.add_argument("--out", help="report file to write")
+    p_eval.add_argument(
+        "--parallelism", dest="eval_parallelism", type=int, help="questions evaluated concurrently"
+    )
+    p_eval.add_argument("--out", dest="out_report", help="report file to write")
     p_eval.set_defaults(func=cmd_eval)
 
     p_val = sub.add_parser("validate", help="check arrow-format paths against a graph")

@@ -79,36 +79,9 @@ class RunConfig:
         )
 
 
-# File key → RunConfig attribute. The file uses dotted names; the dataclass
-# uses underscores.
-_KEY_MAP = {
-    "kg": "kg",
-    "index": "index",
-    "retriever.mode": "retriever_mode",
-    "retriever.m": "retriever_m",
-    "retriever.alpha": "retriever_alpha",
-    "retriever.neighbor_cap": "retriever_neighbor_cap",
-    "search.width": "search_width",
-    "search.depth": "search_depth",
-    "search.use_planning": "search_use_planning",
-    "search.use_deductive_verifier": "search_use_deductive_verifier",
-    "search.use_beam_search": "search_use_beam_search",
-    "search.use_last_step_reasoning": "search_use_last_step_reasoning",
-    "search.adequacy_mode": "search_adequacy_mode",
-    "search.json_retries": "search_json_retries",
-    "search.demo_count": "search_demo_count",
-    "backend.kind": "backend_kind",
-    "backend.endpoint": "backend_endpoint",
-    "backend.model": "backend_model",
-    "backend.auth_env": "backend_auth_env",
-    "backend.script": "backend_script",
-    "decode.temperature": "decode_temperature",
-    "decode.top_p": "decode_top_p",
-    "demonstrations": "demonstrations",
-    "eval.parallelism": "eval_parallelism",
-    "out.report": "out_report",
-    "out.trace": "out_trace",
-}
+# File key → RunConfig attribute. The file's dotted name is the attribute
+# name with its first underscore written as a dot.
+_KEY_MAP = {f.name.replace("_", ".", 1): f.name for f in fields(RunConfig)}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 

@@ -2,7 +2,8 @@
 
 Answer matching is intentionally forgiving about surface form: predictions
 and gold answers are lowercased, trimmed, whitespace-collapsed, and
-underscores count as spaces. Normalization lives here and nowhere else.
+underscores count as spaces. That rule is ``kg.normalize``, the one the mock
+backend and the final-answer matching use too; it is re-exported here.
 
 Batch evaluation isolates per-question faults: a question whose backend
 fails, whose topic entities are missing or whose input is rejected scores
@@ -15,14 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, PathParseError, ReasoningPath, validate_path
+from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, validate_path
 from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
 from .pathrag import KeywordSet, RetrievalConfig, coverage_ratio, retrieved_steps_along_path
 from .search import (
@@ -38,15 +38,6 @@ from .search import (
 logger = logging.getLogger(__name__)
 
 REPORT_SCHEMA = "kgreason-report/1"
-
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize(text: str) -> str:
-    """Canonical answer form: lowercase, underscores as spaces, surrounding
-    whitespace trimmed, internal whitespace collapsed. Idempotent."""
-    return _WS_RE.sub(" ", text.replace("_", " ").lower()).strip()
-
 
 def _normalized_set(items: Iterable[str]) -> set[str]:
     return {normalize(item) for item in items if normalize(item)}
@@ -127,14 +118,17 @@ def _parse_record(raw: dict, line_number: int) -> QARecord:
 
 
 def _string_list(raw: dict, field_name: str, line_number: int) -> tuple[str, ...]:
+    """A non-empty list of strings, none of which normalizes to nothing: an
+    answer such as "_" could never be matched, and scoring rejects it."""
     value = raw[field_name]
     if (
         not isinstance(value, list)
         or not value
-        or not all(isinstance(v, str) and v.strip() for v in value)
+        or not all(isinstance(v, str) and normalize(v) for v in value)
     ):
         raise DatasetError(
-            f"field {field_name!r} must be a non-empty array of non-empty strings",
+            f"field {field_name!r} must be a non-empty array of strings that are "
+            "not blank once normalized",
             line_number,
         )
     return tuple(value)

@@ -8,12 +8,20 @@ across threads.
 from __future__ import annotations
 
 import io
-from collections import deque
+import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional
 
 MISSING_TRIPLE = "missing-triple"
 FORMAT_ERROR = "format-error"
+
+_WS_RE = re.compile(r"\s+")
+
+
+def normalize(text: str) -> str:
+    """Canonical answer form: lowercase, underscores as spaces, surrounding
+    whitespace trimmed, internal whitespace collapsed. Idempotent."""
+    return _WS_RE.sub(" ", text.replace("_", " ").lower()).strip()
 
 
 class TripleParseError(ValueError):
@@ -116,34 +124,40 @@ class ValidityReport:
 
 @dataclass
 class KnowledgeGraph:
-    """Directed labeled edges with an adjacency index.
+    """Directed labeled edges, stored once as an adjacency index: each head
+    maps to its set of (relation, tail) pairs.
 
     Treat instances as immutable after construction.
     """
 
     entities: set[str] = field(default_factory=set)
     relations: set[str] = field(default_factory=set)
-    triples: set[Triple] = field(default_factory=set)
     adjacency: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
         g = cls()
         for t in triples:
-            g._add(t)
+            g._add(t.head, t.relation, t.tail)
         return g
 
-    def _add(self, t: Triple) -> None:
-        if t in self.triples:
-            return
-        self.triples.add(t)
-        self.entities.add(t.head)
-        self.entities.add(t.tail)
-        self.relations.add(t.relation)
-        self.adjacency.setdefault(t.head, set()).add((t.relation, t.tail))
+    def _add(self, head: str, relation: str, tail: str) -> None:
+        self.entities.add(head)
+        self.entities.add(tail)
+        self.relations.add(relation)
+        self.adjacency.setdefault(head, set()).add((relation, tail))
+
+    @property
+    def triples(self) -> frozenset[Triple]:
+        """Every edge as a Triple, built from the adjacency on each access."""
+        return frozenset(
+            Triple(head, relation, tail)
+            for head, pairs in self.adjacency.items()
+            for relation, tail in pairs
+        )
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(len(pairs) for pairs in self.adjacency.values())
 
 
 def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
@@ -153,13 +167,16 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     comments and blank lines are skipped. Duplicates are deduplicated and
     line order does not affect the result. An empty stream yields an empty
     graph. Malformed lines raise :class:`TripleParseError` with the line
-    number.
+    number; so does an identifier containing ``->``, the separator of the
+    arrow format that paths are written in.
     """
     g = KnowledgeGraph()
     for line_number, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
+        if "->" in line:
+            raise TripleParseError("identifier contains '->'", line_number)
         fields = line.split("\t")
         if len(fields) != 3:
             raise TripleParseError(
@@ -168,7 +185,7 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
         head, relation, tail = (f.strip() for f in fields)
         if not head or not relation or not tail:
             raise TripleParseError("empty field after normalization", line_number)
-        g._add(Triple(head, relation, tail))
+        g._add(head, relation, tail)
     return g
 
 
@@ -185,7 +202,11 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
 
 def serialize(g: KnowledgeGraph) -> str:
     """Inverse of :func:`load_triples` on the triple set; lines are sorted."""
-    lines = sorted(f"{t.head}\t{t.relation}\t{t.tail}" for t in g.triples)
+    lines = sorted(
+        f"{head}\t{relation}\t{tail}"
+        for head, pairs in g.adjacency.items()
+        for relation, tail in pairs
+    )
     return "".join(line + "\n" for line in lines)
 
 
@@ -198,7 +219,7 @@ def neighbors(g: KnowledgeGraph, entity: str) -> set[tuple[str, str]]:
 
 
 def contains_triple(g: KnowledgeGraph, head: str, relation: str, tail: str) -> bool:
-    return Triple(head, relation, tail) in g.triples if head and relation and tail else False
+    return (relation, tail) in g.adjacency.get(head, ())
 
 
 def validate_path(g: KnowledgeGraph, path: ReasoningPath) -> ValidityReport:
@@ -223,23 +244,3 @@ def validate_path(g: KnowledgeGraph, path: ReasoningPath) -> ValidityReport:
         first_invalid_index=errors[0][0] if errors else None,
         errors=tuple(errors),
     )
-
-
-def subgraph(g: KnowledgeGraph, seeds: set[str], hops: int) -> KnowledgeGraph:
-    """Triples reachable from ``seeds`` by at most ``hops`` directed
-    head-to-tail traversals (breadth-first)."""
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-    collected: set[Triple] = set()
-    visited: set[str] = set()
-    frontier = deque((e, 0) for e in sorted(seeds))
-    while frontier:
-        entity, depth = frontier.popleft()
-        if entity in visited or depth >= hops:
-            continue
-        visited.add(entity)
-        for relation, tail in g.adjacency.get(entity, ()):
-            collected.add(Triple(entity, relation, tail))
-            if tail not in visited:
-                frontier.append((tail, depth + 1))
-    return KnowledgeGraph.from_triples(collected)

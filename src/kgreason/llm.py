@@ -1,8 +1,8 @@
 """Language-model gateway.
 
 Every model interaction in the package flows through LlmClient, which books
-calls, tokens and wall time into a UsageLedger and keeps a record of calls
-for tracing and replay. A CallRecorder gives one search run its own view of
+calls, tokens and wall time into a UsageLedger and returns a record of each
+call for tracing and replay. A CallRecorder gives one search run its own view of
 the client: calls are booked by the logical step that made them, and
 independent steps can run concurrently once calls are seen to wait; a
 SharedBackend bounds the calls in flight when several runs share a backend.
@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-from .kg import KnowledgeGraph, neighbors
+from .kg import KnowledgeGraph, normalize
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -108,7 +108,6 @@ class CallRecord:
 
 
 class LlmBackend(Protocol):
-    json_mode: bool
     concurrency_limit: int
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion: ...
@@ -169,9 +168,8 @@ class SharedBackend:
 
 
 class LlmClient:
-    """Books every completion into the ledger and the call log. A backend
-    that reports no wall time is booked the time measured around its
-    ``complete``."""
+    """Books every completion into the ledger. A backend that reports no
+    wall time is booked the time measured around its ``complete``."""
 
     def __init__(
         self,
@@ -182,8 +180,6 @@ class LlmClient:
         self.backend = backend
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.params = params
-        self._lock = threading.Lock()
-        self.call_records: list[CallRecord] = []
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams | None = None) -> Completion:
         return self.call(rendered, params)[0]
@@ -214,8 +210,6 @@ class LlmClient:
             prompt_tokens=completion.prompt_tokens,
             completion_tokens=completion.completion_tokens,
         )
-        with self._lock:
-            self.call_records.append(record)
         return completion, record
 
 
@@ -334,7 +328,6 @@ def classify_verdict(text: str) -> bool:
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*\n(.*?)```", re.DOTALL)
 
-HINT_YES_NO = "yes/no"
 HINT_INDEX_LIST = "index-list"
 
 
@@ -371,9 +364,8 @@ def extract_json(text: str, schema_hint: str | None = None):
     """Pull a JSON value out of a model response.
 
     Tries, in order: the whole text; fenced code blocks; balanced-bracket
-    spans found in the text; and finally scalar coercion when a hint permits
-    it (a bare yes/no, or a bare list of integers). Raises ValueError when
-    everything fails.
+    spans found in the text; and finally, with the index-list hint, a bare
+    list of integers. Raises ValueError when everything fails.
     """
     stripped = text.strip()
     try:
@@ -391,10 +383,6 @@ def extract_json(text: str, schema_hint: str | None = None):
                 return json.loads(span)
             except (json.JSONDecodeError, ValueError):
                 continue
-    if schema_hint == HINT_YES_NO:
-        token = stripped.strip(".,!\"'`").lower()
-        if token in ("yes", "no"):
-            return {"answer": token}
     if schema_hint == HINT_INDEX_LIST:
         parts = [p for p in re.split(r"[,\s]+", stripped) if p]
         if parts and all(re.fullmatch(r"-?\d+", p) for p in parts):
@@ -550,7 +538,6 @@ class WireBackend:
     run without real waiting.
     """
 
-    json_mode = False
     concurrency_limit = 4
 
     def __init__(
@@ -635,17 +622,16 @@ class WireBackend:
 
 
 class MockBackend:
-    """Deterministic backend that answers from the graph and an answer key.
+    """Deterministic backend for a graph, answering from an answer key.
 
     Verification verdicts come from actual entailment: a candidate path
-    verifies globally when its terminal entity is one of the question's
-    answers, and a step verifies locally when it is a real edge out of the
-    previous entity. Beam selection echoes the first beam_width indices,
-    plans come from a scripted table, and final answers are the terminal
-    entities of the paths the caller presents.
+    verifies when its terminal entity is one of the question's answers,
+    compared after ``kg.normalize``. Every verification is of a whole path;
+    there are no per-step (local) verdicts. Beam selection echoes the first
+    beam_width indices, plans come from a scripted table, and final answers
+    are the terminal entities of the paths the caller presents.
     """
 
-    json_mode = True
     concurrency_limit = 64
 
     def __init__(
@@ -653,20 +639,14 @@ class MockBackend:
         kg: KnowledgeGraph,
         answer_key: Mapping[str, Sequence[str]],
         plan_script: Mapping[str, Mapping] | None = None,
-        local_rule: Callable[[Mapping[str, str]], bool] | None = None,
         global_rule: Callable[[Mapping[str, str]], bool] | None = None,
         adequacy_rule: Callable[[Mapping[str, str]], bool] | None = None,
     ):
         self.kg = kg
         self.answer_key = {q: tuple(a) for q, a in answer_key.items()}
         self.plan_script = dict(plan_script or {})
-        self.local_rule = local_rule
         self.global_rule = global_rule
         self.adequacy_rule = adequacy_rule
-
-    @staticmethod
-    def _norm(text: str) -> str:
-        return re.sub(r"\s+", " ", text.strip().lower().replace("_", " "))
 
     def _answers_for(self, question: str) -> tuple[str, ...]:
         if question not in self.answer_key:
@@ -676,7 +656,7 @@ class MockBackend:
     def _entailed_globally(self, bindings: Mapping[str, str]) -> bool:
         answers = self._answers_for(bindings["query"])
         terminal = bindings.get("terminal_entity", "")
-        return self._norm(terminal) in {self._norm(a) for a in answers}
+        return normalize(terminal) in {normalize(a) for a in answers}
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion:
         b = rendered.bindings
@@ -686,18 +666,11 @@ class MockBackend:
                 raise MockMissError(question)
             text = json.dumps(self.plan_script[question], sort_keys=True)
         elif rendered.key == DEDUCTIVE_VERIFY:
-            if b.get("verify_scope") == "local":
-                if self.local_rule is not None:
-                    verdict = self.local_rule(b)
-                else:
-                    step = (b.get("step_relation", ""), b.get("step_entity", ""))
-                    verdict = step in neighbors(self.kg, b.get("prev_entity", ""))
-            else:
-                verdict = (
-                    self.global_rule(b)
-                    if self.global_rule is not None
-                    else self._entailed_globally(b)
-                )
+            verdict = (
+                self.global_rule(b)
+                if self.global_rule is not None
+                else self._entailed_globally(b)
+            )
             text = "yes" if verdict else "no"
         elif rendered.key == ADEQUACY_VERIFY:
             verdict = (
@@ -752,7 +725,6 @@ def load_mock_script(source) -> tuple[dict[str, tuple[str, ...]], dict[str, dict
 class ScriptedBackend:
     """Serves a fixed sequence of responses, for fault-injection tests."""
 
-    json_mode = False
     concurrency_limit = 1
 
     def __init__(self, responses: Sequence[str]):
@@ -775,7 +747,6 @@ class ReplayBackend:
     """Re-serves the responses recorded in a trace, in order, checking that
     each call matches the recorded template key and bindings digest."""
 
-    json_mode = True
     concurrency_limit = 1
 
     def __init__(self, records: Sequence[CallRecord]):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, EmbeddingIndex, cosine, top_m_entities, top_m_relations
+from .embedding import Embedder, EmbeddingIndex, cosine
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple, neighbors
 
 logger = logging.getLogger(__name__)
@@ -68,22 +68,6 @@ class RetrievalConfig:
             raise ValueError("neighbor_cap must be >= 1")
         if self.mode not in RETRIEVER_MODES:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
-
-
-def retrieve_vocab(
-    idx: EmbeddingIndex,
-    emb: Embedder,
-    kw: KeywordSet,
-    m: int,
-) -> tuple[list[tuple[str, float]], list[tuple[str, float]]]:
-    """Top-m entities and relations by cosine to the embedded keywords."""
-    if emb.fingerprint != idx.fingerprint:
-        raise ValueError(
-            f"embedder fingerprint {emb.fingerprint!r} does not match "
-            f"index fingerprint {idx.fingerprint!r}"
-        )
-    query = emb.embed(kw.joined_text)
-    return top_m_entities(idx, query, m), top_m_relations(idx, query, m)
 
 
 def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) -> float:
@@ -204,8 +188,9 @@ def kaping_retrieve(
         raise ValueError("k must be >= 1")
     query_vec = emb.embed(query_text)
     scored = [
-        (t, cosine(query_vec, emb.embed(f"{t.head} {t.relation} {t.tail}")))
-        for t in g.triples
+        (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
+        for head, pairs in g.adjacency.items()
+        for relation, tail in pairs
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0].head, pair[0].relation, pair[0].tail))
     return scored[:k]

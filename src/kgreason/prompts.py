@@ -44,7 +44,6 @@ class PromptTemplate:
     key: str
     system_text: str
     user_text: str
-    expects_json: bool = False
 
     @property
     def placeholder_names(self) -> tuple[str, ...]:
@@ -66,7 +65,6 @@ class RenderedPrompt:
     key: str
     system: str
     user: str
-    expects_json: bool
     bindings: Mapping[str, str] = field(default_factory=dict)
 
     def bindings_digest(self) -> str:
@@ -96,7 +94,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
             "these components."
         ),
         user_text="Q: {query}\n\nA:",
-        expects_json=True,
     ),
     DEDUCTIVE_VERIFY: PromptTemplate(
         key=DEDUCTIVE_VERIFY,
@@ -138,7 +135,6 @@ TEMPLATES: dict[str, PromptTemplate] = {
             "question. {reasoning_paths}. Only return the index of the "
             "{beam_width} selected reasoning paths in a list.\n\nA:"
         ),
-        expects_json=True,
     ),
     FINAL_REASON: PromptTemplate(
         key=FINAL_REASON,
@@ -322,6 +318,5 @@ def render(
         key=template_key,
         system=template.system_text,
         user=user,
-        expects_json=template.expects_json,
         bindings=str_bindings,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, validate_path
+from .kg import KnowledgeGraph, ReasoningPath, validate_path
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -226,59 +226,23 @@ def _path_sentences(path: ReasoningPath) -> str:
     return "\n".join(lines)
 
 
-def verify_local(
-    client: Completer,
-    question: str,
-    path_prefix: ReasoningPath,
-    step: ReasoningStep,
-    config: SearchConfig = SearchConfig(),
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
-) -> bool:
-    """Ask whether appending ``step`` coheres with the path so far.
-
-    With the verifier ablated this is unconditionally true and costs no
-    call. Unusable verdicts count as no.
-    """
-    if not config.use_deductive_verifier:
-        return True
-    prev = path_prefix.terminal_entity
-    rendered = render(
-        DEDUCTIVE_VERIFY,
-        {
-            "declarative_statement": f"{prev} -> {step.relation} -> {step.entity}",
-            "parsed_reasoning_path": _path_sentences(path_prefix) or path_prefix.start,
-            "query": question,
-            "verify_scope": "local",
-            "prev_entity": prev,
-            "step_relation": step.relation,
-            "step_entity": step.entity,
-        },
-        demonstrations=demonstrations,
-        demo_count=config.demo_count,
-    )
-    return classify_verdict(client.complete(rendered).text)
-
-
 def verify_global(
     client: Completer,
     question: str,
-    declarative_statement: str,
+    plan: Plan,
     path: ReasoningPath,
     config: SearchConfig = SearchConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> bool:
-    """Ask whether the path now entails the cloze statement, filled with the
-    path's terminal entity verbatim. An empty path is never deducible and
-    costs no call."""
+    """Ask whether the path now entails the plan's cloze statement, filled
+    with the path's terminal entity verbatim. An empty path is never
+    deducible and costs no call."""
     if not path.steps:
         return False
-    if "*placeholder*" not in declarative_statement:
-        raise ValueError("declarative statement lacks the *placeholder* slot")
-    conclusion = declarative_statement.replace("*placeholder*", path.terminal_entity)
     rendered = render(
         DEDUCTIVE_VERIFY,
         {
-            "declarative_statement": conclusion,
+            "declarative_statement": plan.fill_statement(path.terminal_entity),
             "parsed_reasoning_path": _path_sentences(path),
             "query": question,
             "verify_scope": "global",
@@ -531,9 +495,7 @@ def _search(
     def verify(calls: Completer, path: ReasoningPath) -> bool:
         if config.adequacy_mode:
             return adequacy_verify(calls, question, path, config, demonstrations)
-        return verify_global(
-            calls, question, plan.declarative_statement, path, config, demonstrations
-        )
+        return verify_global(calls, question, plan, path, config, demonstrations)
 
     for depth in range(1, config.max_depth + 1):
         if not live:

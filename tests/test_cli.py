@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from kgreason.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from kgreason.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _effective_config, build_parser, main
+from kgreason.config import load_config
 
 
 BIEBER_Q = "Who is the ex-wife of Justin Bieber's father?"
@@ -313,3 +315,51 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg.write_text("schema = kgreason-config/1\nmystery.key = 1\n")
     code = main(["ask", "--config", str(cfg), "--question", "q", "--topic-entity", "S"])
     assert code == EXIT_USAGE
+
+
+FILE_VALUES = (
+    "schema = kgreason-config/1\n"
+    "kg = file.tsv\n"
+    "index = file.idx\n"
+    "search.width = 3\n"
+    "search.depth = 5\n"
+    "search.adequacy_mode = true\n"
+    "retriever.mode = vanilla\n"
+    "backend.script = file.json\n"
+    "demonstrations = file-demos.json\n"
+    "eval.parallelism = 3\n"
+    "out.report = file-report.json\n"
+    "out.trace = file-trace.jsonl\n"
+)
+# (flag, value, RunConfig field, parsed value); every value differs from FILE_VALUES.
+SHARED_FLAGS = [
+    ("--kg", "flag.tsv", "kg", "flag.tsv"),
+    ("--index", "flag.idx", "index", "flag.idx"),
+    ("--width", "7", "search_width", 7),
+    ("--depth", "2", "search_depth", 2),
+    ("--mode", "deductive", "search_adequacy_mode", False),
+    ("--retriever", "kaping", "retriever_mode", "kaping"),
+    ("--script", "flag.json", "backend_script", "flag.json"),
+    ("--demonstrations", "flag-demos.json", "demonstrations", "flag-demos.json"),
+]
+OWN_FLAGS = {
+    "ask": [("--trace", "flag-trace.jsonl", "out_trace", "flag-trace.jsonl")],
+    "eval": [
+        ("--parallelism", "6", "eval_parallelism", 6),
+        ("--out", "flag-report.json", "out_report", "flag-report.json"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_each_flag_overrides_only_its_config_value(command, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FILE_VALUES)
+    from_file = load_config(str(cfg))
+    required = ["--dataset", "d.jsonl"] if command == "eval" else []
+    for flag, value, attr, expected in SHARED_FLAGS + OWN_FLAGS[command]:
+        args = build_parser().parse_args([command, "--config", str(cfg), *required, flag, value])
+        assert getattr(from_file, attr) != expected, flag
+        assert _effective_config(args) == replace(from_file, **{attr: expected}), flag
+    args = build_parser().parse_args([command, *required, "--mode", "adequacy"])
+    assert _effective_config(args).search_adequacy_mode is True

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from kgreason.config import (
@@ -136,3 +138,53 @@ def test_fixture_config_parses():
     assert isinstance(config, RunConfig)
     assert config.backend_kind == "mock"
     assert config.kg.endswith("combined.tsv")
+
+
+# The file keys, written out independently of the RunConfig field names.
+FILE_KEYS = {
+    "kg": "kg",
+    "index": "index",
+    "retriever.mode": "retriever_mode",
+    "retriever.m": "retriever_m",
+    "retriever.alpha": "retriever_alpha",
+    "retriever.neighbor_cap": "retriever_neighbor_cap",
+    "search.width": "search_width",
+    "search.depth": "search_depth",
+    "search.use_planning": "search_use_planning",
+    "search.use_deductive_verifier": "search_use_deductive_verifier",
+    "search.use_beam_search": "search_use_beam_search",
+    "search.use_last_step_reasoning": "search_use_last_step_reasoning",
+    "search.adequacy_mode": "search_adequacy_mode",
+    "search.json_retries": "search_json_retries",
+    "search.demo_count": "search_demo_count",
+    "backend.kind": "backend_kind",
+    "backend.endpoint": "backend_endpoint",
+    "backend.model": "backend_model",
+    "backend.auth_env": "backend_auth_env",
+    "backend.script": "backend_script",
+    "decode.temperature": "decode_temperature",
+    "decode.top_p": "decode_top_p",
+    "demonstrations": "demonstrations",
+    "eval.parallelism": "eval_parallelism",
+    "out.report": "out_report",
+    "out.trace": "out_trace",
+}
+
+
+def test_every_field_parses_from_its_dotted_key():
+    assert set(FILE_KEYS.values()) == {f.name for f in fields(RunConfig)}
+    defaults = RunConfig()
+    closed_sets = {"retriever_mode": "kaping", "backend_kind": "wire"}
+    for key, attr in FILE_KEYS.items():
+        default = getattr(defaults, attr)
+        if attr in closed_sets:
+            text = expected = closed_sets[attr]
+        elif isinstance(default, bool):
+            text, expected = str(not default).lower(), not default
+        elif isinstance(default, (int, float)):
+            text, expected = str(default + 3), default + 3
+        else:
+            text, expected = "some/value", "some/value"
+        config = parse_config(f"schema = {CONFIG_SCHEMA}\n{key} = {text}\n")
+        assert getattr(config, attr) == expected, key
+        assert expected != default, key

@@ -49,7 +49,6 @@ def test_entity_only_graph_has_no_relation_vectors():
     g = KnowledgeGraph(
         entities=frozenset({"A", "B"}),
         relations=frozenset(),
-        triples=frozenset(),
         adjacency={},
     )
     idx = build_index(g, HashingEmbedder())
@@ -189,7 +188,6 @@ def test_top_m_ties_break_by_ascending_identifier():
     g = KnowledgeGraph(
         entities=frozenset({"b_twin", "a_twin"}),
         relations=frozenset(),
-        triples=frozenset(),
         adjacency={},
     )
 

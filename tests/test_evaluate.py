@@ -118,6 +118,16 @@ def test_load_rejects_malformed_path():
         load_dataset(io.StringIO(dataset_text(raw)))
 
 
+@pytest.mark.parametrize("field_name", ["answers", "topic_entities"])
+@pytest.mark.parametrize("blank", ["_", " _ ", "\t"])
+def test_load_rejects_value_that_normalizes_to_nothing(field_name, blank):
+    raw = dict(MINIMAL, **{field_name: ["A", blank]})
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(io.StringIO(dataset_text(MINIMAL) + dataset_text(raw)))
+    assert field_name in str(exc.value)
+    assert "line 2" in str(exc.value)
+
+
 def test_load_fixture_dataset():
     records = load_dataset("fixtures/dataset.jsonl")
     assert [r.id for r in records] == ["bieber-1", "iran-1"]
@@ -165,14 +175,27 @@ def test_accuracy_set_semantics():
 
 
 names = st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=6)
+# Gold answers come from load_dataset, which rejects a list that normalizes
+# to nothing; the metrics raise on such a list (see the test after this one).
+gold_names = names.filter(lambda xs: any(normalize(x) for x in xs))
 
 
-@given(names, names)
+@given(names, gold_names)
 def test_metrics_bounded_on_random_pairs(predicted, gold):
     answer_set = AnswerSet(answers=tuple(predicted))
     assert 0.0 <= f1_score(predicted, gold) <= 1.0
     assert hits_at_1(answer_set, gold) in (0, 1)
     assert accuracy(answer_set, gold) in (0, 1)
+
+
+def test_metrics_reject_gold_that_normalizes_to_nothing():
+    blank = [" ", "_", "\t_ "]
+    with pytest.raises(ValueError):
+        f1_score(["A"], blank)
+    with pytest.raises(ValueError):
+        hits_at_1(AnswerSet(answers=("A",)), blank)
+    with pytest.raises(ValueError):
+        accuracy(AnswerSet(answers=("A",)), blank)
 
 
 # --- path metrics -----------------------------------------------------------------
@@ -277,7 +300,6 @@ class VerifyBugBackend:
     """Answers like the mock, but its verification calls wait and then fail
     with a programming error, so the error surfaces on a pool thread."""
 
-    json_mode = True
     concurrency_limit = 4
 
     def __init__(self, inner):

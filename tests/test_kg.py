@@ -16,7 +16,6 @@ from kgreason.kg import (
     load_triples,
     neighbors,
     serialize,
-    subgraph,
     validate_path,
 )
 
@@ -64,6 +63,14 @@ def test_empty_field_rejected():
     with pytest.raises(TripleParseError) as exc:
         load_triples(io.StringIO("A\t\tB\n"))
     assert exc.value.line_number == 1
+
+
+@pytest.mark.parametrize("fields", [("A->", "r", "B"), ("A", "r -> s", "B"), ("A", "r", "->")])
+def test_arrow_in_identifier_rejected_with_line_number(fields):
+    with pytest.raises(TripleParseError) as exc:
+        load_triples(io.StringIO("A\tr1\tB\n" + "\t".join(fields) + "\n"))
+    assert exc.value.line_number == 2
+    assert "->" in str(exc.value)
 
 
 def test_empty_stream_gives_empty_graph():
@@ -161,35 +168,6 @@ def test_error_kind_constants():
     assert FORMAT_ERROR == "format-error"
 
 
-# --- subgraph ----------------------------------------------------------------
-
-
-def test_subgraph_one_hop_from_justin():
-    g = load_fixture("bieber.tsv")
-    sub = subgraph(g, {"Justin_Bieber"}, 1)
-    assert sub.triples == frozenset(
-        {Triple("Justin_Bieber", "people.person.father", "Jeremy_Bieber")}
-    )
-
-
-def test_subgraph_empty_seeds():
-    g = load_fixture("bieber.tsv")
-    sub = subgraph(g, set(), 3)
-    assert len(sub.triples) == 0
-
-
-def test_subgraph_saturates_to_whole_graph():
-    g = load_fixture("bieber.tsv")
-    sub = subgraph(g, set(g.entities), 99)
-    assert sub == g
-
-
-def test_subgraph_rejects_zero_hops():
-    g = load_fixture("bieber.tsv")
-    with pytest.raises(ValueError):
-        subgraph(g, {"Justin_Bieber"}, 0)
-
-
 # --- arrow format ------------------------------------------------------------
 
 
@@ -247,6 +225,31 @@ def test_serialize_round_trip(raw):
 def test_arrow_round_trip_property(raw_steps, start):
     path = ReasoningPath(start, tuple(ReasoningStep(r, e) for r, e in raw_steps))
     assert ReasoningPath.from_arrow(path.to_arrow()) == path
+
+
+def all_paths(g, max_depth):
+    paths = [ReasoningPath(e) for e in sorted(g.entities)]
+    frontier = paths
+    for _ in range(max_depth):
+        frontier = [p.extend(ReasoningStep(r, e)) for p in frontier
+                    for r, e in sorted(neighbors(g, p.terminal_entity))]
+        paths += frontier
+    return paths
+
+
+# Labels from a small alphabet heavy in arrow characters and spaces, so
+# identifiers such as "a->b" or "_ -" come up often.
+label = st.text(alphabet="ab_-> .,\u00e9\u00a0", min_size=1, max_size=5)
+
+
+@given(st.lists(st.tuples(label, label, label), min_size=1, max_size=8))
+def test_paths_over_any_loadable_graph_survive_arrow_round_trip(raw):
+    try:
+        g = load_triples(["\t".join(fields) for fields in raw])
+    except TripleParseError:
+        return
+    for path in all_paths(g, max_depth=3):
+        assert ReasoningPath.from_arrow(path.to_arrow()) == path
 
 
 @given(triples)

@@ -9,7 +9,6 @@ import requests
 from kgreason.kg import load_triples
 from kgreason.llm import (
     HINT_INDEX_LIST,
-    HINT_YES_NO,
     AuthError,
     Completion,
     DecodeParams,
@@ -76,8 +75,12 @@ def test_extract_span_ignores_brackets_inside_strings():
 
 
 def test_extract_scalar_yes_with_hint():
-    assert extract_json("yes", HINT_YES_NO) == {"answer": "yes"}
-    assert extract_json("No.", HINT_YES_NO) == {"answer": "no"}
+    """Verdicts are read by classify_verdict; no hint turns a bare yes/no
+    into JSON."""
+    for text in ("yes", "No."):
+        for hint in (None, HINT_INDEX_LIST):
+            with pytest.raises(ValueError):
+                extract_json(text, hint)
 
 
 def test_extract_bare_index_list_with_hint():
@@ -176,7 +179,6 @@ def test_client_books_measured_wall_time_when_backend_reports_none():
 
 def test_client_books_backend_wall_time_when_reported():
     class TimedBackend:
-        json_mode = False
         concurrency_limit = 1
 
         def complete(self, rendered, params):
@@ -198,10 +200,10 @@ def test_client_books_usage_and_call_records():
     backend = ScriptedBackend(["hello world"])
     client = LlmClient(backend)
     rendered = plan_prompt("what?")
-    client.complete(rendered)
+    completion, record = client.call(rendered)
+    assert completion.text == "hello world"
     assert client.ledger.llm_calls == 1
     assert client.ledger.completion_tokens == 2
-    record = client.call_records[0]
     assert record.key == PLAN_AND_SOLVE
     assert record.bindings_digest == rendered.bindings_digest()
     assert record.response == "hello world"
@@ -430,28 +432,6 @@ def verify_prompt(scope, **extra):
     return render(DEDUCTIVE_VERIFY, bindings, demo_count=0)
 
 
-def test_mock_local_verdict_is_edge_membership():
-    client, _ = mock_client()
-    yes = client.complete(
-        verify_prompt(
-            "local",
-            prev_entity="Justin_Bieber",
-            step_relation="people.person.father",
-            step_entity="Jeremy_Bieber",
-        )
-    )
-    no = client.complete(
-        verify_prompt(
-            "local",
-            prev_entity="Justin_Bieber",
-            step_relation="people.person.father",
-            step_entity="Erin_Wagner",
-        )
-    )
-    assert yes.text == "yes"
-    assert no.text == "no"
-
-
 def test_mock_global_verdict_normalizes_answer_text():
     client, _ = mock_client(answer_key={"q?": ["Erin Wagner"]})
     got = client.complete(verify_prompt("global", query="q?", terminal_entity="Erin_Wagner"))
@@ -512,25 +492,24 @@ def test_replay_backend_reserves_recorded_responses():
     source = LlmClient(ScriptedBackend(['{"a": 1}', "yes"]))
     first = plan_prompt("q1")
     second = verify_prompt("global", query="q1", terminal_entity="X")
-    source.complete(first)
-    source.complete(second)
-    replay = LlmClient(ReplayBackend(source.call_records))
+    records = [source.call(first)[1], source.call(second)[1]]
+    replay = LlmClient(ReplayBackend(records))
     assert replay.complete(first).text == '{"a": 1}'
     assert replay.complete(second).text == "yes"
 
 
 def test_replay_backend_detects_divergence():
     source = LlmClient(ScriptedBackend(["yes"]))
-    source.complete(plan_prompt("q1"))
-    replay = LlmClient(ReplayBackend(source.call_records))
+    _, record = source.call(plan_prompt("q1"))
+    replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
         replay.complete(verify_prompt("global", query="q1"))
 
 
 def test_replay_backend_detects_binding_drift():
     source = LlmClient(ScriptedBackend(["yes"]))
-    source.complete(plan_prompt("q1"))
-    replay = LlmClient(ReplayBackend(source.call_records))
+    _, record = source.call(plan_prompt("q1"))
+    replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
         replay.complete(plan_prompt("different question"))
 

@@ -19,7 +19,6 @@ from kgreason.pathrag import (
     coverage_ratio,
     kaping_retrieve,
     lookahead_score,
-    retrieve_vocab,
     retrieved_steps_along_path,
 )
 
@@ -65,50 +64,6 @@ def test_retrieval_config_validation():
         RetrievalConfig(alpha=-0.1)
     with pytest.raises(ValueError):
         RetrievalConfig(mode="something-else")
-
-
-# --- vocabulary retrieval ------------------------------------------------------
-
-
-def test_vocab_keywords_surface_government_relation():
-    g = load_fixture("iran.tsv")
-    emb = HashingEmbedder()
-    idx = build_index(g, emb)
-    ents, rels = retrieve_vocab(idx, emb, KeywordSet(("form of government", "currency used")), m=2)
-    assert "location.country.form_of_government" in [name for name, _ in rels]
-    assert len(ents) == 2 and len(rels) == 2
-
-
-def test_vocab_saturates_beyond_vocabulary():
-    g = load_fixture("iran.tsv")
-    emb = HashingEmbedder()
-    idx = build_index(g, emb)
-    ents, rels = retrieve_vocab(idx, emb, KeywordSet(("Iran",)), m=50)
-    assert len(ents) == 6
-    assert len(rels) == 2
-
-
-def test_vocab_verbatim_keyword_ranks_first():
-    g = load_fixture("iran.tsv")
-    emb = HashingEmbedder()
-    idx = build_index(g, emb)
-    _, rels = retrieve_vocab(idx, emb, KeywordSet(("finance.currency.countries_used",)), m=1)
-    assert rels[0][0] == "finance.currency.countries_used"
-    assert rels[0][1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_vocab_rejects_fingerprint_mismatch():
-    g = load_fixture("iran.tsv")
-    idx = build_index(g, HashingEmbedder())
-
-    class OtherEmbedder:
-        fingerprint = "other/9"
-
-        def embed(self, text):
-            return np.zeros(64)
-
-    with pytest.raises(ValueError):
-        retrieve_vocab(idx, OtherEmbedder(), KeywordSet(("Iran",)), m=1)
 
 
 # --- base score ------------------------------------------------------------

@@ -48,7 +48,6 @@ def test_beam_select_carries_numbered_paths_and_index_instruction():
         assert line in rendered.user
     assert "best 4" in rendered.user
     assert "index" in rendered.user.lower()
-    assert rendered.expects_json
 
 
 def test_deductive_verify_shape():
@@ -154,4 +153,3 @@ def test_plan_template_documents_placeholder_convention():
     system = TEMPLATES[PLAN_AND_SOLVE].system_text
     assert "'Jamaican people speak *placeholder*.'" in system
     assert "declarative_statement" in system
-    assert TEMPLATES[PLAN_AND_SOLVE].expects_json

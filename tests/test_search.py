@@ -47,7 +47,6 @@ from kgreason.search import (
     run_dvbs,
     select_steps,
     verify_global,
-    verify_local,
 )
 from kgreason.llm import Plan
 
@@ -71,12 +70,19 @@ BIEBER_Q = "Who is the ex-wife of Justin Bieber's father?"
 IRAN_Q = "What form of government is in the country that uses the Iranian rial?"
 
 
+def bieber_plan():
+    return Plan(
+        keywords=("ex-wife", "father"),
+        planning_steps=(),
+        declarative_statement="The ex-wife of Justin Bieber's father is *placeholder*.",
+    )
+
+
 class RecordingBackend:
     """Wraps a backend, capturing every rendered prompt it serves."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.json_mode = inner.json_mode
         self.concurrency_limit = inner.concurrency_limit
         self.seen = []
 
@@ -154,17 +160,16 @@ def test_effective_width_without_beam_search():
 def test_verify_global_empty_path_costs_nothing():
     g = load_fixture("bieber.tsv")
     client = LlmClient(MockBackend(g, answer_key={}))
-    got = verify_global(client, "q?", "The answer is *placeholder*.", ReasoningPath("Justin_Bieber"))
+    plan = Plan(keywords=("k",), planning_steps=(), declarative_statement="The answer is *placeholder*.")
+    got = verify_global(client, "q?", plan, ReasoningPath("Justin_Bieber"))
     assert got is False
     assert client.ledger.llm_calls == 0
 
 
 def test_verify_global_requires_placeholder():
-    g = load_fixture("bieber.tsv")
-    client = LlmClient(MockBackend(g, answer_key={}))
-    path = ReasoningPath("A", (ReasoningStep("r", "B"),))
+    """verify_global takes a Plan, and a Plan cannot lack the slot."""
     with pytest.raises(ValueError):
-        verify_global(client, "q?", "statement without slot", path)
+        Plan(keywords=("k",), planning_steps=(), declarative_statement="statement without slot")
 
 
 def test_verify_global_fills_cloze_with_terminal_entity():
@@ -173,7 +178,7 @@ def test_verify_global_fills_cloze_with_terminal_entity():
         MockBackend(g, answer_key={BIEBER_Q: ["Erin Wagner"]})
     )
     client = LlmClient(backend)
-    statement = "The ex-wife of Justin Bieber's father is *placeholder*."
+    plan = bieber_plan()
     two_hop = ReasoningPath(
         "Justin_Bieber",
         (
@@ -181,7 +186,7 @@ def test_verify_global_fills_cloze_with_terminal_entity():
             ReasoningStep("people.married_to.person", "Erin_Wagner"),
         ),
     )
-    assert verify_global(client, BIEBER_Q, statement, two_hop) is True
+    assert verify_global(client, BIEBER_Q, plan, two_hop) is True
     rendered = backend.seen[-1]
     assert rendered.bindings["declarative_statement"] == (
         "The ex-wife of Justin Bieber's father is Erin_Wagner."
@@ -194,50 +199,12 @@ def test_verify_global_fills_cloze_with_terminal_entity():
 def test_verify_global_one_hop_prefix_stays_open():
     g = load_fixture("bieber.tsv")
     client = LlmClient(MockBackend(g, answer_key={BIEBER_Q: ["Erin Wagner"]}))
-    statement = "The ex-wife of Justin Bieber's father is *placeholder*."
+    plan = bieber_plan()
     one_hop = ReasoningPath(
         "Justin_Bieber", (ReasoningStep("people.person.father", "Jeremy_Bieber"),)
     )
-    assert verify_global(client, BIEBER_Q, statement, one_hop) is False
+    assert verify_global(client, BIEBER_Q, plan, one_hop) is False
     assert client.ledger.llm_calls == 1
-
-
-def test_verify_local_membership_rule():
-    g = load_fixture("bieber.tsv")
-    client = LlmClient(MockBackend(g, answer_key={}))
-    prefix = ReasoningPath("Justin_Bieber")
-    real = ReasoningStep("people.person.father", "Jeremy_Bieber")
-    fabricated = ReasoningStep("people.person.father", "Erin_Wagner")
-    assert verify_local(client, "q?", prefix, real) is True
-    assert verify_local(client, "q?", prefix, fabricated) is False
-
-
-def test_verify_local_ablated_is_free():
-    g = load_fixture("bieber.tsv")
-    client = LlmClient(MockBackend(g, answer_key={}))
-    config = SearchConfig(use_deductive_verifier=False)
-    got = verify_local(
-        client, "q?", ReasoningPath("A"), ReasoningStep("r", "B"), config
-    )
-    assert got is True
-    assert client.ledger.llm_calls == 0
-
-
-def test_scripted_no_prunes_candidate_from_gate():
-    client = LlmClient(ScriptedBackend(["no"]))
-    prefix = ReasoningPath("Justin_Bieber")
-    step = ReasoningStep("people.person.father", "Jeremy_Bieber")
-    survivors = [s for s in [step] if verify_local(client, "q?", prefix, s)]
-    assert survivors == []
-
-
-def test_scripted_verdict_table_halves_batch():
-    client = LlmClient(ScriptedBackend(["yes", "no", "yes", "no"]))
-    prefix = ReasoningPath("S")
-    steps = [ReasoningStep("r", f"E{i}") for i in range(4)]
-    survivors = [s for s in steps if verify_local(client, "q?", prefix, s)]
-    assert survivors == [steps[0], steps[2]]
-    assert client.ledger.llm_calls == 4
 
 
 def test_adequacy_empty_path_costs_nothing():
@@ -252,7 +219,8 @@ def test_adequacy_matches_deductive_when_verdicts_coincide():
     path = ReasoningPath("A", (ReasoningStep("r", "B"),))
     ded_client = LlmClient(ScriptedBackend(["yes"]))
     adq_client = LlmClient(ScriptedBackend(["yes"]))
-    assert verify_global(ded_client, "q?", "x *placeholder*", path) is True
+    plan = Plan(keywords=("k",), planning_steps=(), declarative_statement="x *placeholder*")
+    assert verify_global(ded_client, "q?", plan, path) is True
     assert adequacy_verify(adq_client, "q?", path) is True
 
 
