@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, validate_path
+from .kg import KnowledgeGraph, ReasoningPath, normalize, validate_path
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -349,7 +349,11 @@ def final_reason(
 
     One model call reasons over all paths at once; with last-step reasoning
     ablated (or on unusable output) the answers are the paths' terminal
-    entities in halt order.
+    entities in halt order. The response is read as comma-separated answers,
+    but a run of pieces that names a terminal entity (after ``normalize``)
+    is that one answer, so "Washington, D.C." is not split; see
+    ``_split_answers``. A path is direct support when its terminal entity is
+    one of the answers by the same match, and indirect otherwise.
     """
     if not halted_paths:
         return AnswerSet(reason=REASON_NO_DEDUCIBLE_PATH)
@@ -367,8 +371,12 @@ def final_reason(
         demo_count=config.demo_count,
     )
     text = client.complete(rendered).text
+    by_norm: dict[str, str] = {}
+    for terminal in terminals:
+        by_norm.setdefault(normalize(terminal), terminal)
+    by_norm.pop("", None)
     answers = _deduped(
-        part.strip() for chunk in text.splitlines() for part in chunk.split(",")
+        answer for line in text.splitlines() for answer in _split_answers(line, by_norm)
     )
     if not answers:
         logger.warning("final reasoning produced no answers; using terminal entities")
@@ -377,10 +385,30 @@ def final_reason(
             supporting_paths=tuple(halted_paths),
             reason="final-fallback",
         )
-    answer_set = set(answers)
-    direct = tuple(p for p in halted_paths if p.terminal_entity in answer_set)
-    indirect = tuple(p for p in halted_paths if p.terminal_entity not in answer_set)
+    named = {normalize(a) for a in answers}
+    direct = tuple(p for p in halted_paths if normalize(p.terminal_entity) in named)
+    indirect = tuple(p for p in halted_paths if normalize(p.terminal_entity) not in named)
     return AnswerSet(answers=tuple(answers), supporting_paths=direct, indirect_paths=indirect)
+
+
+def _split_answers(line: str, by_norm: Mapping[str, str]) -> list[str]:
+    """Split one response line on commas, scanning from the left: the
+    longest run of consecutive pieces whose ``normalize`` is a key of
+    ``by_norm`` becomes that terminal entity, verbatim; a piece that starts
+    no such run is an answer of its own, stripped."""
+    pieces = line.split(",")
+    answers = []
+    start = 0
+    while start < len(pieces):
+        for end in range(len(pieces), start, -1):
+            terminal = by_norm.get(normalize(",".join(pieces[start:end])))
+            if terminal is not None:
+                break
+        else:
+            end, terminal = start + 1, pieces[start].strip()
+        answers.append(terminal)
+        start = end
+    return answers
 
 
 def _deduped(items) -> list[str]:

@@ -24,7 +24,7 @@ from kgreason.llm import (
     ReplayBackend,
     load_mock_script,
 )
-from kgreason.evaluate import QARecord, load_dataset, run_experiment
+from kgreason.evaluate import QARecord, evaluate_question, load_dataset, run_experiment
 from kgreason.pathrag import RetrievalConfig, ScoredCandidate
 from kgreason.prompts import DEDUCTIVE_VERIFY
 from kgreason.search import (
@@ -323,6 +323,62 @@ def test_final_reason_mock_answers_three_paths():
     got = final_reason(client, IRAN_Q, paths)
     assert set(got.answers) == {"Islamic_republic", "Theocracy", "Unitary_state"}
     assert len(got.supporting_paths) == 3
+
+
+CAPITALS = [
+    ReasoningPath("USA", (ReasoningStep("capital", e),))
+    for e in ("Washington, D.C.", "Washington", "Paris, Texas")
+]
+
+
+@pytest.mark.parametrize(
+    "response, answers, indirect",
+    [
+        # The mock's echo of the terminals, split only where no terminal spans.
+        (
+            "Washington, D.C., Washington, Paris, Texas",
+            ("Washington, D.C.", "Washington", "Paris, Texas"),
+            (),
+        ),
+        # Matched after normalize, reported verbatim; the longest run wins.
+        ("washington,  d.c.\nPARIS, texas", ("Washington, D.C.", "Paris, Texas"), ("Washington",)),
+        # A piece that names no terminal stays an answer of its own.
+        ("Berlin, Washington", ("Berlin", "Washington"), ("Washington, D.C.", "Paris, Texas")),
+        ("Paris, Washington, D.C.", ("Paris", "Washington, D.C."), ("Washington", "Paris, Texas")),
+    ],
+)
+def test_final_reason_keeps_terminals_that_contain_commas(response, answers, indirect):
+    client = LlmClient(ScriptedBackend([response]))
+    got = final_reason(client, "What is the capital?", CAPITALS)
+    assert got.answers == answers
+    assert tuple(p.terminal_entity for p in got.indirect_paths) == indirect
+    assert len(got.supporting_paths) + len(got.indirect_paths) == len(CAPITALS)
+
+
+def test_mock_run_answers_an_entity_with_a_comma():
+    question = "What is the capital of the United States?"
+    g = load_triples(io.StringIO(
+        "United_States\tlocation.country.capital\tWashington, D.C.\n"
+        "United_States\tlocation.country.largest_city\tNew York City\n"
+        "Washington, D.C.\tlocation.location.containedby\tDistrict of Columbia\n"
+    ))
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    plan = {
+        "keywords": ["capital"],
+        "planning_steps": ["find the capital"],
+        "declarative_statement": "The capital of the United States is *placeholder*.",
+    }
+    record = QARecord("dc", question, ("Washington, D.C.",), ("United_States",))
+    backend = MockBackend(g, {question: record.answers}, {question: plan})
+    result, trace = evaluate_question(
+        record, g, idx, emb, backend, SearchConfig(), RetrievalConfig()
+    )
+    assert result.answers == ("Washington, D.C.",)
+    assert result.hits_at_1 == 1
+    assert result.paths == (
+        "United_States -> location.country.capital -> Washington, D.C.",
+    )
 
 
 # --- full runs -----------------------------------------------------------------------
