@@ -70,6 +70,9 @@ BIEBER_Q = "Who is the ex-wife of Justin Bieber's father?"
 IRAN_Q = "What form of government is in the country that uses the Iranian rial?"
 
 
+PLAN = Plan(keywords=("k",), planning_steps=("s1",), declarative_statement="x *placeholder*")
+
+
 def bieber_plan():
     return Plan(
         keywords=("ex-wife", "father"),
@@ -160,8 +163,7 @@ def test_effective_width_without_beam_search():
 def test_verify_global_empty_path_costs_nothing():
     g = load_fixture("bieber.tsv")
     client = LlmClient(MockBackend(g, answer_key={}))
-    plan = Plan(keywords=("k",), planning_steps=(), declarative_statement="The answer is *placeholder*.")
-    got = verify_global(client, "q?", plan, ReasoningPath("Justin_Bieber"))
+    got = verify_global(client, "q?", PLAN, ReasoningPath("Justin_Bieber"))
     assert got is False
     assert client.ledger.llm_calls == 0
 
@@ -219,8 +221,7 @@ def test_adequacy_matches_deductive_when_verdicts_coincide():
     path = ReasoningPath("A", (ReasoningStep("r", "B"),))
     ded_client = LlmClient(ScriptedBackend(["yes"]))
     adq_client = LlmClient(ScriptedBackend(["yes"]))
-    plan = Plan(keywords=("k",), planning_steps=(), declarative_statement="x *placeholder*")
-    assert verify_global(ded_client, "q?", plan, path) is True
+    assert verify_global(ded_client, "q?", PLAN, path) is True
     assert adequacy_verify(adq_client, "q?", path) is True
 
 
@@ -239,9 +240,6 @@ def make_pool(n, start="S"):
         )
         pool.append((hyp, cand))
     return pool
-
-
-PLAN = Plan(keywords=("k",), planning_steps=("s1",), declarative_statement="x *placeholder*")
 
 
 def test_select_echo_keeps_first_k():
