@@ -30,7 +30,6 @@ class RunConfig:
     retriever_mode: str = "path-rag"
     retriever_m: int = 10
     retriever_alpha: float = 0.3
-    retriever_neighbor_cap: int = 256
     search_width: int = 4
     search_depth: int = 4
     search_use_planning: bool = True
@@ -69,7 +68,6 @@ class RunConfig:
         return RetrievalConfig(
             m=self.retriever_m,
             alpha=self.retriever_alpha,
-            neighbor_cap=self.retriever_neighbor_cap,
             mode=self.retriever_mode,
         )
 

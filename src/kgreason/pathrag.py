@@ -10,7 +10,6 @@ comparison runs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -18,8 +17,6 @@ import numpy as np
 
 from .embedding import Embedder, EmbeddingIndex, cosine
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple, neighbors
-
-logger = logging.getLogger(__name__)
 
 MODE_PATH_RAG = "path-rag"
 MODE_VANILLA = "vanilla"
@@ -56,7 +53,6 @@ class ScoredCandidate:
 class RetrievalConfig:
     m: int = 10
     alpha: float = 0.3
-    neighbor_cap: int = 256
     mode: str = MODE_PATH_RAG
 
     def __post_init__(self):
@@ -64,10 +60,55 @@ class RetrievalConfig:
             raise ValueError("m must be >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
-        if self.neighbor_cap < 1:
-            raise ValueError("neighbor_cap must be >= 1")
         if self.mode not in RETRIEVER_MODES:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
+
+
+class _Scorer:
+    """Path-RAG scores against one query vector, memoized.
+
+    Each relation's and each entity's cosine to the query is computed once,
+    on first use, and so is each entity's best onward step. An identifier
+    missing from the index has similarity 0.
+    """
+
+    def __init__(self, idx: EmbeddingIndex, query_vec: np.ndarray, g: KnowledgeGraph | None = None):
+        self.idx = idx
+        self.query_vec = query_vec
+        self.g = g
+        self.relation_sims: dict[str, float] = {}
+        self.entity_sims: dict[str, float] = {}
+        self.best_next: dict[str, float] = {}
+
+    def _similarity(self, sims: dict[str, float], lookup, identifier: str) -> float:
+        sim = sims.get(identifier)
+        if sim is None:
+            vec = lookup(identifier)
+            sim = sims[identifier] = 0.0 if vec is None else cosine(self.query_vec, vec)
+        return sim
+
+    def base(self, relation: str, entity: str) -> float:
+        return (
+            0.0
+            + self._similarity(self.relation_sims, self.idx.relation_vector, relation)
+            + self._similarity(self.entity_sims, self.idx.entity_vector, entity)
+        )
+
+    def best_onward(self, entity: str) -> float:
+        best = self.best_next.get(entity)
+        if best is None:
+            pairs = self.g.adjacency.get(entity, ())
+            best = self.best_next[entity] = max(
+                (self.base(relation, tail) for relation, tail in pairs), default=0.0
+            )
+        return best
+
+    def score(self, step: ReasoningStep, alpha: float) -> ScoredCandidate:
+        base = self.base(step.relation, step.entity)
+        bonus = self.best_onward(step.entity)
+        return ScoredCandidate(
+            step=step, base_score=base, lookahead_bonus=bonus, total_score=base + alpha * bonus
+        )
 
 
 def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) -> float:
@@ -76,18 +117,7 @@ def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) 
 
     Identifiers missing from the index contribute similarity 0.
     """
-    total = 0.0
-    rel_vec = idx.relation_vector(step.relation)
-    if rel_vec is None:
-        logger.debug("relation %r not in index; scoring its part as 0", step.relation)
-    else:
-        total += cosine(query_vec, rel_vec)
-    ent_vec = idx.entity_vector(step.entity)
-    if ent_vec is None:
-        logger.debug("entity %r not in index; scoring its part as 0", step.entity)
-    else:
-        total += cosine(query_vec, ent_vec)
-    return total
+    return _Scorer(idx, query_vec).base(step.relation, step.entity)
 
 
 def lookahead_score(
@@ -96,42 +126,10 @@ def lookahead_score(
     query_vec: np.ndarray,
     step: ReasoningStep,
     alpha: float,
-    neighbor_cap: int = 256,
 ) -> ScoredCandidate:
-    """Score a step as base score plus alpha times the best next-hop base
-    score reachable from its entity (0 if the entity is a dead end).
-
-    On hub entities with more than ``neighbor_cap`` outgoing pairs, the max
-    runs over the cap's worth of pairs with highest relation similarity.
-    """
-    base = base_score(idx, query_vec, step)
-    next_pairs = sorted(neighbors(g, step.entity))
-    if len(next_pairs) > neighbor_cap:
-        next_pairs.sort(
-            key=lambda pair: (
-                -_relation_similarity(idx, query_vec, pair[0]),
-                pair[0],
-                pair[1],
-            )
-        )
-        next_pairs = next_pairs[:neighbor_cap]
-    bonus = 0.0
-    if next_pairs:
-        bonus = max(
-            base_score(idx, query_vec, ReasoningStep(relation=r, entity=e))
-            for r, e in next_pairs
-        )
-    return ScoredCandidate(
-        step=step,
-        base_score=base,
-        lookahead_bonus=bonus,
-        total_score=base + alpha * bonus,
-    )
-
-
-def _relation_similarity(idx: EmbeddingIndex, query_vec: np.ndarray, relation: str) -> float:
-    vec = idx.relation_vector(relation)
-    return cosine(query_vec, vec) if vec is not None else 0.0
+    """Score a step as base score plus alpha times the best base score over
+    every edge out of its entity (0 if the entity is a dead end)."""
+    return _Scorer(idx, query_vec, g).score(step, alpha)
 
 
 def candidate_steps(
@@ -148,16 +146,12 @@ def candidate_steps(
     out of the frontier. Scoring depends on the retriever mode; the ranking
     is score-descending with a lexicographic tie-break and truncated to m.
     """
-    pairs = sorted(neighbors(g, frontier_entity))
-    if not pairs:
-        return []
+    scorer = _Scorer(idx, query_vec, g)
     candidates: list[ScoredCandidate] = []
-    for relation, entity in pairs:
+    for relation, entity in sorted(neighbors(g, frontier_entity)):
         step = ReasoningStep(relation=relation, entity=entity)
         if config.mode == MODE_PATH_RAG:
-            candidates.append(
-                lookahead_score(g, idx, query_vec, step, config.alpha, config.neighbor_cap)
-            )
+            candidates.append(scorer.score(step, config.alpha))
         elif config.mode == MODE_VANILLA:
             score = cosine(query_vec, emb.embed(f"{relation} {entity}"))
             candidates.append(

@@ -147,7 +147,6 @@ FILE_KEYS = {
     "retriever.mode": "retriever_mode",
     "retriever.m": "retriever_m",
     "retriever.alpha": "retriever_alpha",
-    "retriever.neighbor_cap": "retriever_neighbor_cap",
     "search.width": "search_width",
     "search.depth": "search_depth",
     "search.use_planning": "search_use_planning",

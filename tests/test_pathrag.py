@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kgreason import pathrag
 from kgreason.embedding import EmbeddingIndex, HashingEmbedder, build_index
 from kgreason.kg import (
     KnowledgeGraph,
@@ -146,23 +147,69 @@ def test_lookahead_rescues_promising_intermediate():
     assert into_b.total_score > into_d.total_score
 
 
-def test_neighbor_cap_limits_lookahead_to_top_relation_pairs():
-    g = KnowledgeGraph.from_triples(
-        [Triple("F", "r", "B"), Triple("B", "r_good", "E2"), Triple("B", "r_bad", "E1")]
-    )
+def test_hub_lookahead_is_the_max_over_every_onward_pair():
+    """300 pairs out of hub H; the best one has the least query-aligned
+    relation, so a max over the best-aligned relations alone would miss it."""
     q = np.array([1.0, 0.0])
-    idx = hand_index(
-        {"F": [0.0, 1.0], "B": [0.0, 1.0], "E1": [1.0, 0.0], "E2": [0.0, 1.0]},
-        {"r": [0.0, 1.0], "r_good": [1.0, 0.0], "r_bad": [0.0, 1.0]},
+    triples = [Triple("F", "r", "H"), Triple("H", "r_least", "E_best")]
+    relation_vecs = {"r": [0.0, 1.0], "r_least": [-1.0, 0.0]}
+    entity_vecs = {"F": [0.0, 1.0], "H": [0.0, 1.0], "E_best": [1.0, 0.0]}
+    for i in range(299):
+        angle = 0.45 + 1.6 * i / 299  # relation cosines from 0.90 down to about -0.04
+        relation_vecs[f"r{i:03d}"] = [np.cos(angle), np.sin(angle)]
+        entity_vecs[f"e{i:03d}"] = [-1.0, 0.0]
+        triples.append(Triple("H", f"r{i:03d}", f"e{i:03d}"))
+    g = KnowledgeGraph.from_triples(triples)
+    idx = hand_index(entity_vecs, relation_vecs)
+    onward = sorted(g.adjacency["H"])
+    assert len(onward) == 300
+    brute = max(
+        0.0 + oracle_cosine(q, idx.relation_vectors[r]) + oracle_cosine(q, idx.entity_vectors[e])
+        for r, e in onward
     )
-    step = ReasoningStep("r", "B")
-    uncapped = lookahead_score(g, idx, q, step, alpha=1.0)
-    capped = lookahead_score(g, idx, q, step, alpha=1.0, neighbor_cap=1)
-    # Uncapped, the best continuation is (r_bad, E1) with base 0 + 1 = 1.
-    assert uncapped.lookahead_bonus == pytest.approx(1.0, abs=1e-12)
-    # Capped to the single most query-aligned relation, only (r_good, E2)
-    # survives: base 1 + 0 = 1 as well, but via the other pair.
-    assert capped.lookahead_bonus == pytest.approx(1.0, abs=1e-12)
+    assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair is below -0.09
+    step = ReasoningStep("r", "H")
+    assert lookahead_score(g, idx, q, step, 0.3).lookahead_bonus == brute
+    (cand,) = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+    assert cand.lookahead_bonus == brute
+
+
+def test_candidate_steps_computes_each_cosine_once(monkeypatch):
+    """A and B share their onward pairs; each identifier is scored once."""
+    g = KnowledgeGraph.from_triples(
+        [
+            Triple("F", "r", "A"),
+            Triple("F", "r", "B"),
+            Triple("F", "s", "C"),
+            Triple("A", "t", "X"),
+            Triple("A", "u", "Y"),
+            Triple("B", "t", "X"),
+            Triple("B", "u", "Y"),
+            Triple("C", "t", "Z"),
+        ]
+    )
+    rng = np.random.default_rng(3)
+    idx = hand_index(
+        {name: rng.standard_normal(2) for name in "ABCFXYZ"},
+        {name: rng.standard_normal(2) for name in "rstu"},
+    )
+    q = np.array([0.6, 0.8])
+    expected = {
+        c.step: lookahead_score(g, idx, q, c.step, 0.3)
+        for c in candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+    }
+    scored = []
+    real_cosine = pathrag.cosine
+
+    def counting_cosine(a, b):
+        scored.append(id(b))
+        return real_cosine(a, b)
+
+    monkeypatch.setattr(pathrag, "cosine", counting_cosine)
+    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+    assert {c.step: c for c in got} == expected
+    # relations r, s, t, u and entities A, B, C, X, Y, Z
+    assert len(scored) == len(set(scored)) == 10
 
 
 def test_candidates_never_fabricated_and_match_eq2():
