@@ -86,7 +86,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         logger.warning("cosine of a zero-norm vector defined as 0.0")
         return 0.0
-    return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+    return min(max(float(np.dot(a, b) / (na * nb)), -1.0), 1.0)
 
 
 @dataclass
