@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, validate_path
 from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
-from .pathrag import KeywordSet, RetrievalConfig, coverage_ratio, retrieved_steps_along_path
+from .pathrag import RetrievalConfig, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
     AnswerSet,
@@ -294,11 +294,12 @@ def _question_coverage(
 ) -> float | None:
     if not record.ground_truth_paths or not keywords:
         return None
-    query_vec = emb.embed(KeywordSet(tuple(keywords)).joined_text)
+    query_text = " ".join(keywords)
+    query_vec = emb.embed(query_text)
     ratios = []
     for gt in record.ground_truth_paths:
         sets = retrieved_steps_along_path(
-            g, idx, emb, query_vec, " ".join(keywords), gt, retrieval_config
+            g, idx, emb, query_vec, query_text, gt, retrieval_config
         )
         ratios.append(coverage_ratio(sets, gt))
     return sum(ratios) / len(ratios)

@@ -25,21 +25,6 @@ RETRIEVER_MODES = (MODE_PATH_RAG, MODE_VANILLA, MODE_KAPING)
 
 
 @dataclass(frozen=True)
-class KeywordSet:
-    """Query keywords; their space-joined text is what gets embedded."""
-
-    keywords: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.keywords:
-            raise ValueError("keyword set must be non-empty")
-
-    @property
-    def joined_text(self) -> str:
-        return " ".join(self.keywords)
-
-
-@dataclass(frozen=True)
 class ScoredCandidate:
     """A candidate step with its base score, lookahead bonus and total."""
 

@@ -44,7 +44,7 @@ from .llm import (
     degraded_plan,
     generate_plan,
 )
-from .pathrag import KeywordSet, RetrievalConfig, ScoredCandidate, candidate_steps
+from .pathrag import RetrievalConfig, ScoredCandidate, candidate_steps
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -515,7 +515,7 @@ def _search(
         declarative_statement=plan.declarative_statement,
         degraded=plan.degraded,
     )
-    query_vec = emb.embed(KeywordSet(plan.keywords).joined_text)
+    query_vec = emb.embed(" ".join(plan.keywords))
 
     live = [Hypothesis(path=ReasoningPath(start=e), selection_rank=i) for i, e in enumerate(seeds)]
     halted: list[Hypothesis] = []

@@ -223,6 +223,11 @@ def test_plan_requires_exactly_one_placeholder():
         )
 
 
+def test_plan_requires_keywords():
+    with pytest.raises(ValueError):
+        Plan(keywords=(), planning_steps=(), declarative_statement="x *placeholder*")
+
+
 def test_plan_fill_and_context():
     plan = Plan(
         keywords=("k",),

@@ -13,7 +13,6 @@ from kgreason.kg import (
 from kgreason.pathrag import (
     MODE_KAPING,
     MODE_VANILLA,
-    KeywordSet,
     RetrievalConfig,
     base_score,
     candidate_steps,
@@ -45,17 +44,7 @@ def hand_index(entity_vecs, relation_vecs):
     return idx
 
 
-# --- keyword sets and config ---------------------------------------------------
-
-
-def test_keyword_set_joins_with_spaces():
-    ks = KeywordSet(("form of government", "currency used"))
-    assert ks.joined_text == "form of government currency used"
-
-
-def test_keyword_set_must_be_non_empty():
-    with pytest.raises(ValueError):
-        KeywordSet(())
+# --- config ----------------------------------------------------------------
 
 
 def test_retrieval_config_validation():
