@@ -352,8 +352,9 @@ def final_reason(
     entities in halt order. The response is read as comma-separated answers,
     but a run of pieces that names a terminal entity (after ``normalize``)
     is that one answer, so "Washington, D.C." is not split; see
-    ``_split_answers``. A path is direct support when its terminal entity is
-    one of the answers by the same match, and indirect otherwise.
+    ``_split_answers``. Answers that name a terminal entity rank ahead of
+    those that name none. A path is direct support when its terminal entity
+    is one of the answers by the same match, and indirect otherwise.
     """
     if not halted_paths:
         return AnswerSet(reason=REASON_NO_DEDUCIBLE_PATH)
@@ -385,6 +386,8 @@ def final_reason(
             supporting_paths=tuple(halted_paths),
             reason="final-fallback",
         )
+    # Grounded answers first; the stable sort keeps response order in each group.
+    answers.sort(key=lambda answer: normalize(answer) not in by_norm)
     named = {normalize(a) for a in answers}
     direct = tuple(p for p in halted_paths if normalize(p.terminal_entity) in named)
     indirect = tuple(p for p in halted_paths if normalize(p.terminal_entity) not in named)

@@ -340,9 +340,10 @@ CAPITALS = [
         ),
         # Matched after normalize, reported verbatim; the longest run wins.
         ("washington,  d.c.\nPARIS, texas", ("Washington, D.C.", "Paris, Texas"), ("Washington",)),
-        # A piece that names no terminal stays an answer of its own.
-        ("Berlin, Washington", ("Berlin", "Washington"), ("Washington, D.C.", "Paris, Texas")),
-        ("Paris, Washington, D.C.", ("Paris", "Washington, D.C."), ("Washington", "Paris, Texas")),
+        # A piece that names no terminal stays an answer of its own, ranked
+        # after the answers that name one.
+        ("Berlin, Washington", ("Washington", "Berlin"), ("Washington, D.C.", "Paris, Texas")),
+        ("Paris, Washington, D.C.", ("Washington, D.C.", "Paris"), ("Washington", "Paris, Texas")),
     ],
 )
 def test_final_reason_keeps_terminals_that_contain_commas(response, answers, indirect):
