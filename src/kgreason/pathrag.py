@@ -73,6 +73,7 @@ class _Scorer:
         return sim
 
     def base(self, relation: str, entity: str) -> float:
+        # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
         return (
             0.0
             + self._similarity(self.relation_sims, self.idx.relation_vector, relation)
