@@ -144,7 +144,7 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
     relation_vecs = {"r": [0.0, 1.0], "r_least": [-1.0, 0.0]}
     entity_vecs = {"F": [0.0, 1.0], "H": [0.0, 1.0], "E_best": [1.0, 0.0]}
     for i in range(299):
-        angle = 0.45 + 1.6 * i / 299  # relation cosines from 0.90 down to about -0.04
+        angle = 0.45 + 1.6 * i / 299  # relation cosines from 0.90 down to -0.46
         relation_vecs[f"r{i:03d}"] = [np.cos(angle), np.sin(angle)]
         entity_vecs[f"e{i:03d}"] = [-1.0, 0.0]
         triples.append(Triple("H", f"r{i:03d}", f"e{i:03d}"))
@@ -156,7 +156,7 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
         0.0 + oracle_cosine(q, idx.relation_vectors[r]) + oracle_cosine(q, idx.entity_vectors[e])
         for r, e in onward
     )
-    assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair is below -0.09
+    assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair scores below -0.09
     step = ReasoningStep("r", "H")
     assert lookahead_score(g, idx, q, step, 0.3).lookahead_bonus == brute
     (cand,) = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
