@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, validate_path
 from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
-from .pathrag import RetrievalConfig, coverage_ratio, retrieved_steps_along_path
+from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
     AnswerSet,
@@ -288,28 +288,22 @@ def _question_coverage(
     g: KnowledgeGraph,
     idx: EmbeddingIndex,
     emb: Embedder,
-    keywords: Sequence[str],
     record: QARecord,
     retrieval_config: RetrievalConfig,
+    context: ScoreContext,
 ) -> float | None:
-    if not record.ground_truth_paths or not keywords:
+    """Mean coverage of the record's ground-truth paths, scored against the
+    query the search embedded into ``context`` (None without either)."""
+    if not record.ground_truth_paths or context.query_text is None:
         return None
-    query_text = " ".join(keywords)
-    query_vec = emb.embed(query_text)
     ratios = []
     for gt in record.ground_truth_paths:
         sets = retrieved_steps_along_path(
-            g, idx, emb, query_vec, query_text, gt, retrieval_config
+            g, idx, emb, context.query_vec, context.query_text, gt, retrieval_config,
+            context=context,
         )
         ratios.append(coverage_ratio(sets, gt))
     return sum(ratios) / len(ratios)
-
-
-def _trace_plan_keywords(trace: SearchTrace) -> list[str]:
-    for event in trace.events:
-        if event.get("event") == "plan":
-            return list(event.get("keywords", []))
-    return []
 
 
 def _verdict_counts(trace: SearchTrace) -> tuple[int, int]:
@@ -335,9 +329,11 @@ def evaluate_question(
 ) -> tuple[QuestionResult, SearchTrace | None]:
     """Run one question with a fresh ledger and score the outcome. A backend
     failure, a missing topic entity or a rejected input scores as a failed
-    question; any other exception propagates."""
+    question; any other exception propagates. The search and the coverage
+    walk share one score context, so each similarity is computed once."""
     ledger = UsageLedger()
     client = LlmClient(backend, ledger=ledger)
+    context = ScoreContext(g, idx, emb)
     started = time.monotonic()
     try:
         answers, trace = run_dvbs(
@@ -350,6 +346,7 @@ def evaluate_question(
             search_config,
             retrieval_config,
             demonstrations,
+            context=context,
         )
     except (LlmError, TopicEntityError, ValueError) as exc:
         logger.warning("question %s failed: %s", record.id, exc)
@@ -387,9 +384,7 @@ def evaluate_question(
     yes, no = _verdict_counts(trace)
     coverage = None
     if not failed:
-        coverage = _question_coverage(
-            g, idx, emb, _trace_plan_keywords(trace), record, retrieval_config
-        )
+        coverage = _question_coverage(g, idx, emb, record, retrieval_config, context)
     return (
         QuestionResult(
             record_id=record.id,

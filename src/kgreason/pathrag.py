@@ -49,21 +49,54 @@ class RetrievalConfig:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
 
 
-class _Scorer:
-    """Path-RAG scores against one query vector, memoized.
+class ScoreContext:
+    """The retrieval scores of one question's query, shared by every
+    frontier of its search and by its coverage walk.
 
-    Each relation's and each entity's cosine to the query is computed once,
-    on first use, and so is each entity's best onward step. An identifier
-    missing from the index has similarity 0.
+    Built for one graph, index and embedder. The query is bound on first
+    use, by ``embed_query`` or by the first scoring call; using the context
+    with another graph, index, embedder or query raises ``ValueError``, so
+    it never returns scores for the wrong query. Each relation's and each
+    entity's cosine to the query, each entity's best onward step, each step
+    text's similarity and KAPING's global top-m set are computed once, on
+    first use. An identifier missing from the index has similarity 0.
+    One context serves one question on one thread.
     """
 
-    def __init__(self, idx: EmbeddingIndex, query_vec: np.ndarray, g: KnowledgeGraph | None = None):
-        self.idx = idx
-        self.query_vec = query_vec
+    def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
         self.g = g
+        self.idx = idx
+        self.emb = emb
+        self.query_text: str | None = None
+        self.query_vec: np.ndarray | None = None
         self.relation_sims: dict[str, float] = {}
         self.entity_sims: dict[str, float] = {}
         self.best_next: dict[str, float] = {}
+        self.text_sims: dict[str, float] = {}
+        self.kaping_top: dict[int, frozenset[ReasoningStep]] = {}
+
+    def embed_query(self, text: str) -> np.ndarray:
+        """The query vector of ``text``, embedded only on the first call."""
+        if text != self.query_text:
+            if self.query_text is not None:
+                raise ValueError(f"score context is bound to query {self.query_text!r}, not {text!r}")
+            self.bind(self.g, self.idx, self.emb, self.emb.embed(text))
+            self.query_text = text
+        return self.query_vec
+
+    def bind(
+        self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder, query_vec: np.ndarray
+    ) -> "ScoreContext":
+        """This context, checked against the arguments of a scoring call."""
+        if g is not self.g or idx is not self.idx or emb is not self.emb:
+            raise ValueError("score context was built for another graph, index or embedder")
+        if self.query_vec is None:
+            self.query_vec = query_vec
+        elif query_vec is not self.query_vec and not np.array_equal(
+            query_vec, self.query_vec, equal_nan=True
+        ):
+            raise ValueError("score context was built for another query vector")
+        return self
 
     def _similarity(self, sims: dict[str, float], lookup, identifier: str) -> float:
         sim = sims.get(identifier)
@@ -96,6 +129,21 @@ class _Scorer:
             step=step, base_score=base, lookahead_bonus=bonus, total_score=base + alpha * bonus
         )
 
+    def text_similarity(self, text: str) -> float:
+        sim = self.text_sims.get(text)
+        if sim is None:
+            sim = self.text_sims[text] = cosine(self.query_vec, self.emb.embed(text))
+        return sim
+
+    def kaping_steps(self, m: int) -> frozenset[ReasoningStep]:
+        steps = self.kaping_top.get(m)
+        if steps is None:
+            steps = self.kaping_top[m] = frozenset(
+                ReasoningStep(relation=t.relation, entity=t.tail)
+                for t, _ in _rank_triples(self.g, self.emb, self.query_vec, m)
+            )
+        return steps
+
 
 def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) -> float:
     """Semantic alignment of a step: relation similarity plus entity
@@ -103,7 +151,7 @@ def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) 
 
     Identifiers missing from the index contribute similarity 0.
     """
-    return _Scorer(idx, query_vec).base(step.relation, step.entity)
+    return ScoreContext(None, idx, None).bind(None, idx, None, query_vec).base(step.relation, step.entity)
 
 
 def lookahead_score(
@@ -115,7 +163,7 @@ def lookahead_score(
 ) -> ScoredCandidate:
     """Score a step as base score plus alpha times the best base score over
     every edge out of its entity (0 if the entity is a dead end)."""
-    return _Scorer(idx, query_vec, g).score(step, alpha)
+    return ScoreContext(g, idx, None).bind(g, idx, None, query_vec).score(step, alpha)
 
 
 def candidate_steps(
@@ -125,30 +173,30 @@ def candidate_steps(
     query_vec: np.ndarray,
     frontier_entity: str,
     config: RetrievalConfig,
+    *,
+    context: ScoreContext | None = None,
 ) -> list[ScoredCandidate]:
     """Rank the frontier entity's true 1-hop neighborhood as candidate steps.
 
     Candidates are never fabricated: every returned step is an actual edge
     out of the frontier. Scoring depends on the retriever mode; the ranking
     is score-descending with a lexicographic tie-break and truncated to m.
+    Scores come from ``context`` (a private one when none is given).
     """
-    scorer = _Scorer(idx, query_vec, g)
+    scores = (context or ScoreContext(g, idx, emb)).bind(g, idx, emb, query_vec)
     candidates: list[ScoredCandidate] = []
     for relation, entity in sorted(neighbors(g, frontier_entity)):
         step = ReasoningStep(relation=relation, entity=entity)
         if config.mode == MODE_PATH_RAG:
-            candidates.append(scorer.score(step, config.alpha))
-        elif config.mode == MODE_VANILLA:
-            score = cosine(query_vec, emb.embed(f"{relation} {entity}"))
-            candidates.append(
-                ScoredCandidate(step=step, base_score=score, lookahead_bonus=0.0, total_score=score)
-            )
+            candidates.append(scores.score(step, config.alpha))
+            continue
+        if config.mode == MODE_VANILLA:
+            score = scores.text_similarity(f"{relation} {entity}")
         else:  # kaping: rank the frontier's triples by their text rendering
-            text = f"{frontier_entity} {relation} {entity}"
-            score = cosine(query_vec, emb.embed(text))
-            candidates.append(
-                ScoredCandidate(step=step, base_score=score, lookahead_bonus=0.0, total_score=score)
-            )
+            score = scores.text_similarity(f"{frontier_entity} {relation} {entity}")
+        candidates.append(
+            ScoredCandidate(step=step, base_score=score, lookahead_bonus=0.0, total_score=score)
+        )
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
 
@@ -164,9 +212,14 @@ def kaping_retrieve(
     Each triple renders as ``head relation tail``. Returns the top-k with
     scores, all triples when k exceeds the graph size.
     """
+    return _rank_triples(g, emb, emb.embed(query_text), k)
+
+
+def _rank_triples(
+    g: KnowledgeGraph, emb: Embedder, query_vec: np.ndarray, k: int
+) -> list[tuple[Triple, float]]:
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vec = emb.embed(query_text)
     scored = [
         (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
         for head, pairs in g.adjacency.items()
@@ -202,23 +255,25 @@ def retrieved_steps_along_path(
     query_text: str,
     ground_truth: ReasoningPath,
     config: RetrievalConfig,
+    *,
+    context: ScoreContext | None = None,
 ) -> list[set[ReasoningStep]]:
     """Retrieved candidate sets at each hop while walking the ground-truth
     path, for coverage-ratio comparisons between retriever modes.
 
-    The per-frontier retrievers re-rank at every hop; the triple-to-text
-    retriever selects one global top-m set that is charged at every hop.
+    The per-frontier retrievers re-rank at every hop against ``query_vec``;
+    the triple-to-text retriever selects one global top-m set against
+    ``query_text`` that is charged at every hop. Scores come from
+    ``context`` (a private one when none is given).
     """
+    context = context or ScoreContext(g, idx, emb)
     if config.mode == MODE_KAPING:
-        retrieved = {
-            ReasoningStep(relation=t.relation, entity=t.tail)
-            for t, _ in kaping_retrieve(g, emb, query_text, config.m)
-        }
-        return [set(retrieved) for _ in ground_truth.steps]
+        scores = context.bind(g, idx, emb, context.embed_query(query_text))
+        return [set(scores.kaping_steps(config.m)) for _ in ground_truth.steps]
     sets: list[set[ReasoningStep]] = []
     frontier = ground_truth.start
     for step in ground_truth.steps:
-        ranked = candidate_steps(g, idx, emb, query_vec, frontier, config)
+        ranked = candidate_steps(g, idx, emb, query_vec, frontier, config, context=context)
         sets.append({c.step for c in ranked})
         frontier = step.entity
     return sets

@@ -44,7 +44,7 @@ from .llm import (
     degraded_plan,
     generate_plan,
 )
-from .pathrag import RetrievalConfig, ScoredCandidate, candidate_steps
+from .pathrag import RetrievalConfig, ScoreContext, ScoredCandidate, candidate_steps
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -432,6 +432,8 @@ def run_dvbs(
     search_config: SearchConfig = SearchConfig(),
     retrieval_config: RetrievalConfig = RetrievalConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
+    *,
+    context: ScoreContext | None = None,
 ) -> tuple[AnswerSet, SearchTrace]:
     """Run the full search for one question and return the answers plus a
     replayable trace.
@@ -442,7 +444,9 @@ def run_dvbs(
     order at the last depth), then verifies each kept extension once:
     a passing path halts and is frozen for answering, a failing one stays
     live. Backend failures are recorded in the trace and yield an empty
-    answer set rather than a crash.
+    answer set rather than a crash. The plan's keywords are embedded into
+    ``context`` (a private one when none is given), which then scores every
+    frontier.
     """
     trace = SearchTrace(question=question)
     trace.add(
@@ -466,7 +470,7 @@ def run_dvbs(
     try:
         return _search(
             question, present, g, idx, emb, search_config, retrieval_config,
-            demonstrations, trace, recorder,
+            demonstrations, trace, recorder, context or ScoreContext(g, idx, emb),
         )
     except LlmError as exc:
         logger.error("backend failure during search: %s", exc)
@@ -500,6 +504,7 @@ def _search(
     demonstrations: Mapping[str, Sequence[str]] | None,
     trace: SearchTrace,
     recorder: CallRecorder,
+    context: ScoreContext,
 ) -> tuple[AnswerSet, SearchTrace]:
     k = config.effective_width
 
@@ -518,7 +523,7 @@ def _search(
         declarative_statement=plan.declarative_statement,
         degraded=plan.degraded,
     )
-    query_vec = emb.embed(" ".join(plan.keywords))
+    query_vec = context.embed_query(" ".join(plan.keywords))
 
     live = [Hypothesis(path=ReasoningPath(start=e), selection_rank=i) for i, e in enumerate(seeds)]
     halted: list[Hypothesis] = []
@@ -534,7 +539,7 @@ def _search(
         pool: list[tuple[Hypothesis, ScoredCandidate]] = []
         for hyp in live:
             ranked = candidate_steps(
-                g, idx, emb, query_vec, hyp.path.terminal_entity, retrieval
+                g, idx, emb, query_vec, hyp.path.terminal_entity, retrieval, context=context
             )
             if not ranked:
                 trace.add(
