@@ -79,7 +79,7 @@ class ScoreContext:
         """The query vector of ``text``, embedded only on the first call."""
         if text != self.query_text:
             if self.query_text is not None:
-                raise ValueError(f"score context is bound to query {self.query_text!r}, not {text!r}")
+                raise ValueError(f"score context is bound to another query than {text!r}")
             self.bind(self.g, self.idx, self.emb, self.emb.embed(text))
             self.query_text = text
         return self.query_vec
@@ -143,27 +143,6 @@ class ScoreContext:
                 for t, _ in _rank_triples(self.g, self.emb, self.query_vec, m)
             )
         return steps
-
-
-def base_score(idx: EmbeddingIndex, query_vec: np.ndarray, step: ReasoningStep) -> float:
-    """Semantic alignment of a step: relation similarity plus entity
-    similarity to the query, each in [-1, 1].
-
-    Identifiers missing from the index contribute similarity 0.
-    """
-    return ScoreContext(None, idx, None).bind(None, idx, None, query_vec).base(step.relation, step.entity)
-
-
-def lookahead_score(
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    query_vec: np.ndarray,
-    step: ReasoningStep,
-    alpha: float,
-) -> ScoredCandidate:
-    """Score a step as base score plus alpha times the best base score over
-    every edge out of its entity (0 if the entity is a dead end)."""
-    return ScoreContext(g, idx, None).bind(g, idx, None, query_vec).score(step, alpha)
 
 
 def candidate_steps(

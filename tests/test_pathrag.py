@@ -14,11 +14,10 @@ from kgreason.pathrag import (
     MODE_KAPING,
     MODE_VANILLA,
     RetrievalConfig,
-    base_score,
+    ScoredCandidate,
     candidate_steps,
     coverage_ratio,
     kaping_retrieve,
-    lookahead_score,
     retrieved_steps_along_path,
 )
 
@@ -33,6 +32,23 @@ def oracle_cosine(a, b):
     if na == 0 or nb == 0:
         return 0.0
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+
+
+def oracle_candidate(g, idx, q, step, alpha):
+    """Path-RAG's score of ``step`` by brute force: base plus alpha times the
+    best base over every edge out of its entity."""
+
+    def base(relation, entity):
+        rel, ent = idx.relation_vectors.get(relation), idx.entity_vectors.get(entity)
+        return (
+            0.0
+            + (0.0 if rel is None else oracle_cosine(q, rel))
+            + (0.0 if ent is None else oracle_cosine(q, ent))
+        )
+
+    score = base(step.relation, step.entity)
+    bonus = max((base(r, e) for r, e in g.adjacency.get(step.entity, ())), default=0.0)
+    return ScoredCandidate(step, score, bonus, score + alpha * bonus)
 
 
 def hand_index(entity_vecs, relation_vecs):
@@ -59,16 +75,33 @@ def test_retrieval_config_validation():
 # --- base score ------------------------------------------------------------
 
 
+def only_candidate(g, idx, q):
+    """The one candidate step out of frontier F."""
+    (cand,) = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+    return cand
+
+
+def candidate_for(g, idx, q, frontier, step, alpha=0.3, emb=None):
+    """The candidate for ``step`` among those ranked out of ``frontier``."""
+    ranked = candidate_steps(
+        g, idx, emb or HashingEmbedder(), q, frontier, RetrievalConfig(alpha=alpha)
+    )
+    (cand,) = [c for c in ranked if c.step == step]
+    return cand
+
+
 def test_base_score_maximal_alignment_is_two():
     q = np.array([1.0, 0.0])
+    g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
     idx = hand_index({"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
-    assert base_score(idx, q, ReasoningStep("r", "E")) == pytest.approx(2.0, abs=1e-12)
+    assert only_candidate(g, idx, q).base_score == pytest.approx(2.0, abs=1e-12)
 
 
 def test_base_score_orthogonal_is_zero():
     q = np.array([1.0, 0.0])
+    g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
     idx = hand_index({"E": [0.0, 1.0]}, {"r": [0.0, 1.0]})
-    assert base_score(idx, q, ReasoningStep("r", "E")) == 0.0
+    assert only_candidate(g, idx, q).base_score == 0.0
 
 
 def test_base_score_fixture_value_matches_oracle():
@@ -80,16 +113,21 @@ def test_base_score_fixture_value_matches_oracle():
     expected = oracle_cosine(q, idx.relation_vectors[step.relation]) + oracle_cosine(
         q, idx.entity_vectors[step.entity]
     )
-    got = base_score(idx, q, step)
+    got = candidate_for(g, idx, q, "Iran", step, emb=emb).base_score
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.2672612419124244, abs=1e-12)
 
 
 def test_base_score_missing_identifiers_contribute_zero():
     q = np.array([1.0, 0.0])
+    g = KnowledgeGraph.from_triples(
+        [Triple("F", "ghost_rel", "E"), Triple("F", "ghost_rel", "ghost_ent")]
+    )
     idx = hand_index({"E": [1.0, 0.0]}, {})
-    assert base_score(idx, q, ReasoningStep("ghost_rel", "E")) == pytest.approx(1.0, abs=1e-12)
-    assert base_score(idx, q, ReasoningStep("ghost_rel", "ghost_ent")) == 0.0
+    into_e = candidate_for(g, idx, q, "F", ReasoningStep("ghost_rel", "E"))
+    into_ghost = candidate_for(g, idx, q, "F", ReasoningStep("ghost_rel", "ghost_ent"))
+    assert into_e.base_score == pytest.approx(1.0, abs=1e-12)
+    assert into_ghost.base_score == 0.0
 
 
 # --- lookahead scoring -------------------------------------------------------
@@ -101,7 +139,7 @@ def test_alpha_zero_reduces_to_base_score():
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
     step = ReasoningStep("finance.currency.countries_used", "Iran")
-    cand = lookahead_score(g, idx, q, step, alpha=0.0)
+    cand = candidate_for(g, idx, q, "Iranian_rial", step, alpha=0.0, emb=emb)
     assert cand.total_score == cand.base_score
     assert cand.lookahead_bonus > 0  # Iran has outgoing edges; only the weight is off
 
@@ -111,7 +149,8 @@ def test_leaf_entity_gets_zero_bonus():
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
-    cand = lookahead_score(g, idx, q, ReasoningStep("location.country.form_of_government", "Theocracy"), alpha=0.3)
+    step = ReasoningStep("location.country.form_of_government", "Theocracy")
+    cand = candidate_for(g, idx, q, "Iran", step, emb=emb)
     assert cand.lookahead_bonus == 0.0
     assert cand.total_score == cand.base_score
 
@@ -127,8 +166,8 @@ def test_lookahead_rescues_promising_intermediate():
         {"F": [0.0, 1.0], "B": [0.0, 1.0], "D": [0.0, 1.0], "C": [1.0, 0.0]},
         {"r": [0.0, 1.0], "r2": [0.0, 1.0]},
     )
-    into_b = lookahead_score(g, idx, q, ReasoningStep("r", "B"), alpha=0.3)
-    into_d = lookahead_score(g, idx, q, ReasoningStep("r", "D"), alpha=0.3)
+    into_b = candidate_for(g, idx, q, "F", ReasoningStep("r", "B"))
+    into_d = candidate_for(g, idx, q, "F", ReasoningStep("r", "D"))
     assert into_b.base_score == into_d.base_score == 0.0
     assert into_b.lookahead_bonus == pytest.approx(1.0, abs=1e-12)
     assert into_b.total_score == pytest.approx(0.3, abs=1e-12)
@@ -157,10 +196,7 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
         for r, e in onward
     )
     assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair scores below -0.09
-    step = ReasoningStep("r", "H")
-    assert lookahead_score(g, idx, q, step, 0.3).lookahead_bonus == brute
-    (cand,) = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
-    assert cand.lookahead_bonus == brute
+    assert only_candidate(g, idx, q).lookahead_bonus == brute
 
 
 def test_candidate_steps_computes_each_cosine_once(monkeypatch):
@@ -184,8 +220,8 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
     )
     q = np.array([0.6, 0.8])
     expected = {
-        c.step: lookahead_score(g, idx, q, c.step, 0.3)
-        for c in candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+        step: oracle_candidate(g, idx, q, step, 0.3)
+        for step in (ReasoningStep("r", "A"), ReasoningStep("r", "B"), ReasoningStep("s", "C"))
     }
     scored = []
     real_cosine = pathrag.cosine
