@@ -67,7 +67,8 @@ def _effective_config(args) -> RunConfig:
 
 def _open_index(rc: RunConfig):
     """Load graph + index and the embedder the index was built with; a
-    fingerprint mismatch is a usage error with a re-index instruction."""
+    fingerprint mismatch, or an index whose entities or relations are not
+    exactly the graph's, is a usage error with a re-index instruction."""
     if not rc.kg:
         raise ConfigError("no knowledge graph path given (kg key or --kg)")
     if not rc.index:
@@ -75,12 +76,14 @@ def _open_index(rc: RunConfig):
     g = _load_kg(rc.kg)
     idx = load_index(rc.index)
     emb = HashingEmbedder(dimension=idx.dimension)
+    rebuild = f"rebuild it with: kgreason index --kg {rc.kg} --out {rc.index}"
     if emb.fingerprint != idx.fingerprint:
         raise ConfigError(
             f"index fingerprint {idx.fingerprint!r} does not match embedder "
-            f"{emb.fingerprint!r}; rebuild it with: kgreason index --kg {rc.kg} "
-            f"--out {rc.index}"
+            f"{emb.fingerprint!r}; {rebuild}"
         )
+    if idx.entity_vectors.keys() != g.entities or idx.relation_vectors.keys() != g.relations:
+        raise ConfigError(f"index {rc.index} was not built from graph {rc.kg}; {rebuild}")
     return g, idx, emb
 
 

@@ -164,6 +164,17 @@ def test_ask_fingerprint_mismatch_names_rebuild_command(tmp_path, capsys):
     assert "rebuild" in err
 
 
+def test_ask_index_of_another_graph_names_rebuild_command(tmp_path, capsys):
+    iran_index = tmp_path / "iran.idx"
+    assert main(["index", "--kg", "fixtures/iran.tsv", "--out", str(iran_index)]) == EXIT_OK
+    capsys.readouterr()
+    code = main(ask_args(iran_index, IRAN_Q, "Iranian_rial"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "was not built from graph fixtures/combined.tsv" in err
+    assert f"kgreason index --kg fixtures/combined.tsv --out {iran_index}" in err
+
+
 # --- eval ------------------------------------------------------------------------
 
 
