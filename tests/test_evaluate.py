@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +25,8 @@ from kgreason.evaluate import (
     validity_ratio,
 )
 from kgreason.search import AnswerSet, SearchConfig
-from kgreason.pathrag import RetrievalConfig
+from kgreason import pathrag
+from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig
 from kgreason.prompts import DEDUCTIVE_VERIFY
 
 
@@ -361,3 +363,73 @@ def test_evaluate_question_counts_verdicts_and_calls():
 def test_aggregate_requires_results():
     with pytest.raises(ValueError):
         compute_aggregates([])
+
+
+# --- one score context per question ---------------------------------------------
+
+
+class CountingEmbedder(HashingEmbedder):
+    """A hashing embedder that keeps every text it embeds."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts = []
+
+    def embed(self, text):
+        self.texts.append(text)
+        return super().embed(text)
+
+
+def test_question_scores_each_identifier_once_across_depths_and_coverage(monkeypatch):
+    g, idx, emb, dataset, backend = fixture_harness()
+    scored = []
+    real_cosine = pathrag.cosine
+
+    def counting_cosine(a, b):
+        scored.append(id(b))
+        return real_cosine(a, b)
+
+    monkeypatch.setattr(pathrag, "cosine", counting_cosine)
+    for record in dataset:
+        scored.clear()
+        result, trace = evaluate_question(
+            record, g, idx, emb, backend, SearchConfig(), RetrievalConfig()
+        )
+        assert sum(e["event"] == "depth" for e in trace.events) >= 2
+        assert result.coverage == 1.0
+        # each index vector is one identifier's
+        assert scored and len(scored) == len(set(scored))
+
+
+@pytest.mark.parametrize("mode", RETRIEVER_MODES)
+def test_question_embeds_its_query_once(mode):
+    g, idx, _, dataset, backend = fixture_harness()
+    emb = CountingEmbedder()
+    for record in dataset:
+        emb.texts.clear()
+        result, trace = evaluate_question(
+            record, g, idx, emb, backend, SearchConfig(), RetrievalConfig(mode=mode)
+        )
+        (plan,) = [e for e in trace.events if e["event"] == "plan"]
+        query = " ".join(plan["keywords"])
+        assert result.coverage is not None
+        assert emb.texts.count(query) == 1
+        if mode == "path-rag":
+            assert emb.texts == [query]
+
+
+def test_parallel_report_equals_serial():
+    g, idx, emb, dataset, backend = fixture_harness()
+    dataset = [replace(r, id=f"{r.id}-{i}") for i in range(4) for r in dataset]
+
+    def untimed(report):
+        blob = report.to_json()
+        del blob["aggregates"]["avg_runtime"]
+        for row in blob["results"]:
+            del row["wall_time"]
+        return blob
+
+    serial = run_experiment(dataset, g, idx, emb, backend)
+    parallel = run_experiment(dataset, g, idx, emb, backend, parallelism=4)
+    assert untimed(parallel) == untimed(serial)
+    assert serial.aggregates["coverage_ratio"] == 1.0

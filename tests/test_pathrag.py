@@ -14,6 +14,7 @@ from kgreason.pathrag import (
     MODE_KAPING,
     MODE_VANILLA,
     RetrievalConfig,
+    ScoreContext,
     ScoredCandidate,
     candidate_steps,
     coverage_ratio,
@@ -235,6 +236,48 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
     assert {c.step: c for c in got} == expected
     # relations r, s, t, u and entities A, B, C, X, Y, Z
     assert len(scored) == len(set(scored)) == 10
+
+
+def test_score_context_refuses_another_query_graph_index_or_embedder():
+    g = load_fixture("iran.tsv")
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    q = emb.embed("Iran government")
+    context = ScoreContext(g, idx, emb)
+    first = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig(), context=context)
+    again = candidate_steps(g, idx, emb, q.copy(), "Iran", RetrievalConfig(), context=context)
+    assert again == first
+    assert context.embed_query("Iran government") is q
+    misuses = [
+        (g, idx, emb, emb.embed("ex wife father")),
+        (load_fixture("iran.tsv"), idx, emb, q),
+        (g, build_index(g, emb), emb, q),
+        (g, idx, HashingEmbedder(), q),
+    ]
+    for args in misuses:
+        with pytest.raises(ValueError):
+            candidate_steps(*args, "Iran", RetrievalConfig(), context=context)
+    with pytest.raises(ValueError):
+        context.embed_query("ex wife father")
+    gt = ReasoningPath.from_arrow("Iranian_rial -> finance.currency.countries_used -> Iran")
+    with pytest.raises(ValueError):
+        retrieved_steps_along_path(
+            g, idx, emb, q, "ex wife father", gt, RetrievalConfig(mode=MODE_KAPING),
+            context=context,
+        )
+
+
+def test_shared_context_scores_like_private_ones():
+    g = load_fixture("combined.tsv")
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    q = emb.embed("ex wife father")
+    for mode in (MODE_VANILLA, MODE_KAPING, "path-rag"):
+        config = RetrievalConfig(mode=mode)
+        context = ScoreContext(g, idx, emb)
+        for frontier in sorted(g.entities) * 2:
+            shared = candidate_steps(g, idx, emb, q, frontier, config, context=context)
+            assert shared == candidate_steps(g, idx, emb, q, frontier, config)
 
 
 def test_candidates_never_fabricated_and_match_eq2():

@@ -25,7 +25,7 @@ from kgreason.llm import (
     load_mock_script,
 )
 from kgreason.evaluate import QARecord, evaluate_question, load_dataset, run_experiment
-from kgreason.pathrag import RetrievalConfig, ScoredCandidate
+from kgreason.pathrag import RetrievalConfig, ScoreContext, ScoredCandidate
 from kgreason.prompts import DEDUCTIVE_VERIFY
 from kgreason.search import (
     PRUNE_NO_CANDIDATES,
@@ -749,6 +749,30 @@ def test_calls_in_flight_never_exceed_limit_across_questions():
     assert report.aggregates["hits_at_1"] == 1.0
     assert [r.llm_calls for r in report.results] == [5, 6] * 4
     assert backend.max_in_flight == 2
+
+
+@pytest.mark.parametrize("fail", [None, "Theocracy"])
+def test_run_leaves_no_pool_thread_behind(fail, pools_started):
+    baseline = threading.active_count()
+    answers, _, backend, _ = slow_iran_run(
+        4,
+        fail and (
+            lambda rendered: rendered.key == DEDUCTIVE_VERIFY
+            and rendered.bindings.get("terminal_entity") == fail
+        ),
+    )
+    assert len(pools_started) == 1
+    assert backend.max_in_flight >= 2
+    assert (answers.reason == REASON_BACKEND_FAILURE) == (fail is not None)
+    assert threading.active_count() == baseline
+
+
+def test_context_of_another_question_is_refused():
+    g, idx, emb, client = mock_runner()
+    context = ScoreContext(g, idx, emb)
+    run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client, context=context)
+    with pytest.raises(ValueError):
+        run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client, context=context)
 
 
 def test_plain_mock_run_never_starts_a_pool(pools_started):
