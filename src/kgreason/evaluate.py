@@ -292,8 +292,7 @@ def _question_coverage(
     retrieval_config: RetrievalConfig,
     context: ScoreContext,
 ) -> float | None:
-    """Mean coverage of the record's ground-truth paths, scored against the
-    query the search embedded into ``context`` (None without either)."""
+    """Mean coverage of the ground-truth paths against the search's query."""
     if not record.ground_truth_paths or context.query_text is None:
         return None
     ratios = []

@@ -51,22 +51,17 @@ class RetrievalConfig:
 
 class ScoreContext:
     """The retrieval scores of one question's query, shared by every
-    frontier of its search and by its coverage walk.
+    frontier of its search and by its coverage walk; one question, one thread.
 
-    Built for one graph, index and embedder. The query is bound on first
-    use, by ``embed_query`` or by the first scoring call; using the context
-    with another graph, index, embedder or query raises ``ValueError``, so
-    it never returns scores for the wrong query. Each relation's and each
-    entity's cosine to the query, each entity's best onward step, each step
-    text's similarity and KAPING's global top-m set are computed once, on
-    first use. An identifier missing from the index has similarity 0.
-    One context serves one question on one thread.
+    Built for one graph, index and embedder, it binds the query on first use
+    and raises ``ValueError`` when used with any other. Each relation's and
+    entity's cosine to the query (0 if not indexed), each entity's best
+    onward step, each step text's similarity and KAPING's global top-m set
+    are computed once, on first use.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
-        self.g = g
-        self.idx = idx
-        self.emb = emb
+        self.g, self.idx, self.emb = g, idx, emb
         self.query_text: str | None = None
         self.query_vec: np.ndarray | None = None
         self.relation_sims: dict[str, float] = {}
@@ -84,17 +79,13 @@ class ScoreContext:
             self.query_text = text
         return self.query_vec
 
-    def bind(
-        self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder, query_vec: np.ndarray
-    ) -> "ScoreContext":
+    def bind(self, g, idx, emb, query_vec: np.ndarray) -> ScoreContext:
         """This context, checked against the arguments of a scoring call."""
         if g is not self.g or idx is not self.idx or emb is not self.emb:
             raise ValueError("score context was built for another graph, index or embedder")
         if self.query_vec is None:
             self.query_vec = query_vec
-        elif query_vec is not self.query_vec and not np.array_equal(
-            query_vec, self.query_vec, equal_nan=True
-        ):
+        elif query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
             raise ValueError("score context was built for another query vector")
         return self
 
@@ -125,24 +116,16 @@ class ScoreContext:
     def score(self, step: ReasoningStep, alpha: float) -> ScoredCandidate:
         base = self.base(step.relation, step.entity)
         bonus = self.best_onward(step.entity)
-        return ScoredCandidate(
-            step=step, base_score=base, lookahead_bonus=bonus, total_score=base + alpha * bonus
-        )
+        return ScoredCandidate(step, base, bonus, base + alpha * bonus)
 
     def text_similarity(self, text: str) -> float:
-        sim = self.text_sims.get(text)
-        if sim is None:
-            sim = self.text_sims[text] = cosine(self.query_vec, self.emb.embed(text))
-        return sim
+        return self._similarity(self.text_sims, self.emb.embed, text)
 
     def kaping_steps(self, m: int) -> frozenset[ReasoningStep]:
-        steps = self.kaping_top.get(m)
-        if steps is None:
-            steps = self.kaping_top[m] = frozenset(
-                ReasoningStep(relation=t.relation, entity=t.tail)
-                for t, _ in _rank_triples(self.g, self.emb, self.query_vec, m)
-            )
-        return steps
+        if m not in self.kaping_top:
+            ranked = _rank_triples(self.g, self.emb, self.query_vec, m)
+            self.kaping_top[m] = frozenset(ReasoningStep(t.relation, t.tail) for t, _ in ranked)
+        return self.kaping_top[m]
 
 
 def candidate_steps(
@@ -169,22 +152,17 @@ def candidate_steps(
         if config.mode == MODE_PATH_RAG:
             candidates.append(scores.score(step, config.alpha))
             continue
-        if config.mode == MODE_VANILLA:
-            score = scores.text_similarity(f"{relation} {entity}")
-        else:  # kaping: rank the frontier's triples by their text rendering
-            score = scores.text_similarity(f"{frontier_entity} {relation} {entity}")
-        candidates.append(
-            ScoredCandidate(step=step, base_score=score, lookahead_bonus=0.0, total_score=score)
-        )
+        text = f"{relation} {entity}"  # vanilla scores the step as text
+        if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
+            text = f"{frontier_entity} {text}"
+        score = scores.text_similarity(text)
+        candidates.append(ScoredCandidate(step, score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
 
 
 def kaping_retrieve(
-    g: KnowledgeGraph,
-    emb: Embedder,
-    query_text: str,
-    k: int,
+    g: KnowledgeGraph, emb: Embedder, query_text: str, k: int
 ) -> list[tuple[Triple, float]]:
     """Rank whole triples by similarity of their text rendering to the query.
 

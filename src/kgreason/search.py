@@ -444,9 +444,8 @@ def run_dvbs(
     order at the last depth), then verifies each kept extension once:
     a passing path halts and is frozen for answering, a failing one stays
     live. Backend failures are recorded in the trace and yield an empty
-    answer set rather than a crash. The plan's keywords are embedded into
-    ``context`` (a private one when none is given), which then scores every
-    frontier.
+    answer set rather than a crash. ``context`` (a private one when none is
+    given) embeds the plan's keywords and scores every frontier.
     """
     trace = SearchTrace(question=question)
     trace.add(
