@@ -162,7 +162,10 @@ def candidate_steps(
 
 
 def kaping_retrieve(
-    g: KnowledgeGraph, emb: Embedder, query_text: str, k: int
+    g: KnowledgeGraph,
+    emb: Embedder,
+    query_text: str,
+    k: int,
 ) -> list[tuple[Triple, float]]:
     """Rank whole triples by similarity of their text rendering to the query.
 
@@ -218,10 +221,9 @@ def retrieved_steps_along_path(
     """Retrieved candidate sets at each hop while walking the ground-truth
     path, for coverage-ratio comparisons between retriever modes.
 
-    The per-frontier retrievers re-rank at every hop against ``query_vec``;
-    the triple-to-text retriever selects one global top-m set against
-    ``query_text`` that is charged at every hop. Scores come from
-    ``context`` (a private one when none is given).
+    The per-frontier retrievers re-rank at every hop; the triple-to-text
+    retriever selects one global top-m set that is charged at every hop.
+    Scores come from ``context`` (a private one when none is given).
     """
     context = context or ScoreContext(g, idx, emb)
     if config.mode == MODE_KAPING:

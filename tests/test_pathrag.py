@@ -76,12 +76,6 @@ def test_retrieval_config_validation():
 # --- base score ------------------------------------------------------------
 
 
-def only_candidate(g, idx, q):
-    """The one candidate step out of frontier F."""
-    (cand,) = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
-    return cand
-
-
 def candidate_for(g, idx, q, frontier, step, alpha=0.3, emb=None):
     """The candidate for ``step`` among those ranked out of ``frontier``."""
     ranked = candidate_steps(
@@ -95,14 +89,15 @@ def test_base_score_maximal_alignment_is_two():
     q = np.array([1.0, 0.0])
     g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
     idx = hand_index({"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
-    assert only_candidate(g, idx, q).base_score == pytest.approx(2.0, abs=1e-12)
+    cand = candidate_for(g, idx, q, "F", ReasoningStep("r", "E"))
+    assert cand.base_score == pytest.approx(2.0, abs=1e-12)
 
 
 def test_base_score_orthogonal_is_zero():
     q = np.array([1.0, 0.0])
     g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
     idx = hand_index({"E": [0.0, 1.0]}, {"r": [0.0, 1.0]})
-    assert only_candidate(g, idx, q).base_score == 0.0
+    assert candidate_for(g, idx, q, "F", ReasoningStep("r", "E")).base_score == 0.0
 
 
 def test_base_score_fixture_value_matches_oracle():
@@ -197,7 +192,7 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
         for r, e in onward
     )
     assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair scores below -0.09
-    assert only_candidate(g, idx, q).lookahead_bonus == brute
+    assert candidate_for(g, idx, q, "F", ReasoningStep("r", "H")).lookahead_bonus == brute
 
 
 def test_candidate_steps_computes_each_cosine_once(monkeypatch):

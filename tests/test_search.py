@@ -751,19 +751,19 @@ def test_calls_in_flight_never_exceed_limit_across_questions():
     assert backend.max_in_flight == 2
 
 
-@pytest.mark.parametrize("fail", [None, "Theocracy"])
-def test_run_leaves_no_pool_thread_behind(fail, pools_started):
+@pytest.mark.parametrize("failing_terminal", [None, "Theocracy"])
+def test_run_leaves_no_pool_thread_behind(failing_terminal, pools_started):
+    def fail(rendered):
+        return (
+            rendered.key == DEDUCTIVE_VERIFY
+            and rendered.bindings.get("terminal_entity") == failing_terminal
+        )
+
     baseline = threading.active_count()
-    answers, _, backend, _ = slow_iran_run(
-        4,
-        fail and (
-            lambda rendered: rendered.key == DEDUCTIVE_VERIFY
-            and rendered.bindings.get("terminal_entity") == fail
-        ),
-    )
+    answers, _, backend, _ = slow_iran_run(4, fail)
     assert len(pools_started) == 1
     assert backend.max_in_flight >= 2
-    assert (answers.reason == REASON_BACKEND_FAILURE) == (fail is not None)
+    assert (answers.reason == REASON_BACKEND_FAILURE) == (failing_terminal is not None)
     assert threading.active_count() == baseline
 
 
