@@ -285,21 +285,16 @@ def compute_aggregates(results: Sequence[QuestionResult]) -> dict:
 
 
 def _question_coverage(
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    emb: Embedder,
-    record: QARecord,
-    retrieval_config: RetrievalConfig,
-    context: ScoreContext,
+    record: QARecord, retrieval_config: RetrievalConfig, context: ScoreContext
 ) -> float | None:
     """Mean coverage of the ground-truth paths against the search's query."""
-    if not record.ground_truth_paths or context.query_text is None:
+    if not record.ground_truth_paths:
         return None
     ratios = []
     for gt in record.ground_truth_paths:
         sets = retrieved_steps_along_path(
-            g, idx, emb, context.query_vec, context.query_text, gt, retrieval_config,
-            context=context,
+            context.g, context.idx, context.emb, context.query_vec, context.query_text, gt,
+            retrieval_config, context=context,
         )
         ratios.append(coverage_ratio(sets, gt))
     return sum(ratios) / len(ratios)
@@ -383,7 +378,7 @@ def evaluate_question(
     yes, no = _verdict_counts(trace)
     coverage = None
     if not failed:
-        coverage = _question_coverage(g, idx, emb, record, retrieval_config, context)
+        coverage = _question_coverage(record, retrieval_config, context)
     return (
         QuestionResult(
             record_id=record.id,

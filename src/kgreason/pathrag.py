@@ -50,14 +50,13 @@ class RetrievalConfig:
 
 
 class ScoreContext:
-    """The retrieval scores of one question's query, shared by every
-    frontier of its search and by its coverage walk; one question, one thread.
+    """The Path-RAG scores of one question's query, shared by every frontier
+    of its search and by its coverage walk; one question, one thread.
 
     Built for one graph, index and embedder, it binds the query on first use
     and raises ``ValueError`` when used with any other. Each relation's and
-    entity's cosine to the query (0 if not indexed), each entity's best
-    onward step, each step text's similarity and KAPING's global top-m set
-    are computed once, on first use.
+    entity's cosine to the query (0 if not indexed) and each entity's best
+    onward step are computed once, on first use.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
@@ -67,15 +66,13 @@ class ScoreContext:
         self.relation_sims: dict[str, float] = {}
         self.entity_sims: dict[str, float] = {}
         self.best_next: dict[str, float] = {}
-        self.text_sims: dict[str, float] = {}
-        self.kaping_top: dict[int, frozenset[ReasoningStep]] = {}
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query vector of ``text``, embedded only on the first call."""
         if text != self.query_text:
             if self.query_text is not None:
                 raise ValueError(f"score context is bound to another query than {text!r}")
-            self.bind(self.g, self.idx, self.emb, self.emb.embed(text))
+            self._bind_vector(self.emb.embed(text))
             self.query_text = text
         return self.query_vec
 
@@ -83,11 +80,14 @@ class ScoreContext:
         """This context, checked against the arguments of a scoring call."""
         if g is not self.g or idx is not self.idx or emb is not self.emb:
             raise ValueError("score context was built for another graph, index or embedder")
+        self._bind_vector(query_vec)
+        return self
+
+    def _bind_vector(self, query_vec: np.ndarray) -> None:
         if self.query_vec is None:
             self.query_vec = query_vec
         elif query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
             raise ValueError("score context was built for another query vector")
-        return self
 
     def _similarity(self, sims: dict[str, float], lookup, identifier: str) -> float:
         sim = sims.get(identifier)
@@ -118,15 +118,6 @@ class ScoreContext:
         bonus = self.best_onward(step.entity)
         return ScoredCandidate(step, base, bonus, base + alpha * bonus)
 
-    def text_similarity(self, text: str) -> float:
-        return self._similarity(self.text_sims, self.emb.embed, text)
-
-    def kaping_steps(self, m: int) -> frozenset[ReasoningStep]:
-        if m not in self.kaping_top:
-            ranked = _rank_triples(self.g, self.emb, self.query_vec, m)
-            self.kaping_top[m] = frozenset(ReasoningStep(t.relation, t.tail) for t, _ in ranked)
-        return self.kaping_top[m]
-
 
 def candidate_steps(
     g: KnowledgeGraph,
@@ -143,7 +134,7 @@ def candidate_steps(
     Candidates are never fabricated: every returned step is an actual edge
     out of the frontier. Scoring depends on the retriever mode; the ranking
     is score-descending with a lexicographic tie-break and truncated to m.
-    Scores come from ``context`` (a private one when none is given).
+    Path-RAG scores come from ``context`` (a private one when none is given).
     """
     scores = (context or ScoreContext(g, idx, emb)).bind(g, idx, emb, query_vec)
     candidates: list[ScoredCandidate] = []
@@ -155,7 +146,7 @@ def candidate_steps(
         text = f"{relation} {entity}"  # vanilla scores the step as text
         if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
             text = f"{frontier_entity} {text}"
-        score = scores.text_similarity(text)
+        score = cosine(query_vec, emb.embed(text))
         candidates.append(ScoredCandidate(step, score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
@@ -223,12 +214,14 @@ def retrieved_steps_along_path(
 
     The per-frontier retrievers re-rank at every hop; the triple-to-text
     retriever selects one global top-m set that is charged at every hop.
-    Scores come from ``context`` (a private one when none is given).
+    Scores come from ``context`` (a private one when none is given), which
+    embeds ``query_text`` at most once; ``query_vec`` must be its vector.
     """
     context = context or ScoreContext(g, idx, emb)
     if config.mode == MODE_KAPING:
-        scores = context.bind(g, idx, emb, context.embed_query(query_text))
-        return [set(scores.kaping_steps(config.m)) for _ in ground_truth.steps]
+        query_vec = context.bind(g, idx, emb, query_vec).embed_query(query_text)
+        ranked = _rank_triples(g, emb, query_vec, config.m)
+        return [{ReasoningStep(t.relation, t.tail) for t, _ in ranked} for _ in ground_truth.steps]
     sets: list[set[ReasoningStep]] = []
     frontier = ground_truth.start
     for step in ground_truth.steps:
