@@ -66,17 +66,21 @@ def _effective_config(args) -> RunConfig:
 
 
 def _open_index(rc: RunConfig):
-    """Load graph + index and the embedder the index was built with; a
-    fingerprint mismatch, or an index whose entities or relations are not
-    exactly the graph's, is a usage error with a re-index instruction."""
+    """Load graph + index and the embedder the index was built with; an
+    unreadable index (another format, a truncated body), a fingerprint
+    mismatch, or an index whose entities or relations are not exactly the
+    graph's, is a usage error with a re-index instruction."""
     if not rc.kg:
         raise ConfigError("no knowledge graph path given (kg key or --kg)")
     if not rc.index:
         raise ConfigError("no index path given (index key or --index)")
     g = _load_kg(rc.kg)
-    idx = load_index(rc.index)
-    emb = HashingEmbedder(dimension=idx.dimension)
     rebuild = f"rebuild it with: kgreason index --kg {rc.kg} --out {rc.index}"
+    try:
+        idx = load_index(rc.index)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read index {rc.index}: {exc}; {rebuild}") from exc
+    emb = HashingEmbedder(dimension=idx.dimension)
     if emb.fingerprint != idx.fingerprint:
         raise ConfigError(
             f"index fingerprint {idx.fingerprint!r} does not match embedder "

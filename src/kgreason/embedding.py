@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .kg import KnowledgeGraph
 
 logger = logging.getLogger(__name__)
 
-INDEX_FORMAT = "kgreason-index/1"
+INDEX_FORMAT = "kgreason-index/2"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -170,43 +170,43 @@ def top_m_relations(idx: EmbeddingIndex, query: np.ndarray, m: int) -> list[tupl
 
 
 def save_index(idx: EmbeddingIndex, path: str | Path) -> None:
-    """Write a line-oriented, versioned index file (bit-exact round trip)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in _index_lines(idx):
-            fh.write(line + "\n")
+    """Write a ``kgreason-index/2`` file (bit-exact round trip).
 
-
-def _index_lines(idx: EmbeddingIndex) -> Iterable[str]:
-    header = {
-        "format": INDEX_FORMAT,
-        "fingerprint": idx.fingerprint,
-        "dimension": idx.dimension,
-        "entities": len(idx.entity_vectors),
-        "relations": len(idx.relation_vectors),
-    }
-    yield json.dumps(header, sort_keys=True)
-    for kind, vectors in (("entity", idx.entity_vectors), ("relation", idx.relation_vectors)):
-        for identifier in sorted(vectors):
-            record = {"kind": kind, "id": identifier, "vec": vectors[identifier].tolist()}
-            yield json.dumps(record, sort_keys=True)
+    One sorted-key JSON header line names the format, fingerprint, dimension
+    and the sorted entity and relation identifiers. Every vector follows as
+    raw little-endian float64, in header order: entities, then relations.
+    """
+    entities, relations = sorted(idx.entity_vectors), sorted(idx.relation_vectors)
+    header = {"format": INDEX_FORMAT, "fingerprint": idx.fingerprint,
+              "dimension": idx.dimension, "entities": entities, "relations": relations}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
+        for vectors, identifiers in ((idx.entity_vectors, entities), (idx.relation_vectors, relations)):
+            for identifier in identifiers:
+                row = np.asarray(vectors[identifier], dtype="<f8")
+                if row.shape != (idx.dimension,):
+                    raise ValueError(f"vector of {identifier!r} is not {idx.dimension}-d")
+                fh.write(row.tobytes())
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a file written by :func:`save_index`. Another format, a body of
+    the wrong length or a trailing byte is a ``ValueError``."""
+    with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"empty index file: {path}")
         header = json.loads(header_line)
-        if header.get("format") != INDEX_FORMAT:
-            raise ValueError(f"unsupported index format: {header.get('format')!r}")
-        idx = EmbeddingIndex(dimension=header["dimension"], fingerprint=header["fingerprint"])
-        for line in fh:
-            record = json.loads(line)
-            vec = np.asarray(record["vec"], dtype=np.float64)
-            if record["kind"] == "entity":
-                idx.entity_vectors[record["id"]] = vec
-            elif record["kind"] == "relation":
-                idx.relation_vectors[record["id"]] = vec
-            else:
-                raise ValueError(f"unknown record kind: {record['kind']!r}")
+        found = header.get("format") if isinstance(header, dict) else None
+        if found != INDEX_FORMAT:
+            raise ValueError(f"unsupported index format {found!r}, expected {INDEX_FORMAT!r}")
+        entities, relations, dimension = header["entities"], header["relations"], header["dimension"]
+        rows = len(entities) + len(relations)
+        matrix = np.fromfile(fh, dtype="<f8", count=rows * dimension)
+        if matrix.size != rows * dimension or fh.read(1):
+            raise ValueError(f"index body of {path} does not hold {rows} vectors of dimension {dimension}")
+    matrix = matrix.reshape(rows, dimension)
+    idx = EmbeddingIndex(dimension=dimension, fingerprint=header["fingerprint"])
+    idx.entity_vectors = dict(zip(entities, matrix))
+    idx.relation_vectors = dict(zip(relations, matrix[len(entities):]))
     return idx

@@ -5,6 +5,8 @@ import pytest
 
 from kgreason.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _effective_config, build_parser, main
 from kgreason.config import load_config
+from kgreason.embedding import HashingEmbedder, build_index
+from kgreason.kg import load_triples
 
 
 BIEBER_Q = "Who is the ex-wife of Justin Bieber's father?"
@@ -154,14 +156,46 @@ def test_ask_fingerprint_mismatch_names_rebuild_command(tmp_path, capsys):
     other = tmp_path / "narrow.idx"
     assert main(["index", "--kg", "fixtures/combined.tsv", "--out", str(other), "--dimension", "32"]) == EXIT_OK
     # hand-edit the header so the stored fingerprint no longer matches
-    lines = other.read_text().splitlines()
-    header = json.loads(lines[0])
+    header_line, body = other.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
     header["fingerprint"] = "hashing-embedder/1 d=999"
-    other.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    other.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
     code = main(ask_args(other, BIEBER_Q, "Justin_Bieber"))
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "rebuild" in err
+
+
+def write_v1_index(path):
+    """A complete index of the combined graph in the retired layout, one JSON
+    record per vector."""
+    with open("fixtures/combined.tsv") as fh:
+        idx = build_index(load_triples(fh), HashingEmbedder())
+    header = {"dimension": idx.dimension, "entities": len(idx.entity_vectors),
+              "fingerprint": idx.fingerprint, "format": "kgreason-index/1",
+              "relations": len(idx.relation_vectors)}
+    lines = [json.dumps(header, sort_keys=True)]
+    for kind, vectors in (("entity", idx.entity_vectors), ("relation", idx.relation_vectors)):
+        lines += [json.dumps({"id": key, "kind": kind, "vec": vec.tolist()}, sort_keys=True)
+                  for key, vec in sorted(vectors.items())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def truncate_index(path):
+    assert main(["index", "--kg", "fixtures/combined.tsv", "--out", str(path)]) == EXIT_OK
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+@pytest.mark.parametrize("damage", [write_v1_index, truncate_index], ids=["v1", "truncated"])
+def test_ask_unreadable_index_names_rebuild_command(tmp_path, capsys, damage):
+    path = tmp_path / "combined.idx"
+    damage(path)
+    capsys.readouterr()
+    code = main(ask_args(path, BIEBER_Q, "Justin_Bieber"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "rebuild" in err
+    assert f"kgreason index --kg fixtures/combined.tsv --out {path}" in err
 
 
 def test_ask_index_of_another_graph_names_rebuild_command(tmp_path, capsys):

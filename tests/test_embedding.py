@@ -1,4 +1,5 @@
 import logging
+import struct
 
 import numpy as np
 import pytest
@@ -243,6 +244,62 @@ def test_index_save_is_deterministic(tmp_path):
 def test_load_rejects_foreign_format(tmp_path):
     path = tmp_path / "bogus.idx"
     path.write_text('{"format": "something-else/9"}\n')
+    with pytest.raises(ValueError):
+        load_index(path)
+
+
+def test_index_file_is_header_line_then_raw_rows(tmp_path):
+    from kgreason.embedding import EmbeddingIndex
+
+    idx = EmbeddingIndex(dimension=2, fingerprint="hand/1")
+    idx.entity_vectors["b"] = np.array([3.0, 4.0])
+    idx.entity_vectors["a"] = np.array([1.0, -0.0])
+    idx.relation_vectors["r"] = np.array([0.5, -2.25])
+    path = tmp_path / "hand.idx"
+    save_index(idx, path)
+    header = (
+        b'{"dimension": 2, "entities": ["a", "b"], "fingerprint": "hand/1", '
+        b'"format": "kgreason-index/2", "relations": ["r"]}\n'
+    )
+    assert path.read_bytes() == header + struct.pack("<6d", 1.0, -0.0, 3.0, 4.0, 0.5, -2.25)
+
+
+IDENTIFIERS = st.text(alphabet=st.sampled_from(list('ab,"\\ \'é→ß日\t')) | st.characters(), min_size=1)
+ROW_VALUES = st.floats(width=64) | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308])
+
+
+@settings(max_examples=50)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.dictionaries(IDENTIFIERS, st.lists(ROW_VALUES, min_size=d, max_size=d), max_size=5),
+        st.dictionaries(IDENTIFIERS, st.lists(ROW_VALUES, min_size=d, max_size=d), max_size=3),
+    )
+))
+def test_index_round_trip_is_bit_exact_for_any_identifiers_and_values(tmp_path_factory, drawn):
+    from kgreason.embedding import EmbeddingIndex
+
+    dimension, entities, relations = drawn
+    idx = EmbeddingIndex(dimension=dimension, fingerprint="drawn/1")
+    idx.entity_vectors = {key: np.array(row) for key, row in entities.items()}
+    idx.relation_vectors = {key: np.array(row) for key, row in relations.items()}
+    path = tmp_path_factory.mktemp("idx") / "drawn.idx"
+    save_index(idx, path)
+    loaded = load_index(path)
+    assert (loaded.dimension, loaded.fingerprint) == (dimension, "drawn/1")
+    for original, restored in ((idx.entity_vectors, loaded.entity_vectors),
+                               (idx.relation_vectors, loaded.relation_vectors)):
+        assert sorted(restored) == sorted(original)
+        for key, vec in original.items():
+            assert restored[key].tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("cut", [lambda body: body[:-1], lambda body: body + b"\0"],
+                         ids=["truncated", "trailing-byte"])
+def test_load_rejects_a_body_of_the_wrong_length(tmp_path, cut):
+    path = tmp_path / "iran.idx"
+    save_index(build_index(load_fixture("iran.tsv"), HashingEmbedder()), path)
+    path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError):
         load_index(path)
 
