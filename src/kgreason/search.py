@@ -535,6 +535,8 @@ def _search(
     for depth in range(1, config.max_depth + 1):
         if not live:
             break
+        # Each live path's arrow, rendered once per depth (``live`` keeps the ids valid).
+        arrows = {id(hyp): hyp.path.to_arrow() for hyp in live}
         pool: list[tuple[Hypothesis, ScoredCandidate]] = []
         for hyp in live:
             ranked = candidate_steps(
@@ -544,16 +546,16 @@ def _search(
                 trace.add(
                     "prune",
                     depth=depth,
-                    path=hyp.path.to_arrow(),
+                    path=arrows[id(hyp)],
                     reason=PRUNE_NO_CANDIDATES,
                 )
             for cand in ranked:
                 pool.append((hyp, cand))
-        pool.sort(key=lambda hc: (-hc[1].total_score, hc[0].path.to_arrow(), hc[1].step.relation, hc[1].step.entity))
+        pool.sort(key=lambda hc: (-hc[1].total_score, arrows[id(hc[0])], hc[1].step.relation, hc[1].step.entity))
         trace.add(
             "depth",
             depth=depth,
-            live=[h.path.to_arrow() for h in live],
+            live=[arrows[id(h)] for h in live],
             pool=[
                 {"path": h.path.extend(c.step).to_arrow(), "score": round(c.total_score, 12)}
                 for h, c in pool
@@ -571,9 +573,9 @@ def _search(
                     calls, question, plan, pool, k, config, demonstrations
                 )
         if len(pool) > k:
-            kept = {(hyp.path.to_arrow(), cand.step) for hyp, cand in chosen}
+            kept = {(arrows[id(hyp)], cand.step) for hyp, cand in chosen}
             for hyp, cand in pool:
-                if (hyp.path.to_arrow(), cand.step) not in kept:
+                if (arrows[id(hyp)], cand.step) not in kept:
                     trace.add(
                         "prune",
                         depth=depth,
