@@ -182,7 +182,7 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
             raise TripleParseError(
                 f"expected 3 tab-separated fields, got {len(fields)}", line_number
             )
-        head, relation, tail = (f.strip() for f in fields)
+        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not head or not relation or not tail:
             raise TripleParseError("empty field after normalization", line_number)
         g._add(head, relation, tail)
