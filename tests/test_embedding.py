@@ -304,6 +304,15 @@ def test_load_rejects_a_body_of_the_wrong_length(tmp_path, cut):
         load_index(path)
 
 
+def test_save_rejects_a_vector_of_another_dimension(tmp_path):
+    from kgreason.embedding import EmbeddingIndex
+
+    idx = EmbeddingIndex(dimension=2, fingerprint="hand/1")
+    idx.entity_vectors["a"] = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        save_index(idx, tmp_path / "bad.idx")
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10))
 def test_top_m_always_matches_oracle(seed, m):
