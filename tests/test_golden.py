@@ -2,7 +2,9 @@
 
 Each fixture question runs through ``evaluate_question`` on
 ``fixtures/combined.tsv`` with the scripted mock backend, once per
-retriever mode. The test compares the ``SearchTrace.to_jsonl()`` text and
+retriever mode under the default ``SearchConfig``, and once per
+non-default search setting in ``SETTINGS`` under the path-rag mode. The
+tests compare the ``SearchTrace.to_jsonl()`` text and
 the question's ``(answers, paths, coverage)`` with the files under
 ``tests/golden/``. A change that alters any decision, score, prompt or
 coverage figure fails here.
@@ -31,14 +33,25 @@ from kgreason.search import SearchConfig
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-CASES = [
-    (record_id, mode) for record_id in ("bieber-1", "iran-1") for mode in RETRIEVER_MODES
-]
+RECORD_IDS = ("bieber-1", "iran-1")
+CASES = [(record_id, mode) for record_id in RECORD_IDS for mode in RETRIEVER_MODES]
+# Search settings that take the branches the default config never reaches:
+# answers from live paths, the adequacy check, width-1 selection with
+# truncation prunes, and selection by score at the only depth.
+SETTINGS = {
+    "no-verifier": SearchConfig(use_deductive_verifier=False),
+    "adequacy": SearchConfig(adequacy_mode=True),
+    "no-beam": SearchConfig(use_beam_search=False),
+    "depth-1": SearchConfig(max_depth=1),
+}
+SETTING_CASES = [(record_id, setting) for record_id in RECORD_IDS for setting in SETTINGS]
 
 
-def golden_outputs(record_id: str, mode: str) -> tuple[str, str]:
+def golden_outputs(
+    record_id: str, mode: str, search_config: SearchConfig = SearchConfig()
+) -> tuple[str, str]:
     """The trace text and the ``(answers, paths, coverage)`` JSON text of
-    one fixture question under one retriever mode."""
+    one fixture question under one retriever mode and search config."""
     with open(FIXTURES / "combined.tsv", "r", encoding="utf-8") as fh:
         g = load_triples(fh)
     emb = HashingEmbedder()
@@ -51,7 +64,7 @@ def golden_outputs(record_id: str, mode: str) -> tuple[str, str]:
         idx,
         emb,
         MockBackend(g, answer_key, plan_script),
-        SearchConfig(),
+        search_config,
         RetrievalConfig(mode=mode),
     )
     outcome = {
@@ -62,8 +75,8 @@ def golden_outputs(record_id: str, mode: str) -> tuple[str, str]:
     return trace.to_jsonl(), json.dumps(outcome, sort_keys=True, indent=2) + "\n"
 
 
-def golden_paths(record_id: str, mode: str) -> tuple[Path, Path]:
-    stem = f"{record_id}.{mode}"
+def golden_paths(record_id: str, mode: str, setting: str | None = None) -> tuple[Path, Path]:
+    stem = f"{record_id}.{mode}" if setting is None else f"{record_id}.{mode}.{setting}"
     return GOLDEN / f"{stem}.trace.jsonl", GOLDEN / f"{stem}.outcome.json"
 
 
@@ -75,13 +88,24 @@ def test_fixture_outputs_match_golden_files(record_id, mode):
     assert outcome_text == outcome_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("record_id,setting", SETTING_CASES)
+def test_search_settings_match_golden_files(record_id, setting):
+    trace_text, outcome_text = golden_outputs(record_id, "path-rag", SETTINGS[setting])
+    trace_path, outcome_path = golden_paths(record_id, "path-rag", setting)
+    assert trace_text == trace_path.read_text(encoding="utf-8")
+    assert outcome_text == outcome_path.read_text(encoding="utf-8")
+
+
 def write_golden_files() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for record_id, mode in CASES:
-        for path, text in zip(golden_paths(record_id, mode), golden_outputs(record_id, mode)):
+    jobs = [(record_id, mode, None) for record_id, mode in CASES]
+    jobs += [(record_id, "path-rag", setting) for record_id, setting in SETTING_CASES]
+    for record_id, mode, setting in jobs:
+        config = SETTINGS[setting] if setting else SearchConfig()
+        texts = golden_outputs(record_id, mode, config)
+        for path, text in zip(golden_paths(record_id, mode, setting), texts):
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path.relative_to(ROOT)}")
-
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
