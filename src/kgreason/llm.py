@@ -85,7 +85,6 @@ class ReplayMismatchError(LlmError):
 class DecodeParams:
     temperature: float = 0.3
     top_p: float = 1.0
-    max_tokens: int | None = None
 
 
 @dataclass(frozen=True)
@@ -571,8 +570,6 @@ class WireBackend:
             "temperature": params.temperature,
             "top_p": params.top_p,
         }
-        if params.max_tokens is not None:
-            payload["max_tokens"] = params.max_tokens
         headers = {"Authorization": f"Bearer {token}"}
         started = self.clock()
         last_error: Exception | None = None
