@@ -44,7 +44,7 @@ from .llm import (
     degraded_plan,
     generate_plan,
 )
-from .pathrag import RetrievalConfig, ScoreContext, ScoredCandidate, candidate_steps
+from .pathrag import RetrievalConfig, ScoreContext, candidate_steps
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -72,13 +72,6 @@ SELECT_FALLBACK = "score-fallback"
 
 class TopicEntityError(ValueError):
     """No topic entity of the question exists in the graph."""
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    path: ReasoningPath
-    selection_rank: int
-    halted: bool = False
 
 
 @dataclass(frozen=True)
@@ -282,12 +275,13 @@ def select_steps(
     client: Completer,
     question: str,
     plan: Plan,
-    pool: Sequence[tuple[Hypothesis, ScoredCandidate]],
+    arrows: Sequence[str],
     k: int,
     config: SearchConfig = SearchConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
-) -> tuple[list[tuple[Hypothesis, ScoredCandidate]], str]:
-    """Pick at most k extensions from the score-ranked pool.
+) -> tuple[list[int], str]:
+    """Pick at most k of the score-ranked candidate paths, given as arrow
+    texts, and return their indices in pick order plus the mode.
 
     The model returns an index list over the numbered candidate paths.
     Out-of-range and duplicate indices are dropped; short lists are filled
@@ -296,19 +290,17 @@ def select_steps(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(pool) <= k:
-        return list(pool), SELECT_SATURATED
-    numbered = []
-    for i, (hyp, cand) in enumerate(pool):
-        numbered.append(f"{i}. {hyp.path.extend(cand.step).to_arrow()}")
+    top = list(range(min(k, len(arrows))))
+    if len(arrows) <= k:
+        return top, SELECT_SATURATED
     rendered = render(
         BEAM_SELECT,
         {
             "plan_context": plan.plan_context,
             "query": question,
             "beam_width": k,
-            "reasoning_paths": "\n".join(numbered),
-            "candidate_count": len(pool),
+            "reasoning_paths": "\n".join(f"{i}. {arrow}" for i, arrow in enumerate(arrows)),
+            "candidate_count": len(arrows),
         },
         demonstrations=demonstrations,
         demo_count=config.demo_count,
@@ -317,25 +309,25 @@ def select_steps(
         parsed = complete_json(client, rendered, HINT_INDEX_LIST, retries=config.json_retries)
     except JsonDecodeFailure:
         logger.warning("beam selection response unusable; falling back to score order")
-        return list(pool[:k]), SELECT_FALLBACK
+        return top, SELECT_FALLBACK
     indices: list[int] = []
     if isinstance(parsed, list):
         for item in parsed:
             if isinstance(item, bool) or not isinstance(item, int):
                 continue
-            if 0 <= item < len(pool) and item not in indices:
+            if 0 <= item < len(arrows) and item not in indices:
                 indices.append(item)
     if not indices:
         logger.warning("beam selection produced no valid indices; falling back to score order")
-        return list(pool[:k]), SELECT_FALLBACK
+        return top, SELECT_FALLBACK
     indices = indices[:k]
     if len(indices) < k:
-        for i in range(len(pool)):
+        for i in range(len(arrows)):
             if i not in indices:
                 indices.append(i)
             if len(indices) == k:
                 break
-    return [pool[i] for i in indices], SELECT_BY_LLM
+    return indices, SELECT_BY_LLM
 
 
 def final_reason(
@@ -438,10 +430,10 @@ def run_dvbs(
     """Run the full search for one question and return the answers plus a
     replayable trace.
 
-    Beams start from every topic entity found in the graph. Each depth pools
-    candidate extensions of all live hypotheses, keeps the beam via model
-    selection (skipped when the pool already fits, and replaced by score
-    order at the last depth), then verifies each kept extension once:
+    Beams start from every topic entity found in the graph. Each depth pools candidate extensions of all
+    live paths, keeps the beam via model selection (skipped when the pool
+    already fits, and replaced by score order at the last depth), then
+    verifies each kept extension once:
     a passing path halts and is frozen for answering, a failing one stays
     live. Backend failures are recorded in the trace and yield an empty
     answer set rather than a crash. ``context`` (a private one when none is
@@ -524,8 +516,9 @@ def _search(
     )
     query_vec = context.embed_query(" ".join(plan.keywords))
 
-    live = [Hypothesis(path=ReasoningPath(start=e), selection_rank=i) for i, e in enumerate(seeds)]
-    halted: list[Hypothesis] = []
+    # Live and halted paths are (selection rank, arrow, path).
+    live = [(i, e, ReasoningPath(start=e)) for i, e in enumerate(seeds)]
+    halted: list[tuple[int, str, ReasoningPath]] = []
 
     def verify(calls: Completer, path: ReasoningPath) -> bool:
         if config.adequacy_mode:
@@ -535,78 +528,60 @@ def _search(
     for depth in range(1, config.max_depth + 1):
         if not live:
             break
-        # Each live path's arrow, rendered once per depth (``live`` keeps the ids valid).
-        arrows = {id(hyp): hyp.path.to_arrow() for hyp in live}
-        pool: list[tuple[Hypothesis, ScoredCandidate]] = []
-        for hyp in live:
+        # A pool entry is (total score, parent arrow, step, path, arrow).
+        pool = []
+        for _, parent, path in live:
             ranked = candidate_steps(
-                g, idx, emb, query_vec, hyp.path.terminal_entity, retrieval, context=context
+                g, idx, emb, query_vec, path.terminal_entity, retrieval, context=context
             )
             if not ranked:
-                trace.add(
-                    "prune",
-                    depth=depth,
-                    path=arrows[id(hyp)],
-                    reason=PRUNE_NO_CANDIDATES,
-                )
+                trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
             for cand in ranked:
-                pool.append((hyp, cand))
-        pool.sort(key=lambda hc: (-hc[1].total_score, arrows[id(hc[0])], hc[1].step.relation, hc[1].step.entity))
+                step = cand.step
+                arrow = f"{parent} -> {step.relation} -> {step.entity}"
+                pool.append((cand.total_score, parent, step, path.extend(step), arrow))
+        pool.sort(key=lambda e: (-e[0], e[1], e[2].relation, e[2].entity))
         trace.add(
             "depth",
             depth=depth,
-            live=[arrows[id(h)] for h in live],
-            pool=[
-                {"path": h.path.extend(c.step).to_arrow(), "score": round(c.total_score, 12)}
-                for h, c in pool
-            ],
+            live=[arrow for _, arrow, _ in live],
+            pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
         )
         if not pool:
             live = []
             break
 
         if depth == config.max_depth:
-            chosen, mode = list(pool[:k]), SELECT_FINAL_DEPTH
+            indices, mode = list(range(min(k, len(pool)))), SELECT_FINAL_DEPTH
         else:
+            arrows = [arrow for *_, arrow in pool]
             with _step(recorder, trace) as calls:
-                chosen, mode = select_steps(
-                    calls, question, plan, pool, k, config, demonstrations
+                indices, mode = select_steps(
+                    calls, question, plan, arrows, k, config, demonstrations
                 )
+        chosen = [pool[i] for i in indices]
         if len(pool) > k:
-            kept = {(arrows[id(hyp)], cand.step) for hyp, cand in chosen}
-            for hyp, cand in pool:
-                if (arrows[id(hyp)], cand.step) not in kept:
-                    trace.add(
-                        "prune",
-                        depth=depth,
-                        path=hyp.path.extend(cand.step).to_arrow(),
-                        reason=PRUNE_WIDTH_TRUNCATION,
-                    )
-        trace.add(
-            "selection",
-            depth=depth,
-            mode=mode,
-            selected=[h.path.extend(c.step).to_arrow() for h, c in chosen],
-        )
+            kept = {arrow for *_, arrow in chosen}
+            for *_, arrow in pool:
+                if arrow not in kept:
+                    trace.add("prune", depth=depth, path=arrow, reason=PRUNE_WIDTH_TRUNCATION)
+        trace.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
 
         # Validate every extension first, then verify the valid ones as one
         # batch (concurrently when calls wait) and fold the outcomes back in
         # selection-rank order, so the trace reads as if run one by one.
-        paths = [hyp.path.extend(cand.step) for hyp, cand in chosen]
+        paths = [path for *_, path, _ in chosen]
         valid = [validate_path(g, path).all_valid for path in paths]
         checked = [path for path, ok in zip(paths, valid) if ok]
         outcomes = iter(
             recorder.run_steps(verify, checked) if config.use_deductive_verifier else ()
         )
-        next_live: list[Hypothesis] = []
-        for rank, (new_path, ok) in enumerate(zip(paths, valid)):
+        next_live = []
+        for rank, ((*_, path, arrow), ok) in enumerate(zip(chosen, valid)):
             if not ok:
-                logger.error("candidate produced an invalid path %s; pruning", new_path.to_arrow())
-                trace.add(
-                    "prune", depth=depth, path=new_path.to_arrow(), reason=PRUNE_INVALID_STEP
-                )
+                logger.error("candidate produced an invalid path %s; pruning", arrow)
+                trace.add("prune", depth=depth, path=arrow, reason=PRUNE_INVALID_STEP)
                 continue
-            new_hyp = Hypothesis(path=new_path, selection_rank=rank)
             if config.use_deductive_verifier:
                 calls, deduced, error = next(outcomes)
                 trace.add_calls(calls.records)
@@ -615,37 +590,26 @@ def _search(
                 trace.add(
                     "verdict",
                     depth=depth,
-                    path=new_path.to_arrow(),
+                    path=arrow,
                     halted=deduced,
                     mode="adequacy" if config.adequacy_mode else "deductive",
                 )
                 if deduced:
-                    halted.append(replace(new_hyp, halted=True))
+                    halted.append((rank, arrow, path))
                     continue
-            next_live.append(new_hyp)
+            next_live.append((rank, arrow, path))
         live = next_live
 
-    if config.use_deductive_verifier:
-        answer_hypotheses = halted
-    else:
-        answer_hypotheses = live
-    answer_hypotheses = sorted(
-        answer_hypotheses, key=lambda h: (h.selection_rank, h.path.to_arrow())
-    )
+    answered = sorted(halted if config.use_deductive_verifier else live, key=lambda h: h[:2])
+    answer_paths = [path for *_, path in answered]
     with _step(recorder, trace) as calls:
-        answers = final_reason(
-            calls,
-            question,
-            [h.path for h in answer_hypotheses],
-            config,
-            demonstrations,
-        )
+        answers = final_reason(calls, question, answer_paths, config, demonstrations)
     trace.add(
         "final",
         answers=list(answers.answers),
         reason=answers.reason,
         supporting_paths=[p.to_arrow() for p in answers.supporting_paths],
         indirect_paths=[p.to_arrow() for p in answers.indirect_paths],
-        halted_depths=[h.path.depth for h in answer_hypotheses],
+        halted_depths=[path.depth for path in answer_paths],
     )
     return answers, trace
