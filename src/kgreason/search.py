@@ -430,7 +430,8 @@ def run_dvbs(
     """Run the full search for one question and return the answers plus a
     replayable trace.
 
-    Beams start from every topic entity found in the graph. Each depth pools candidate extensions of all
+    Beams start from every distinct topic entity found in the graph, in
+    first-occurrence order. Each depth pools candidate extensions of all
     live paths, keeps the beam via model selection (skipped when the pool
     already fits, and replaced by score order at the last depth), then
     verifies each kept extension once:
@@ -448,7 +449,7 @@ def run_dvbs(
         config=run_config(search_config, retrieval_config),
     )
     present = []
-    for entity in topic_entities:
+    for entity in dict.fromkeys(topic_entities):
         if entity in g.entities:
             present.append(entity)
         else:

@@ -441,6 +441,17 @@ def test_missing_topic_entity_recorded_but_run_continues():
     assert [m["entity"] for m in misses] == ["Atlantis"]
 
 
+def test_repeated_topic_entity_is_searched_once():
+    outcomes = []
+    for topics in (["Justin_Bieber"], ["Justin_Bieber", "Justin_Bieber"]):
+        g, idx, emb, client = mock_runner("bieber.tsv")
+        answers, trace = run_dvbs(BIEBER_Q, topics, g, idx, emb, client)
+        assert trace.events[0]["topic_entities"] == topics
+        outcomes.append((answers.answers, answers.supporting_paths, client.ledger.llm_calls))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][2] == 5
+
+
 def test_all_topic_entities_missing_is_typed_error():
     g, idx, emb, client = mock_runner()
     with pytest.raises(TopicEntityError):
