@@ -7,7 +7,9 @@ non-default search setting in ``SETTINGS`` under the path-rag mode. The
 tests compare the ``SearchTrace.to_jsonl()`` text and
 the question's ``(answers, paths, coverage)`` with the files under
 ``tests/golden/``. A change that alters any decision, score, prompt or
-coverage figure fails here.
+coverage figure fails here. ``report.json`` holds the ``RunReport`` of one
+fixture eval with a failing backend and a missing topic entity, wall times
+zeroed, so the report's rows and aggregates are checked the same way.
 
 The files are never rewritten by the test. When a change is meant to alter
 the outputs, regenerate them with
@@ -19,14 +21,15 @@ and commit the diff with the change that explains it.
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from kgreason.embedding import HashingEmbedder, build_index
-from kgreason.evaluate import evaluate_question, load_dataset
+from kgreason.evaluate import QARecord, RunReport, evaluate_question, load_dataset, run_experiment
 from kgreason.kg import load_triples
-from kgreason.llm import MockBackend, load_mock_script
+from kgreason.llm import LlmError, MockBackend, load_mock_script
 from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig
 from kgreason.search import SearchConfig
 
@@ -45,6 +48,24 @@ SETTINGS = {
     "depth-1": SearchConfig(max_depth=1),
 }
 SETTING_CASES = [(record_id, setting) for record_id in RECORD_IDS for setting in SETTINGS]
+REPORT_PATH = GOLDEN / "report.json"
+MISSING_TOPIC = QARecord(
+    id="atlantis-1",
+    question="Who rules Atlantis?",
+    answers=("Poseidon",),
+    topic_entities=("Atlantis",),
+)
+
+
+def fixture_eval():
+    """The fixture graph, embedder, index, mock backend and dataset."""
+    with open(FIXTURES / "combined.tsv", "r", encoding="utf-8") as fh:
+        g = load_triples(fh)
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    answer_key, plan_script = load_mock_script(FIXTURES / "mock_script.json")
+    dataset = load_dataset(str(FIXTURES / "dataset.jsonl"))
+    return g, emb, idx, MockBackend(g, answer_key, plan_script), dataset
 
 
 def golden_outputs(
@@ -52,20 +73,10 @@ def golden_outputs(
 ) -> tuple[str, str]:
     """The trace text and the ``(answers, paths, coverage)`` JSON text of
     one fixture question under one retriever mode and search config."""
-    with open(FIXTURES / "combined.tsv", "r", encoding="utf-8") as fh:
-        g = load_triples(fh)
-    emb = HashingEmbedder()
-    idx = build_index(g, emb)
-    answer_key, plan_script = load_mock_script(FIXTURES / "mock_script.json")
-    (record,) = [r for r in load_dataset(str(FIXTURES / "dataset.jsonl")) if r.id == record_id]
+    g, emb, idx, backend, dataset = fixture_eval()
+    (record,) = [r for r in dataset if r.id == record_id]
     result, trace = evaluate_question(
-        record,
-        g,
-        idx,
-        emb,
-        MockBackend(g, answer_key, plan_script),
-        search_config,
-        RetrievalConfig(mode=mode),
+        record, g, idx, emb, backend, search_config, RetrievalConfig(mode=mode)
     )
     outcome = {
         "answers": list(result.answers),
@@ -73,6 +84,40 @@ def golden_outputs(
         "coverage": result.coverage,
     }
     return trace.to_jsonl(), json.dumps(outcome, sort_keys=True, indent=2) + "\n"
+
+
+class FailOnCall:
+    """Serves a backend's answers, but raises ``LlmError`` on the n-th call
+    made for one question."""
+
+    concurrency_limit = 1
+
+    def __init__(self, backend, question: str, n: int):
+        self.backend, self.question, self.n = backend, question, n
+        self.calls = 0
+
+    def complete(self, rendered, params):
+        if rendered.bindings["query"] == self.question:
+            self.calls += 1
+            if self.calls == self.n:
+                raise LlmError(f"injected failure on call {self.n}")
+        return self.backend.complete(rendered, params)
+
+
+def golden_report() -> str:
+    """The report text of the fixture dataset plus ``MISSING_TOPIC``, with
+    the backend failing on the Bieber question's 4th call (its second
+    depth-2 verification), and every wall time zeroed."""
+    g, emb, idx, backend, dataset = fixture_eval()
+    (bieber,) = [r for r in dataset if r.id == "bieber-1"]
+    failing = FailOnCall(backend, bieber.question, 4)
+    report = run_experiment(dataset + [MISSING_TOPIC], g, idx, emb, failing)
+    masked = RunReport(
+        results=tuple(replace(r, wall_time=0.0) for r in report.results),
+        aggregates={**report.aggregates, "avg_runtime": 0.0},
+        config=report.config,
+    )
+    return masked.to_json_text()
 
 
 def golden_paths(record_id: str, mode: str, setting: str | None = None) -> tuple[Path, Path]:
@@ -96,6 +141,10 @@ def test_search_settings_match_golden_files(record_id, setting):
     assert outcome_text == outcome_path.read_text(encoding="utf-8")
 
 
+def test_report_matches_golden_file():
+    assert golden_report() == REPORT_PATH.read_text(encoding="utf-8")
+
+
 def write_golden_files() -> None:
     GOLDEN.mkdir(exist_ok=True)
     jobs = [(record_id, mode, None) for record_id, mode in CASES]
@@ -106,6 +155,8 @@ def write_golden_files() -> None:
         for path, text in zip(golden_paths(record_id, mode, setting), texts):
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path.relative_to(ROOT)}")
+    REPORT_PATH.write_text(golden_report(), encoding="utf-8")
+    print(f"wrote {REPORT_PATH.relative_to(ROOT)}")
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
