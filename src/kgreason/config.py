@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import IO, Union
 
+from .kg import read_text
 from .llm import DecodeParams
 from .pathrag import RETRIEVER_MODES, RetrievalConfig
 from .search import SearchConfig
@@ -136,7 +137,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(source: Union[str, IO[str]]) -> RunConfig:
-    if hasattr(source, "read"):
-        return parse_config(source.read())
-    with open(source, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_text(source))

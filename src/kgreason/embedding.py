@@ -101,12 +101,6 @@ class EmbeddingIndex:
     entity_vectors: dict[str, np.ndarray] = field(default_factory=dict)
     relation_vectors: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def entity_vector(self, identifier: str) -> np.ndarray | None:
-        return self.entity_vectors.get(identifier)
-
-    def relation_vector(self, identifier: str) -> np.ndarray | None:
-        return self.relation_vectors.get(identifier)
-
 
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
     """Embed every entity and relation of ``g`` with ``emb``.

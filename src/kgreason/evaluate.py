@@ -18,11 +18,11 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, validate_path
+from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, validate_path
 from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
 from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
@@ -66,13 +66,8 @@ class QARecord:
 
 def load_dataset(source: Union[str, IO[str]]) -> list[QARecord]:
     """Parse a JSON-lines dataset; every schema violation reports its line."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
     records = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(read_text(source).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -194,21 +189,24 @@ def avg_depth(depths_per_question: Sequence[Sequence[int]]) -> float | None:
 
 # --- Batch evaluation -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class QuestionResult:
+    """One question's report row. The answer-derived fields default to the
+    zero score that a failed question gets."""
+
     record_id: str
     question: str
-    answers: tuple[str, ...]
-    paths: tuple[str, ...]
-    depths: tuple[int, ...]
-    hits_at_1: int
-    f1: float
-    accuracy: int
-    coverage: float | None
-    valid_steps: int
-    total_steps: int
-    verdict_yes: int
-    verdict_no: int
+    answers: tuple[str, ...] = ()
+    paths: tuple[str, ...] = ()
+    depths: tuple[int, ...] = ()
+    hits_at_1: int = 0
+    f1: float = 0.0
+    accuracy: int = 0
+    coverage: float | None = None
+    valid_steps: int = 0
+    total_steps: int = 0
+    verdict_yes: int = 0
+    verdict_no: int = 0
     llm_calls: int
     prompt_tokens: int
     completion_tokens: int
@@ -217,27 +215,15 @@ class QuestionResult:
     failure: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "id": self.record_id,
-            "question": self.question,
-            "answers": list(self.answers),
-            "paths": list(self.paths),
-            "depths": list(self.depths),
-            "hits_at_1": self.hits_at_1,
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "coverage": self.coverage,
-            "valid_steps": self.valid_steps,
-            "total_steps": self.total_steps,
-            "verdict_yes": self.verdict_yes,
-            "verdict_no": self.verdict_no,
-            "llm_calls": self.llm_calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "wall_time": self.wall_time,
-            "failed": self.failed,
-            "failure": self.failure,
-        }
+        """The report row: every field, ``record_id`` written as ``id`` and
+        tuples as lists."""
+        row = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            row["id" if f.name == "record_id" else f.name] = (
+                list(value) if isinstance(value, tuple) else value
+            )
+        return row
 
 
 @dataclass(frozen=True)
@@ -300,9 +286,9 @@ def _question_coverage(
     return sum(ratios) / len(ratios)
 
 
-def _verdict_counts(trace: SearchTrace) -> tuple[int, int]:
+def _verdict_counts(events: Iterable[dict]) -> tuple[int, int]:
     yes = no = 0
-    for event in trace.events:
+    for event in events:
         if event.get("event") == "verdict":
             if event.get("halted"):
                 yes += 1
@@ -344,65 +330,40 @@ def evaluate_question(
         )
     except (LlmError, TopicEntityError, ValueError) as exc:
         logger.warning("question %s failed: %s", record.id, exc)
-        usage = ledger.snapshot()
-        return (
-            QuestionResult(
-                record_id=record.id,
-                question=record.question,
-                answers=(),
-                paths=(),
-                depths=(),
-                hits_at_1=0,
-                f1=0.0,
-                accuracy=0,
-                coverage=None,
-                valid_steps=0,
-                total_steps=0,
-                verdict_yes=0,
-                verdict_no=0,
-                llm_calls=usage["llm_calls"],
-                prompt_tokens=usage["prompt_tokens"],
-                completion_tokens=usage["completion_tokens"],
-                wall_time=time.monotonic() - started,
-                failed=True,
-                failure=f"{type(exc).__name__}: {exc}",
-            ),
-            None,
-        )
+        answers, trace, failure = AnswerSet(), None, f"{type(exc).__name__}: {exc}"
+    else:
+        failure = answers.reason if answers.reason == REASON_BACKEND_FAILURE else None
     wall = time.monotonic() - started
     usage = ledger.snapshot()
-    failed = answers.reason == REASON_BACKEND_FAILURE
-    emitted = tuple(answers.supporting_paths) + tuple(answers.indirect_paths)
-    valid = sum(validate_path(g, p).valid_step_count for p in emitted)
-    total = sum(p.depth for p in emitted)
-    yes, no = _verdict_counts(trace)
-    coverage = None
-    if not failed:
-        coverage = _question_coverage(record, retrieval_config, context)
-    return (
-        QuestionResult(
-            record_id=record.id,
-            question=record.question,
-            answers=tuple(answers.answers) if not failed else (),
-            paths=tuple(p.to_arrow() for p in emitted),
-            depths=tuple(p.depth for p in emitted),
-            hits_at_1=0 if failed else hits_at_1(answers, record.answers),
-            f1=0.0 if failed else f1_score(answers.answers, record.answers),
-            accuracy=0 if failed else accuracy(answers, record.answers),
-            coverage=coverage,
-            valid_steps=valid,
-            total_steps=total,
-            verdict_yes=yes,
-            verdict_no=no,
-            llm_calls=usage["llm_calls"],
-            prompt_tokens=usage["prompt_tokens"],
-            completion_tokens=usage["completion_tokens"],
-            wall_time=wall,
-            failed=failed,
-            failure=answers.reason if failed else None,
-        ),
-        trace,
+    emitted = answers.supporting_paths + answers.indirect_paths
+    yes, no = _verdict_counts(trace.events if trace is not None else ())
+    scores = {}
+    if failure is None:
+        scores = dict(
+            answers=answers.answers,
+            hits_at_1=hits_at_1(answers, record.answers),
+            f1=f1_score(answers.answers, record.answers),
+            accuracy=accuracy(answers, record.answers),
+            coverage=_question_coverage(record, retrieval_config, context),
+        )
+    result = QuestionResult(
+        record_id=record.id,
+        question=record.question,
+        paths=tuple(p.to_arrow() for p in emitted),
+        depths=tuple(p.depth for p in emitted),
+        valid_steps=sum(validate_path(g, p).valid_step_count for p in emitted),
+        total_steps=sum(p.depth for p in emitted),
+        verdict_yes=yes,
+        verdict_no=no,
+        llm_calls=usage["llm_calls"],
+        prompt_tokens=usage["prompt_tokens"],
+        completion_tokens=usage["completion_tokens"],
+        wall_time=wall,
+        failed=failure is not None,
+        failure=failure,
+        **scores,
     )
+    return result, trace
 
 
 def run_experiment(

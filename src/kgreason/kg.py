@@ -8,9 +8,10 @@ across threads.
 from __future__ import annotations
 
 import io
+import os
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, Optional, Union
 
 MISSING_TRIPLE = "missing-triple"
 FORMAT_ERROR = "format-error"
@@ -198,6 +199,15 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
             yield item.decode("utf-8")
         else:
             yield item
+
+
+def read_text(source: Union[str, os.PathLike, IO[str]]) -> str:
+    """The whole text of a UTF-8 file, given by path, or of an open text
+    stream."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def serialize(g: KnowledgeGraph) -> str:

@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Protocol, Sequence
 
-from .kg import KnowledgeGraph, normalize
+from .kg import KnowledgeGraph, normalize, read_text
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -102,8 +102,8 @@ class CallRecord:
     key: str
     bindings_digest: str
     response: str
-    prompt_tokens: int
-    completion_tokens: int
+    prompt_tokens: int = 0
+    completion_tokens: int = 0
 
 
 class LlmBackend(Protocol):
@@ -522,19 +522,23 @@ class WireConfig:
     endpoint: str
     model: str
     auth_env_var: str = "LLM_API_KEY"
-    timeout: float = 60.0
-    max_attempts: int = 5
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
+
+
+# The wire retry policy: each attempt waits at most WIRE_TIMEOUT_S, and the
+# n-th retry first sleeps WIRE_BACKOFF_BASE_S * WIRE_BACKOFF_FACTOR**(n-1).
+WIRE_TIMEOUT_S = 60.0
+WIRE_MAX_ATTEMPTS = 5
+WIRE_BACKOFF_BASE_S = 1.0
+WIRE_BACKOFF_FACTOR = 2.0
 
 
 class WireBackend:
     """Chat-completion HTTP client: messages array in, first choice text out.
 
     Transient failures (timeouts, connection errors, 429 and 5xx statuses)
-    are retried with exponential backoff; auth failures and malformed bodies
-    are not. The sleeper and clock are injectable so fault-injection tests
-    run without real waiting.
+    are retried with exponential backoff, up to WIRE_MAX_ATTEMPTS attempts;
+    auth failures and malformed bodies are not. The sleeper and clock are
+    injectable so fault-injection tests run without real waiting.
     """
 
     concurrency_limit = 4
@@ -573,16 +577,12 @@ class WireBackend:
         headers = {"Authorization": f"Bearer {token}"}
         started = self.clock()
         last_error: Exception | None = None
-        for attempt in range(1, self.config.max_attempts + 1):
+        for attempt in range(1, WIRE_MAX_ATTEMPTS + 1):
             if attempt > 1:
-                delay = self.config.backoff_base * self.config.backoff_factor ** (attempt - 2)
-                self.sleeper(delay)
+                self.sleeper(WIRE_BACKOFF_BASE_S * WIRE_BACKOFF_FACTOR ** (attempt - 2))
             try:
                 response = self.session.post(
-                    self.config.endpoint,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
+                    self.config.endpoint, json=payload, headers=headers, timeout=WIRE_TIMEOUT_S
                 )
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_error = exc
@@ -598,7 +598,7 @@ class WireBackend:
                 raise WireError(f"endpoint returned HTTP {response.status_code}")
             return self._parse_body(response, started)
         raise WireError(
-            f"endpoint failed after {self.config.max_attempts} attempts: {last_error}"
+            f"endpoint failed after {WIRE_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
     def _parse_body(self, response, started: float) -> Completion:
@@ -642,8 +642,7 @@ class MockBackend:
         self.kg = kg
         self.answer_key = {q: tuple(a) for q, a in answer_key.items()}
         self.plan_script = dict(plan_script or {})
-        self.global_rule = global_rule
-        self.adequacy_rule = adequacy_rule
+        self.verify_rules = {DEDUCTIVE_VERIFY: global_rule, ADEQUACY_VERIFY: adequacy_rule}
 
     def _answers_for(self, question: str) -> tuple[str, ...]:
         if question not in self.answer_key:
@@ -662,20 +661,9 @@ class MockBackend:
             if question not in self.plan_script:
                 raise MockMissError(question)
             text = json.dumps(self.plan_script[question], sort_keys=True)
-        elif rendered.key == DEDUCTIVE_VERIFY:
-            verdict = (
-                self.global_rule(b)
-                if self.global_rule is not None
-                else self._entailed_globally(b)
-            )
-            text = "yes" if verdict else "no"
-        elif rendered.key == ADEQUACY_VERIFY:
-            verdict = (
-                self.adequacy_rule(b)
-                if self.adequacy_rule is not None
-                else self._entailed_globally(b)
-            )
-            text = "yes" if verdict else "no"
+        elif rendered.key in self.verify_rules:
+            rule = self.verify_rules[rendered.key] or self._entailed_globally
+            text = "yes" if rule(b) else "no"
         elif rendered.key == BEAM_SELECT:
             count = int(b["candidate_count"])
             width = int(b["beam_width"])
@@ -696,11 +684,7 @@ def load_mock_script(source) -> tuple[dict[str, tuple[str, ...]], dict[str, dict
     """Read a mock script file: a JSON object keyed by question, each entry
     holding the gold ``answers`` list and the scripted ``plan`` object.
     Returns the (answer_key, plan_script) pair a MockBackend wants."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = json.loads(read_text(source))
     if not isinstance(data, dict):
         raise ValueError("mock script must be a JSON object keyed by question")
     answer_key: dict[str, tuple[str, ...]] = {}

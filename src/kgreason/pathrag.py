@@ -89,10 +89,12 @@ class ScoreContext:
         elif query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
             raise ValueError("score context was built for another query vector")
 
-    def _similarity(self, sims: dict[str, float], lookup, identifier: str) -> float:
+    def _similarity(
+        self, sims: dict[str, float], vectors: dict[str, np.ndarray], identifier: str
+    ) -> float:
         sim = sims.get(identifier)
         if sim is None:
-            vec = lookup(identifier)
+            vec = vectors.get(identifier)
             sim = sims[identifier] = 0.0 if vec is None else cosine(self.query_vec, vec)
         return sim
 
@@ -100,8 +102,8 @@ class ScoreContext:
         # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
         return (
             0.0
-            + self._similarity(self.relation_sims, self.idx.relation_vector, relation)
-            + self._similarity(self.entity_sims, self.idx.entity_vector, entity)
+            + self._similarity(self.relation_sims, self.idx.relation_vectors, relation)
+            + self._similarity(self.entity_sims, self.idx.entity_vectors, entity)
         )
 
     def best_onward(self, entity: str) -> float:

@@ -17,6 +17,8 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Mapping, Sequence, Union
 
+from .kg import read_text
+
 PLAN_AND_SOLVE = "plan_and_solve"
 DEDUCTIVE_VERIFY = "deductive_verify"
 ADEQUACY_VERIFY = "adequacy_verify"
@@ -270,11 +272,7 @@ BUILTIN_DEMONSTRATIONS: dict[str, tuple[str, ...]] = {
 def load_demonstrations(source: Union[str, IO[str]]) -> dict[str, tuple[str, ...]]:
     """Load a demonstrations override: a JSON object mapping template keys to
     lists of demonstration strings. Unknown keys are rejected."""
-    if hasattr(source, "read"):
-        data = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = json.loads(read_text(source))
     if not isinstance(data, dict):
         raise ValueError("demonstrations file must hold a JSON object")
     out: dict[str, tuple[str, ...]] = {}

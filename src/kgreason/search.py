@@ -24,11 +24,11 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, normalize, validate_path
+from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text, validate_path
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -154,15 +154,9 @@ class SearchTrace:
         self.events.append(record)
 
     def add_calls(self, records: Sequence[CallRecord]):
+        """One ``llm_call`` event per record, holding the record's fields."""
         for r in records:
-            self.add(
-                "llm_call",
-                key=r.key,
-                bindings_digest=r.bindings_digest,
-                response=r.response,
-                prompt_tokens=r.prompt_tokens,
-                completion_tokens=r.completion_tokens,
-            )
+            self.add("llm_call", **vars(r))
 
     def to_jsonl(self) -> str:
         lines = []
@@ -171,32 +165,22 @@ class SearchTrace:
         return "\n".join(lines) + "\n"
 
     def call_records(self) -> list[CallRecord]:
-        records = []
-        for event in self.events:
-            if event.get("event") == "llm_call":
-                records.append(
-                    CallRecord(
-                        key=event["key"],
-                        bindings_digest=event["bindings_digest"],
-                        response=event["response"],
-                        prompt_tokens=event.get("prompt_tokens", 0),
-                        completion_tokens=event.get("completion_tokens", 0),
-                    )
-                )
-        return records
+        """The ``llm_call`` events as records; keys that are not a
+        ``CallRecord`` field are ignored."""
+        names = [f.name for f in fields(CallRecord)]
+        return [
+            CallRecord(**{name: event[name] for name in names if name in event})
+            for event in self.events
+            if event.get("event") == "llm_call"
+        ]
 
     def prune_events(self) -> list[dict]:
         return [e for e in self.events if e.get("event") == "prune"]
 
     @classmethod
     def from_jsonl(cls, source: Union[str, IO[str]]) -> "SearchTrace":
-        if hasattr(source, "read"):
-            text = source.read()
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
         events = []
-        for line_number, line in enumerate(text.splitlines(), start=1):
+        for line_number, line in enumerate(read_text(source).splitlines(), start=1):
             if not line.strip():
                 continue
             try:

@@ -23,6 +23,7 @@ from kgreason.llm import (
     ReplayMismatchError,
     ScriptedBackend,
     SharedBackend,
+    WIRE_MAX_ATTEMPTS,
     UsageLedger,
     WireBackend,
     WireConfig,
@@ -341,8 +342,8 @@ def wire_env(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
 
 
-def make_wire(outcomes, **overrides):
-    config = WireConfig(endpoint="https://example.test/v1/chat", model="test-model", **overrides)
+def make_wire(outcomes):
+    config = WireConfig(endpoint="https://example.test/v1/chat", model="test-model")
     session = FakeSession(outcomes)
     clock = FakeClock()
     backend = WireBackend(config, session=session, sleeper=clock.sleep, clock=clock)
@@ -410,12 +411,11 @@ def test_wire_malformed_body_is_not_retried(wire_env):
 
 
 def test_wire_gives_up_after_max_attempts(wire_env):
-    backend, session, _ = make_wire(
-        [FakeResponse(500)] * 3, max_attempts=3
-    )
+    backend, session, clock = make_wire([FakeResponse(500)] * WIRE_MAX_ATTEMPTS)
     with pytest.raises(LlmError):
         backend.complete(plan_prompt(), DecodeParams())
-    assert len(session.posts) == 3
+    assert len(session.posts) == WIRE_MAX_ATTEMPTS
+    assert clock.sleeps == [2.0**n for n in range(WIRE_MAX_ATTEMPTS - 1)]
 
 
 # --- mock backend ---------------------------------------------------------------
