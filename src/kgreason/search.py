@@ -420,7 +420,8 @@ def run_dvbs(
     already fits, and replaced by score order at the last depth), then
     verifies each kept extension once:
     a passing path halts and is frozen for answering, a failing one stays
-    live. Backend failures are recorded in the trace and yield an empty
+    live. With the verifier off, the paths still live when the search stops
+    (at ``max_depth`` or at an empty pool) answer instead. Backend failures are recorded in the trace and yield an empty
     answer set rather than a crash. ``context`` (a private one when none is
     given) embeds the plan's keywords and scores every frontier.
     """
@@ -533,7 +534,6 @@ def _search(
             pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
         )
         if not pool:
-            live = []
             break
 
         if depth == config.max_depth:
@@ -585,7 +585,10 @@ def _search(
             next_live.append((rank, arrow, path))
         live = next_live
 
-    answered = sorted(halted if config.use_deductive_verifier else live, key=lambda h: h[:2])
+    # Without the verifier the last live paths answer, also those whose
+    # frontier had no onward edge, but a topic entity alone answers nothing.
+    answered = halted if config.use_deductive_verifier else [h for h in live if h[2].steps]
+    answered = sorted(answered, key=lambda h: h[:2])
     answer_paths = [path for *_, path in answered]
     with _step(recorder, trace) as calls:
         answers = final_reason(calls, question, answer_paths, config, demonstrations)

@@ -406,7 +406,8 @@ def test_emitted_paths_are_structurally_valid():
         assert validate_path(g, path).all_valid
 
 
-def test_frontier_without_neighbors_yields_empty_answer():
+@pytest.mark.parametrize("use_verifier", [True, False])
+def test_frontier_without_neighbors_yields_empty_answer(use_verifier):
     g = load_fixture("bieber.tsv")
     emb = HashingEmbedder()
     idx = build_index(g, emb)
@@ -422,8 +423,9 @@ def test_frontier_without_neighbors_yields_empty_answer():
         },
     )
     client = LlmClient(backend)
-    answers, trace = run_dvbs("dead end?", ["US"], g, idx, emb, client)
-    assert answers.answers == ()
+    config = SearchConfig(use_deductive_verifier=use_verifier)
+    answers, trace = run_dvbs("dead end?", ["US"], g, idx, emb, client, search_config=config)
+    assert answers.answers == ()  # the topic entity alone is no answer
     assert answers.reason == REASON_NO_DEDUCIBLE_PATH
     depth_one = [e for e in trace.events if e["event"] == "depth" and e["depth"] == 1][0]
     assert depth_one["pool"] == []
@@ -610,9 +612,11 @@ def test_beam_nesting_under_deterministic_selection():
     assert run(2) <= run(3) <= run(4)
 
 
-def test_verifier_ablation_answers_from_live_paths():
+@pytest.mark.parametrize("max_depth", [2, 4])
+def test_verifier_ablation_answers_from_live_paths(max_depth):
+    # At depth 4 both live paths dead-end at depth 3 and still answer.
     g, idx, emb, client = mock_runner()
-    config = SearchConfig(max_depth=2, use_deductive_verifier=False)
+    config = SearchConfig(max_depth=max_depth, use_deductive_verifier=False)
     answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client, search_config=config)
     assert set(answers.answers) == {"Erin_Wagner", "US"}
     assert not [e for e in trace.events if e["event"] == "verdict"]
