@@ -421,9 +421,10 @@ def run_dvbs(
     verifies each kept extension once:
     a passing path halts and is frozen for answering, a failing one stays
     live. With the verifier off, the paths still live when the search stops
-    (at ``max_depth`` or at an empty pool) answer instead. Backend failures are recorded in the trace and yield an empty
-    answer set rather than a crash. ``context`` (a private one when none is
-    given) embeds the plan's keywords and scores every frontier.
+    (at ``max_depth`` or at an empty pool) answer instead. Backend failures
+    are recorded in the trace and yield an empty answer set rather than a
+    crash. ``context`` (a private one when none is given) embeds the plan's
+    keywords and scores every frontier.
     """
     trace = SearchTrace(question=question)
     trace.add(

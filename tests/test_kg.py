@@ -1,8 +1,12 @@
 import io
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from kgreason.config import load_config
+from kgreason.evaluate import load_dataset
 from kgreason.kg import (
     FORMAT_ERROR,
     MISSING_TRIPLE,
@@ -18,6 +22,9 @@ from kgreason.kg import (
     serialize,
     validate_path,
 )
+from kgreason.llm import load_mock_script
+from kgreason.prompts import BUILTIN_DEMONSTRATIONS, load_demonstrations
+from kgreason.search import SearchTrace
 
 
 def load_fixture(name):
@@ -260,3 +267,32 @@ def test_engine_emitted_steps_always_validate(raw):
         for relation, tail in neighbors(g, entity):
             path = ReasoningPath(entity, (ReasoningStep(relation, tail),))
             assert validate_path(g, path).all_valid
+
+
+# --- text loaders --------------------------------------------------------------
+
+# Each loader reads its input through kg.read_text; the demonstrations input
+# (None) is the built-in set written out as JSON.
+LOADER_INPUTS = {
+    "dataset": (load_dataset, "fixtures/dataset.jsonl"),
+    "trace": (SearchTrace.from_jsonl, "tests/golden/bieber-1.path-rag.trace.jsonl"),
+    "mock-script": (load_mock_script, "fixtures/mock_script.json"),
+    "config": (load_config, "fixtures/run.cfg"),
+    "demonstrations": (load_demonstrations, None),
+}
+
+
+@pytest.mark.parametrize("name", LOADER_INPUTS)
+def test_loaders_read_a_path_and_an_open_stream_alike(name, tmp_path):
+    load, fixture = LOADER_INPUTS[name]
+    if fixture is None:
+        text = json.dumps({key: list(demos) for key, demos in BUILTIN_DEMONSTRATIONS.items()})
+    else:
+        text = Path(fixture).read_text(encoding="utf-8")
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    from_path, from_stream = load(str(path)), load(io.StringIO(text))
+    if isinstance(from_path, SearchTrace):
+        from_path, from_stream = from_path.events, from_stream.events
+    assert from_path == from_stream
+    assert from_path  # the fixture is not read as empty

@@ -17,6 +17,7 @@ from kgreason.kg import (
     validate_path,
 )
 from kgreason.llm import (
+    CallRecord,
     LlmClient,
     LlmError,
     MockBackend,
@@ -796,6 +797,18 @@ def test_trace_round_trip():
     loaded = SearchTrace.from_jsonl(io.StringIO(text))
     assert loaded.question == BIEBER_Q
     assert loaded.to_jsonl() == text
+
+
+def test_call_records_default_missing_tokens_and_ignore_unknown_keys():
+    trace = SearchTrace(
+        "q",
+        [
+            {"event": "run_start", "schema": TRACE_SCHEMA},
+            {"event": "llm_call", "key": "final_reason", "bindings_digest": "d1",
+             "response": "A", "latency_ms": 12},
+        ],
+    )
+    assert trace.call_records() == [CallRecord("final_reason", "d1", "A", 0, 0)]
 
 
 def test_trace_requires_schema_header():
