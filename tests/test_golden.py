@@ -3,8 +3,8 @@
 Each fixture question runs through ``evaluate_question`` on
 ``fixtures/combined.tsv`` with the scripted mock backend, once per
 retriever mode under the default ``SearchConfig``, and once per
-non-default search setting in ``SETTINGS`` under the path-rag mode. The
-tests compare the ``SearchTrace.to_jsonl()`` text and
+non-default setting in ``SETTINGS`` under the path-rag mode. The tests
+compare the ``SearchTrace.to_jsonl()`` text and
 the question's ``(answers, paths, coverage)`` with the files under
 ``tests/golden/``. A change that alters any decision, score, prompt or
 coverage figure fails here. ``report.json`` holds the ``RunReport`` of one
@@ -38,14 +38,16 @@ FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORD_IDS = ("bieber-1", "iran-1")
 CASES = [(record_id, mode) for record_id in RECORD_IDS for mode in RETRIEVER_MODES]
-# Search settings that take the branches the default config never reaches:
-# answers from live paths, the adequacy check, width-1 selection with
-# truncation prunes, and selection by score at the only depth.
+# Search and retrieval settings that take the branches the default config
+# never reaches: answers from live paths, the adequacy check, width-1
+# selection with truncation prunes, selection by score at the only depth,
+# and frontiers with more neighbours than m, whose candidates are truncated.
 SETTINGS = {
-    "no-verifier": SearchConfig(use_deductive_verifier=False),
-    "adequacy": SearchConfig(adequacy_mode=True),
-    "no-beam": SearchConfig(use_beam_search=False),
-    "depth-1": SearchConfig(max_depth=1),
+    "no-verifier": (SearchConfig(use_deductive_verifier=False), RetrievalConfig()),
+    "adequacy": (SearchConfig(adequacy_mode=True), RetrievalConfig()),
+    "no-beam": (SearchConfig(use_beam_search=False), RetrievalConfig()),
+    "depth-1": (SearchConfig(max_depth=1), RetrievalConfig()),
+    "m-2": (SearchConfig(), RetrievalConfig(m=2)),
 }
 SETTING_CASES = [(record_id, setting) for record_id in RECORD_IDS for setting in SETTINGS]
 REPORT_PATH = GOLDEN / "report.json"
@@ -69,14 +71,14 @@ def fixture_eval():
 
 
 def golden_outputs(
-    record_id: str, mode: str, search_config: SearchConfig = SearchConfig()
+    record_id: str, search_config: SearchConfig, retrieval_config: RetrievalConfig
 ) -> tuple[str, str]:
     """The trace text and the ``(answers, paths, coverage)`` JSON text of
-    one fixture question under one retriever mode and search config."""
+    one fixture question under one search and retrieval config."""
     g, emb, idx, backend, dataset = fixture_eval()
     (record,) = [r for r in dataset if r.id == record_id]
     result, trace = evaluate_question(
-        record, g, idx, emb, backend, search_config, RetrievalConfig(mode=mode)
+        record, g, idx, emb, backend, search_config, retrieval_config
     )
     outcome = {
         "answers": list(result.answers),
@@ -127,7 +129,7 @@ def golden_paths(record_id: str, mode: str, setting: str | None = None) -> tuple
 
 @pytest.mark.parametrize("record_id,mode", CASES)
 def test_fixture_outputs_match_golden_files(record_id, mode):
-    trace_text, outcome_text = golden_outputs(record_id, mode)
+    trace_text, outcome_text = golden_outputs(record_id, SearchConfig(), RetrievalConfig(mode=mode))
     trace_path, outcome_path = golden_paths(record_id, mode)
     assert trace_text == trace_path.read_text(encoding="utf-8")
     assert outcome_text == outcome_path.read_text(encoding="utf-8")
@@ -135,7 +137,7 @@ def test_fixture_outputs_match_golden_files(record_id, mode):
 
 @pytest.mark.parametrize("record_id,setting", SETTING_CASES)
 def test_search_settings_match_golden_files(record_id, setting):
-    trace_text, outcome_text = golden_outputs(record_id, "path-rag", SETTINGS[setting])
+    trace_text, outcome_text = golden_outputs(record_id, *SETTINGS[setting])
     trace_path, outcome_path = golden_paths(record_id, "path-rag", setting)
     assert trace_text == trace_path.read_text(encoding="utf-8")
     assert outcome_text == outcome_path.read_text(encoding="utf-8")
@@ -150,8 +152,8 @@ def write_golden_files() -> None:
     jobs = [(record_id, mode, None) for record_id, mode in CASES]
     jobs += [(record_id, "path-rag", setting) for record_id, setting in SETTING_CASES]
     for record_id, mode, setting in jobs:
-        config = SETTINGS[setting] if setting else SearchConfig()
-        texts = golden_outputs(record_id, mode, config)
+        configs = SETTINGS[setting] if setting else (SearchConfig(), RetrievalConfig(mode=mode))
+        texts = golden_outputs(record_id, *configs)
         for path, text in zip(golden_paths(record_id, mode, setting), texts):
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path.relative_to(ROOT)}")
