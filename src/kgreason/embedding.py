@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,25 @@ class HashingEmbedder:
         return vec
 
 
+def norm(x: np.ndarray) -> float:
+    """The L2 norm of a 1-d float64 array, bit-identical to ``np.linalg.norm``
+    (which also takes the square root of ``x.dot(x)``)."""
+    return math.sqrt(x.dot(x))
+
+
+def query_cosine(query: np.ndarray, query_norm: float, vec: np.ndarray) -> float:
+    """``cosine(query, vec)`` of float64 arrays, bit for bit, given
+    ``norm(query)``: a query scored against many vectors costs one dot and
+    one norm per vector."""
+    if query.shape != vec.shape:
+        raise ValueError(f"dimension mismatch: {query.shape} vs {vec.shape}")
+    vec_norm = math.sqrt(vec.dot(vec))
+    if query_norm == 0.0 or vec_norm == 0.0:
+        logger.warning("cosine of a zero-norm vector defined as 0.0")
+        return 0.0
+    return min(max(float(query.dot(vec) / (query_norm * vec_norm)), -1.0), 1.0)
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1].
 
@@ -81,12 +101,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        logger.warning("cosine of a zero-norm vector defined as 0.0")
-        return 0.0
-    return min(max(float(np.dot(a, b) / (na * nb)), -1.0), 1.0)
+    return query_cosine(a, norm(a), b)
 
 
 @dataclass
@@ -145,7 +160,12 @@ def _check_dim(dimension: int | None, vec: np.ndarray, identifier: str) -> int:
 def _rank(vectors: dict[str, np.ndarray], query: np.ndarray, m: int) -> list[tuple[str, float]]:
     if m < 1:
         raise ValueError("m must be >= 1")
-    scored = [(identifier, cosine(query, vec)) for identifier, vec in vectors.items()]
+    query = np.asarray(query, dtype=np.float64)
+    query_norm = norm(query)
+    scored = [
+        (identifier, query_cosine(query, query_norm, np.asarray(vec, dtype=np.float64)))
+        for identifier, vec in vectors.items()
+    ]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:m]
 

@@ -10,18 +10,36 @@ comparison runs.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, EmbeddingIndex, cosine
+from .embedding import Embedder, EmbeddingIndex, cosine, norm, query_cosine
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple, neighbors
 
 MODE_PATH_RAG = "path-rag"
 MODE_VANILLA = "vanilla"
 MODE_KAPING = "kaping"
 RETRIEVER_MODES = (MODE_PATH_RAG, MODE_VANILLA, MODE_KAPING)
+
+# How far an approximate Path-RAG score may lie from the exact one. Let
+# u = 2^-53 and d the dimension. A dot product of d terms summed in any order
+# is within d*u*|x|*|y| of the true one (Higham, Accuracy and Stability of
+# Numerical Algorithms, eq. 3.5), as long as nothing overflows or underflows,
+# which holds when every squared norm lies in _SAFE_SQUARED_NORMS. So a
+# cosine from a matrix product and vectorized row norms, and one from
+# ``query_cosine``, are each within (2d + 5)u of the true cosine, and of each
+# other within (4d + 10)u. A base (two similarities, two additions) is then
+# off by at most (8d + 24)u, a bonus (a max of bases) by as much, and a total
+# base + alpha*bonus by at most (1 + alpha)(8d + 32)u. _BASE_ERROR bounds
+# (8d + 32)u for every d up to _MAX_DIMENSION, far above the rounding of
+# the band arithmetic itself. A larger index is scored exactly.
+_BASE_ERROR = 2.0**-30
+_MAX_DIMENSION = 2**19
+_SAFE_SQUARED_NORMS = (2.0**-900, 2.0**900)
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,11 @@ class ScoreContext:
     Built for one graph, index and embedder, it binds the query on first use
     and raises ``ValueError`` when used with any other. Each relation's and
     entity's cosine to the query (0 if not indexed) and each entity's best
-    onward step are computed once, on first use.
+    onward step are computed once, on first use. On a frontier with more
+    neighbours than m, the cosines of its steps and of their onward steps are
+    first approximated, with one matrix product per frontier and each
+    identifier once, so that only the steps and onward steps that can come
+    out on top are scored exactly.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
@@ -66,6 +88,9 @@ class ScoreContext:
         self.relation_sims: dict[str, float] = {}
         self.entity_sims: dict[str, float] = {}
         self.best_next: dict[str, float] = {}
+        self.approx_relation_sims: dict[str, float] = {}
+        self.approx_entity_sims: dict[str, float] = {}
+        self.approx_next: dict[str, float] = {}
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query vector of ``text``, embedded only on the first call."""
@@ -86,6 +111,8 @@ class ScoreContext:
     def _bind_vector(self, query_vec: np.ndarray) -> None:
         if self.query_vec is None:
             self.query_vec = query_vec
+            self._query = np.asarray(query_vec, dtype=np.float64)
+            self._query_norm = norm(self._query)
         elif query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
             raise ValueError("score context was built for another query vector")
 
@@ -95,7 +122,11 @@ class ScoreContext:
         sim = sims.get(identifier)
         if sim is None:
             vec = vectors.get(identifier)
-            sim = sims[identifier] = 0.0 if vec is None else cosine(self.query_vec, vec)
+            sim = sims[identifier] = (
+                0.0
+                if vec is None
+                else query_cosine(self._query, self._query_norm, np.asarray(vec, dtype=np.float64))
+            )
         return sim
 
     def base(self, relation: str, entity: str) -> float:
@@ -106,19 +137,112 @@ class ScoreContext:
             + self._similarity(self.entity_sims, self.idx.entity_vectors, entity)
         )
 
-    def best_onward(self, entity: str) -> float:
+    def best_onward(self, entity: str, banded: bool = False) -> float:
+        """The best base over the entity's onward pairs; ``banded`` scores
+        exactly only the pairs within twice the error bound of the
+        approximate maximum (their approximations must exist), since the
+        exact maximum's pair is among them."""
         best = self.best_next.get(entity)
         if best is None:
             pairs = self.g.adjacency.get(entity, ())
+            if banded and len(pairs) > 1:
+                approx = self._approx_bases(pairs)
+                floor = max(approx) - 2 * _BASE_ERROR
+                pairs = [pair for pair, score in zip(pairs, approx) if score >= floor]
             best = self.best_next[entity] = max(
                 (self.base(relation, tail) for relation, tail in pairs), default=0.0
             )
         return best
 
-    def score(self, step: ReasoningStep, alpha: float) -> ScoredCandidate:
-        base = self.base(step.relation, step.entity)
-        bonus = self.best_onward(step.entity)
-        return ScoredCandidate(step, base, bonus, base + alpha * bonus)
+    def score(self, relation: str, entity: str, alpha: float, banded: bool = False) -> ScoredCandidate:
+        base = self.base(relation, entity)
+        bonus = self.best_onward(entity, banded)
+        return ScoredCandidate(ReasoningStep(relation, entity), base, bonus, base + alpha * bonus)
+
+    def top_candidates(
+        self, pairs: list[tuple[str, str]], m: int, alpha: float
+    ) -> list[ScoredCandidate]:
+        """Exact scores of every ``(relation, entity)`` step that can rank
+        among the top m. That is every step of a frontier of at most m. On a
+        wider one it is the steps whose approximate total lies within twice
+        its error bound of the m-th largest, unless an approximation is not
+        proven."""
+        if len(pairs) <= m or not math.isfinite(alpha) or not self._approximate(pairs):
+            return [self.score(relation, entity, alpha) for relation, entity in pairs]
+        totals = [
+            base + alpha * self._approx_onward(entity)
+            for base, (_, entity) in zip(self._approx_bases(pairs), pairs)
+        ]
+        floor = heapq.nlargest(m, totals)[-1] - 2 * (1 + alpha) * _BASE_ERROR
+        return [
+            self.score(relation, entity, alpha, banded=True)
+            for (relation, entity), total in zip(pairs, totals)
+            if total >= floor
+        ]
+
+    def _approximate(self, pairs: list[tuple[str, str]]) -> bool:
+        """Approximate the similarity of each relation and entity of
+        ``pairs`` and of their entities' onward pairs, once per identifier;
+        ``False`` when one of them has no proven error bound."""
+        relations = {relation for relation, _ in pairs}
+        entities = {entity for _, entity in pairs}
+        for entity in [entity for entity in entities if entity not in self.approx_next]:
+            onward = self.g.adjacency.get(entity)
+            if onward:
+                onward_relations, tails = zip(*onward)
+                relations.update(onward_relations)
+                entities.update(tails)
+        return self._approximate_some(
+            self.approx_relation_sims, self.idx.relation_vectors, relations
+        ) and self._approximate_some(self.approx_entity_sims, self.idx.entity_vectors, entities)
+
+    def _approximate_some(
+        self, sims: dict[str, float], vectors: dict[str, np.ndarray], identifiers: set[str]
+    ) -> bool:
+        new = [identifier for identifier in identifiers if identifier not in sims]
+        indexed = [identifier for identifier in new if identifier in vectors]
+        approx = _approximate_cosines([vectors[identifier] for identifier in indexed], self._query)
+        if approx is None:
+            return False
+        sims.update(dict.fromkeys(new, 0.0))
+        sims.update(zip(indexed, approx))
+        return True
+
+    def _approx_bases(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
+        relation_sims, entity_sims = self.approx_relation_sims, self.approx_entity_sims
+        return [relation_sims[relation] + entity_sims[entity] for relation, entity in pairs]
+
+    def _approx_onward(self, entity: str) -> float:
+        best = self.approx_next.get(entity)
+        if best is None:
+            bases = self._approx_bases(self.g.adjacency.get(entity, ()))
+            best = self.approx_next[entity] = max(bases, default=0.0)
+        return best
+
+
+def _approximate_cosines(vectors: list[np.ndarray], query: np.ndarray) -> list[float] | None:
+    """The cosines of ``vectors`` to ``query`` from one matrix product and
+    vectorized norms, each within (2d + 5)u of the true one (see
+    _BASE_ERROR); ``None`` when that bound is not proven."""
+    if not vectors:
+        return []
+    if query.ndim != 1 or query.shape[0] > _MAX_DIMENSION:
+        return None
+    try:
+        rows = np.array(vectors, dtype=np.float64)
+    except ValueError:  # vectors of different lengths
+        return None
+    if rows.shape != (len(vectors), query.shape[0]):
+        return None
+    low, high = _SAFE_SQUARED_NORMS
+    query_squared = float(query.dot(query))
+    row_squared = np.einsum("ij,ij->i", rows, rows)
+    zero = row_squared == 0.0
+    if not low <= query_squared <= high or not np.all(zero | ((row_squared >= low) & (row_squared <= high))):
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosines = rows @ query / (np.sqrt(row_squared) * math.sqrt(query_squared))
+    return np.where(zero, 0.0, np.clip(cosines, -1.0, 1.0)).tolist()
 
 
 def candidate_steps(
@@ -139,17 +263,17 @@ def candidate_steps(
     Path-RAG scores come from ``context`` (a private one when none is given).
     """
     scores = (context or ScoreContext(g, idx, emb)).bind(g, idx, emb, query_vec)
-    candidates: list[ScoredCandidate] = []
-    for relation, entity in sorted(neighbors(g, frontier_entity)):
-        step = ReasoningStep(relation=relation, entity=entity)
-        if config.mode == MODE_PATH_RAG:
-            candidates.append(scores.score(step, config.alpha))
-            continue
-        text = f"{relation} {entity}"  # vanilla scores the step as text
-        if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
-            text = f"{frontier_entity} {text}"
-        score = cosine(query_vec, emb.embed(text))
-        candidates.append(ScoredCandidate(step, score, 0.0, score))
+    pairs = sorted(neighbors(g, frontier_entity))
+    if config.mode == MODE_PATH_RAG:
+        candidates = scores.top_candidates(pairs, config.m, config.alpha)
+    else:
+        candidates = []
+        for relation, entity in pairs:
+            text = f"{relation} {entity}"  # vanilla scores the step as text
+            if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
+                text = f"{frontier_entity} {text}"
+            score = cosine(query_vec, emb.embed(text))
+            candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
 

@@ -11,6 +11,8 @@ from kgreason.embedding import (
     build_index,
     cosine,
     load_index,
+    norm,
+    query_cosine,
     save_index,
     top_m_entities,
     top_m_relations,
@@ -124,6 +126,44 @@ def test_cosine_bounded_and_symmetric(a, b):
     s = cosine(va, vb)
     assert -1.0 <= s <= 1.0
     assert s == pytest.approx(cosine(vb, va), abs=1e-12)
+
+
+def linalg_cosine(a, b):
+    """``cosine`` as written with ``np.linalg.norm`` for both operands."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return min(max(float(np.dot(a, b) / (na * nb)), -1.0), 1.0)
+
+
+EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-160, 1.7976931348623157e308, -1e154]
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.tuples(
+            st.lists(EDGE_VALUES, min_size=d, max_size=d) | st.just([0.0] * d),
+            st.lists(st.lists(EDGE_VALUES, min_size=d, max_size=d) | st.just([-0.0] * d), min_size=1, max_size=4),
+        )
+    )
+)
+def test_query_cosine_is_bit_identical_to_cosine(drawn):
+    query, rows = np.array(drawn[0]), [np.array(row) for row in drawn[1]]
+    with np.errstate(all="ignore"):
+        query_norm = norm(query)
+        assert struct.pack("<d", query_norm) == struct.pack("<d", np.linalg.norm(query))
+        for vec in rows:
+            expected = struct.pack("<d", linalg_cosine(query, vec))
+            assert struct.pack("<d", query_cosine(query, query_norm, vec)) == expected
+            assert struct.pack("<d", cosine(query, vec)) == expected
+
+
+def test_query_cosine_refuses_another_dimension():
+    with pytest.raises(ValueError):
+        query_cosine(np.ones(3), 3.0**0.5, np.ones(2))
 
 
 # --- hashing embedder ---------------------------------------------------------

@@ -383,13 +383,13 @@ class CountingEmbedder(HashingEmbedder):
 def test_question_scores_each_identifier_once_across_depths_and_coverage(monkeypatch):
     g, idx, emb, dataset, backend = fixture_harness()
     scored = []
-    real_cosine = pathrag.cosine
+    real_cosine = pathrag.query_cosine
 
-    def counting_cosine(a, b):
-        scored.append(id(b))
-        return real_cosine(a, b)
+    def counting_cosine(query, query_norm, vec):
+        scored.append(id(vec))
+        return real_cosine(query, query_norm, vec)
 
-    monkeypatch.setattr(pathrag, "cosine", counting_cosine)
+    monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
     for record in dataset:
         scored.clear()
         result, trace = evaluate_question(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgreason import pathrag
 from kgreason.embedding import EmbeddingIndex, HashingEmbedder, build_index
@@ -59,6 +60,37 @@ def hand_index(entity_vecs, relation_vecs):
     for name, vec in relation_vecs.items():
         idx.relation_vectors[name] = np.array(vec, dtype=float)
     return idx
+
+
+def brute_force_candidates(g, idx, q, frontier, config):
+    """Every step out of ``frontier`` scored by ``oracle_candidate``, fully
+    sorted by (-total, relation, entity), head of m."""
+    candidates = [
+        oracle_candidate(g, idx, q, ReasoningStep(r, e), config.alpha)
+        for r, e in sorted(g.adjacency.get(frontier, ()))
+    ]
+    candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
+    return candidates[: config.m]
+
+
+def as_text(candidates):
+    """Steps and the reprs of their scores, so that NaN equals NaN and -0.0
+    differs from 0.0."""
+    return [(c.step, repr(c.base_score), repr(c.lookahead_bonus), repr(c.total_score)) for c in candidates]
+
+
+def counting_query_cosine(monkeypatch):
+    """Patch ``pathrag.query_cosine`` and return the list of the ids of the
+    vectors it is called with."""
+    scored = []
+    real_cosine = pathrag.query_cosine
+
+    def counting_cosine(query, query_norm, vec):
+        scored.append(id(vec))
+        return real_cosine(query, query_norm, vec)
+
+    monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
+    return scored
 
 
 # --- config ----------------------------------------------------------------
@@ -219,18 +251,115 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
         step: oracle_candidate(g, idx, q, step, 0.3)
         for step in (ReasoningStep("r", "A"), ReasoningStep("r", "B"), ReasoningStep("s", "C"))
     }
-    scored = []
-    real_cosine = pathrag.cosine
-
-    def counting_cosine(a, b):
-        scored.append(id(b))
-        return real_cosine(a, b)
-
-    monkeypatch.setattr(pathrag, "cosine", counting_cosine)
+    scored = counting_query_cosine(monkeypatch)
     got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
     assert {c.step: c for c in got} == expected
     # relations r, s, t, u and entities A, B, C, X, Y, Z
     assert len(scored) == len(set(scored)) == 10
+
+
+def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
+    """300 steps out of hub H, each to an entity with two onward steps: only
+    the steps and onward steps that can still rank in the top m are scored
+    with the exact cosine."""
+    rng = np.random.default_rng(11)
+    triples = [Triple("H", f"r{i % 3}", f"n{i:03d}") for i in range(300)]
+    triples += [
+        Triple(f"n{i:03d}", f"s{j}", f"leaf{rng.integers(60):02d}") for i in range(300) for j in range(2)
+    ]
+    g = KnowledgeGraph.from_triples(triples)
+    idx = hand_index(
+        {name: rng.standard_normal(16) for name in sorted(g.entities)},
+        {name: rng.standard_normal(16) for name in sorted(g.relations)},
+    )
+    q = rng.standard_normal(16)
+    config = RetrievalConfig()
+    expected = brute_force_candidates(g, idx, q, "H", config)
+    scored = counting_query_cosine(monkeypatch)
+    assert candidate_steps(g, idx, HashingEmbedder(), q, "H", config) == expected
+    assert len(scored) == len(set(scored)) <= 40
+
+
+VECTOR_KINDS = st.sampled_from(["pool"] * 30 + ["zero", "missing", "tiny"])
+SCALES = st.sampled_from([1.0, 3.0, 0.1, 5.0, 7.0, 11.0, 1e3])
+
+
+@st.composite
+def wide_frontiers(draw):
+    """A graph whose frontier F has more steps than m, an index of 3-d
+    vectors drawn as scaled copies of a small pool (so exact ties and ties
+    up to rounding are common), with
+    zero-norm, subnormal and missing rows and maybe one NaN row, a query
+    and a config."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    entities = [f"e{i}" for i in range(draw(st.integers(min_value=6, max_value=14)))]
+    relations = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
+    steps = draw(
+        st.lists(
+            st.tuples(st.sampled_from(relations), st.sampled_from(entities)),
+            min_size=m + 1, max_size=m + 10, unique=True,
+        )
+    )
+    triples = [Triple("F", r, e) for r, e in steps]
+    for entity in draw(st.lists(st.sampled_from(entities), max_size=4, unique=True)):
+        onward = draw(
+            st.lists(st.tuples(st.sampled_from(relations), st.sampled_from(entities + ["F"])), min_size=1, max_size=6)
+        )
+        triples += [Triple(entity, r, t) for r, t in onward]
+    # generic components: small integers would make most cosines exact
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    pool = rng.uniform(-4, 4, (draw(st.integers(min_value=1, max_value=2)), 3)).tolist()
+    rows = {"zero": [0.0, -0.0, 0.0], "tiny": [1e-160, 0.0, 0.0]}
+
+    def vectors(names):
+        drawn = {}
+        for name in names:
+            kind = draw(VECTOR_KINDS)
+            if kind == "pool":
+                # scaled copies share a true cosine but round differently
+                scale = draw(SCALES)
+                drawn[name] = [scale * x for x in draw(st.sampled_from(pool))]
+            elif kind != "missing":
+                drawn[name] = rows[kind]
+        return drawn
+
+    entity_vecs, relation_vecs = vectors(["F"] + entities), vectors(relations)
+    if draw(st.integers(min_value=0, max_value=9)) == 0 and entity_vecs:
+        entity_vecs[draw(st.sampled_from(sorted(entity_vecs)))] = [float("nan"), 0.0, 0.0]
+    query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
+    config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])))
+    return KnowledgeGraph.from_triples(triples), hand_index(entity_vecs, relation_vecs), np.array(query), config
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_frontiers())
+def test_wide_frontier_equals_a_full_sort_of_the_oracle(drawn):
+    g, idx, q, config = drawn
+    expected = brute_force_candidates(g, idx, q, "F", config)
+    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", config)
+    assert as_text(got) == as_text(expected)
+    if not any(np.isnan(vec).any() for vec in idx.entity_vectors.values()):
+        assert got == expected
+
+
+def test_wide_frontier_bonus_is_exact_when_onward_steps_tie_up_to_rounding():
+    """n0's twelve onward steps lead to scaled copies of one vector, so their
+    bases are equal up to rounding, which approximate and exact cosines
+    round differently; n0 ranks first on a frontier wider than m and its
+    bonus must still be the exact maximum."""
+    scales = [1.0, 3.0, 0.1, 7.0, 1e3, 5.0, 11.0, 13.0, 0.3, 17.0, 19.0, 23.0]
+    triples = [Triple("F", "r", f"n{i}") for i in range(3)]
+    triples += [Triple("n0", "s", f"t{i:02d}") for i in range(len(scales))]
+    g = KnowledgeGraph.from_triples(triples)
+    step = ReasoningStep("r", "n0")
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        v, q = rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3)
+        entity_vecs = {f"t{i:02d}": v * scale for i, scale in enumerate(scales)}
+        entity_vecs.update(n0=q, n1=-q, n2=-q)
+        idx = hand_index(entity_vecs, {"r": rng.uniform(-4, 4, 3), "s": rng.uniform(-4, 4, 3)})
+        got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig(m=2))
+        assert got[0] == oracle_candidate(g, idx, q, step, 0.3)
 
 
 def test_score_context_refuses_another_query_graph_index_or_embedder():
