@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
@@ -166,13 +166,19 @@ class SearchTrace:
 
     def call_records(self) -> list[CallRecord]:
         """The ``llm_call`` events as records; keys that are not a
-        ``CallRecord`` field are ignored."""
+        ``CallRecord`` field are ignored. An event that lacks a field
+        without a default is a ``ValueError`` naming it and the keys."""
         names = [f.name for f in fields(CallRecord)]
-        return [
-            CallRecord(**{name: event[name] for name in names if name in event})
-            for event in self.events
-            if event.get("event") == "llm_call"
-        ]
+        required = [f.name for f in fields(CallRecord) if f.default is MISSING]
+        records = []
+        for number, event in enumerate(self.events, start=1):
+            if event.get("event") != "llm_call":
+                continue
+            missing = [name for name in required if name not in event]
+            if missing:
+                raise ValueError(f"trace event {number} (llm_call) lacks {', '.join(missing)}")
+            records.append(CallRecord(**{name: event[name] for name in names if name in event}))
+        return records
 
     def prune_events(self) -> list[dict]:
         return [e for e in self.events if e.get("event") == "prune"]

@@ -142,6 +142,24 @@ def test_ask_replay_reproduces_answers(index_file, tmp_path, capsys):
     assert replay_answers == live_answers
 
 
+@pytest.mark.parametrize("dropped", ["key", "bindings_digest", "response"])
+def test_ask_replay_of_a_call_without_a_field_is_a_usage_error(
+    index_file, tmp_path, capsys, dropped
+):
+    trace_path = tmp_path / "run.trace"
+    assert main(ask_args(index_file, IRAN_Q, "Iranian_rial", trace=str(trace_path))) == EXIT_OK
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    (number, call) = next((n, e) for n, e in enumerate(events, 1) if e["event"] == "llm_call")
+    del call[dropped]
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    capsys.readouterr()
+    code = main(["ask", "--kg", "fixtures/combined.tsv", "--index", str(index_file),
+                 "--replay", str(trace_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == f"error: trace event {number} (llm_call) lacks {dropped}\n"
+
+
 def test_ask_unknown_topic_entity_is_runtime_error(index_file, capsys):
     code = main(ask_args(index_file, BIEBER_Q, "Atlantis"))
     assert code == EXIT_RUNTIME

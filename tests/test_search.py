@@ -811,6 +811,20 @@ def test_call_records_default_missing_tokens_and_ignore_unknown_keys():
     assert trace.call_records() == [CallRecord("final_reason", "d1", "A", 0, 0)]
 
 
+def test_call_records_name_the_event_and_its_missing_keys():
+    trace = SearchTrace(
+        "q",
+        [
+            {"event": "run_start", "schema": TRACE_SCHEMA},
+            {"event": "llm_call", "key": "plan", "bindings_digest": "d0", "response": "{}"},
+            {"event": "llm_call", "bindings_digest": "d1", "prompt_tokens": 3},
+        ],
+    )
+    with pytest.raises(ValueError) as exc:
+        trace.call_records()
+    assert str(exc.value) == "trace event 3 (llm_call) lacks key, response"
+
+
 def test_trace_requires_schema_header():
     with pytest.raises(ValueError):
         SearchTrace.from_jsonl(io.StringIO('{"event": "run_start"}\n'))
