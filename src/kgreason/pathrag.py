@@ -26,17 +26,19 @@ MODE_KAPING = "kaping"
 RETRIEVER_MODES = (MODE_PATH_RAG, MODE_VANILLA, MODE_KAPING)
 
 # How far an approximate Path-RAG score may lie from the exact one. Let
-# u = 2^-53 and d the dimension. A dot product of d terms summed in any order
-# is within d*u*|x|*|y| of the true one (Higham, Accuracy and Stability of
-# Numerical Algorithms, eq. 3.5), as long as nothing overflows or underflows,
-# which holds when every squared norm lies in _SAFE_SQUARED_NORMS. So a
+# u = 2^-53 and d the dimension. A dot product of d terms, summed in any order
+# and with or without fused multiply-adds, is within d*u*|x|*|y| (to first
+# order) of the true one (Higham, Accuracy and Stability of Numerical
+# Algorithms, section 3.1), as long as nothing overflows or underflows, which
+# holds when every squared norm is 0 or lies in _SAFE_SQUARED_NORMS. So a
 # cosine from a matrix product and vectorized row norms, and one from
 # ``query_cosine``, are each within (2d + 5)u of the true cosine, and of each
 # other within (4d + 10)u. A base (two similarities, two additions) is then
 # off by at most (8d + 24)u, a bonus (a max of bases) by as much, and a total
-# base + alpha*bonus by at most (1 + alpha)(8d + 32)u. _BASE_ERROR bounds
-# (8d + 32)u for every d up to _MAX_DIMENSION, far above the rounding of
-# the band arithmetic itself. A larger index is scored exactly.
+# base + alpha*bonus by at most (1 + alpha)(8d + 32)u. For every d up to
+# _MAX_DIMENSION, _BASE_ERROR exceeds (8d + 32)u by over 2^-31, a margin that
+# covers the rounding of the band arithmetic itself. A larger index is
+# scored exactly.
 _BASE_ERROR = 2.0**-30
 _MAX_DIMENSION = 2**19
 _SAFE_SQUARED_NORMS = (2.0**-900, 2.0**900)
@@ -154,7 +156,9 @@ class ScoreContext:
             )
         return best
 
-    def score(self, relation: str, entity: str, alpha: float, banded: bool = False) -> ScoredCandidate:
+    def score(
+        self, relation: str, entity: str, alpha: float, banded: bool = False
+    ) -> ScoredCandidate:
         base = self.base(relation, entity)
         bonus = self.best_onward(entity, banded)
         return ScoredCandidate(ReasoningStep(relation, entity), base, bonus, base + alpha * bonus)
@@ -238,7 +242,8 @@ def _approximate_cosines(vectors: list[np.ndarray], query: np.ndarray) -> list[f
     query_squared = float(query.dot(query))
     row_squared = np.einsum("ij,ij->i", rows, rows)
     zero = row_squared == 0.0
-    if not low <= query_squared <= high or not np.all(zero | ((row_squared >= low) & (row_squared <= high))):
+    in_range = zero | ((row_squared >= low) & (row_squared <= high))
+    if not low <= query_squared <= high or not np.all(in_range):
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
         cosines = rows @ query / (np.sqrt(row_squared) * math.sqrt(query_squared))

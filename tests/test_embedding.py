@@ -146,7 +146,10 @@ EDGE_VALUES = st.floats(allow_nan=False, allow_infinity=False, width=64) | st.sa
     st.integers(min_value=1, max_value=6).flatmap(
         lambda d: st.tuples(
             st.lists(EDGE_VALUES, min_size=d, max_size=d) | st.just([0.0] * d),
-            st.lists(st.lists(EDGE_VALUES, min_size=d, max_size=d) | st.just([-0.0] * d), min_size=1, max_size=4),
+            st.lists(
+                st.lists(EDGE_VALUES, min_size=d, max_size=d) | st.just([-0.0] * d),
+                min_size=1, max_size=4,
+            ),
         )
     )
 )

@@ -76,7 +76,10 @@ def brute_force_candidates(g, idx, q, frontier, config):
 def as_text(candidates):
     """Steps and the reprs of their scores, so that NaN equals NaN and -0.0
     differs from 0.0."""
-    return [(c.step, repr(c.base_score), repr(c.lookahead_bonus), repr(c.total_score)) for c in candidates]
+    return [
+        (c.step, repr(c.base_score), repr(c.lookahead_bonus), repr(c.total_score))
+        for c in candidates
+    ]
 
 
 def counting_query_cosine(monkeypatch):
@@ -265,7 +268,9 @@ def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
     rng = np.random.default_rng(11)
     triples = [Triple("H", f"r{i % 3}", f"n{i:03d}") for i in range(300)]
     triples += [
-        Triple(f"n{i:03d}", f"s{j}", f"leaf{rng.integers(60):02d}") for i in range(300) for j in range(2)
+        Triple(f"n{i:03d}", f"s{j}", f"leaf{rng.integers(60):02d}")
+        for i in range(300)
+        for j in range(2)
     ]
     g = KnowledgeGraph.from_triples(triples)
     idx = hand_index(
@@ -286,11 +291,11 @@ SCALES = st.sampled_from([1.0, 3.0, 0.1, 5.0, 7.0, 11.0, 1e3])
 
 @st.composite
 def wide_frontiers(draw):
-    """A graph whose frontier F has more steps than m, an index of 3-d
-    vectors drawn as scaled copies of a small pool (so exact ties and ties
-    up to rounding are common), with
-    zero-norm, subnormal and missing rows and maybe one NaN row, a query
-    and a config."""
+    """A graph whose frontier F has more steps than m; an index of 3-d
+    vectors drawn as scaled copies of a small pool, so that exact ties and
+    ties up to rounding are common, plus zero rows, rows with a subnormal
+    squared norm, missing rows and maybe one NaN row; a query, possibly
+    zero; and a config."""
     m = draw(st.integers(min_value=1, max_value=5))
     entities = [f"e{i}" for i in range(draw(st.integers(min_value=6, max_value=14)))]
     relations = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
@@ -303,7 +308,10 @@ def wide_frontiers(draw):
     triples = [Triple("F", r, e) for r, e in steps]
     for entity in draw(st.lists(st.sampled_from(entities), max_size=4, unique=True)):
         onward = draw(
-            st.lists(st.tuples(st.sampled_from(relations), st.sampled_from(entities + ["F"])), min_size=1, max_size=6)
+            st.lists(
+                st.tuples(st.sampled_from(relations), st.sampled_from(entities + ["F"])),
+                min_size=1, max_size=6,
+            )
         )
         triples += [Triple(entity, r, t) for r, t in onward]
     # generic components: small integers would make most cosines exact
@@ -328,7 +336,8 @@ def wide_frontiers(draw):
         entity_vecs[draw(st.sampled_from(sorted(entity_vecs)))] = [float("nan"), 0.0, 0.0]
     query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
     config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])))
-    return KnowledgeGraph.from_triples(triples), hand_index(entity_vecs, relation_vecs), np.array(query), config
+    g = KnowledgeGraph.from_triples(triples)
+    return g, hand_index(entity_vecs, relation_vecs), np.array(query), config
 
 
 @settings(max_examples=200, deadline=None)
