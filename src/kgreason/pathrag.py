@@ -139,28 +139,25 @@ class ScoreContext:
             + self._similarity(self.entity_sims, self.idx.entity_vectors, entity)
         )
 
-    def best_onward(self, entity: str, banded: bool = False) -> float:
-        """The best base over the entity's onward pairs; ``banded`` scores
-        exactly only the pairs within twice the error bound of the
-        approximate maximum (their approximations must exist), since the
-        exact maximum's pair is among them."""
+    def best_onward(self, entity: str) -> float:
+        """The best base over the entity's onward pairs. Once their maximum
+        has been approximated, only the pairs within twice the error bound of
+        it are scored exactly: the exact maximum's pair is among them."""
         best = self.best_next.get(entity)
         if best is None:
             pairs = self.g.adjacency.get(entity, ())
-            if banded and len(pairs) > 1:
+            if entity in self.approx_next and len(pairs) > 1:
+                floor = self.approx_next[entity] - 2 * _BASE_ERROR
                 approx = self._approx_bases(pairs)
-                floor = max(approx) - 2 * _BASE_ERROR
                 pairs = [pair for pair, score in zip(pairs, approx) if score >= floor]
             best = self.best_next[entity] = max(
                 (self.base(relation, tail) for relation, tail in pairs), default=0.0
             )
         return best
 
-    def score(
-        self, relation: str, entity: str, alpha: float, banded: bool = False
-    ) -> ScoredCandidate:
+    def score(self, relation: str, entity: str, alpha: float) -> ScoredCandidate:
         base = self.base(relation, entity)
-        bonus = self.best_onward(entity, banded)
+        bonus = self.best_onward(entity)
         return ScoredCandidate(ReasoningStep(relation, entity), base, bonus, base + alpha * bonus)
 
     def top_candidates(
@@ -179,7 +176,7 @@ class ScoreContext:
         ]
         floor = heapq.nlargest(m, totals)[-1] - 2 * (1 + alpha) * _BASE_ERROR
         return [
-            self.score(relation, entity, alpha, banded=True)
+            self.score(relation, entity, alpha)
             for (relation, entity), total in zip(pairs, totals)
             if total >= floor
         ]
