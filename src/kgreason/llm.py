@@ -312,10 +312,11 @@ def classify_verdict(text: str) -> bool:
 
     'yes' (any case, with surrounding quotes or punctuation) is True, 'no' is
     False, anything else is False with a warning; unknown answers must never
-    pass verification.
+    pass verification. A response of nothing but quotes and brackets has no
+    token, so it is unrecognized too.
     """
-    token = text.strip().lstrip("\"'`[(").split(None, 1)[0] if text.strip() else ""
-    token = token.strip(".,!:;\"'`)]").lower()
+    words = text.strip().lstrip("\"'`[(").split(None, 1)
+    token = words[0].strip(".,!:;\"'`)]").lower() if words else ""
     if token == "yes":
         return True
     if token != "no":

@@ -131,6 +131,13 @@ def test_verdict_unknown_fails_closed(caplog):
     assert any("verdict" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.parametrize("text", ["(", '"', '["', "```"])
+def test_verdict_of_only_quotes_and_brackets_is_unrecognized(text, caplog):
+    with caplog.at_level(logging.WARNING):
+        assert classify_verdict(text) is False
+    assert any("verdict" in rec.message for rec in caplog.records)
+
+
 # --- usage accounting ----------------------------------------------------------
 
 
