@@ -108,13 +108,32 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 class EmbeddingIndex:
     """One vector per entity and per relation of a single graph.
 
-    Immutable after build; queries are thread-safe.
+    :func:`build_index` and :func:`load_index` stack each vocabulary's
+    vectors, in sorted identifier order, into one float64 matrix
+    (``entity_matrix``, ``relation_matrix``), and the dicts hold its rows as
+    views; an index filled in by hand has only the dicts. Immutable after
+    build; queries are thread-safe.
     """
 
     dimension: int
     fingerprint: str
     entity_vectors: dict[str, np.ndarray] = field(default_factory=dict)
     relation_vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    entity_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    relation_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The rows laid out by one graph's ids, kept by pathrag.ScoreContext so
+    # that a graph and its index are aligned once, not once per question.
+    by_graph: object = field(default=None, init=False, repr=False, compare=False)
+
+
+def _from_rows(fingerprint: str, entities: list[str], relations: list[str], matrix: np.ndarray) -> EmbeddingIndex:
+    """The index whose vectors are the rows of ``matrix``: the entities',
+    then the relations', each in the order given."""
+    entity_matrix, relation_matrix = matrix[: len(entities)], matrix[len(entities) :]
+    return EmbeddingIndex(
+        matrix.shape[1], fingerprint, dict(zip(entities, entity_matrix)),
+        dict(zip(relations, relation_matrix)), entity_matrix, relation_matrix,
+    )
 
 
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
@@ -122,20 +141,16 @@ def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
 
     An embedder failure aborts the build and names the failing identifier.
     """
-    if not g.entities and not g.relations:
+    if not g.entity_names and not g.relation_names:
         raise ValueError("cannot index an empty graph")
-    index = EmbeddingIndex(dimension=0, fingerprint=emb.fingerprint)
     dimension = None
-    for identifier in sorted(g.entities):
+    rows = []
+    for identifier in g.entity_names + g.relation_names:
         vec = _embed_item(emb, identifier)
         dimension = _check_dim(dimension, vec, identifier)
-        index.entity_vectors[identifier] = vec
-    for identifier in sorted(g.relations):
-        vec = _embed_item(emb, identifier)
-        dimension = _check_dim(dimension, vec, identifier)
-        index.relation_vectors[identifier] = vec
-    index.dimension = int(dimension) if dimension is not None else 0
-    return index
+        rows.append(vec)
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
+    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, matrix)
 
 
 def _embed_item(emb: Embedder, identifier: str) -> np.ndarray:
@@ -204,8 +219,10 @@ def save_index(idx: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    """Read a file written by :func:`save_index`. Another format, a body of
-    the wrong length or a trailing byte is a ``ValueError``."""
+    """Read a file written by :func:`save_index`. Another format, a header
+    without any of its five keys, a dimension that is not a non-negative
+    integer, identifier lists that are not strictly sorted lists of strings,
+    a body of the wrong length or a trailing byte is a ``ValueError``."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -214,13 +231,19 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         found = header.get("format") if isinstance(header, dict) else None
         if found != INDEX_FORMAT:
             raise ValueError(f"unsupported index format {found!r}, expected {INDEX_FORMAT!r}")
+        missing = sorted({"dimension", "entities", "fingerprint", "relations"} - header.keys())
+        if missing:
+            raise ValueError(f"index header of {path} lacks {', '.join(missing)}")
         entities, relations, dimension = header["entities"], header["relations"], header["dimension"]
+        if type(dimension) is not int or dimension < 0:
+            raise ValueError(f"index dimension {dimension!r} is not a non-negative integer")
+        for key, names in (("entities", entities), ("relations", relations)):
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names) or any(
+                a >= b for a, b in zip(names, names[1:])
+            ):
+                raise ValueError(f"index {key} of {path} are not a strictly sorted list of strings")
         rows = len(entities) + len(relations)
         matrix = np.fromfile(fh, dtype="<f8", count=rows * dimension)
         if matrix.size != rows * dimension or fh.read(1):
             raise ValueError(f"index body of {path} does not hold {rows} vectors of dimension {dimension}")
-    matrix = matrix.reshape(rows, dimension)
-    idx = EmbeddingIndex(dimension=dimension, fingerprint=header["fingerprint"])
-    idx.entity_vectors = dict(zip(entities, matrix))
-    idx.relation_vectors = dict(zip(relations, matrix[len(entities):]))
-    return idx
+    return _from_rows(header["fingerprint"], entities, relations, matrix.reshape(rows, dimension))

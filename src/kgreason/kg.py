@@ -1,8 +1,10 @@
 """Triple store: load, index and query a directed labeled graph, and check
 reasoning paths against it.
 
-The graph is immutable once loaded; every read operation is safe to share
-across threads.
+A graph interns its entities and relations to ids in sorted identifier order
+and keeps its edges as one CSR, so a head's edges are one sorted slice of
+two id arrays. The graph is immutable once loaded; every read operation is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import io
 import os
 import re
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass
+from typing import IO, Iterable, Iterator, KeysView, Optional, Union
+
+import numpy as np
 
 MISSING_TRIPLE = "missing-triple"
 FORMAT_ERROR = "format-error"
@@ -123,42 +127,88 @@ class ValidityReport:
         return self.valid_step_count == self.total_step_count
 
 
-@dataclass
 class KnowledgeGraph:
-    """Directed labeled edges, stored once as an adjacency index: each head
-    maps to its set of (relation, tail) pairs.
+    """Directed labeled edges over one interned vocabulary.
 
-    Treat instances as immutable after construction.
+    Entities and relations have ids in sorted identifier order:
+    ``entity_names[i]`` is entity i and ``entity_ids`` maps it back, and so
+    for relations. Each edge is stored once, in a CSR (compressed sparse
+    rows): the edges out of head h are positions ``offsets[h]`` to
+    ``offsets[h + 1]`` of ``edge_relations`` and ``edge_tails``, sorted by
+    relation id, then tail id, which is (relation, tail) name order.
+
+    Graphs are immutable; the arrays are read-only.
     """
 
-    entities: set[str] = field(default_factory=set)
-    relations: set[str] = field(default_factory=set)
-    adjacency: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
+    def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
+        """The graph of the ``(head, relation, tail)`` ``edges``, without
+        duplicates, plus any ``entities`` that no edge names."""
+        edges = list(edges)
+        heads, relations, tails = ([edge[i] for edge in edges] for i in range(3))
+        self.entity_names = tuple(sorted({*heads, *tails, *entities}))
+        self.relation_names = tuple(sorted(set(relations)))
+        self.entity_ids = {name: i for i, name in enumerate(self.entity_names)}
+        self.relation_ids = {name: i for i, name in enumerate(self.relation_names)}
+        entity_id, relation_id = self.entity_ids.__getitem__, self.relation_ids.__getitem__
+        coded = np.array(
+            [list(map(entity_id, heads)), list(map(relation_id, relations)), list(map(entity_id, tails))],
+            dtype=np.intp,
+        ).reshape(3, -1)
+        n_entities, n_relations = len(self.entity_names), len(self.relation_names)
+        if n_entities**2 * n_relations < 2**63:  # one int64 key per edge sorts fastest
+            order = np.argsort((coded[0] * n_relations + coded[1]) * n_entities + coded[2])
+        else:
+            order = np.lexsort(coded[::-1])
+        coded = coded[:, order]  # sorted by head, then relation, then tail
+        first = np.ones(coded.shape[1], dtype=bool)
+        first[1:] = np.any(coded[:, 1:] != coded[:, :-1], axis=0)  # duplicates dropped
+        heads, self.edge_relations, self.edge_tails = coded[:, first]
+        self.offsets = np.searchsorted(heads, np.arange(n_entities + 1))
+        for array in (self.offsets, self.edge_relations, self.edge_tails):
+            array.flags.writeable = False
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        g = cls()
-        for t in triples:
-            g._add(t.head, t.relation, t.tail)
-        return g
+        return cls((t.head, t.relation, t.tail) for t in triples)
 
-    def _add(self, head: str, relation: str, tail: str) -> None:
-        self.entities.add(head)
-        self.entities.add(tail)
-        self.relations.add(relation)
-        self.adjacency.setdefault(head, set()).add((relation, tail))
+    @property
+    def entities(self) -> KeysView[str]:
+        """Every entity, as a set-like view in id order."""
+        return self.entity_ids.keys()
+
+    @property
+    def relations(self) -> KeysView[str]:
+        """Every relation, as a set-like view in id order."""
+        return self.relation_ids.keys()
+
+    def steps(self, entity: str) -> list[tuple[str, str]]:
+        """The (relation, tail) pairs of the edges out of ``entity``, sorted;
+        none for an unknown entity."""
+        head = self.entity_ids.get(entity)
+        lo, hi = (0, 0) if head is None else self.offsets[head : head + 2].tolist()
+        relations, tails = self.edge_relations[lo:hi].tolist(), self.edge_tails[lo:hi].tolist()
+        return [(self.relation_names[r], self.entity_names[t]) for r, t in zip(relations, tails)]
+
+    def edges(self) -> Iterator[tuple[str, str, str]]:
+        """Every edge as (head, relation, tail), in id order."""
+        heads = np.repeat(np.arange(len(self.entity_names)), np.diff(self.offsets)).tolist()
+        for h, r, t in zip(heads, self.edge_relations.tolist(), self.edge_tails.tolist()):
+            yield self.entity_names[h], self.relation_names[r], self.entity_names[t]
 
     @property
     def triples(self) -> frozenset[Triple]:
-        """Every edge as a Triple, built from the adjacency on each access."""
-        return frozenset(
-            Triple(head, relation, tail)
-            for head, pairs in self.adjacency.items()
-            for relation, tail in pairs
-        )
+        """Every edge as a Triple, built on each access."""
+        return frozenset(Triple(*edge) for edge in self.edges())
 
     def __len__(self) -> int:
-        return sum(len(pairs) for pairs in self.adjacency.values())
+        return len(self.edge_tails)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeGraph):
+            return NotImplemented
+        return self.entity_names == other.entity_names and list(self.edges()) == list(other.edges())
+
+    __hash__ = None
 
 
 def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
@@ -171,7 +221,7 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     number; so does an identifier containing ``->``, the separator of the
     arrow format that paths are written in.
     """
-    g = KnowledgeGraph()
+    edges = []
     for line_number, raw in enumerate(_iter_lines(source), start=1):
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -186,8 +236,8 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
         head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not head or not relation or not tail:
             raise TripleParseError("empty field after normalization", line_number)
-        g._add(head, relation, tail)
-    return g
+        edges.append((head, relation, tail))
+    return KnowledgeGraph(edges)
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -212,11 +262,7 @@ def read_text(source: Union[str, os.PathLike, IO[str]]) -> str:
 
 def serialize(g: KnowledgeGraph) -> str:
     """Inverse of :func:`load_triples` on the triple set; lines are sorted."""
-    lines = sorted(
-        f"{head}\t{relation}\t{tail}"
-        for head, pairs in g.adjacency.items()
-        for relation, tail in pairs
-    )
+    lines = sorted(f"{head}\t{relation}\t{tail}" for head, relation, tail in g.edges())
     return "".join(line + "\n" for line in lines)
 
 
@@ -225,11 +271,19 @@ def neighbors(g: KnowledgeGraph, entity: str) -> set[tuple[str, str]]:
 
     Unknown entities have an empty neighborhood.
     """
-    return set(g.adjacency.get(entity, ()))
+    return set(g.steps(entity))
 
 
 def contains_triple(g: KnowledgeGraph, head: str, relation: str, tail: str) -> bool:
-    return (relation, tail) in g.adjacency.get(head, ())
+    h, r, t = g.entity_ids.get(head), g.relation_ids.get(relation), g.entity_ids.get(tail)
+    if h is None or r is None or t is None:
+        return False
+    start, end = g.offsets[h : h + 2].tolist()
+    # the row is sorted by relation, then tail: find r's run, then t in it
+    first, last = (start + g.edge_relations[start:end].searchsorted([r, r + 1])).tolist()
+    tails = g.edge_tails[first:last]
+    i = tails.searchsorted(t)
+    return bool(i < len(tails) and tails[i] == t)
 
 
 def validate_path(g: KnowledgeGraph, path: ReasoningPath) -> ValidityReport:

@@ -10,7 +10,7 @@ comparison runs.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import Embedder, EmbeddingIndex, cosine, norm, query_cosine
-from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple, neighbors
+from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple
 
 MODE_PATH_RAG = "path-rag"
 MODE_VANILLA = "vanilla"
@@ -30,12 +30,14 @@ RETRIEVER_MODES = (MODE_PATH_RAG, MODE_VANILLA, MODE_KAPING)
 # and with or without fused multiply-adds, is within d*u*|x|*|y| (to first
 # order) of the true one (Higham, Accuracy and Stability of Numerical
 # Algorithms, section 3.1), as long as nothing overflows or underflows, which
-# holds when every squared norm is 0 or lies in _SAFE_SQUARED_NORMS. So a
-# cosine from a matrix product and vectorized row norms, and one from
-# ``query_cosine``, are each within (2d + 5)u of the true cosine, and of each
-# other within (4d + 10)u. A base (two similarities, two additions) is then
-# off by at most (8d + 24)u, a bonus (a max of bases) by as much, and a total
-# base + alpha*bonus by at most (1 + alpha)(8d + 32)u. For every d up to
+# holds when every squared norm is 0 or lies in _SAFE_SQUARED_NORMS. A norm
+# sqrt(x.x) is then within (d/2 + 1)u of the true one, relatively, and a
+# quotient by it within (d/2 + 2)u. So a cosine from one matrix-vector
+# product of the rows with the query over its norm, times each row's inverse
+# norm, and one from ``query_cosine``, are each within (2d + 5)u of the true
+# cosine, and of each other within (4d + 10)u. A base (two similarities, two
+# additions) is then off by at most (8d + 24)u, a bonus (a max of bases) by
+# as much, and a total base + alpha*bonus by at most (1 + alpha)(8d + 32)u. For every d up to
 # _MAX_DIMENSION, _BASE_ERROR exceeds (8d + 32)u by over 2^-31, a margin that
 # covers the rounding of the band arithmetic itself. A larger index is
 # scored exactly.
@@ -69,30 +71,50 @@ class RetrievalConfig:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
 
 
+def _rows(vectors: dict[str, np.ndarray], matrix: np.ndarray | None, names: tuple[str, ...]):
+    """One vocabulary of an index laid out by a graph's ids: every id's
+    vector (``None`` when it is not indexed), the matrix that stacks them
+    (zero rows for the unindexed) and one over each row's norm (0 for a zero
+    row). The last two are ``None`` when the rows differ in length or their
+    cosines to a query have no proven approximation (see _BASE_ERROR)."""
+    rows = [vectors.get(name) for name in names]
+    if matrix is None or tuple(vectors) != names:  # not built or loaded in the graph's id order
+        rows = [None if vec is None else np.asarray(vec, dtype=np.float64) for vec in rows]
+        try:
+            zero = np.zeros_like(next(vec for vec in rows if vec is not None))
+            matrix = np.stack([zero if vec is None else vec for vec in rows])
+        except (StopIteration, ValueError):  # nothing indexed, or vectors of different lengths
+            return rows, None, None
+    if matrix.ndim != 2 or matrix.shape[1] > _MAX_DIMENSION:
+        return rows, None, None
+    squared = np.einsum("ij,ij->i", matrix, matrix)
+    low, high = _SAFE_SQUARED_NORMS
+    if not np.all((squared == 0.0) | ((squared >= low) & (squared <= high))):
+        return rows, None, None
+    with np.errstate(divide="ignore"):
+        return rows, matrix, np.where(squared == 0.0, 0.0, 1.0 / np.sqrt(squared))
+
+
 class ScoreContext:
     """The Path-RAG scores of one question's query, shared by every frontier
     of its search and by its coverage walk; one question, one thread.
 
     Built for one graph, index and embedder, it binds the query on first use
-    and raises ``ValueError`` when used with any other. Each relation's and
-    entity's cosine to the query (0 if not indexed) and each entity's best
-    onward step are computed once, on first use. On a frontier with more
-    neighbours than m, the cosines of its steps and of their onward steps are
-    first approximated, with one matrix product per frontier and each
-    identifier once, so that only the steps and onward steps that can come
-    out on top are scored exactly.
+    and raises ``ValueError`` when used with any other. Scores are kept in
+    lists indexed by graph id. On binding, the cosine of every relation and
+    entity to the query is approximated, with one matrix-vector product per
+    vocabulary. Every frontier is then ranked by one rule: the approximate
+    totals of its steps, from its CSR row and its tails' rows, pick the steps
+    that can rank among the top m and, for each, the onward steps that can
+    give its bonus, and only those are scored exactly, each identifier once
+    per question. When an approximation has no proven error bound, every
+    step and onward step is scored exactly.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
         self.g, self.idx, self.emb = g, idx, emb
         self.query_text: str | None = None
         self.query_vec: np.ndarray | None = None
-        self.relation_sims: dict[str, float] = {}
-        self.entity_sims: dict[str, float] = {}
-        self.best_next: dict[str, float] = {}
-        self.approx_relation_sims: dict[str, float] = {}
-        self.approx_entity_sims: dict[str, float] = {}
-        self.approx_next: dict[str, float] = {}
 
     def embed_query(self, text: str) -> np.ndarray:
         """The query vector of ``text``, embedded only on the first call."""
@@ -111,140 +133,98 @@ class ScoreContext:
         return self
 
     def _bind_vector(self, query_vec: np.ndarray) -> None:
-        if self.query_vec is None:
-            self.query_vec = query_vec
-            self._query = np.asarray(query_vec, dtype=np.float64)
-            self._query_norm = norm(self._query)
-        elif query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
-            raise ValueError("score context was built for another query vector")
-
-    def _similarity(
-        self, sims: dict[str, float], vectors: dict[str, np.ndarray], identifier: str
-    ) -> float:
-        sim = sims.get(identifier)
-        if sim is None:
-            vec = vectors.get(identifier)
-            sim = sims[identifier] = (
-                0.0
-                if vec is None
-                else query_cosine(self._query, self._query_norm, np.asarray(vec, dtype=np.float64))
+        if self.query_vec is not None:
+            if query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
+                raise ValueError("score context was built for another query vector")
+            return
+        g, idx = self.g, self.idx
+        self.query_vec = query_vec
+        self._query = np.asarray(query_vec, dtype=np.float64)
+        self._query_norm = norm(self._query)
+        layout = idx.by_graph
+        if layout is None or layout[0] is not g:  # the first use of this graph and index
+            layout = idx.by_graph = (
+                g,
+                _rows(idx.relation_vectors, idx.relation_matrix, g.relation_names),
+                _rows(idx.entity_vectors, idx.entity_matrix, g.entity_names),
             )
+        self._rows = layout[1:]
+        self._approx = self._approximate()
+        self._sims = ([None] * len(g.relation_names), [None] * len(g.entity_names))
+        self._best_onward = [None] * len(g.entity_names)
+        self._ranked: dict[tuple[int, int, float], list[ScoredCandidate]] = {}
+
+    def _approximate(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cosines of every relation and entity to the query, by id, each
+        within (2d + 5)u of the true one; ``None`` when that is not proven."""
+        query_squared = float(self._query.dot(self._query)) if self._query.ndim == 1 else 0.0
+        low, high = _SAFE_SQUARED_NORMS
+        if not low <= query_squared <= high:
+            return None
+        unit = self._query / math.sqrt(query_squared)
+        if any(matrix is None or matrix.shape[1] != len(unit) for _, matrix, _ in self._rows):
+            return None
+        return tuple(matrix @ unit * inverse_norms for _, matrix, inverse_norms in self._rows)
+
+    def _similarity(self, kind: int, i: int) -> float:
+        """The exact cosine of relation (kind 0) or entity (kind 1) i."""
+        sim = self._sims[kind][i]
+        if sim is None:
+            vec = self._rows[kind][0][i]
+            sim = 0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
+            self._sims[kind][i] = sim
         return sim
 
-    def base(self, relation: str, entity: str) -> float:
+    def _base(self, relation: int, entity: int) -> float:
         # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
-        return (
-            0.0
-            + self._similarity(self.relation_sims, self.idx.relation_vectors, relation)
-            + self._similarity(self.entity_sims, self.idx.entity_vectors, entity)
-        )
+        return 0.0 + self._similarity(0, relation) + self._similarity(1, entity)
 
-    def best_onward(self, entity: str) -> float:
-        """The best base over the entity's onward pairs. Once their maximum
-        has been approximated, only the pairs within twice the error bound of
-        it are scored exactly: the exact maximum's pair is among them."""
-        best = self.best_next.get(entity)
-        if best is None:
-            pairs = self.g.adjacency.get(entity, ())
-            if entity in self.approx_next and len(pairs) > 1:
-                floor = self.approx_next[entity] - 2 * _BASE_ERROR
-                approx = self._approx_bases(pairs)
-                pairs = [pair for pair, score in zip(pairs, approx) if score >= floor]
-            best = self.best_next[entity] = max(
-                (self.base(relation, tail) for relation, tail in pairs), default=0.0
-            )
-        return best
-
-    def score(self, relation: str, entity: str, alpha: float) -> ScoredCandidate:
-        base = self.base(relation, entity)
-        bonus = self.best_onward(entity)
-        return ScoredCandidate(ReasoningStep(relation, entity), base, bonus, base + alpha * bonus)
-
-    def top_candidates(
-        self, pairs: list[tuple[str, str]], m: int, alpha: float
-    ) -> list[ScoredCandidate]:
-        """Exact scores of every ``(relation, entity)`` step that can rank
-        among the top m. That is every step of a frontier of at most m. On a
-        wider one it is the steps whose approximate total lies within twice
-        its error bound of the m-th largest, unless an approximation is not
-        proven."""
-        if len(pairs) <= m or not math.isfinite(alpha) or not self._approximate(pairs):
-            return [self.score(relation, entity, alpha) for relation, entity in pairs]
-        totals = [
-            base + alpha * self._approx_onward(entity)
-            for base, (_, entity) in zip(self._approx_bases(pairs), pairs)
-        ]
-        floor = heapq.nlargest(m, totals)[-1] - 2 * (1 + alpha) * _BASE_ERROR
-        return [
-            self.score(relation, entity, alpha)
-            for (relation, entity), total in zip(pairs, totals)
-            if total >= floor
-        ]
-
-    def _approximate(self, pairs: list[tuple[str, str]]) -> bool:
-        """Approximate the similarity of each relation and entity of
-        ``pairs`` and of their entities' onward pairs, once per identifier;
-        ``False`` when one of them has no proven error bound."""
-        relations = {relation for relation, _ in pairs}
-        entities = {entity for _, entity in pairs}
-        for entity in [entity for entity in entities if entity not in self.approx_next]:
-            onward = self.g.adjacency.get(entity)
-            if onward:
-                onward_relations, tails = zip(*onward)
-                relations.update(onward_relations)
-                entities.update(tails)
-        return self._approximate_some(
-            self.approx_relation_sims, self.idx.relation_vectors, relations
-        ) and self._approximate_some(self.approx_entity_sims, self.idx.entity_vectors, entities)
-
-    def _approximate_some(
-        self, sims: dict[str, float], vectors: dict[str, np.ndarray], identifiers: set[str]
-    ) -> bool:
-        new = [identifier for identifier in identifiers if identifier not in sims]
-        indexed = [identifier for identifier in new if identifier in vectors]
-        approx = _approximate_cosines([vectors[identifier] for identifier in indexed], self._query)
-        if approx is None:
-            return False
-        sims.update(dict.fromkeys(new, 0.0))
-        sims.update(zip(indexed, approx))
-        return True
-
-    def _approx_bases(self, pairs: Iterable[tuple[str, str]]) -> list[float]:
-        relation_sims, entity_sims = self.approx_relation_sims, self.approx_entity_sims
-        return [relation_sims[relation] + entity_sims[entity] for relation, entity in pairs]
-
-    def _approx_onward(self, entity: str) -> float:
-        best = self.approx_next.get(entity)
-        if best is None:
-            bases = self._approx_bases(self.g.adjacency.get(entity, ()))
-            best = self.approx_next[entity] = max(bases, default=0.0)
-        return best
-
-
-def _approximate_cosines(vectors: list[np.ndarray], query: np.ndarray) -> list[float] | None:
-    """The cosines of ``vectors`` to ``query`` from one matrix product and
-    vectorized norms, each within (2d + 5)u of the true one (see
-    _BASE_ERROR); ``None`` when that bound is not proven."""
-    if not vectors:
-        return []
-    if query.ndim != 1 or query.shape[0] > _MAX_DIMENSION:
-        return None
-    try:
-        rows = np.array(vectors, dtype=np.float64)
-    except ValueError:  # vectors of different lengths
-        return None
-    if rows.shape != (len(vectors), query.shape[0]):
-        return None
-    low, high = _SAFE_SQUARED_NORMS
-    query_squared = float(query.dot(query))
-    row_squared = np.einsum("ij,ij->i", rows, rows)
-    zero = row_squared == 0.0
-    in_range = zero | ((row_squared >= low) & (row_squared <= high))
-    if not low <= query_squared <= high or not np.all(in_range):
-        return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cosines = rows @ query / (np.sqrt(row_squared) * math.sqrt(query_squared))
-    return np.where(zero, 0.0, np.clip(cosines, -1.0, 1.0)).tolist()
+    def top_candidates(self, entity: str, m: int, alpha: float) -> list[ScoredCandidate]:
+        """Exact scores of every step out of ``entity`` whose approximate
+        total lies within twice its error bound of the m-th largest, which
+        holds every step that can rank among the top m. A step's bonus is the
+        exact maximum over the onward steps whose approximate base lies within
+        twice its error bound of their approximate maximum, which holds the
+        exact maximum's step. A frontier is ranked once per m and alpha."""
+        g = self.g
+        head = g.entity_ids.get(entity)
+        if (head, m, alpha) in self._ranked:
+            return list(self._ranked[head, m, alpha])
+        lo, hi = (0, 0) if head is None else g.offsets[head : head + 2].tolist()
+        if lo == hi:
+            return []
+        relations, tails = g.edge_relations[lo:hi], g.edge_tails[lo:hi]
+        counts = g.offsets[tails + 1] - g.offsets[tails]
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # the onward edges of the steps, as CSR positions, one run per step
+        onward = np.arange(ends[-1]) + np.repeat(g.offsets[tails] - starts, counts)
+        steps, kept = range(hi - lo), np.arange(len(onward))
+        if self._approx is not None and math.isfinite(alpha):
+            relation_sims, entity_sims = self._approx
+            onward_bases = relation_sims[g.edge_relations[onward]] + entity_sims[g.edge_tails[onward]]
+            best = np.zeros(hi - lo)
+            best[counts > 0] = np.maximum.reduceat(onward_bases, starts[counts > 0])
+            totals = relation_sims[relations] + entity_sims[tails] + alpha * best
+            floor = np.sort(totals)[-min(m, hi - lo)] - 2 * (1 + alpha) * _BASE_ERROR
+            steps = np.flatnonzero(totals >= floor).tolist()
+            kept = np.flatnonzero(onward_bases >= np.repeat(best - 2 * _BASE_ERROR, counts))
+        onward_relations, onward_tails = (array[onward[kept]].tolist() for array in (g.edge_relations, g.edge_tails))
+        kept, starts, ends = kept.tolist(), starts.tolist(), ends.tolist()
+        relations, tails = relations.tolist(), tails.tolist()
+        candidates = []
+        for i in steps:
+            relation, tail = relations[i], tails[i]
+            if self._best_onward[tail] is None:
+                first, last = bisect.bisect_left(kept, starts[i]), bisect.bisect_left(kept, ends[i])
+                self._best_onward[tail] = max(
+                    map(self._base, onward_relations[first:last], onward_tails[first:last]), default=0.0
+                )
+            base, bonus = self._base(relation, tail), self._best_onward[tail]
+            step = ReasoningStep(g.relation_names[relation], g.entity_names[tail])
+            candidates.append(ScoredCandidate(step, base, bonus, base + alpha * bonus))
+        self._ranked[head, m, alpha] = candidates
+        return list(candidates)
 
 
 def candidate_steps(
@@ -265,12 +245,11 @@ def candidate_steps(
     Path-RAG scores come from ``context`` (a private one when none is given).
     """
     scores = (context or ScoreContext(g, idx, emb)).bind(g, idx, emb, query_vec)
-    pairs = sorted(neighbors(g, frontier_entity))
     if config.mode == MODE_PATH_RAG:
-        candidates = scores.top_candidates(pairs, config.m, config.alpha)
+        candidates = scores.top_candidates(frontier_entity, config.m, config.alpha)
     else:
         candidates = []
-        for relation, entity in pairs:
+        for relation, entity in g.steps(frontier_entity):
             text = f"{relation} {entity}"  # vanilla scores the step as text
             if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
                 text = f"{frontier_entity} {text}"
@@ -301,8 +280,7 @@ def _rank_triples(
         raise ValueError("k must be >= 1")
     scored = [
         (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
-        for head, pairs in g.adjacency.items()
-        for relation, tail in pairs
+        for head, relation, tail in g.edges()
     ]
     scored.sort(key=lambda pair: (-pair[1], pair[0].head, pair[0].relation, pair[0].tail))
     return scored[:k]

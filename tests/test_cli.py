@@ -216,6 +216,20 @@ def test_ask_unreadable_index_names_rebuild_command(tmp_path, capsys, damage):
     assert f"kgreason index --kg fixtures/combined.tsv --out {path}" in err
 
 
+def test_ask_index_with_a_string_dimension_names_rebuild_command(tmp_path, capsys):
+    path = tmp_path / "combined.idx"
+    assert main(["index", "--kg", "fixtures/combined.tsv", "--out", str(path)]) == EXIT_OK
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(header_line)
+    header["dimension"] = str(header["dimension"])
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    capsys.readouterr()
+    code = main(ask_args(path, BIEBER_Q, "Justin_Bieber"))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"kgreason index --kg fixtures/combined.tsv --out {path}" in err
+
+
 def test_ask_index_of_another_graph_names_rebuild_command(tmp_path, capsys):
     iran_index = tmp_path / "iran.idx"
     assert main(["index", "--kg", "fixtures/iran.tsv", "--out", str(iran_index)]) == EXIT_OK

@@ -1,3 +1,4 @@
+import json
 import logging
 import struct
 
@@ -49,11 +50,7 @@ def test_iran_index_vocabulary_counts():
 
 
 def test_entity_only_graph_has_no_relation_vectors():
-    g = KnowledgeGraph(
-        entities=frozenset({"A", "B"}),
-        relations=frozenset(),
-        adjacency={},
-    )
+    g = KnowledgeGraph(entities=["A", "B"])
     idx = build_index(g, HashingEmbedder())
     assert len(idx.entity_vectors) == 2
     assert len(idx.relation_vectors) == 0
@@ -229,11 +226,7 @@ def test_top_m_rejects_nonpositive_m():
 
 
 def test_top_m_ties_break_by_ascending_identifier():
-    g = KnowledgeGraph(
-        entities=frozenset({"b_twin", "a_twin"}),
-        relations=frozenset(),
-        adjacency={},
-    )
+    g = KnowledgeGraph(entities=["b_twin", "a_twin"])
 
     class ConstantEmbedder:
         fingerprint = "constant/1"
@@ -289,6 +282,52 @@ def test_load_rejects_foreign_format(tmp_path):
     path.write_text('{"format": "something-else/9"}\n')
     with pytest.raises(ValueError):
         load_index(path)
+
+
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+# Each damage keeps the body's length right, so only the header is at fault.
+HEADER_DAMAGE = {
+    "unsorted-entities": lambda header: {**header, "entities": header["entities"][::-1]},
+    "duplicate-entity": lambda header: {**header, "entities": header["entities"][:1] * 6},
+    "string-entities": lambda header: {**header, "entities": "abcdef"},
+    "non-string-relation": lambda header: {**header, "relations": [1, 2]},
+    "float-dimension": lambda header: {**header, "dimension": 64.0},
+    "string-dimension": lambda header: {**header, "dimension": "64"},
+    "null-dimension": lambda header: {**header, "dimension": None},
+    "negative-dimension": lambda header: {**header, "dimension": -1},
+    "no-dimension": without("dimension"),
+    "no-entities": without("entities"),
+    "no-fingerprint": without("fingerprint"),
+    "no-relations": without("relations"),
+}
+
+
+@pytest.mark.parametrize("damage", HEADER_DAMAGE.values(), ids=HEADER_DAMAGE.keys())
+def test_load_rejects_a_malformed_header(tmp_path, damage):
+    path = tmp_path / "iran.idx"
+    save_index(build_index(load_fixture("iran.tsv"), HashingEmbedder()), path)
+    header_line, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(damage(json.loads(header_line))).encode("utf-8") + b"\n" + body)
+    with pytest.raises(ValueError):
+        load_index(path)
+
+
+def test_built_and_loaded_indexes_hold_one_matrix_per_vocabulary(tmp_path):
+    g = load_fixture("combined.tsv")
+    built = build_index(g, HashingEmbedder())
+    save_index(built, tmp_path / "combined.idx")
+    for idx in (built, load_index(tmp_path / "combined.idx")):
+        for names, vectors, matrix in (
+            (g.entity_names, idx.entity_vectors, idx.entity_matrix),
+            (g.relation_names, idx.relation_vectors, idx.relation_matrix),
+        ):
+            assert tuple(vectors) == names  # rows in sorted identifier order, as graph ids
+            assert matrix.dtype == np.float64 and matrix.shape == (len(names), 64)
+            for row, vec in zip(matrix, vectors.values()):
+                assert np.shares_memory(row, vec) and row.tobytes() == vec.tobytes()
 
 
 def test_index_file_is_header_line_then_raw_rows(tmp_path):

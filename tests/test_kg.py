@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kgreason.config import load_config
 from kgreason.evaluate import load_dataset
@@ -91,7 +91,7 @@ def test_iran_fixture_adjacency():
     assert len(g.triples) == 5
     assert len(g.entities) == 6
     assert len(g.relations) == 2
-    assert len(g.adjacency["Iran"]) == 3
+    assert len(neighbors(g, "Iran")) == 3
 
 
 # --- neighbors ---------------------------------------------------------------
@@ -267,6 +267,59 @@ def test_engine_emitted_steps_always_validate(raw):
         for relation, tail in neighbors(g, entity):
             path = ReasoningPath(entity, (ReasoningStep(relation, tail),))
             assert validate_path(g, path).all_valid
+
+
+# Labels with commas, spaces and non-ASCII; never "#", a tab or "->", and
+# never blank, so that every drawn line is one triple. Fields are trimmed on
+# load, so the model trims them too.
+csr_label = st.text(alphabet="ab ,.\u00e9\u00fc\u65e5", min_size=1, max_size=4).filter(str.strip)
+
+
+@st.composite
+def triple_files(draw):
+    """Triple-file lines with duplicates, comments and blank lines, one hub
+    head with 300 or more edges, and the set of triples they hold."""
+    raw = draw(st.lists(st.tuples(csr_label, csr_label, csr_label), max_size=25))
+    hub_relations = draw(st.lists(csr_label, min_size=1, max_size=3))
+    hub_size = draw(st.integers(min_value=300, max_value=320))
+    raw += [("hub", hub_relations[i % len(hub_relations)], f"t{i}") for i in range(hub_size)]
+    raw += draw(st.lists(st.sampled_from(raw), max_size=10))  # duplicates
+    lines = ["\t".join(fields) for fields in draw(st.permutations(raw))]
+    for at in draw(st.lists(st.integers(min_value=0, max_value=len(lines)), max_size=4)):
+        lines.insert(at, draw(st.sampled_from(["", "   ", "# a comment", "  # another, \u00e9"])))
+    return lines, {tuple(field.strip() for field in fields) for fields in raw}
+
+
+@settings(max_examples=40, deadline=None)
+@given(triple_files(), st.randoms(use_true_random=False))
+def test_csr_graph_agrees_with_a_set_of_triples(drawn, rng):
+    lines, model = drawn
+    g = load_triples(line + "\n" for line in lines)
+    assert g.triples == {Triple(*t) for t in model}
+    assert len(g) == len(model)
+    entities = {h for h, _, _ in model} | {t for _, _, t in model}
+    assert set(g.entities) == entities and set(g.relations) == {r for _, r, _ in model}
+    steps = {entity: set() for entity in entities | {"no such entity"}}
+    for head, relation, tail in model:
+        steps[head].add((relation, tail))
+    for entity, expected in steps.items():
+        assert neighbors(g, entity) == expected
+    names = sorted(entities | {r for _, r, _ in model})
+    for _ in range(50):
+        head, relation, tail = (rng.choice(names) for _ in range(3))
+        assert contains_triple(g, head, relation, tail) == ((head, relation, tail) in model)
+    triples = sorted(model)
+    for head, relation, tail in triples:
+        assert contains_triple(g, head, relation, tail)
+        walk = rng.choice(triples)
+        path = ReasoningPath(head, (ReasoningStep(relation, tail), ReasoningStep(walk[1], walk[2])))
+        valid = [(head, relation, tail) in model, (tail, walk[1], walk[2]) in model]
+        report = validate_path(g, path)
+        assert report.valid_step_count == sum(valid)
+        assert report.first_invalid_index == (None if all(valid) else valid.index(False))
+    text = serialize(g)
+    assert text == "".join(line + "\n" for line in sorted("\t".join(t) for t in model))
+    assert load_triples(io.StringIO(text)) == g
 
 
 # --- text loaders --------------------------------------------------------------

@@ -10,6 +10,7 @@ from kgreason.kg import (
     ReasoningStep,
     Triple,
     load_triples,
+    neighbors,
 )
 from kgreason.pathrag import (
     MODE_KAPING,
@@ -49,7 +50,7 @@ def oracle_candidate(g, idx, q, step, alpha):
         )
 
     score = base(step.relation, step.entity)
-    bonus = max((base(r, e) for r, e in g.adjacency.get(step.entity, ())), default=0.0)
+    bonus = max((base(r, e) for r, e in sorted(neighbors(g, step.entity))), default=0.0)
     return ScoredCandidate(step, score, bonus, score + alpha * bonus)
 
 
@@ -67,7 +68,7 @@ def brute_force_candidates(g, idx, q, frontier, config):
     sorted by (-total, relation, entity), head of m."""
     candidates = [
         oracle_candidate(g, idx, q, ReasoningStep(r, e), config.alpha)
-        for r, e in sorted(g.adjacency.get(frontier, ()))
+        for r, e in sorted(neighbors(g, frontier))
     ]
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
@@ -220,7 +221,7 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
         triples.append(Triple("H", f"r{i:03d}", f"e{i:03d}"))
     g = KnowledgeGraph.from_triples(triples)
     idx = hand_index(entity_vecs, relation_vecs)
-    onward = sorted(g.adjacency["H"])
+    onward = sorted(neighbors(g, "H"))
     assert len(onward) == 300
     brute = max(
         0.0 + oracle_cosine(q, idx.relation_vectors[r]) + oracle_cosine(q, idx.entity_vectors[e])
@@ -257,8 +258,17 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
     scored = counting_query_cosine(monkeypatch)
     got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
     assert {c.step: c for c in got} == expected
-    # relations r, s, t, u and entities A, B, C, X, Y, Z
-    assert len(scored) == len(set(scored)) == 10
+    # the relations and entities of the three steps, and of the onward pair
+    # that gives each step its bonus (A and B share theirs), each once
+    pairs = {(c.step.relation, c.step.entity) for c in got}
+    for c in got:
+        pairs.add(max(sorted(neighbors(g, c.step.entity)), key=lambda pair: (
+            0.0 + oracle_cosine(q, idx.relation_vectors[pair[0]])
+            + oracle_cosine(q, idx.entity_vectors[pair[1]])
+        )))
+    vectors = [idx.relation_vectors[r] for r, _ in pairs] + [idx.entity_vectors[e] for _, e in pairs]
+    assert len(scored) == len(set(scored))
+    assert set(scored) == {id(vec) for vec in vectors}
 
 
 def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
@@ -283,6 +293,41 @@ def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
     scored = counting_query_cosine(monkeypatch)
     assert candidate_steps(g, idx, HashingEmbedder(), q, "H", config) == expected
     assert len(scored) == len(set(scored)) <= 40
+
+
+def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypatch):
+    """5 steps out of F, fewer than m, each to an entity with 20 onward
+    steps: the steps and, for each, the onward steps that can still give its
+    bonus are scored with the exact cosine, not every onward pair."""
+    rng = np.random.default_rng(5)
+    triples = [Triple("F", f"r{i}", f"n{i}") for i in range(5)]
+    triples += [Triple(f"n{i}", f"s{j:02d}", f"t{i}.{j:02d}") for i in range(5) for j in range(20)]
+    g = KnowledgeGraph.from_triples(triples)
+    idx = hand_index(
+        {name: rng.standard_normal(16) for name in sorted(g.entities)},
+        {name: rng.standard_normal(16) for name in sorted(g.relations)},
+    )
+    q = rng.standard_normal(16)
+    config = RetrievalConfig(m=10)
+    expected = brute_force_candidates(g, idx, q, "F", config)
+    scored = counting_query_cosine(monkeypatch)
+    assert candidate_steps(g, idx, HashingEmbedder(), q, "F", config) == expected
+    assert len(scored) == len(set(scored)) <= 30
+
+
+def test_graph_and_index_are_aligned_once_per_pair():
+    g = load_fixture("combined.tsv")
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    q = emb.embed("ex wife father")
+    ScoreContext(g, idx, emb).bind(g, idx, emb, q)
+    layout = idx.by_graph
+    assert layout[0] is g
+    ScoreContext(g, idx, emb).bind(g, idx, emb, q)
+    assert idx.by_graph is layout
+    # the index's own rows, not a copy
+    (_, relation_matrix, _), (_, entity_matrix, _) = layout[1:]
+    assert relation_matrix is idx.relation_matrix and entity_matrix is idx.entity_matrix
 
 
 VECTOR_KINDS = st.sampled_from(["pool"] * 30 + ["zero", "missing", "tiny"])
