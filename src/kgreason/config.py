@@ -92,16 +92,12 @@ def _parse_value(key: str, text: str, line_number: int):
         if lowered in ("true", "false"):
             return lowered == "true"
         raise ConfigError(f"line {line_number}: {key} expects true or false, got {text!r}")
-    if target_type == "int":
+    if target_type in ("int", "float"):
         try:
-            return int(text)
+            return int(text) if target_type == "int" else float(text)
         except ValueError:
-            raise ConfigError(f"line {line_number}: {key} expects an integer, got {text!r}")
-    if target_type == "float":
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"line {line_number}: {key} expects a number, got {text!r}")
+            kind = "an integer" if target_type == "int" else "a number"
+            raise ConfigError(f"line {line_number}: {key} expects {kind}, got {text!r}")
     return text
 
 

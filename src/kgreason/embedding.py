@@ -109,10 +109,9 @@ class EmbeddingIndex:
     """One vector per entity and per relation of a single graph.
 
     :func:`build_index` and :func:`load_index` stack each vocabulary's
-    vectors, in sorted identifier order, into one float64 matrix
-    (``entity_matrix``, ``relation_matrix``), and the dicts hold its rows as
-    views; an index filled in by hand has only the dicts. Immutable after
-    build; queries are thread-safe.
+    vectors in sorted identifier order into one float64 matrix, whose rows
+    the dicts hold as views; an index filled in by hand has only the dicts.
+    Immutable after build; queries are thread-safe.
     """
 
     dimension: int
@@ -121,14 +120,12 @@ class EmbeddingIndex:
     relation_vectors: dict[str, np.ndarray] = field(default_factory=dict)
     entity_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
     relation_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # The rows laid out by one graph's ids, kept by pathrag.ScoreContext so
-    # that a graph and its index are aligned once, not once per question.
+    # pathrag's layout of the rows by one graph's ids, aligned once per graph
     by_graph: object = field(default=None, init=False, repr=False, compare=False)
 
 
-def _from_rows(fingerprint: str, entities: list[str], relations: list[str], matrix: np.ndarray) -> EmbeddingIndex:
-    """The index whose vectors are the rows of ``matrix``: the entities',
-    then the relations', each in the order given."""
+def _from_rows(fingerprint: str, entities, relations, matrix: np.ndarray) -> EmbeddingIndex:
+    """The index whose rows are the entities' vectors, then the relations'."""
     entity_matrix, relation_matrix = matrix[: len(entities)], matrix[len(entities) :]
     return EmbeddingIndex(
         matrix.shape[1], fingerprint, dict(zip(entities, entity_matrix)),
@@ -143,33 +140,27 @@ def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
     """
     if not g.entity_names and not g.relation_names:
         raise ValueError("cannot index an empty graph")
-    dimension = None
-    rows = []
+    rows: list[np.ndarray] = []
     for identifier in g.entity_names + g.relation_names:
-        vec = _embed_item(emb, identifier)
-        dimension = _check_dim(dimension, vec, identifier)
-        rows.append(vec)
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), dimension)
-    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, matrix)
+        rows.append(_embed_item(emb, identifier, rows[0].shape if rows else None))
+    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, np.array(rows))
 
 
-def _embed_item(emb: Embedder, identifier: str) -> np.ndarray:
+def _embed_item(emb: Embedder, identifier: str, shape: tuple | None) -> np.ndarray:
+    """The finite 1-d vector of ``identifier``, of ``shape`` when given."""
     try:
         vec = np.asarray(emb.embed(identifier), dtype=np.float64)
     except Exception as exc:  # noqa: BLE001 - abort with the failing item
         raise EmbedderError(identifier, exc) from exc
     if not np.all(np.isfinite(vec)):
         raise EmbedderError(identifier, ValueError("non-finite components"))
-    return vec
-
-def _check_dim(dimension: int | None, vec: np.ndarray, identifier: str) -> int:
     if vec.ndim != 1:
         raise EmbedderError(identifier, ValueError("vector must be 1-d"))
-    if dimension is not None and vec.shape[0] != dimension:
+    if shape is not None and vec.shape != shape:
         raise EmbedderError(
-            identifier, ValueError(f"dimension {vec.shape[0]} != index dimension {dimension}")
+            identifier, ValueError(f"dimension {vec.shape[0]} != index dimension {shape[0]}")
         )
-    return vec.shape[0]
+    return vec
 
 
 def _rank(vectors: dict[str, np.ndarray], query: np.ndarray, m: int) -> list[tuple[str, float]]:
@@ -220,9 +211,9 @@ def save_index(idx: EmbeddingIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     """Read a file written by :func:`save_index`. Another format, a header
-    without any of its five keys, a dimension that is not a non-negative
-    integer, identifier lists that are not strictly sorted lists of strings,
-    a body of the wrong length or a trailing byte is a ``ValueError``."""
+    without a string fingerprint or a non-negative integer dimension, entity
+    or relation lists that are not strictly sorted lists of strings, a body
+    of the wrong length or a trailing byte is a ``ValueError``."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -231,19 +222,16 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         found = header.get("format") if isinstance(header, dict) else None
         if found != INDEX_FORMAT:
             raise ValueError(f"unsupported index format {found!r}, expected {INDEX_FORMAT!r}")
-        missing = sorted({"dimension", "entities", "fingerprint", "relations"} - header.keys())
-        if missing:
-            raise ValueError(f"index header of {path} lacks {', '.join(missing)}")
-        entities, relations, dimension = header["entities"], header["relations"], header["dimension"]
-        if type(dimension) is not int or dimension < 0:
-            raise ValueError(f"index dimension {dimension!r} is not a non-negative integer")
+        dimension, fingerprint = header.get("dimension"), header.get("fingerprint")
+        if type(dimension) is not int or dimension < 0 or not isinstance(fingerprint, str):
+            raise ValueError(f"index header of {path} lacks a string fingerprint or a dimension >= 0")
+        entities, relations = header.get("entities"), header.get("relations")
         for key, names in (("entities", entities), ("relations", relations)):
-            if not isinstance(names, list) or not all(isinstance(name, str) for name in names) or any(
-                a >= b for a, b in zip(names, names[1:])
-            ):
+            strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
+            if not strings or any(a >= b for a, b in zip(names, names[1:])):
                 raise ValueError(f"index {key} of {path} are not a strictly sorted list of strings")
         rows = len(entities) + len(relations)
         matrix = np.fromfile(fh, dtype="<f8", count=rows * dimension)
         if matrix.size != rows * dimension or fh.read(1):
             raise ValueError(f"index body of {path} does not hold {rows} vectors of dimension {dimension}")
-    return _from_rows(header["fingerprint"], entities, relations, matrix.reshape(rows, dimension))
+    return _from_rows(fingerprint, entities, relations, matrix.reshape(rows, dimension))

@@ -287,14 +287,8 @@ def _question_coverage(
 
 
 def _verdict_counts(events: Iterable[dict]) -> tuple[int, int]:
-    yes = no = 0
-    for event in events:
-        if event.get("event") == "verdict":
-            if event.get("halted"):
-                yes += 1
-            else:
-                no += 1
-    return yes, no
+    halted = [bool(event.get("halted")) for event in events if event.get("event") == "verdict"]
+    return halted.count(True), halted.count(False)
 
 
 def evaluate_question(

@@ -12,8 +12,9 @@ from __future__ import annotations
 import io
 import os
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, KeysView, Optional, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -128,16 +129,14 @@ class ValidityReport:
 
 
 class KnowledgeGraph:
-    """Directed labeled edges over one interned vocabulary.
+    """Directed labeled edges over one interned vocabulary, immutable.
 
     Entities and relations have ids in sorted identifier order:
     ``entity_names[i]`` is entity i and ``entity_ids`` maps it back, and so
     for relations. Each edge is stored once, in a CSR (compressed sparse
     rows): the edges out of head h are positions ``offsets[h]`` to
-    ``offsets[h + 1]`` of ``edge_relations`` and ``edge_tails``, sorted by
-    relation id, then tail id, which is (relation, tail) name order.
-
-    Graphs are immutable; the arrays are read-only.
+    ``offsets[h + 1]`` of the read-only ``edge_relations`` and ``edge_tails``,
+    sorted by relation id, then tail id, which is (relation, tail) order.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
@@ -149,20 +148,20 @@ class KnowledgeGraph:
         self.relation_names = tuple(sorted(set(relations)))
         self.entity_ids = {name: i for i, name in enumerate(self.entity_names)}
         self.relation_ids = {name: i for i, name in enumerate(self.relation_names)}
-        entity_id, relation_id = self.entity_ids.__getitem__, self.relation_ids.__getitem__
+        # set-like views, in id order
+        self.entities, self.relations = self.entity_ids.keys(), self.relation_ids.keys()
+        eid, rid = self.entity_ids.__getitem__, self.relation_ids.__getitem__
         coded = np.array(
-            [list(map(entity_id, heads)), list(map(relation_id, relations)), list(map(entity_id, tails))],
-            dtype=np.intp,
-        ).reshape(3, -1)
+            [list(map(eid, heads)), list(map(rid, relations)), list(map(eid, tails))], dtype=np.int64
+        )
         n_entities, n_relations = len(self.entity_names), len(self.relation_names)
-        if n_entities**2 * n_relations < 2**63:  # one int64 key per edge sorts fastest
-            order = np.argsort((coded[0] * n_relations + coded[1]) * n_entities + coded[2])
-        else:
-            order = np.lexsort(coded[::-1])
-        coded = coded[:, order]  # sorted by head, then relation, then tail
-        first = np.ones(coded.shape[1], dtype=bool)
-        first[1:] = np.any(coded[:, 1:] != coded[:, :-1], axis=0)  # duplicates dropped
-        heads, self.edge_relations, self.edge_tails = coded[:, first]
+        if n_entities**2 * n_relations >= 2**63:
+            raise ValueError("too many entities and relations for one int64 key per edge")
+        # one key per edge, sorted by head, then relation, then tail; duplicates dropped
+        keys = np.sort((coded[0] * n_relations + coded[1]) * n_entities + coded[2])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        heads, self.edge_relations = np.divmod(keys // n_entities, n_relations)
+        self.edge_tails = keys % n_entities
         self.offsets = np.searchsorted(heads, np.arange(n_entities + 1))
         for array in (self.offsets, self.edge_relations, self.edge_tails):
             array.flags.writeable = False
@@ -171,19 +170,8 @@ class KnowledgeGraph:
     def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
         return cls((t.head, t.relation, t.tail) for t in triples)
 
-    @property
-    def entities(self) -> KeysView[str]:
-        """Every entity, as a set-like view in id order."""
-        return self.entity_ids.keys()
-
-    @property
-    def relations(self) -> KeysView[str]:
-        """Every relation, as a set-like view in id order."""
-        return self.relation_ids.keys()
-
     def steps(self, entity: str) -> list[tuple[str, str]]:
-        """The (relation, tail) pairs of the edges out of ``entity``, sorted;
-        none for an unknown entity."""
+        """The sorted (relation, tail) pairs out of ``entity``; none if unknown."""
         head = self.entity_ids.get(entity)
         lo, hi = (0, 0) if head is None else self.offsets[head : head + 2].tolist()
         relations, tails = self.edge_relations[lo:hi].tolist(), self.edge_tails[lo:hi].tolist()
@@ -204,11 +192,9 @@ class KnowledgeGraph:
         return len(self.edge_tails)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeGraph):
-            return NotImplemented
-        return self.entity_names == other.entity_names and list(self.edges()) == list(other.edges())
-
-    __hash__ = None
+        return isinstance(other, KnowledgeGraph) and (
+            self.entity_names == other.entity_names and list(self.edges()) == list(other.edges())
+        )
 
 
 def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
@@ -278,12 +264,11 @@ def contains_triple(g: KnowledgeGraph, head: str, relation: str, tail: str) -> b
     h, r, t = g.entity_ids.get(head), g.relation_ids.get(relation), g.entity_ids.get(tail)
     if h is None or r is None or t is None:
         return False
-    start, end = g.offsets[h : h + 2].tolist()
-    # the row is sorted by relation, then tail: find r's run, then t in it
-    first, last = (start + g.edge_relations[start:end].searchsorted([r, r + 1])).tolist()
-    tails = g.edge_tails[first:last]
-    i = tails.searchsorted(t)
-    return bool(i < len(tails) and tails[i] == t)
+    # h's row is sorted by relation, then tail: find r's run in it, then t
+    lo, hi = g.offsets[h : h + 2].tolist()
+    lo, hi = bisect_left(g.edge_relations, r, lo, hi), bisect_right(g.edge_relations, r, lo, hi)
+    i = bisect_left(g.edge_tails, t, lo, hi)
+    return bool(i < hi and g.edge_tails[i] == t)
 
 
 def validate_path(g: KnowledgeGraph, path: ReasoningPath) -> ValidityReport:

@@ -10,9 +10,9 @@ comparison runs.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,11 +72,10 @@ class RetrievalConfig:
 
 
 def _rows(vectors: dict[str, np.ndarray], matrix: np.ndarray | None, names: tuple[str, ...]):
-    """One vocabulary of an index laid out by a graph's ids: every id's
-    vector (``None`` when it is not indexed), the matrix that stacks them
-    (zero rows for the unindexed) and one over each row's norm (0 for a zero
-    row). The last two are ``None`` when the rows differ in length or their
-    cosines to a query have no proven approximation (see _BASE_ERROR)."""
+    """One vocabulary of an index laid out by a graph's ids: each id's vector
+    (``None`` if not indexed), their stacked matrix (zero rows for those) and
+    one over each row's norm (0 for a zero row); the last two are ``None``
+    when the rows differ in length or have no proven approximation."""
     rows = [vectors.get(name) for name in names]
     if matrix is None or tuple(vectors) != names:  # not built or loaded in the graph's id order
         rows = [None if vec is None else np.asarray(vec, dtype=np.float64) for vec in rows]
@@ -100,15 +99,12 @@ class ScoreContext:
     of its search and by its coverage walk; one question, one thread.
 
     Built for one graph, index and embedder, it binds the query on first use
-    and raises ``ValueError`` when used with any other. Scores are kept in
-    lists indexed by graph id. On binding, the cosine of every relation and
-    entity to the query is approximated, with one matrix-vector product per
-    vocabulary. Every frontier is then ranked by one rule: the approximate
-    totals of its steps, from its CSR row and its tails' rows, pick the steps
-    that can rank among the top m and, for each, the onward steps that can
-    give its bonus, and only those are scored exactly, each identifier once
-    per question. When an approximation has no proven error bound, every
-    step and onward step is scored exactly.
+    and raises ``ValueError`` when used with any other. Binding approximates
+    the cosine of every relation and entity, one matrix-vector product per
+    vocabulary. Every frontier is ranked by one rule: approximate totals pick
+    the steps and onward steps that can decide its top m, and only those are
+    scored exactly, each identifier once per question, in lists indexed by
+    graph id; all are, when an approximation has no proven error bound.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
@@ -151,7 +147,6 @@ class ScoreContext:
         self._rows = layout[1:]
         self._approx = self._approximate()
         self._sims = ([None] * len(g.relation_names), [None] * len(g.entity_names))
-        self._best_onward = [None] * len(g.entity_names)
         self._ranked: dict[tuple[int, int, float], list[ScoredCandidate]] = {}
 
     def _approximate(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -166,26 +161,23 @@ class ScoreContext:
             return None
         return tuple(matrix @ unit * inverse_norms for _, matrix, inverse_norms in self._rows)
 
-    def _similarity(self, kind: int, i: int) -> float:
-        """The exact cosine of relation (kind 0) or entity (kind 1) i."""
-        sim = self._sims[kind][i]
-        if sim is None:
-            vec = self._rows[kind][0][i]
-            sim = 0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
-            self._sims[kind][i] = sim
-        return sim
-
     def _base(self, relation: int, entity: int) -> float:
+        """The exact base of a step; each similarity is computed once."""
+        for kind, i in ((0, relation), (1, entity)):
+            if self._sims[kind][i] is None:
+                vec = self._rows[kind][0][i]
+                self._sims[kind][i] = (
+                    0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
+                )
         # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
-        return 0.0 + self._similarity(0, relation) + self._similarity(1, entity)
+        return 0.0 + self._sims[0][relation] + self._sims[1][entity]
 
     def top_candidates(self, entity: str, m: int, alpha: float) -> list[ScoredCandidate]:
-        """Exact scores of every step out of ``entity`` whose approximate
-        total lies within twice its error bound of the m-th largest, which
-        holds every step that can rank among the top m. A step's bonus is the
-        exact maximum over the onward steps whose approximate base lies within
-        twice its error bound of their approximate maximum, which holds the
-        exact maximum's step. A frontier is ranked once per m and alpha."""
+        """Exact scores of the steps out of ``entity`` whose approximate total
+        is within twice its error bound of the m-th largest; each bonus is the
+        exact maximum over the onward steps whose approximate base is within
+        twice its error bound of their maximum. Both bands hold every step
+        that can decide the result. A frontier is ranked once per m and alpha."""
         g = self.g
         head = g.entity_ids.get(entity)
         if (head, m, alpha) in self._ranked:
@@ -199,29 +191,25 @@ class ScoreContext:
         starts = ends - counts
         # the onward edges of the steps, as CSR positions, one run per step
         onward = np.arange(ends[-1]) + np.repeat(g.offsets[tails] - starts, counts)
+        onward_relations, onward_tails = g.edge_relations[onward], g.edge_tails[onward]
         steps, kept = range(hi - lo), np.arange(len(onward))
         if self._approx is not None and math.isfinite(alpha):
             relation_sims, entity_sims = self._approx
-            onward_bases = relation_sims[g.edge_relations[onward]] + entity_sims[g.edge_tails[onward]]
+            onward_bases = relation_sims[onward_relations] + entity_sims[onward_tails]
             best = np.zeros(hi - lo)
             best[counts > 0] = np.maximum.reduceat(onward_bases, starts[counts > 0])
             totals = relation_sims[relations] + entity_sims[tails] + alpha * best
             floor = np.sort(totals)[-min(m, hi - lo)] - 2 * (1 + alpha) * _BASE_ERROR
             steps = np.flatnonzero(totals >= floor).tolist()
             kept = np.flatnonzero(onward_bases >= np.repeat(best - 2 * _BASE_ERROR, counts))
-        onward_relations, onward_tails = (array[onward[kept]].tolist() for array in (g.edge_relations, g.edge_tails))
-        kept, starts, ends = kept.tolist(), starts.tolist(), ends.tolist()
+        pairs = list(zip(onward_relations[kept].tolist(), onward_tails[kept].tolist()))
+        firsts, lasts = np.searchsorted(kept, [starts, ends]).tolist()  # each step's kept pairs
         relations, tails = relations.tolist(), tails.tolist()
         candidates = []
         for i in steps:
-            relation, tail = relations[i], tails[i]
-            if self._best_onward[tail] is None:
-                first, last = bisect.bisect_left(kept, starts[i]), bisect.bisect_left(kept, ends[i])
-                self._best_onward[tail] = max(
-                    map(self._base, onward_relations[first:last], onward_tails[first:last]), default=0.0
-                )
-            base, bonus = self._base(relation, tail), self._best_onward[tail]
-            step = ReasoningStep(g.relation_names[relation], g.entity_names[tail])
+            base = self._base(relations[i], tails[i])
+            bonus = max(starmap(self._base, pairs[firsts[i] : lasts[i]]), default=0.0)
+            step = ReasoningStep(g.relation_names[relations[i]], g.entity_names[tails[i]])
             candidates.append(ScoredCandidate(step, base, bonus, base + alpha * bonus))
         self._ranked[head, m, alpha] = candidates
         return list(candidates)
@@ -264,20 +252,18 @@ def kaping_retrieve(
     emb: Embedder,
     query_text: str,
     k: int,
+    *,
+    query_vec: np.ndarray | None = None,
 ) -> list[tuple[Triple, float]]:
-    """Rank whole triples by similarity of their text rendering to the query.
+    """Rank whole triples by similarity of their text rendering to the query,
+    embedded from ``query_text`` unless its ``query_vec`` is given.
 
     Each triple renders as ``head relation tail``. Returns the top-k with
     scores, all triples when k exceeds the graph size.
     """
-    return _rank_triples(g, emb, emb.embed(query_text), k)
-
-
-def _rank_triples(
-    g: KnowledgeGraph, emb: Embedder, query_vec: np.ndarray, k: int
-) -> list[tuple[Triple, float]]:
     if k < 1:
         raise ValueError("k must be >= 1")
+    query_vec = emb.embed(query_text) if query_vec is None else query_vec
     scored = [
         (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
         for head, relation, tail in g.edges()
@@ -294,13 +280,10 @@ def coverage_ratio(
     their hop."""
     if not ground_truth.steps:
         raise ValueError("ground truth path must be non-empty")
-    hits = 0
-    for hop, step in enumerate(ground_truth.steps):
-        retrieved = (
-            set(retrieved_steps_per_hop[hop]) if hop < len(retrieved_steps_per_hop) else set()
-        )
-        if step in retrieved:
-            hits += 1
+    hits = sum(
+        hop < len(retrieved_steps_per_hop) and step in set(retrieved_steps_per_hop[hop])
+        for hop, step in enumerate(ground_truth.steps)
+    )
     return hits / len(ground_truth.steps)
 
 
@@ -326,12 +309,9 @@ def retrieved_steps_along_path(
     context = context or ScoreContext(g, idx, emb)
     if config.mode == MODE_KAPING:
         query_vec = context.bind(g, idx, emb, query_vec).embed_query(query_text)
-        ranked = _rank_triples(g, emb, query_vec, config.m)
+        ranked = kaping_retrieve(g, emb, query_text, config.m, query_vec=query_vec)
         return [{ReasoningStep(t.relation, t.tail) for t, _ in ranked} for _ in ground_truth.steps]
-    sets: list[set[ReasoningStep]] = []
-    frontier = ground_truth.start
-    for step in ground_truth.steps:
-        ranked = candidate_steps(g, idx, emb, query_vec, frontier, config, context=context)
-        sets.append({c.step for c in ranked})
-        frontier = step.entity
-    return sets
+    return [
+        {c.step for c in candidate_steps(g, idx, emb, query_vec, frontier, config, context=context)}
+        for frontier in ground_truth.entities()[:-1]
+    ]
