@@ -37,10 +37,10 @@ RETRIEVER_MODES = (MODE_PATH_RAG, MODE_VANILLA, MODE_KAPING)
 # norm, and one from ``query_cosine``, are each within (2d + 5)u of the true
 # cosine, and of each other within (4d + 10)u. A base (two similarities, two
 # additions) is then off by at most (8d + 24)u, a bonus (a max of bases) by
-# as much, and a total base + alpha*bonus by at most (1 + alpha)(8d + 32)u. For every d up to
-# _MAX_DIMENSION, _BASE_ERROR exceeds (8d + 32)u by over 2^-31, a margin that
-# covers the rounding of the band arithmetic itself. A larger index is
-# scored exactly.
+# as much, and a total base + alpha*bonus by at most (1 + alpha)(8d + 32)u.
+# For d up to _MAX_DIMENSION, _BASE_ERROR exceeds (8d + 32)u by almost 2^-31,
+# which covers the rounding of the band arithmetic. A larger index, or an
+# alpha above 2^900 (whose totals may overflow), is scored exactly.
 _BASE_ERROR = 2.0**-30
 _MAX_DIMENSION = 2**19
 _SAFE_SQUARED_NORMS = (2.0**-900, 2.0**900)
@@ -193,7 +193,7 @@ class ScoreContext:
         onward = np.arange(ends[-1]) + np.repeat(g.offsets[tails] - starts, counts)
         onward_relations, onward_tails = g.edge_relations[onward], g.edge_tails[onward]
         steps, kept = range(hi - lo), np.arange(len(onward))
-        if self._approx is not None and math.isfinite(alpha):
+        if self._approx is not None and alpha <= 2.0**900:
             relation_sims, entity_sims = self._approx
             onward_bases = relation_sims[onward_relations] + entity_sims[onward_tails]
             best = np.zeros(hi - lo)

@@ -315,6 +315,20 @@ def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypa
     assert len(scored) == len(set(scored)) <= 30
 
 
+def test_alpha_that_overflows_the_totals_still_ranks_like_the_oracle():
+    """Both steps total +inf with alpha 1e308; the one kept is the first by
+    name, as a full sort of the oracle gives."""
+    g = KnowledgeGraph.from_triples(
+        [Triple("F", "r", "A"), Triple("F", "r", "B"), Triple("A", "s", "C"), Triple("B", "s", "C")]
+    )
+    idx = hand_index({name: [1.0, 0.0] for name in "FABC"}, {"r": [1.0, 0.0], "s": [1.0, 0.0]})
+    q = np.array([1.0, 0.0])
+    config = RetrievalConfig(m=1, alpha=1e308)
+    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", config)
+    assert got == brute_force_candidates(g, idx, q, "F", config)
+    assert [c.step.entity for c in got] == ["A"]
+
+
 def test_graph_and_index_are_aligned_once_per_pair():
     g = load_fixture("combined.tsv")
     emb = HashingEmbedder()
@@ -340,7 +354,7 @@ def wide_frontiers(draw):
     vectors drawn as scaled copies of a small pool, so that exact ties and
     ties up to rounding are common, plus zero rows, rows with a subnormal
     squared norm, missing rows and maybe one NaN row; a query, possibly
-    zero; and a config."""
+    zero; and a config, whose alpha may be large enough to overflow a total."""
     m = draw(st.integers(min_value=1, max_value=5))
     entities = [f"e{i}" for i in range(draw(st.integers(min_value=6, max_value=14)))]
     relations = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
@@ -380,7 +394,7 @@ def wide_frontiers(draw):
     if draw(st.integers(min_value=0, max_value=9)) == 0 and entity_vecs:
         entity_vecs[draw(st.sampled_from(sorted(entity_vecs)))] = [float("nan"), 0.0, 0.0]
     query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
-    config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])))
+    config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e308])))
     g = KnowledgeGraph.from_triples(triples)
     return g, hand_index(entity_vecs, relation_vecs), np.array(query), config
 
