@@ -3,7 +3,8 @@
 Given query keywords and a frontier entity, build and score the candidate
 next steps that the search will choose from. The default scorer combines the
 semantic alignment of a step with a one-hop lookahead bonus, so a step that
-looks dull by itself but leads somewhere promising still ranks. Two baseline
+looks dull by itself but leads somewhere promising still ranks; it reads the
+graph's CSR rows and keeps one question's scores by graph id. Two baseline
 retrievers (vanilla concatenation and triple-to-text) are included for
 comparison runs.
 """
@@ -133,11 +134,10 @@ class ScoreContext:
             if query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
                 raise ValueError("score context was built for another query vector")
             return
-        g, idx = self.g, self.idx
         self.query_vec = query_vec
         self._query = np.asarray(query_vec, dtype=np.float64)
         self._query_norm = norm(self._query)
-        layout = idx.by_graph
+        g, idx, layout = self.g, self.idx, self.idx.by_graph
         if layout is None or layout[0] is not g:  # the first use of this graph and index
             layout = idx.by_graph = (
                 g,
@@ -163,14 +163,16 @@ class ScoreContext:
 
     def _base(self, relation: int, entity: int) -> float:
         """The exact base of a step; each similarity is computed once."""
-        for kind, i in ((0, relation), (1, entity)):
-            if self._sims[kind][i] is None:
-                vec = self._rows[kind][0][i]
-                self._sims[kind][i] = (
-                    0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
-                )
+        relation_sims, entity_sims = self._sims
+        if relation_sims[relation] is None:
+            relation_sims[relation] = self._cosine(self._rows[0][0][relation])
+        if entity_sims[entity] is None:
+            entity_sims[entity] = self._cosine(self._rows[1][0][entity])
         # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
-        return 0.0 + self._sims[0][relation] + self._sims[1][entity]
+        return 0.0 + relation_sims[relation] + entity_sims[entity]
+
+    def _cosine(self, vec: np.ndarray | None) -> float:
+        return 0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
 
     def top_candidates(self, entity: str, m: int, alpha: float) -> list[ScoredCandidate]:
         """Exact scores of the steps out of ``entity`` whose approximate total
@@ -186,24 +188,28 @@ class ScoreContext:
         if lo == hi:
             return []
         relations, tails = g.edge_relations[lo:hi], g.edge_tails[lo:hi]
-        counts = g.offsets[tails + 1] - g.offsets[tails]
-        ends = np.cumsum(counts)
-        starts = ends - counts
         # the onward edges of the steps, as CSR positions, one run per step
-        onward = np.arange(ends[-1]) + np.repeat(g.offsets[tails] - starts, counts)
+        # (array methods, not numpy's function wrappers: frontiers are small)
+        firsts = g.offsets[tails]
+        counts = g.offsets[tails + 1] - firsts
+        ends = counts.cumsum()
+        starts = ends - counts
+        onward = np.arange(ends[-1]) + (firsts - starts).repeat(counts)
         onward_relations, onward_tails = g.edge_relations[onward], g.edge_tails[onward]
         steps, kept = range(hi - lo), np.arange(len(onward))
         if self._approx is not None and alpha <= 2.0**900:
             relation_sims, entity_sims = self._approx
             onward_bases = relation_sims[onward_relations] + entity_sims[onward_tails]
-            best = np.zeros(hi - lo)
-            best[counts > 0] = np.maximum.reduceat(onward_bases, starts[counts > 0])
+            # each step's best onward base, 0 for a dead end: a run that is
+            # empty reads the element after it, or the -inf appended
+            best = np.maximum.reduceat(np.append(onward_bases, -np.inf), starts)
+            best[counts == 0] = 0.0
             totals = relation_sims[relations] + entity_sims[tails] + alpha * best
             floor = np.sort(totals)[-min(m, hi - lo)] - 2 * (1 + alpha) * _BASE_ERROR
-            steps = np.flatnonzero(totals >= floor).tolist()
-            kept = np.flatnonzero(onward_bases >= np.repeat(best - 2 * _BASE_ERROR, counts))
+            steps = (totals >= floor).nonzero()[0].tolist()
+            kept = (onward_bases >= (best - 2 * _BASE_ERROR).repeat(counts)).nonzero()[0]
         pairs = list(zip(onward_relations[kept].tolist(), onward_tails[kept].tolist()))
-        firsts, lasts = np.searchsorted(kept, [starts, ends]).tolist()  # each step's kept pairs
+        firsts, lasts = kept.searchsorted(starts).tolist(), kept.searchsorted(ends).tolist()
         relations, tails = relations.tolist(), tails.tolist()
         candidates = []
         for i in steps:

@@ -49,11 +49,7 @@ class PromptTemplate:
 
     @property
     def placeholder_names(self) -> tuple[str, ...]:
-        seen = []
-        for name in _PLACEHOLDER_RE.findall(self.user_text):
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys(_PLACEHOLDER_RE.findall(self.user_text)))
 
 
 @dataclass(frozen=True)

@@ -397,11 +397,7 @@ def _split_answers(line: str, by_norm: Mapping[str, str]) -> list[str]:
 
 
 def _deduped(items) -> list[str]:
-    seen = []
-    for item in items:
-        if item and item not in seen:
-            seen.append(item)
-    return seen
+    return [item for item in dict.fromkeys(items) if item]
 
 
 def run_dvbs(
