@@ -274,16 +274,14 @@ def _question_coverage(
     record: QARecord, retrieval_config: RetrievalConfig, context: ScoreContext
 ) -> float | None:
     """Mean coverage of the ground-truth paths against the search's query."""
-    if not record.ground_truth_paths:
-        return None
-    ratios = []
-    for gt in record.ground_truth_paths:
-        sets = retrieved_steps_along_path(
+    ratios = [
+        coverage_ratio(retrieved_steps_along_path(
             context.g, context.idx, context.emb, context.query_vec, context.query_text, gt,
             retrieval_config, context=context,
-        )
-        ratios.append(coverage_ratio(sets, gt))
-    return sum(ratios) / len(ratios)
+        ), gt)
+        for gt in record.ground_truth_paths
+    ]
+    return sum(ratios) / len(ratios) if ratios else None
 
 
 def _verdict_counts(events: Iterable[dict]) -> tuple[int, int]:

@@ -9,7 +9,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import io
 import os
 import re
 from bisect import bisect_left, bisect_right
@@ -227,14 +226,8 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, io.TextIOBase):
-        yield from source
-        return
     for item in source:
-        if isinstance(item, bytes):
-            yield item.decode("utf-8")
-        else:
-            yield item
+        yield item.decode("utf-8") if isinstance(item, bytes) else item
 
 
 def read_text(source: Union[str, os.PathLike, IO[str]]) -> str:

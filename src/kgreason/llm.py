@@ -303,8 +303,9 @@ class CallRecorder:
             self._pool = None
 
 
-def _estimate_tokens(text: str) -> int:
-    return len(text.split())
+def _estimated(rendered: RenderedPrompt, text: str) -> Completion:
+    """A completion of ``text``, its token counts estimated as word counts."""
+    return Completion(text, len((rendered.system + " " + rendered.user).split()), len(text.split()))
 
 
 def classify_verdict(text: str) -> bool:
@@ -674,11 +675,7 @@ class MockBackend:
             text = terminals if terminals else "unknown"
         else:
             raise LlmError(f"mock backend cannot serve template {rendered.key!r}")
-        return Completion(
-            text=text,
-            prompt_tokens=_estimate_tokens(rendered.system + " " + rendered.user),
-            completion_tokens=_estimate_tokens(text),
-        )
+        return _estimated(rendered, text)
 
 
 def load_mock_script(source) -> tuple[dict[str, tuple[str, ...]], dict[str, dict]]:
@@ -718,11 +715,7 @@ class ScriptedBackend:
             raise LlmError("scripted backend ran out of responses")
         text = self.responses[self._served]
         self._served += 1
-        return Completion(
-            text=text,
-            prompt_tokens=_estimate_tokens(rendered.system + " " + rendered.user),
-            completion_tokens=_estimate_tokens(text),
-        )
+        return _estimated(rendered, text)
 
 
 class ReplayBackend:

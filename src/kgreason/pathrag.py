@@ -145,21 +145,19 @@ class ScoreContext:
                 _rows(idx.entity_vectors, idx.entity_matrix, g.entity_names),
             )
         self._rows = layout[1:]
-        self._approx = self._approximate()
         self._sims = ([None] * len(g.relation_names), [None] * len(g.entity_names))
         self._ranked: dict[tuple[int, int, float], list[ScoredCandidate]] = {}
-
-    def _approximate(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The cosines of every relation and entity to the query, by id, each
-        within (2d + 5)u of the true one; ``None`` when that is not proven."""
+        # Approximate cosines, each within (2d + 5)u of the true one, when
+        # that is proven: the relations' now, an entity's on first use.
+        self._approx = None
         query_squared = float(self._query.dot(self._query)) if self._query.ndim == 1 else 0.0
         low, high = _SAFE_SQUARED_NORMS
-        if not low <= query_squared <= high:
-            return None
-        unit = self._query / math.sqrt(query_squared)
-        if any(matrix is None or matrix.shape[1] != len(unit) for _, matrix, _ in self._rows):
-            return None
-        return tuple(matrix @ unit * inverse_norms for _, matrix, inverse_norms in self._rows)
+        if low <= query_squared <= high and all(
+            matrix is not None and matrix.shape[1] == len(self._query) for _, matrix, _ in self._rows
+        ):
+            self._unit = self._query / math.sqrt(query_squared)
+            _, matrix, inverse_norms = self._rows[0]
+            self._approx = (matrix @ self._unit * inverse_norms, np.full(len(g.entity_names), np.nan))
 
     def _base(self, relation: int, entity: int) -> float:
         """The exact base of a step; each similarity is computed once."""
@@ -175,50 +173,66 @@ class ScoreContext:
         return 0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
 
     def top_candidates(self, entity: str, m: int, alpha: float) -> list[ScoredCandidate]:
-        """Exact scores of the steps out of ``entity`` whose approximate total
-        is within twice its error bound of the m-th largest; each bonus is the
-        exact maximum over the onward steps whose approximate base is within
-        twice its error bound of their maximum. Both bands hold every step
-        that can decide the result. A frontier is ranked once per m and alpha."""
+        """The candidates :meth:`rank` gives ``entity``, none if unknown."""
+        self.rank([entity], m, alpha)
+        return list(self._ranked.get((self.g.entity_ids.get(entity), m, alpha), ()))
+
+    def rank(self, entities: Sequence[str], m: int, alpha: float) -> None:
+        """Score the frontiers ``entities`` together, each once per m and
+        alpha: exactly, the steps whose approximate total is within twice its
+        error bound of their frontier's m-th largest, each with the maximum
+        bonus of the onward steps whose approximate base is within twice its
+        error bound of theirs; both bands hold every step that can decide the
+        result. A search depth's frontiers pay numpy's per-call cost once."""
         g = self.g
-        head = g.entity_ids.get(entity)
-        if (head, m, alpha) in self._ranked:
-            return list(self._ranked[head, m, alpha])
-        lo, hi = (0, 0) if head is None else g.offsets[head : head + 2].tolist()
-        if lo == hi:
-            return []
-        relations, tails = g.edge_relations[lo:hi], g.edge_tails[lo:hi]
-        # the onward edges of the steps, as CSR positions, one run per step
-        # (array methods, not numpy's function wrappers: frontiers are small)
+        heads = [g.entity_ids.get(entity) for entity in dict.fromkeys(entities)]
+        heads = np.array([h for h in heads if h is not None and (h, m, alpha) not in self._ranked], dtype=np.int64)
+        if not len(heads):
+            return
+        # the frontiers' steps, then their onward edges, as CSR positions, a run
+        # each (array methods: numpy's function wrappers cost more, this small)
+        step_counts = g.offsets[heads + 1] - g.offsets[heads]
+        step_ends = step_counts.cumsum()
+        steps_at = np.arange(step_ends[-1]) + (g.offsets[heads] - step_ends + step_counts).repeat(step_counts)
+        relations, tails = g.edge_relations[steps_at], g.edge_tails[steps_at]
         firsts = g.offsets[tails]
         counts = g.offsets[tails + 1] - firsts
         ends = counts.cumsum()
         starts = ends - counts
-        onward = np.arange(ends[-1]) + (firsts - starts).repeat(counts)
+        onward = np.arange(ends[-1] if len(ends) else 0) + (firsts - starts).repeat(counts)
         onward_relations, onward_tails = g.edge_relations[onward], g.edge_tails[onward]
-        steps, kept = range(hi - lo), np.arange(len(onward))
+        steps, kept = range(len(tails)), np.arange(len(onward))
         if self._approx is not None and alpha <= 2.0**900:
             relation_sims, entity_sims = self._approx
+            ids = np.concatenate((tails, onward_tails))
+            new = ids[np.isnan(entity_sims[ids])]  # not yet approximated
+            _, matrix, inverse_norms = self._rows[1]
+            entity_sims[new] = matrix[new] @ self._unit * inverse_norms[new]
             onward_bases = relation_sims[onward_relations] + entity_sims[onward_tails]
             # each step's best onward base, 0 for a dead end: a run that is
             # empty reads the element after it, or the -inf appended
             best = np.maximum.reduceat(np.append(onward_bases, -np.inf), starts)
             best[counts == 0] = 0.0
             totals = relation_sims[relations] + entity_sims[tails] + alpha * best
-            floor = np.sort(totals)[-min(m, hi - lo)] - 2 * (1 + alpha) * _BASE_ERROR
-            steps = (totals >= floor).nonzero()[0].tolist()
+            floors = [
+                np.sort(totals[end - count : end])[-min(m, count)] if count else 0.0
+                for end, count in zip(step_ends.tolist(), step_counts.tolist())
+            ]
+            floors = np.array(floors).repeat(step_counts) - 2 * (1 + alpha) * _BASE_ERROR
+            steps = (totals >= floors).nonzero()[0].tolist()
             kept = (onward_bases >= (best - 2 * _BASE_ERROR).repeat(counts)).nonzero()[0]
         pairs = list(zip(onward_relations[kept].tolist(), onward_tails[kept].tolist()))
         firsts, lasts = kept.searchsorted(starts).tolist(), kept.searchsorted(ends).tolist()
+        frontier_of = np.arange(len(heads)).repeat(step_counts).tolist()
         relations, tails = relations.tolist(), tails.tolist()
-        candidates = []
+        ranked = [[] for _ in range(len(heads))]
         for i in steps:
             base = self._base(relations[i], tails[i])
             bonus = max(starmap(self._base, pairs[firsts[i] : lasts[i]]), default=0.0)
             step = ReasoningStep(g.relation_names[relations[i]], g.entity_names[tails[i]])
-            candidates.append(ScoredCandidate(step, base, bonus, base + alpha * bonus))
-        self._ranked[head, m, alpha] = candidates
-        return list(candidates)
+            ranked[frontier_of[i]].append(ScoredCandidate(step, base, bonus, base + alpha * bonus))
+        for head, candidates in zip(heads.tolist(), ranked):
+            self._ranked[head, m, alpha] = candidates
 
 
 def candidate_steps(

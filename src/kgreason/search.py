@@ -44,7 +44,7 @@ from .llm import (
     degraded_plan,
     generate_plan,
 )
-from .pathrag import RetrievalConfig, ScoreContext, candidate_steps
+from .pathrag import MODE_PATH_RAG, RetrievalConfig, ScoreContext, candidate_steps
 from .prompts import (
     ADEQUACY_VERIFY,
     BEAM_SELECT,
@@ -517,6 +517,8 @@ def _search(
     for depth in range(1, config.max_depth + 1):
         if not live:
             break
+        if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
+            context.rank([path.terminal_entity for *_, path in live], retrieval.m, retrieval.alpha)
         # A pool entry is (total score, parent arrow, step, path, arrow).
         pool = []
         for _, parent, path in live:
