@@ -100,12 +100,12 @@ class ScoreContext:
     of its search and by its coverage walk; one question, one thread.
 
     Built for one graph, index and embedder, it binds the query on first use
-    and raises ``ValueError`` when used with any other. Binding approximates
-    the cosine of every relation and entity, one matrix-vector product per
-    vocabulary. Every frontier is ranked by one rule: approximate totals pick
-    the steps and onward steps that can decide its top m, and only those are
-    scored exactly, each identifier once per question, in lists indexed by
-    graph id; all are, when an approximation has no proven error bound.
+    and raises ``ValueError`` when used with any other. Cosines are first
+    approximated by matrix-vector products: every relation's on binding, an
+    entity's when a ranked frontier first reaches it. Every frontier is ranked
+    by one rule: approximate totals pick the steps and onward steps that can
+    decide its top m, and only those are scored exactly, each identifier once
+    per question, kept by graph id; all are, when no error bound is proven.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):

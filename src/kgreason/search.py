@@ -6,7 +6,7 @@ of each live hypothesis, the model picks the beam, and a deductive check
 decides whether a path now answers the question (halt) or should keep
 growing. Halted paths feed one final answer-generation call.
 
-Every candidate step comes from the graph's real adjacency, so emitted paths
+Every candidate step comes from the graph's real edges, so emitted paths
 are valid by construction; the model can gate and rank but never invent an
 edge. Call count per question is bounded by width*depth verification calls,
 one selection call per non-final depth, one plan call and one answer call.
