@@ -10,6 +10,10 @@ the question's ``(answers, paths, coverage)`` with the files under
 coverage figure fails here. ``report.json`` holds the ``RunReport`` of one
 fixture eval with a failing backend and a missing topic entity, wall times
 zeroed, so the report's rows and aggregates are checked the same way.
+``combined.index.sha256`` holds the sha256 of the ``kgreason-index/2`` file
+that ``save_index`` writes for ``build_index`` of the fixture graph with the
+default ``HashingEmbedder``, so any change to an embedded vector or to the
+index layout fails here.
 
 The files are never rewritten by the test. When a change is meant to alter
 the outputs, regenerate them with
@@ -19,14 +23,16 @@ the outputs, regenerate them with
 and commit the diff with the change that explains it.
 """
 
+import hashlib
 import json
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from kgreason.embedding import HashingEmbedder, build_index
+from kgreason.embedding import HashingEmbedder, build_index, save_index
 from kgreason.evaluate import QARecord, RunReport, evaluate_question, load_dataset, run_experiment
 from kgreason.kg import load_triples
 from kgreason.llm import LlmError, MockBackend, load_mock_script
@@ -51,6 +57,7 @@ SETTINGS = {
 }
 SETTING_CASES = [(record_id, setting) for record_id in RECORD_IDS for setting in SETTINGS]
 REPORT_PATH = GOLDEN / "report.json"
+INDEX_DIGEST_PATH = GOLDEN / "combined.index.sha256"
 MISSING_TOPIC = QARecord(
     id="atlantis-1",
     question="Who rules Atlantis?",
@@ -122,6 +129,16 @@ def golden_report() -> str:
     return masked.to_json_text()
 
 
+def golden_index_digest() -> str:
+    """The sha256 line of the fixture graph's saved index."""
+    with open(FIXTURES / "combined.tsv", "r", encoding="utf-8") as fh:
+        idx = build_index(load_triples(fh), HashingEmbedder())
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "combined.index"
+        save_index(idx, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
+
+
 def golden_paths(record_id: str, mode: str, setting: str | None = None) -> tuple[Path, Path]:
     stem = f"{record_id}.{mode}" if setting is None else f"{record_id}.{mode}.{setting}"
     return GOLDEN / f"{stem}.trace.jsonl", GOLDEN / f"{stem}.outcome.json"
@@ -147,6 +164,10 @@ def test_report_matches_golden_file():
     assert golden_report() == REPORT_PATH.read_text(encoding="utf-8")
 
 
+def test_index_file_matches_golden_digest():
+    assert golden_index_digest() == INDEX_DIGEST_PATH.read_text(encoding="utf-8")
+
+
 def write_golden_files() -> None:
     GOLDEN.mkdir(exist_ok=True)
     jobs = [(record_id, mode, None) for record_id, mode in CASES]
@@ -159,6 +180,9 @@ def write_golden_files() -> None:
             print(f"wrote {path.relative_to(ROOT)}")
     REPORT_PATH.write_text(golden_report(), encoding="utf-8")
     print(f"wrote {REPORT_PATH.relative_to(ROOT)}")
+    INDEX_DIGEST_PATH.write_text(golden_index_digest(), encoding="utf-8")
+    print(f"wrote {INDEX_DIGEST_PATH.relative_to(ROOT)}")
+
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
