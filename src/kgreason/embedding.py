@@ -49,7 +49,8 @@ class HashingEmbedder:
 
     Ships so the whole pipeline runs with zero network access. Tokens are
     lowercased alphanumeric runs; each token is hashed (blake2b, unsalted)
-    to a bucket and a sign. Identical text always yields identical vectors.
+    to a bucket and a sign, once per instance (threads sharing it store only
+    equal values). Identical text always yields identical vectors.
     """
 
     def __init__(self, dimension: int = 64):
@@ -57,18 +58,20 @@ class HashingEmbedder:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self.fingerprint = f"hashing-embedder/1 d={dimension}"
+        self._hashed: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token in _TOKEN_RE.findall(text.lower()):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            value = int.from_bytes(digest, "big")
-            bucket = value % self.dimension
-            sign = 1.0 if (value >> 63) & 1 == 0 else -1.0
-            vec[bucket] += sign
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
+            hashed = self._hashed.get(token)
+            if hashed is None:
+                digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+                value = int.from_bytes(digest, "big")
+                hashed = self._hashed[token] = (value % self.dimension, -1.0 if value >> 63 else 1.0)
+            vec[hashed[0]] += hashed[1]
+        vec_norm = norm(vec)
+        if vec_norm > 0:
+            vec /= vec_norm
         return vec
 
 
@@ -136,31 +139,36 @@ def _from_rows(fingerprint: str, entities, relations, matrix: np.ndarray) -> Emb
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
     """Embed every entity and relation of ``g`` with ``emb``.
 
-    An embedder failure aborts the build and names the failing identifier.
+    An embedder failure aborts the build and names the first failing identifier.
     """
     if not g.entity_names and not g.relation_names:
         raise ValueError("cannot index an empty graph")
-    rows: list[np.ndarray] = []
-    for identifier in g.entity_names + g.relation_names:
-        rows.append(_embed_item(emb, identifier, rows[0].shape if rows else None))
-    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, np.array(rows))
+    identifiers = g.entity_names + g.relation_names
+    matrix = np.empty((len(identifiers), 0))
+    for i, identifier in enumerate(identifiers):
+        try:
+            vec = np.asarray(emb.embed(identifier), dtype=np.float64)
+        except Exception as exc:  # noqa: BLE001 - abort with the failing item
+            raise _failure(matrix[:i], identifiers, EmbedderError(identifier, exc)) from exc
+        if i == 0 and vec.ndim == 1:
+            matrix = np.empty((len(identifiers), len(vec)))
+        if vec.shape != matrix.shape[1:]:
+            cause = ("non-finite components" if not np.all(np.isfinite(vec))
+                     else "vector must be 1-d" if vec.ndim != 1
+                     else f"dimension {len(vec)} != index dimension {matrix.shape[1]}")
+            raise _failure(matrix[:i], identifiers, EmbedderError(identifier, ValueError(cause)))
+        matrix[i] = vec
+    if not np.all(np.isfinite(matrix)):
+        raise _failure(matrix, identifiers, None)
+    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, matrix)
 
 
-def _embed_item(emb: Embedder, identifier: str, shape: tuple | None) -> np.ndarray:
-    """The finite 1-d vector of ``identifier``, of ``shape`` when given."""
-    try:
-        vec = np.asarray(emb.embed(identifier), dtype=np.float64)
-    except Exception as exc:  # noqa: BLE001 - abort with the failing item
-        raise EmbedderError(identifier, exc) from exc
-    if not np.all(np.isfinite(vec)):
-        raise EmbedderError(identifier, ValueError("non-finite components"))
-    if vec.ndim != 1:
-        raise EmbedderError(identifier, ValueError("vector must be 1-d"))
-    if shape is not None and vec.shape != shape:
-        raise EmbedderError(
-            identifier, ValueError(f"dimension {vec.shape[0]} != index dimension {shape[0]}")
-        )
-    return vec
+def _failure(rows: np.ndarray, identifiers, error: EmbedderError | None) -> EmbedderError:
+    """The error of the first identifier whose row is not finite, else ``error`` (of a later one)."""
+    finite = np.isfinite(rows).all(axis=1)
+    if finite.all():
+        return error
+    return EmbedderError(identifiers[int(np.argmin(finite))], ValueError("non-finite components"))
 
 
 def _rank(vectors: dict[str, np.ndarray], query: np.ndarray, m: int) -> list[tuple[str, float]]:

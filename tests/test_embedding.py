@@ -1,5 +1,7 @@
+import hashlib
 import json
 import logging
+import re
 import struct
 
 import numpy as np
@@ -84,6 +86,70 @@ def test_embedder_failure_names_identifier():
     with pytest.raises(EmbedderError) as exc:
         build_index(g, ExplodingEmbedder())
     assert exc.value.identifier in g.entities | g.relations
+
+
+BUILD_ORDER = ("a", "b", "c", "d", "r", "s")  # entities, then relations
+# how a faulty embedder fails, and the cause build_index reports for it
+FAULTS = {
+    "non-finite": (lambda v: np.where(np.arange(len(v)) == 5, np.inf, v), "non-finite components"),
+    "dimension": (lambda v: v[:3], "dimension 3 != index dimension 64"),
+    "2-d": (lambda v: np.stack([v, v]), "vector must be 1-d"),
+    "2-d, non-finite": (lambda v: np.stack([v, np.full(len(v), np.nan)]), "non-finite components"),
+    "raises": (None, "boom"),
+}
+
+
+class FaultyEmbedder:
+    """``HashingEmbedder``, except for the identifiers given a fault kind."""
+
+    fingerprint = "faulty/1"
+
+    def __init__(self, faults):
+        self.faults, self.inner = faults, HashingEmbedder()
+
+    def embed(self, text):
+        if text not in self.faults:
+            return self.inner.embed(text)
+        damage = FAULTS[self.faults[text]][0]
+        if damage is None:
+            raise RuntimeError("boom")
+        return damage(self.inner.embed(text))
+
+
+def build_faulty_index(faults):
+    g = KnowledgeGraph([("a", "r", "b"), ("c", "s", "d")])
+    assert g.entity_names + g.relation_names == BUILD_ORDER
+    with pytest.raises(EmbedderError) as exc:
+        build_index(g, FaultyEmbedder(faults))
+    return exc.value
+
+
+@pytest.mark.parametrize("identifier", ["a", "d", "s"])
+def test_build_index_names_a_non_finite_vector(identifier):
+    error = build_faulty_index({identifier: "non-finite"})
+    assert error.identifier == identifier
+    assert str(error) == f"embedding failed for {identifier!r}: non-finite components"
+
+
+@pytest.mark.parametrize("identifier", ["b", "s"])
+def test_build_index_names_a_vector_of_another_dimension(identifier):
+    error = build_faulty_index({identifier: "dimension"})
+    assert error.identifier == identifier
+    assert str(error).endswith(": dimension 3 != index dimension 64")
+
+
+@pytest.mark.parametrize("identifier", ["a", "r"])
+def test_build_index_names_a_2d_vector(identifier):
+    error = build_faulty_index({identifier: "2-d"})
+    assert error.identifier == identifier
+    assert str(error).endswith(": vector must be 1-d")
+
+
+@pytest.mark.parametrize("first,second", [(f, s) for f in FAULTS for s in FAULTS if f != s])
+def test_build_index_names_the_first_of_two_failures_of_different_kinds(first, second):
+    error = build_faulty_index({"b": first, "r": second})
+    assert error.identifier == "b"
+    assert str(error) == f"embedding failed for 'b': {FAULTS[first][1]}"
 
 
 # --- cosine -------------------------------------------------------------------
@@ -191,6 +257,34 @@ def test_hashing_embedder_tokenless_text_is_zero():
 def test_hashing_embedder_norm_is_zero_or_one(text):
     norm = float(np.linalg.norm(HashingEmbedder().embed(text)))
     assert norm == pytest.approx(0.0, abs=1e-12) or norm == pytest.approx(1.0, abs=1e-12)
+
+
+def blake2b_per_token_embed(text, dimension):
+    """``HashingEmbedder.embed`` as one blake2b hash per token occurrence and
+    ``np.linalg.norm``, kept as an oracle for the memoized embedder."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        value = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+        vec[value % dimension] += 1.0 if (value >> 63) & 1 == 0 else -1.0
+    vec_norm = np.linalg.norm(vec)
+    if vec_norm > 0:
+        vec /= vec_norm
+    return vec
+
+
+# tokens, digits, separators and non-ASCII letters, some of which lowercase
+# to ASCII (the Kelvin sign to k, dotted capital I to i plus a combining dot)
+EMBED_PIECES = ["a", "Bc", "7", "42", "x9", " ", "_", ".", "-", "\u00e9", "\u00df", "\u212a", "\u0130", "\u65e5"]
+EMBED_TEXT = st.lists(st.sampled_from(EMBED_PIECES), max_size=12).map("".join) | st.text(max_size=20)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 5, 64]), st.lists(EMBED_TEXT, min_size=1, max_size=6))
+def test_hashing_embedder_is_bit_identical_to_hashing_every_token(dimension, texts):
+    emb = HashingEmbedder(dimension)
+    # one instance, each text embedded three times, interleaved with the others
+    for text in texts + texts[::-1] + texts:
+        assert emb.embed(text).tobytes() == blake2b_per_token_embed(text, dimension).tobytes()
 
 
 # --- top-m retrieval ----------------------------------------------------------
