@@ -164,6 +164,8 @@ class KnowledgeGraph:
         self.offsets = np.searchsorted(heads, np.arange(n_entities + 1))
         for array in (self.offsets, self.edge_relations, self.edge_tails):
             array.flags.writeable = False
+        # the same arrays as read-only views whose items are Python ints, for bisect
+        self._int_views = tuple(map(memoryview, (self.offsets, self.edge_relations, self.edge_tails)))
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
@@ -208,20 +210,21 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     """
     edges = []
     for line_number, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
+        # a trailing newline is whitespace to every check, so it is never cut
+        unindented = raw.lstrip()
+        if not unindented or unindented[0] == "#":
             continue
-        if "->" in line:
+        if "->" in raw:
             raise TripleParseError("identifier contains '->'", line_number)
-        fields = line.split("\t")
+        fields = raw.split("\t")
         if len(fields) != 3:
             raise TripleParseError(
                 f"expected 3 tab-separated fields, got {len(fields)}", line_number
             )
-        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not head or not relation or not tail:
+        edge = (fields[0].strip(), fields[1].strip(), fields[2].strip())
+        if not all(edge):
             raise TripleParseError("empty field after normalization", line_number)
-        edges.append((head, relation, tail))
+        edges.append(edge)
     return KnowledgeGraph(edges)
 
 
@@ -258,10 +261,11 @@ def contains_triple(g: KnowledgeGraph, head: str, relation: str, tail: str) -> b
     if h is None or r is None or t is None:
         return False
     # h's row is sorted by relation, then tail: find r's run in it, then t
-    lo, hi = g.offsets[h : h + 2].tolist()
-    lo, hi = bisect_left(g.edge_relations, r, lo, hi), bisect_right(g.edge_relations, r, lo, hi)
-    i = bisect_left(g.edge_tails, t, lo, hi)
-    return bool(i < hi and g.edge_tails[i] == t)
+    offsets, relations, tails = g._int_views
+    lo, hi = offsets[h], offsets[h + 1]
+    lo, hi = bisect_left(relations, r, lo, hi), bisect_right(relations, r, lo, hi)
+    i = bisect_left(tails, t, lo, hi)
+    return i < hi and tails[i] == t
 
 
 def validate_path(g: KnowledgeGraph, path: ReasoningPath) -> ValidityReport:

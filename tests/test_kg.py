@@ -80,6 +80,50 @@ def test_arrow_in_identifier_rejected_with_line_number(fields):
     assert "->" in str(exc.value)
 
 
+def parent_load_triples(lines):
+    """The triple-file loop that strips each line's trailing newline before
+    its checks, kept as an oracle for ``load_triples``."""
+    edges = []
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "->" in line:
+            raise TripleParseError("identifier contains '->'", line_number)
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise TripleParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_number)
+        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if not head or not relation or not tail:
+            raise TripleParseError("empty field after normalization", line_number)
+        edges.append((head, relation, tail))
+    return KnowledgeGraph(edges)
+
+
+# whitespace that str.strip removes (\x0b, \x1c) or keeps apart (\r before \n),
+# the comment mark and the two halves of the arrow
+PARSE_ALPHABET = "\t #\r\x0b\x1c->ab"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text(PARSE_ALPHABET, max_size=12), st.sampled_from(["\n", "\r\n", "\r\r\n", ""])),
+        max_size=6,
+    )
+)
+def test_load_triples_matches_the_line_stripping_loop(drawn):
+    lines = [text + end for text, end in drawn]
+    try:
+        expected = parent_load_triples(lines)
+    except TripleParseError as error:
+        with pytest.raises(TripleParseError) as exc:
+            load_triples(lines)
+        assert (str(exc.value), exc.value.line_number) == (str(error), error.line_number)
+    else:
+        assert load_triples(lines) == expected
+
+
 def test_empty_stream_gives_empty_graph():
     g = load_triples(io.StringIO(""))
     assert len(g.triples) == 0
@@ -124,6 +168,15 @@ def test_contains_triple_direction_matters():
 def test_contains_triple_absent():
     g = load_fixture("bieber.tsv")
     assert not contains_triple(g, "Justin_Bieber", "made.up.relation", "Nobody")
+
+
+def test_csr_arrays_stay_read_only_and_membership_is_a_bool():
+    g = load_fixture("bieber.tsv")
+    for array in (g.offsets, g.edge_relations, g.edge_tails):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert contains_triple(g, "Justin_Bieber", "people.person.father", "Jeremy_Bieber") is True
+    assert contains_triple(g, "Justin_Bieber", "people.person.father", "Justin_Bieber") is False
 
 
 # --- path validation ---------------------------------------------------------
