@@ -3,6 +3,8 @@ import json
 import logging
 import re
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -285,6 +287,29 @@ def test_hashing_embedder_is_bit_identical_to_hashing_every_token(dimension, tex
     # one instance, each text embedded three times, interleaved with the others
     for text in texts + texts[::-1] + texts:
         assert emb.embed(text).tobytes() == blake2b_per_token_embed(text, dimension).tobytes()
+
+
+def test_threads_sharing_one_embedder_get_the_vectors_of_hashing_every_token():
+    texts = [f"tok{i % 37} Shared_{i % 5}.x{i}" for i in range(300)]
+    expected = [blake2b_per_token_embed(text, 64).tobytes() for text in texts]
+    emb, results = HashingEmbedder(), {}
+
+    def embed_all(k):  # each thread starts at another text, so first uses race
+        order = list(range(k * 37, len(texts))) + list(range(k * 37))
+        results[k] = {i: emb.embed(texts[i]).tobytes() for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=embed_all, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [[results[k][i] for i in range(len(texts))] for k in range(8)] == [expected] * 8
 
 
 # --- top-m retrieval ----------------------------------------------------------
