@@ -38,8 +38,6 @@ class RunConfig:
     search_use_beam_search: bool = True
     search_use_last_step_reasoning: bool = True
     search_adequacy_mode: bool = False
-    search_json_retries: int = 2
-    search_demo_count: int = 5
     backend_kind: str = "mock"
     backend_endpoint: str = ""
     backend_model: str = ""
@@ -61,8 +59,6 @@ class RunConfig:
             use_beam_search=self.search_use_beam_search,
             use_last_step_reasoning=self.search_use_last_step_reasoning,
             adequacy_mode=self.search_adequacy_mode,
-            json_retries=self.search_json_retries,
-            demo_count=self.search_demo_count,
         )
 
     def retrieval_config(self) -> RetrievalConfig:

@@ -395,15 +395,12 @@ def complete_json(
     client: Completer,
     rendered: RenderedPrompt,
     schema_hint: str | None = None,
-    retries: int = 2,
 ):
-    """Call the model until a response parses as JSON, up to ``retries``
+    """Call the model until a response parses as JSON, up to ``JSON_RETRIES``
     re-asks after the first attempt. Returns the parsed value; exhaustion
     raises JsonDecodeFailure carrying the last raw response."""
-    if retries < 0:
-        raise ValueError("retries must be >= 0")
     last_raw = ""
-    for _ in range(retries + 1):
+    for _ in range(JSON_RETRIES + 1):
         completion = client.complete(rendered)
         last_raw = completion.text
         try:
@@ -411,7 +408,7 @@ def complete_json(
         except ValueError:
             logger.warning("unparseable JSON response for %s; retrying", rendered.key)
     raise JsonDecodeFailure(
-        f"no parseable JSON for {rendered.key} after {retries + 1} attempts", last_raw
+        f"no parseable JSON for {rendered.key} after {JSON_RETRIES + 1} attempts", last_raw
     )
 
 
@@ -492,19 +489,14 @@ def generate_plan(
     client: Completer,
     question: str,
     demonstrations: Mapping[str, Sequence[str]] | None = None,
-    demo_count: int | None = None,
-    retries: int = 2,
 ) -> Plan:
-    """Ask the model for a navigation plan; fall back to a degraded plan
-    built from the question itself when no usable JSON arrives."""
+    """Ask the model for a navigation plan; with no usable JSON after
+    ``JSON_RETRIES`` re-asks, fall back to a degraded plan from the question."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    kwargs = {} if demo_count is None else {"demo_count": demo_count}
-    rendered = render(
-        PLAN_AND_SOLVE, {"query": question}, demonstrations=demonstrations, **kwargs
-    )
+    rendered = render(PLAN_AND_SOLVE, {"query": question}, demonstrations=demonstrations)
     last_error: Exception | None = None
-    for _ in range(retries + 1):
+    for _ in range(JSON_RETRIES + 1):
         completion = client.complete(rendered)
         try:
             parsed = extract_json(completion.text)
@@ -513,7 +505,7 @@ def generate_plan(
             last_error = exc
             logger.warning("plan parse failed (%s); retrying", exc)
     logger.warning("plan generation failed after %d attempts (%s); using degraded plan",
-                   retries + 1, last_error)
+                   JSON_RETRIES + 1, last_error)
     return degraded_plan(question)
 
 
@@ -525,6 +517,9 @@ class WireConfig:
     model: str
     auth_env_var: str = "LLM_API_KEY"
 
+
+# complete_json and generate_plan re-ask at most this often after unusable JSON.
+JSON_RETRIES = 2
 
 # The wire retry policy: each attempt waits at most WIRE_TIMEOUT_S, and the
 # n-th retry first sleeps WIRE_BACKOFF_BASE_S * WIRE_BACKOFF_FACTOR**(n-1).

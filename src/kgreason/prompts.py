@@ -285,19 +285,16 @@ def render(
     template_key: str,
     bindings: Mapping[str, object],
     demonstrations: Mapping[str, Sequence[str]] | None = None,
-    demo_count: int = DEFAULT_DEMO_COUNT,
 ) -> RenderedPrompt:
     """Render a template with its placeholders bound.
 
     Extra bindings beyond the template's placeholders are allowed and kept on
     the result. Missing ones raise UnboundPlaceholderError naming them. The
-    few-shot block (first ``demo_count`` demonstrations for the key) precedes
-    the filled user text.
+    few-shot block (the first ``DEFAULT_DEMO_COUNT`` demonstrations given for
+    the key, if any) precedes the filled user text.
     """
     if template_key not in TEMPLATES:
         raise KeyError(f"unknown template key: {template_key!r}")
-    if demo_count < 0:
-        raise ValueError("demo_count must be >= 0")
     template = TEMPLATES[template_key]
     str_bindings = {name: str(value) for name, value in bindings.items()}
     missing = [name for name in template.placeholder_names if name not in str_bindings]
@@ -305,7 +302,7 @@ def render(
         raise UnboundPlaceholderError(template_key, missing)
     user = _PLACEHOLDER_RE.sub(lambda m: str_bindings[m.group(1)], template.user_text)
     demo_source = demonstrations if demonstrations is not None else BUILTIN_DEMONSTRATIONS
-    demos = tuple(demo_source.get(template_key, ()))[:demo_count]
+    demos = tuple(demo_source.get(template_key, ()))[:DEFAULT_DEMO_COUNT]
     if demos:
         user = "\n\n".join(demos) + "\n\n" + user
     return RenderedPrompt(

@@ -83,16 +83,12 @@ class SearchConfig:
     use_beam_search: bool = True
     use_last_step_reasoning: bool = True
     adequacy_mode: bool = False
-    json_retries: int = 2
-    demo_count: int = 5
 
     def __post_init__(self):
         if self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.json_retries < 0:
-            raise ValueError("json_retries must be >= 0")
 
     @property
     def effective_width(self) -> int:
@@ -209,56 +205,44 @@ def _path_sentences(path: ReasoningPath) -> str:
     return "\n".join(lines)
 
 
+def _halts(client: Completer, key: str, path: ReasoningPath, bindings: dict, demonstrations) -> bool:
+    """One halting check: an empty path never halts and costs no call; any
+    other gets the verdict of one call on ``bindings`` and its terminal entity."""
+    if not path.steps:
+        return False
+    rendered = render(key, {**bindings, "terminal_entity": path.terminal_entity}, demonstrations)
+    return classify_verdict(client.complete(rendered).text)
+
+
 def verify_global(
     client: Completer,
     question: str,
     plan: Plan,
     path: ReasoningPath,
-    config: SearchConfig = SearchConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> bool:
     """Ask whether the path now entails the plan's cloze statement, filled
     with the path's terminal entity verbatim. An empty path is never
     deducible and costs no call."""
-    if not path.steps:
-        return False
-    rendered = render(
-        DEDUCTIVE_VERIFY,
-        {
-            "declarative_statement": plan.fill_statement(path.terminal_entity),
-            "parsed_reasoning_path": _path_sentences(path),
-            "query": question,
-            "verify_scope": "global",
-            "terminal_entity": path.terminal_entity,
-        },
-        demonstrations=demonstrations,
-        demo_count=config.demo_count,
-    )
-    return classify_verdict(client.complete(rendered).text)
+    bindings = {
+        "declarative_statement": plan.fill_statement(path.terminal_entity),
+        "parsed_reasoning_path": _path_sentences(path),
+        "query": question,
+        "verify_scope": "global",
+    }
+    return _halts(client, DEDUCTIVE_VERIFY, path, bindings, demonstrations)
 
 
 def adequacy_verify(
     client: Completer,
     question: str,
     path: ReasoningPath,
-    config: SearchConfig = SearchConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> bool:
     """Sufficiency-style halting check: is this path enough to answer the
     question? Swapped in for the deductive check in adequacy mode."""
-    if not path.steps:
-        return False
-    rendered = render(
-        ADEQUACY_VERIFY,
-        {
-            "reasoning_path": path.to_arrow(),
-            "query": question,
-            "terminal_entity": path.terminal_entity,
-        },
-        demonstrations=demonstrations,
-        demo_count=config.demo_count,
-    )
-    return classify_verdict(client.complete(rendered).text)
+    bindings = {"reasoning_path": path.to_arrow(), "query": question}
+    return _halts(client, ADEQUACY_VERIFY, path, bindings, demonstrations)
 
 
 def select_steps(
@@ -267,7 +251,6 @@ def select_steps(
     plan: Plan,
     arrows: Sequence[str],
     k: int,
-    config: SearchConfig = SearchConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> tuple[list[int], str]:
     """Pick at most k of the score-ranked candidate paths, given as arrow
@@ -293,10 +276,9 @@ def select_steps(
             "candidate_count": len(arrows),
         },
         demonstrations=demonstrations,
-        demo_count=config.demo_count,
     )
     try:
-        parsed = complete_json(client, rendered, HINT_INDEX_LIST, retries=config.json_retries)
+        parsed = complete_json(client, rendered, HINT_INDEX_LIST)
     except JsonDecodeFailure:
         logger.warning("beam selection response unusable; falling back to score order")
         return top, SELECT_FALLBACK
@@ -351,7 +333,6 @@ def final_reason(
             "terminal_entities": ", ".join(terminals),
         },
         demonstrations=demonstrations,
-        demo_count=config.demo_count,
     )
     text = client.complete(rendered).text
     by_norm: dict[str, str] = {}
@@ -490,10 +471,7 @@ def _search(
 
     if config.use_planning:
         with _step(recorder, trace) as calls:
-            plan = generate_plan(
-                calls, question, demonstrations=demonstrations,
-                demo_count=config.demo_count, retries=config.json_retries,
-            )
+            plan = generate_plan(calls, question, demonstrations)
     else:
         plan = replace(degraded_plan(question), degraded=False)
     trace.add(
@@ -511,8 +489,8 @@ def _search(
 
     def verify(calls: Completer, path: ReasoningPath) -> bool:
         if config.adequacy_mode:
-            return adequacy_verify(calls, question, path, config, demonstrations)
-        return verify_global(calls, question, plan, path, config, demonstrations)
+            return adequacy_verify(calls, question, path, demonstrations)
+        return verify_global(calls, question, plan, path, demonstrations)
 
     for depth in range(1, config.max_depth + 1):
         if not live:
@@ -546,9 +524,7 @@ def _search(
         else:
             arrows = [arrow for *_, arrow in pool]
             with _step(recorder, trace) as calls:
-                indices, mode = select_steps(
-                    calls, question, plan, arrows, k, config, demonstrations
-                )
+                indices, mode = select_steps(calls, question, plan, arrows, k, demonstrations)
         chosen = [pool[i] for i in indices]
         if len(pool) > k:
             kept = {arrow for *_, arrow in chosen}

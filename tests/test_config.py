@@ -79,6 +79,15 @@ def test_unknown_key_reports_line_number():
     assert "search.widht" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "line", ["retriever.neighbor_cap = 256", "search.demo_count = 5", "search.json_retries = 2"]
+)
+def test_retired_key_fails_as_unknown_key(line):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"schema = {CONFIG_SCHEMA}\n{line}\n")
+    assert str(exc.value) == f"line 2: unknown key {line.split(' = ')[0]!r}"
+
+
 def test_bad_bool_reports_line_number():
     text = f"schema = {CONFIG_SCHEMA}\nsearch.adequacy_mode = yes\n"
     with pytest.raises(ConfigError) as exc:
@@ -154,8 +163,6 @@ FILE_KEYS = {
     "search.use_beam_search": "search_use_beam_search",
     "search.use_last_step_reasoning": "search_use_last_step_reasoning",
     "search.adequacy_mode": "search_adequacy_mode",
-    "search.json_retries": "search_json_retries",
-    "search.demo_count": "search_demo_count",
     "backend.kind": "backend_kind",
     "backend.endpoint": "backend_endpoint",
     "backend.model": "backend_model",

@@ -50,7 +50,7 @@ def load_fixture(name):
 
 
 def plan_prompt(question="who?"):
-    return render(PLAN_AND_SOLVE, {"query": question}, demo_count=0)
+    return render(PLAN_AND_SOLVE, {"query": question}, demonstrations={})
 
 
 # --- JSON repair -------------------------------------------------------------
@@ -97,18 +97,18 @@ def test_extract_garbage_raises():
 def test_complete_json_retries_then_succeeds():
     backend = ScriptedBackend(["garbage", "also garbage", '{"ok": true}'])
     client = LlmClient(backend)
-    parsed = complete_json(client, plan_prompt(), retries=2)
+    parsed = complete_json(client, plan_prompt())
     assert parsed == {"ok": True}
     assert client.ledger.llm_calls == 3
 
 
 def test_complete_json_exhaustion_carries_last_raw():
-    backend = ScriptedBackend(["bad one", "bad two"])
+    backend = ScriptedBackend(["bad one", "bad two", "bad three"])
     client = LlmClient(backend)
     with pytest.raises(JsonDecodeFailure) as exc:
-        complete_json(client, plan_prompt(), retries=1)
-    assert exc.value.last_raw == "bad two"
-    assert client.ledger.llm_calls == 2
+        complete_json(client, plan_prompt())
+    assert exc.value.last_raw == "bad three"
+    assert client.ledger.llm_calls == 3
 
 
 # --- verdict classification ---------------------------------------------------
@@ -263,7 +263,7 @@ def test_generate_plan_falls_back_after_exhausted_retries(caplog):
     backend = ScriptedBackend(["nope", "still nope", "not json either"])
     client = LlmClient(backend)
     with caplog.at_level(logging.WARNING):
-        plan = generate_plan(client, "Who founded Acme?", retries=2)
+        plan = generate_plan(client, "Who founded Acme?")
     assert plan.degraded
     assert client.ledger.llm_calls == 3
 
@@ -441,7 +441,7 @@ def verify_prompt(scope, **extra):
         "verify_scope": scope,
     }
     bindings.update(extra)
-    return render(DEDUCTIVE_VERIFY, bindings, demo_count=0)
+    return render(DEDUCTIVE_VERIFY, bindings, demonstrations={})
 
 
 def test_mock_global_verdict_normalizes_answer_text():
@@ -463,7 +463,7 @@ def test_mock_beam_select_echoes_leading_indices():
             "reasoning_paths": "1. x",
             "candidate_count": 6,
         },
-        demo_count=0,
+        demonstrations={},
     )
     assert client.complete(rendered).text == "[0, 1, 2, 3]"
 
@@ -473,7 +473,7 @@ def test_mock_final_reason_echoes_terminals():
     rendered = render(
         FINAL_REASON,
         {"query": "q", "reasoning_path": "A -> r -> B", "terminal_entities": "B\nC"},
-        demo_count=0,
+        demonstrations={},
     )
     assert client.complete(rendered).text == "B\nC"
 

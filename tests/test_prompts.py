@@ -57,7 +57,7 @@ def test_deductive_verify_shape():
             "declarative_statement": "Jamaican people speak Jamaican_English.",
             "parsed_reasoning_path": "Jamaica -> language.human_language.main_country -> Jamaican_English",
         },
-        demo_count=0,
+        demonstrations={},
     )
     assert rendered.user.startswith(
         "Whether the conclusion 'Jamaican people speak Jamaican_English.' can be deduced from"
@@ -106,8 +106,8 @@ def test_default_five_demonstrations_prepended():
     assert rendered.user.endswith("Q: who?\n\nA:")
 
 
-def test_demo_count_zero_strips_few_shot_block():
-    rendered = render(PLAN_AND_SOLVE, {"query": "who?"}, demo_count=0)
+def test_empty_demonstrations_strip_few_shot_block():
+    rendered = render(PLAN_AND_SOLVE, {"query": "who?"}, demonstrations={})
     assert rendered.user == "Q: who?\n\nA:"
 
 
@@ -116,7 +116,6 @@ def test_custom_demonstrations_override_builtins():
         FINAL_REASON,
         {"query": "q", "reasoning_path": "A -> r -> B"},
         demonstrations={FINAL_REASON: ("Question: demo\n\nA: demo-answer",)},
-        demo_count=5,
     )
     assert rendered.user.startswith("Question: demo\n\nA: demo-answer\n\n")
 
