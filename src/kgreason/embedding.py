@@ -1,9 +1,10 @@
 """Embedding index: embed every entity and relation once, persist the
 vectors, and answer exact top-m cosine queries.
 
-Search is exact (full scan plus sort), which is both affordable and easy to
-verify at the graph sizes this project targets. Approximate structures are a
-non-goal.
+``top_m_entities`` and ``top_m_relations`` are an exact full scan plus sort.
+Path-RAG (``pathrag.ScoreContext``) first approximates similarities with
+matrix-vector products over the index's matrices, then scores exactly only
+the candidates within a proven error band, so its results are exact too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,7 +116,9 @@ class EmbeddingIndex:
     :func:`build_index` and :func:`load_index` stack each vocabulary's
     vectors in sorted identifier order into one float64 matrix, whose rows
     the dicts hold as views; an index filled in by hand has only the dicts.
-    Immutable after build; queries are thread-safe.
+    The vectors are not changed after build, and queries are thread-safe;
+    ``by_graph`` is the one field set later: a ``ScoreContext`` stores its
+    layout of the rows there on first use with a graph.
     """
 
     dimension: int
@@ -239,7 +243,11 @@ def load_index(path: str | Path) -> EmbeddingIndex:
             if not strings or any(a >= b for a, b in zip(names, names[1:])):
                 raise ValueError(f"index {key} of {path} are not a strictly sorted list of strings")
         rows = len(entities) + len(relations)
+        wrong = f"index body of {path} does not hold {rows} vectors of dimension {dimension}"
+        # Compare lengths before reading, so a huge claimed dimension allocates nothing.
+        if os.fstat(fh.fileno()).st_size - fh.tell() != rows * dimension * 8:
+            raise ValueError(wrong)
         matrix = np.fromfile(fh, dtype="<f8", count=rows * dimension)
         if matrix.size != rows * dimension or fh.read(1):
-            raise ValueError(f"index body of {path} does not hold {rows} vectors of dimension {dimension}")
+            raise ValueError(wrong)
     return _from_rows(fingerprint, entities, relations, matrix.reshape(rows, dimension))

@@ -66,8 +66,8 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 0")
         if self.mode not in RETRIEVER_MODES:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
 

@@ -204,7 +204,17 @@ def truncate_index(path):
     path.write_bytes(path.read_bytes()[:-1])
 
 
-@pytest.mark.parametrize("damage", [write_v1_index, truncate_index], ids=["v1", "truncated"])
+def huge_dimension_index(path):
+    """A header that claims one entity of dimension 2**40, then 16 bytes."""
+    header = {"dimension": 2**40, "entities": ["Justin_Bieber"], "fingerprint": "x",
+              "format": "kgreason-index/2", "relations": []}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + bytes(16))
+
+
+@pytest.mark.parametrize(
+    "damage", [write_v1_index, truncate_index, huge_dimension_index],
+    ids=["v1", "truncated", "huge-dimension"],
+)
 def test_ask_unreadable_index_names_rebuild_command(tmp_path, capsys, damage):
     path = tmp_path / "combined.idx"
     damage(path)
@@ -315,6 +325,35 @@ def test_eval_empty_dataset_exits_2(index_file, tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "search.width = 0",
+    "search.depth = 0",
+    "retriever.m = 0",
+    "retriever.alpha = -1",
+    "retriever.alpha = nan",
+    "search.demo_count = -1",
+    "search.json_retries = 2",
+])
+def test_eval_refuses_a_setting_the_run_cannot_use(index_file, tmp_path, capsys, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"schema = kgreason-config/1\n{line}\n")
+    report_path = tmp_path / "report.json"
+    code = main(
+        [
+            "eval",
+            "--config", str(config),
+            "--kg", "fixtures/combined.tsv",
+            "--index", str(index_file),
+            "--script", "fixtures/mock_script.json",
+            "--dataset", "fixtures/dataset.jsonl",
+            "--out", str(report_path),
+        ]
+    )
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report_path.exists()
 
 
 # --- validate --------------------------------------------------------------------

@@ -407,7 +407,8 @@ def without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
-# Each damage keeps the body's length right, so only the header is at fault.
+# Each damage keeps the body the undamaged header describes, so only the
+# header is at fault. A huge dimension must be refused before any allocation.
 HEADER_DAMAGE = {
     "unsorted-entities": lambda header: {**header, "entities": header["entities"][::-1]},
     "duplicate-entity": lambda header: {**header, "entities": header["entities"][:1] * 6},
@@ -417,6 +418,7 @@ HEADER_DAMAGE = {
     "string-dimension": lambda header: {**header, "dimension": "64"},
     "null-dimension": lambda header: {**header, "dimension": None},
     "negative-dimension": lambda header: {**header, "dimension": -1},
+    "huge-dimension": lambda header: {**header, "dimension": 2**40},
     "no-dimension": without("dimension"),
     "no-entities": without("entities"),
     "no-fingerprint": without("fingerprint"),

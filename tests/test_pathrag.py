@@ -105,6 +105,9 @@ def test_retrieval_config_validation():
         RetrievalConfig(m=0)
     with pytest.raises(ValueError):
         RetrievalConfig(alpha=-0.1)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            RetrievalConfig(alpha=alpha)
     with pytest.raises(ValueError):
         RetrievalConfig(mode="something-else")
 

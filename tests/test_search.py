@@ -730,6 +730,29 @@ def test_failure_in_concurrent_batch_traces_like_serial(failing_rank):
     assert client.ledger.llm_calls <= call_budget(SearchConfig())
 
 
+@pytest.mark.parametrize("concurrency_limit, row_usage", [(1, (2, 536)), (4, (4, 964))])
+def test_failed_batch_row_books_every_call_the_trace_books_the_serial_prefix(
+    concurrency_limit, row_usage
+):
+    """The report row's usage comes from the ledger, so it counts the calls
+    of a concurrent batch that ran past the failing one; the trace keeps
+    only the serial prefix."""
+    g, idx, emb, client = mock_runner()
+    (record,) = [r for r in load_dataset("fixtures/dataset.jsonl") if r.id == "iran-1"]
+
+    def fail(rendered):
+        return rendered.bindings.get("terminal_entity") == "Theocracy"
+
+    backend = SlowBackend(client.backend, concurrency_limit, fail=fail)
+    result, trace = evaluate_question(
+        record, g, idx, emb, backend, SearchConfig(), RetrievalConfig()
+    )
+    assert result.failure == REASON_BACKEND_FAILURE
+    assert (result.llm_calls, result.prompt_tokens) == row_usage
+    calls = trace.call_records()
+    assert (len(calls), sum(c.prompt_tokens for c in calls)) == (2, 536)
+
+
 def test_calls_in_flight_never_exceed_limit_across_questions():
     g, idx, emb, client = mock_runner()
     backend = SlowBackend(client.backend, concurrency_limit=2)
