@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
-from .config import ConfigError, RunConfig, load_config
+from .config import KEYS, ConfigError, RunConfig, load_config, set_value
 from .embedding import (
     EmbedderError,
     HashingEmbedder,
@@ -56,12 +55,11 @@ def _load_kg(path: str):
 
 def _effective_config(args) -> RunConfig:
     """Start from defaults, apply the config file, then explicit flags: a
-    flag's ``dest`` is the RunConfig field it overrides."""
+    flag's ``dest`` is the file key it overrides."""
     rc = load_config(args.config) if args.config else RunConfig()
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(rc, f.name, value)
+    for key, value in vars(args).items():
+        if key in KEYS and value is not None:
+            set_value(rc, key, value)
     return rc
 
 
@@ -147,7 +145,7 @@ def cmd_ask(args) -> int:
         print("error: no topic entities given (--topic-entity or --replay)", file=sys.stderr)
         return EXIT_USAGE
 
-    client = LlmClient(backend, params=rc.decode_params())
+    client = LlmClient(backend, params=rc.decode)
     answers, trace = run_dvbs(
         question,
         topic_entities,
@@ -155,8 +153,8 @@ def cmd_ask(args) -> int:
         idx,
         emb,
         client,
-        rc.search_config(),
-        rc.retrieval_config(),
+        rc.search,
+        rc.retriever,
         _demonstrations(rc),
     )
     if rc.out_trace:
@@ -194,8 +192,8 @@ def cmd_eval(args) -> int:
         idx,
         emb,
         backend,
-        rc.search_config(),
-        rc.retrieval_config(),
+        rc.search,
+        rc.retriever,
         _demonstrations(rc),
         parallelism=rc.eval_parallelism,
     )
@@ -253,7 +251,7 @@ def cmd_validate(args) -> int:
 
 
 class _AdequacyModeAction(argparse.Action):
-    """``--mode adequacy`` sets search_adequacy_mode, ``--mode deductive``
+    """``--mode adequacy`` sets search.adequacy_mode, ``--mode deductive``
     clears it."""
 
     def __call__(self, parser, namespace, values, option_string=None):
@@ -273,34 +271,34 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--dimension", type=int, default=64)
     p_index.set_defaults(func=cmd_index)
 
-    # Flags shared by ask and eval; each dest is the RunConfig field it sets.
+    # Flags shared by ask and eval; each dest is the file key it sets.
     run_flags = argparse.ArgumentParser(add_help=False)
     run_flags.add_argument("--config", help="run config file")
     run_flags.add_argument("--kg", help="knowledge graph TSV file")
     run_flags.add_argument("--index", help="index file")
-    run_flags.add_argument("--width", dest="search_width", type=int, help="beam width")
-    run_flags.add_argument("--depth", dest="search_depth", type=int, help="maximum path depth")
+    run_flags.add_argument("--width", dest="search.width", type=int, help="beam width")
+    run_flags.add_argument("--depth", dest="search.depth", type=int, help="maximum path depth")
     run_flags.add_argument(
-        "--mode", dest="search_adequacy_mode", action=_AdequacyModeAction,
+        "--mode", dest="search.adequacy_mode", action=_AdequacyModeAction,
         choices=["deductive", "adequacy"], help="halting check",
     )
-    run_flags.add_argument("--retriever", dest="retriever_mode", choices=RETRIEVER_MODES)
-    run_flags.add_argument("--script", dest="backend_script", help="mock backend script file")
+    run_flags.add_argument("--retriever", dest="retriever.mode", choices=RETRIEVER_MODES)
+    run_flags.add_argument("--script", dest="backend.script", help="mock backend script file")
     run_flags.add_argument("--demonstrations", help="few-shot demonstrations JSON file")
 
     p_ask = sub.add_parser("ask", parents=[run_flags], help="answer one question")
     p_ask.add_argument("--question", help="the question to answer")
     p_ask.add_argument("--topic-entity", action="append", help="starting entity (repeatable)")
-    p_ask.add_argument("--trace", dest="out_trace", help="write a JSONL trace here")
+    p_ask.add_argument("--trace", dest="out.trace", help="write a JSONL trace here")
     p_ask.add_argument("--replay", help="replay a recorded trace instead of calling a backend")
     p_ask.set_defaults(func=cmd_ask)
 
     p_eval = sub.add_parser("eval", parents=[run_flags], help="evaluate a dataset")
     p_eval.add_argument("--dataset", required=True, help="JSON-lines dataset")
     p_eval.add_argument(
-        "--parallelism", dest="eval_parallelism", type=int, help="questions evaluated concurrently"
+        "--parallelism", dest="eval.parallelism", type=int, help="questions evaluated concurrently"
     )
-    p_eval.add_argument("--out", dest="out_report", help="report file to write")
+    p_eval.add_argument("--out", dest="out.report", help="report file to write")
     p_eval.set_defaults(func=cmd_eval)
 
     p_val = sub.add_parser("validate", help="check arrow-format paths against a graph")

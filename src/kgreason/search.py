@@ -98,13 +98,7 @@ class SearchConfig:
 def run_config(search: SearchConfig, retrieval: RetrievalConfig) -> dict:
     """The settings a trace's ``run_start`` and an eval report record."""
     return {
-        "beam_width": search.beam_width,
-        "max_depth": search.max_depth,
-        "use_planning": search.use_planning,
-        "use_deductive_verifier": search.use_deductive_verifier,
-        "use_beam_search": search.use_beam_search,
-        "use_last_step_reasoning": search.use_last_step_reasoning,
-        "adequacy_mode": search.adequacy_mode,
+        **vars(search),
         "retriever_mode": retrieval.mode,
         "alpha": retrieval.alpha,
         "m": retrieval.m,

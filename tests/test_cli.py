@@ -356,6 +356,14 @@ def test_eval_refuses_a_setting_the_run_cannot_use(index_file, tmp_path, capsys,
     assert not report_path.exists()
 
 
+def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("schema = kgreason-config/1\nkg = no/such/graph.tsv\nsearch.width = 0\n")
+    code = main(["ask", "--config", str(config), "--question", "q", "--topic-entity", "S"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: line 3: search.width: ")
+
+
 # --- validate --------------------------------------------------------------------
 
 
@@ -447,14 +455,15 @@ FILE_VALUES = (
     "out.report = file-report.json\n"
     "out.trace = file-trace.jsonl\n"
 )
-# (flag, value, RunConfig field, parsed value); every value differs from FILE_VALUES.
+# (flag, value, RunConfig field or ``object.field``, parsed value); every value
+# differs from FILE_VALUES.
 SHARED_FLAGS = [
     ("--kg", "flag.tsv", "kg", "flag.tsv"),
     ("--index", "flag.idx", "index", "flag.idx"),
-    ("--width", "7", "search_width", 7),
-    ("--depth", "2", "search_depth", 2),
-    ("--mode", "deductive", "search_adequacy_mode", False),
-    ("--retriever", "kaping", "retriever_mode", "kaping"),
+    ("--width", "7", "search.beam_width", 7),
+    ("--depth", "2", "search.max_depth", 2),
+    ("--mode", "deductive", "search.adequacy_mode", False),
+    ("--retriever", "kaping", "retriever.mode", "kaping"),
     ("--script", "flag.json", "backend_script", "flag.json"),
     ("--demonstrations", "flag-demos.json", "demonstrations", "flag-demos.json"),
 ]
@@ -467,15 +476,23 @@ OWN_FLAGS = {
 }
 
 
+def _with_value(config, path, value):
+    """A copy of ``config`` with the field at ``path`` set to ``value``."""
+    attr, _, name = path.partition(".")
+    if name:
+        value = replace(getattr(config, attr), **{name: value})
+    return replace(config, **{attr: value})
+
+
 @pytest.mark.parametrize("command", ["ask", "eval"])
 def test_each_flag_overrides_only_its_config_value(command, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(FILE_VALUES)
     from_file = load_config(str(cfg))
     required = ["--dataset", "d.jsonl"] if command == "eval" else []
-    for flag, value, attr, expected in SHARED_FLAGS + OWN_FLAGS[command]:
+    for flag, value, path, expected in SHARED_FLAGS + OWN_FLAGS[command]:
         args = build_parser().parse_args([command, "--config", str(cfg), *required, flag, value])
-        assert getattr(from_file, attr) != expected, flag
-        assert _effective_config(args) == replace(from_file, **{attr: expected}), flag
+        assert _with_value(from_file, path, expected) != from_file, flag
+        assert _effective_config(args) == _with_value(from_file, path, expected), flag
     args = build_parser().parse_args([command, *required, "--mode", "adequacy"])
-    assert _effective_config(args).search_adequacy_mode is True
+    assert _effective_config(args).search.adequacy_mode is True

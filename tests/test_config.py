@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
@@ -9,6 +9,9 @@ from kgreason.config import (
     load_config,
     parse_config,
 )
+from kgreason.llm import DecodeParams
+from kgreason.pathrag import RetrievalConfig
+from kgreason.search import SearchConfig
 
 
 FULL = """\
@@ -37,26 +40,29 @@ out.report = out/report.json
 def test_full_config_parses():
     config = parse_config(FULL)
     assert config.kg == "fixtures/combined.tsv"
-    assert config.retriever_mode == "vanilla"
-    assert config.retriever_m == 7
-    assert config.retriever_alpha == 0.5
-    assert config.search_width == 2
-    assert config.search_depth == 3
-    assert config.search_adequacy_mode is True
-    assert config.search_use_beam_search is False
+    assert config.retriever.mode == "vanilla"
+    assert config.retriever.m == 7
+    assert config.retriever.alpha == 0.5
+    assert config.search.beam_width == 2
+    assert config.search.max_depth == 3
+    assert config.search.adequacy_mode is True
+    assert config.search.use_beam_search is False
     assert config.backend_kind == "mock"
-    assert config.decode_temperature == 0.7
+    assert config.decode.temperature == 0.7
     assert config.eval_parallelism == 4
     assert config.out_report == "out/report.json"
 
 
 def test_defaults_match_engine_defaults():
     config = parse_config(f"schema = {CONFIG_SCHEMA}\n")
-    assert config.search_width == 4
-    assert config.search_depth == 4
-    assert config.retriever_alpha == 0.3
-    assert config.retriever_mode == "path-rag"
-    assert config.decode_temperature == 0.3
+    assert config.search == SearchConfig()
+    assert config.retriever == RetrievalConfig()
+    assert config.decode == DecodeParams()
+    assert config.search.beam_width == 4
+    assert config.search.max_depth == 4
+    assert config.retriever.alpha == 0.3
+    assert config.retriever.mode == "path-rag"
+    assert config.decode.temperature == 0.3
     assert config.backend_kind == "mock"
 
 
@@ -120,20 +126,13 @@ def test_bad_backend_kind_rejected():
         parse_config(text)
 
 
-def test_builders_carry_values_through():
+def test_settings_objects_carry_values_through():
     config = parse_config(FULL)
-    sc = config.search_config()
-    assert sc.beam_width == 2
-    assert sc.max_depth == 3
-    assert sc.adequacy_mode is True
-    assert sc.use_beam_search is False
-    rc = config.retrieval_config()
-    assert rc.mode == "vanilla"
-    assert rc.m == 7
-    assert rc.alpha == 0.5
-    dp = config.decode_params()
-    assert dp.temperature == 0.7
-    assert dp.top_p == 1.0
+    assert config.search == SearchConfig(
+        beam_width=2, max_depth=3, adequacy_mode=True, use_beam_search=False
+    )
+    assert config.retriever == RetrievalConfig(m=7, alpha=0.5, mode="vanilla")
+    assert config.decode == DecodeParams(temperature=0.7, top_p=1.0)
 
 
 def test_load_config_from_file(tmp_path):
@@ -149,27 +148,28 @@ def test_fixture_config_parses():
     assert config.kg.endswith("combined.tsv")
 
 
-# The file keys, written out independently of the RunConfig field names.
+# The file keys, written out independently of the code: each names a RunConfig
+# field, or a field of one of its settings objects as ``object.field``.
 FILE_KEYS = {
     "kg": "kg",
     "index": "index",
-    "retriever.mode": "retriever_mode",
-    "retriever.m": "retriever_m",
-    "retriever.alpha": "retriever_alpha",
-    "search.width": "search_width",
-    "search.depth": "search_depth",
-    "search.use_planning": "search_use_planning",
-    "search.use_deductive_verifier": "search_use_deductive_verifier",
-    "search.use_beam_search": "search_use_beam_search",
-    "search.use_last_step_reasoning": "search_use_last_step_reasoning",
-    "search.adequacy_mode": "search_adequacy_mode",
+    "retriever.mode": "retriever.mode",
+    "retriever.m": "retriever.m",
+    "retriever.alpha": "retriever.alpha",
+    "search.width": "search.beam_width",
+    "search.depth": "search.max_depth",
+    "search.use_planning": "search.use_planning",
+    "search.use_deductive_verifier": "search.use_deductive_verifier",
+    "search.use_beam_search": "search.use_beam_search",
+    "search.use_last_step_reasoning": "search.use_last_step_reasoning",
+    "search.adequacy_mode": "search.adequacy_mode",
     "backend.kind": "backend_kind",
     "backend.endpoint": "backend_endpoint",
     "backend.model": "backend_model",
     "backend.auth_env": "backend_auth_env",
     "backend.script": "backend_script",
-    "decode.temperature": "decode_temperature",
-    "decode.top_p": "decode_top_p",
+    "decode.temperature": "decode.temperature",
+    "decode.top_p": "decode.top_p",
     "demonstrations": "demonstrations",
     "eval.parallelism": "eval_parallelism",
     "out.report": "out_report",
@@ -177,14 +177,28 @@ FILE_KEYS = {
 }
 
 
+def _value_at(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
+
+
 def test_every_field_parses_from_its_dotted_key():
-    assert set(FILE_KEYS.values()) == {f.name for f in fields(RunConfig)}
+    leaves = set()
+    for f in fields(RunConfig):
+        if is_dataclass(f.default):
+            leaves.update(f"{f.name}.{inner.name}" for inner in fields(f.default))
+        else:
+            leaves.add(f.name)
+    assert set(FILE_KEYS.values()) == leaves
     defaults = RunConfig()
-    closed_sets = {"retriever_mode": "kaping", "backend_kind": "wire"}
-    for key, attr in FILE_KEYS.items():
-        default = getattr(defaults, attr)
-        if attr in closed_sets:
-            text = expected = closed_sets[attr]
+    # Values a closed set or a bounded range allows.
+    special = {"retriever.mode": "kaping", "backend.kind": "wire", "decode.top_p": 0.5}
+    for key, path in FILE_KEYS.items():
+        default = _value_at(defaults, path)
+        if key in special:
+            expected = special[key]
+            text = str(expected)
         elif isinstance(default, bool):
             text, expected = str(not default).lower(), not default
         elif isinstance(default, (int, float)):
@@ -192,5 +206,13 @@ def test_every_field_parses_from_its_dotted_key():
         else:
             text, expected = "some/value", "some/value"
         config = parse_config(f"schema = {CONFIG_SCHEMA}\n{key} = {text}\n")
-        assert getattr(config, attr) == expected, key
+        assert _value_at(config, path) == expected, key
         assert expected != default, key
+
+
+@pytest.mark.parametrize("line", ["search.width = 0", "retriever.mode = psychic", "retriever.alpha = nan"])
+def test_engine_check_fails_at_parse_time_naming_line_and_key(line):
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"schema = {CONFIG_SCHEMA}\n# a comment\n{line}\n")
+    assert str(exc.value).startswith(f"line 3: {key}: ")
