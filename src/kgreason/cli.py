@@ -196,6 +196,7 @@ def cmd_eval(args) -> int:
         rc.retriever,
         _demonstrations(rc),
         parallelism=rc.eval_parallelism,
+        params=rc.decode,
     )
     with open(rc.out_report, "w", encoding="utf-8") as fh:
         fh.write(report.to_json_text())

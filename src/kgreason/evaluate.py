@@ -23,7 +23,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, validate_path
-from .llm import LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
+from .llm import DecodeParams, LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
 from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
@@ -298,13 +298,14 @@ def evaluate_question(
     search_config: SearchConfig,
     retrieval_config: RetrievalConfig,
     demonstrations: Mapping[str, Sequence[str]] | None = None,
+    params: DecodeParams = DecodeParams(),
 ) -> tuple[QuestionResult, SearchTrace | None]:
     """Run one question with a fresh ledger and score the outcome. A backend
     failure, a missing topic entity or a rejected input scores as a failed
     question; any other exception propagates. The search and the coverage
     walk share one score context, so each similarity is computed once."""
     ledger = UsageLedger()
-    client = LlmClient(backend, ledger=ledger)
+    client = LlmClient(backend, ledger=ledger, params=params)
     context = ScoreContext(g, idx, emb)
     started = time.monotonic()
     try:
@@ -368,6 +369,7 @@ def run_experiment(
     retrieval_config: RetrievalConfig = RetrievalConfig(),
     demonstrations: Mapping[str, Sequence[str]] | None = None,
     parallelism: int = 1,
+    params: DecodeParams = DecodeParams(),
 ) -> RunReport:
     """Evaluate a dataset; a failed question (see ``evaluate_question``)
     never aborts the batch, and the per-question record order always follows
@@ -379,7 +381,7 @@ def run_experiment(
 
     def one(record: QARecord, backend: LlmBackend) -> QuestionResult:
         result, _ = evaluate_question(
-            record, g, idx, emb, backend, search_config, retrieval_config, demonstrations
+            record, g, idx, emb, backend, search_config, retrieval_config, demonstrations, params
         )
         return result
 

@@ -86,6 +86,12 @@ class DecodeParams:
     temperature: float = 0.3
     top_p: float = 1.0
 
+    def __post_init__(self):
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
+        if not 0 < self.top_p <= 1:
+            raise ValueError("top_p must be in (0, 1]")
+
 
 @dataclass(frozen=True)
 class Completion:
@@ -104,6 +110,11 @@ class CallRecord:
     response: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
+
+
+def is_token_count(value) -> bool:
+    """A token count is a non-negative int; a bool is not one."""
+    return type(value) is int and value >= 0
 
 
 class LlmBackend(Protocol):
@@ -180,15 +191,13 @@ class LlmClient:
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.params = params
 
-    def complete(self, rendered: RenderedPrompt, params: DecodeParams | None = None) -> Completion:
-        return self.call(rendered, params)[0]
+    def complete(self, rendered: RenderedPrompt) -> Completion:
+        return self.call(rendered)[0]
 
-    def call(
-        self, rendered: RenderedPrompt, params: DecodeParams | None = None
-    ) -> tuple[Completion, CallRecord]:
+    def call(self, rendered: RenderedPrompt) -> tuple[Completion, CallRecord]:
         """Complete, returning the call's record with the completion."""
         started = time.perf_counter()
-        completion = self.backend.complete(rendered, params or self.params)
+        completion = self.backend.complete(rendered, self.params)
         if not completion.wall_time:
             completion = Completion(
                 completion.text,
@@ -216,9 +225,7 @@ class Completer(Protocol):
     """What the prompt helpers need of a client: an LlmClient or one step of
     a CallRecorder."""
 
-    def complete(
-        self, rendered: RenderedPrompt, params: DecodeParams | None = None
-    ) -> Completion: ...
+    def complete(self, rendered: RenderedPrompt) -> Completion: ...
 
 
 # A batch of independent steps runs on threads only once the fastest call of
@@ -236,8 +243,8 @@ class StepCalls:
         self._recorder = recorder
         self.records: list[CallRecord] = []
 
-    def complete(self, rendered: RenderedPrompt, params: DecodeParams | None = None) -> Completion:
-        completion, record = self._recorder.client.call(rendered, params)
+    def complete(self, rendered: RenderedPrompt) -> Completion:
+        completion, record = self._recorder.client.call(rendered)
         self.records.append(record)
         self._recorder.observe(completion.wall_time)
         return completion
@@ -602,17 +609,18 @@ class WireBackend:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
+            usage = dict(body.get("usage") or {})
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"response body does not fit chat schema: {exc}")
         if not isinstance(text, str):
             raise MalformedResponseError("choice content is not text")
-        usage = body.get("usage") or {}
-        return Completion(
-            text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
-            wall_time=self.clock() - started,
-        )
+        counts = {}
+        for name in ("prompt_tokens", "completion_tokens"):
+            count = usage.get(name)
+            if count is not None and not is_token_count(count):
+                raise MalformedResponseError(f"usage {name} is not a token count: {count!r}")
+            counts[name] = count or 0
+        return Completion(text=text, wall_time=self.clock() - started, **counts)
 
 
 class MockBackend:

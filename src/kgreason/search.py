@@ -43,6 +43,7 @@ from .llm import (
     complete_json,
     degraded_plan,
     generate_plan,
+    is_token_count,
 )
 from .pathrag import MODE_PATH_RAG, RetrievalConfig, ScoreContext, candidate_steps
 from .prompts import (
@@ -156,9 +157,9 @@ class SearchTrace:
 
     def call_records(self) -> list[CallRecord]:
         """The ``llm_call`` events as records; keys that are not a
-        ``CallRecord`` field are ignored. An event that lacks a field
-        without a default is a ``ValueError`` naming it and the keys."""
-        names = [f.name for f in fields(CallRecord)]
+        ``CallRecord`` field are ignored. An event that lacks a field without
+        a default or holds one of the wrong type is a ``ValueError`` naming it."""
+        types = {f.name: f.type for f in fields(CallRecord)}
         required = [f.name for f in fields(CallRecord) if f.default is MISSING]
         records = []
         for number, event in enumerate(self.events, start=1):
@@ -167,7 +168,11 @@ class SearchTrace:
             missing = [name for name in required if name not in event]
             if missing:
                 raise ValueError(f"trace event {number} (llm_call) lacks {', '.join(missing)}")
-            records.append(CallRecord(**{name: event[name] for name in names if name in event}))
+            values = {name: event[name] for name in types if name in event}
+            for name, value in values.items():
+                if not (isinstance(value, str) if types[name] == "str" else is_token_count(value)):
+                    raise ValueError(f"trace event {number} (llm_call) has ill-typed {name}")
+            records.append(CallRecord(**values))
         return records
 
     def prune_events(self) -> list[dict]:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from kgreason import cli
 from kgreason.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _effective_config, build_parser, main
 from kgreason.config import load_config
 from kgreason.embedding import HashingEmbedder, build_index
@@ -158,6 +159,24 @@ def test_ask_replay_of_a_call_without_a_field_is_a_usage_error(
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err == f"error: trace event {number} (llm_call) lacks {dropped}\n"
+
+
+@pytest.mark.parametrize("field, value", [("response", 5), ("prompt_tokens", "5")])
+def test_ask_replay_of_a_call_with_an_ill_typed_field_is_a_usage_error(
+    index_file, tmp_path, capsys, field, value
+):
+    trace_path = tmp_path / "run.trace"
+    assert main(ask_args(index_file, IRAN_Q, "Iranian_rial", trace=str(trace_path))) == EXIT_OK
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    (number, call) = next((n, e) for n, e in enumerate(events, 1) if e["event"] == "llm_call")
+    call[field] = value
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
+    capsys.readouterr()
+    code = main(["ask", "--kg", "fixtures/combined.tsv", "--index", str(index_file),
+                 "--replay", str(trace_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err == f"error: trace event {number} (llm_call) has ill-typed {field}\n"
 
 
 def test_ask_unknown_topic_entity_is_runtime_error(index_file, capsys):
@@ -335,6 +354,8 @@ def test_eval_empty_dataset_exits_2(index_file, tmp_path, capsys):
     "retriever.alpha = nan",
     "search.demo_count = -1",
     "search.json_retries = 2",
+    "decode.temperature = nan",
+    "decode.top_p = -4",
 ])
 def test_eval_refuses_a_setting_the_run_cannot_use(index_file, tmp_path, capsys, line):
     config = tmp_path / "run.cfg"
@@ -362,6 +383,40 @@ def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, capsys):
     code = main(["ask", "--config", str(config), "--question", "q", "--topic-entity", "S"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: line 3: search.width: ")
+
+
+def test_eval_calls_the_model_with_the_configured_decode_values(
+    index_file, tmp_path, monkeypatch
+):
+    seen = []
+
+    class Recording:
+        def __init__(self, inner):
+            self.inner = inner
+            self.concurrency_limit = inner.concurrency_limit
+
+        def complete(self, rendered, params):
+            seen.append(params)
+            return self.inner.complete(rendered, params)
+
+    build = cli._build_backend
+    monkeypatch.setattr(cli, "_build_backend", lambda rc, g: Recording(build(rc, g)))
+    config = tmp_path / "run.cfg"
+    config.write_text("schema = kgreason-config/1\ndecode.temperature = 0\ndecode.top_p = 0.9\n")
+    code = main(
+        [
+            "eval",
+            "--config", str(config),
+            "--kg", "fixtures/combined.tsv",
+            "--index", str(index_file),
+            "--script", "fixtures/mock_script.json",
+            "--dataset", "fixtures/dataset.jsonl",
+            "--out", str(tmp_path / "report.json"),
+        ]
+    )
+    assert code == EXIT_OK
+    assert seen
+    assert {(p.temperature, p.top_p) for p in seen} == {(0.0, 0.9)}
 
 
 # --- validate --------------------------------------------------------------------

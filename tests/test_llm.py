@@ -410,11 +410,51 @@ def test_wire_missing_token_is_auth_error(monkeypatch):
     assert session.posts == []
 
 
-def test_wire_malformed_body_is_not_retried(wire_env):
-    backend, session, _ = make_wire([FakeResponse(200, {"surprise": True})])
+def usage_body(usage):
+    return {"choices": [{"message": {"content": "fine answer"}}], "usage": usage}
+
+
+@pytest.mark.parametrize("body", [
+    {"surprise": True},
+    usage_body({"prompt_tokens": "abc"}),
+    usage_body({"prompt_tokens": -3}),
+    usage_body({"prompt_tokens": 2.7}),
+    usage_body({"prompt_tokens": True}),
+    usage_body({"completion_tokens": False}),
+    usage_body({"completion_tokens": "5"}),
+    usage_body(["prompt_tokens", 5]),
+])
+def test_wire_malformed_body_is_not_retried(wire_env, body):
+    backend, session, _ = make_wire([FakeResponse(200, body)])
     with pytest.raises(MalformedResponseError):
         backend.complete(plan_prompt(), DecodeParams())
     assert len(session.posts) == 1
+
+
+@pytest.mark.parametrize("usage", [None, {}, {"prompt_tokens": None, "completion_tokens": None}])
+def test_wire_absent_or_null_token_counts_are_zero(wire_env, usage):
+    backend, _, _ = make_wire([FakeResponse(200, usage_body(usage))])
+    got = backend.complete(plan_prompt(), DecodeParams())
+    assert (got.text, got.prompt_tokens, got.completion_tokens) == ("fine answer", 0, 0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"temperature": float("nan")},
+    {"temperature": float("inf")},
+    {"temperature": -0.1},
+    {"top_p": -4.0},
+    {"top_p": 0.0},
+    {"top_p": 1.5},
+    {"top_p": float("nan")},
+])
+def test_decode_params_refuse_values_an_endpoint_cannot_take(kwargs):
+    with pytest.raises(ValueError):
+        DecodeParams(**kwargs)
+
+
+def test_decode_params_accept_the_edges_of_their_ranges():
+    DecodeParams(temperature=0.0, top_p=1.0)
+    DecodeParams(top_p=1e-9)
 
 
 def test_wire_gives_up_after_max_attempts(wire_env):
