@@ -143,40 +143,35 @@ def test_ask_replay_reproduces_answers(index_file, tmp_path, capsys):
     assert replay_answers == live_answers
 
 
-@pytest.mark.parametrize("dropped", ["key", "bindings_digest", "response"])
+DROP = object()
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    pytest.param("key", DROP, "lacks", id="key"),
+    pytest.param("bindings_digest", DROP, "lacks", id="bindings_digest"),
+    pytest.param("response", DROP, "lacks", id="response"),
+    pytest.param("response", 5, "has ill-typed", id="response=5"),
+    pytest.param("prompt_tokens", "5", "has ill-typed", id="prompt_tokens='5'"),
+])
 def test_ask_replay_of_a_call_without_a_field_is_a_usage_error(
-    index_file, tmp_path, capsys, dropped
+    index_file, tmp_path, capsys, field, value, problem
 ):
+    """A recorded call that lacks a field, or holds one of the wrong type."""
     trace_path = tmp_path / "run.trace"
     assert main(ask_args(index_file, IRAN_Q, "Iranian_rial", trace=str(trace_path))) == EXIT_OK
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
     (number, call) = next((n, e) for n, e in enumerate(events, 1) if e["event"] == "llm_call")
-    del call[dropped]
+    if value is DROP:
+        del call[field]
+    else:
+        call[field] = value
     trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
     capsys.readouterr()
     code = main(["ask", "--kg", "fixtures/combined.tsv", "--index", str(index_file),
                  "--replay", str(trace_path)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
-    assert err == f"error: trace event {number} (llm_call) lacks {dropped}\n"
-
-
-@pytest.mark.parametrize("field, value", [("response", 5), ("prompt_tokens", "5")])
-def test_ask_replay_of_a_call_with_an_ill_typed_field_is_a_usage_error(
-    index_file, tmp_path, capsys, field, value
-):
-    trace_path = tmp_path / "run.trace"
-    assert main(ask_args(index_file, IRAN_Q, "Iranian_rial", trace=str(trace_path))) == EXIT_OK
-    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
-    (number, call) = next((n, e) for n, e in enumerate(events, 1) if e["event"] == "llm_call")
-    call[field] = value
-    trace_path.write_text("".join(json.dumps(e) + "\n" for e in events))
-    capsys.readouterr()
-    code = main(["ask", "--kg", "fixtures/combined.tsv", "--index", str(index_file),
-                 "--replay", str(trace_path)])
-    err = capsys.readouterr().err
-    assert code == EXIT_USAGE
-    assert err == f"error: trace event {number} (llm_call) has ill-typed {field}\n"
+    assert err == f"error: trace event {number} (llm_call) {problem} {field}\n"
 
 
 def test_ask_unknown_topic_entity_is_runtime_error(index_file, capsys):

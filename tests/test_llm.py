@@ -414,21 +414,22 @@ def usage_body(usage):
     return {"choices": [{"message": {"content": "fine answer"}}], "usage": usage}
 
 
-@pytest.mark.parametrize("body", [
-    {"surprise": True},
-    usage_body({"prompt_tokens": "abc"}),
-    usage_body({"prompt_tokens": -3}),
-    usage_body({"prompt_tokens": 2.7}),
-    usage_body({"prompt_tokens": True}),
-    usage_body({"completion_tokens": False}),
-    usage_body({"completion_tokens": "5"}),
-    usage_body(["prompt_tokens", 5]),
-])
-def test_wire_malformed_body_is_not_retried(wire_env, body):
-    backend, session, _ = make_wire([FakeResponse(200, body)])
-    with pytest.raises(MalformedResponseError):
-        backend.complete(plan_prompt(), DecodeParams())
-    assert len(session.posts) == 1
+def test_wire_malformed_body_is_not_retried(wire_env):
+    bodies = [
+        {"surprise": True},
+        usage_body({"prompt_tokens": "abc"}),
+        usage_body({"prompt_tokens": -3}),
+        usage_body({"prompt_tokens": 2.7}),
+        usage_body({"prompt_tokens": True}),
+        usage_body({"completion_tokens": False}),
+        usage_body({"completion_tokens": "5"}),
+        usage_body(["prompt_tokens", 5]),
+    ]
+    for body in bodies:
+        backend, session, _ = make_wire([FakeResponse(200, body)])
+        with pytest.raises(MalformedResponseError):
+            backend.complete(plan_prompt(), DecodeParams())
+        assert len(session.posts) == 1, body
 
 
 @pytest.mark.parametrize("usage", [None, {}, {"prompt_tokens": None, "completion_tokens": None}])

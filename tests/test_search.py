@@ -847,23 +847,22 @@ def test_call_records_name_the_event_and_its_missing_keys():
         trace.call_records()
     assert str(exc.value) == "trace event 3 (llm_call) lacks key, response"
 
-
-@pytest.mark.parametrize("field, value", [
-    ("key", 5),
-    ("bindings_digest", None),
-    ("response", 5),
-    ("response", ["A"]),
-    ("prompt_tokens", "5"),
-    ("prompt_tokens", -1),
-    ("completion_tokens", True),
-    ("completion_tokens", 2.0),
-])
-def test_call_records_name_the_event_and_its_ill_typed_keys(field, value):
     call = {"event": "llm_call", "key": "plan", "bindings_digest": "d0", "response": "{}"}
-    trace = SearchTrace("q", [{"event": "run_start", "schema": TRACE_SCHEMA}, {**call, field: value}])
-    with pytest.raises(ValueError) as exc:
-        trace.call_records()
-    assert str(exc.value) == f"trace event 2 (llm_call) has ill-typed {field}"
+    ill_typed = [
+        ("key", 5),
+        ("bindings_digest", None),
+        ("response", 5),
+        ("response", ["A"]),
+        ("prompt_tokens", "5"),
+        ("prompt_tokens", -1),
+        ("completion_tokens", True),
+        ("completion_tokens", 2.0),
+    ]
+    for field, value in ill_typed:
+        trace = SearchTrace("q", [{"event": "run_start", "schema": TRACE_SCHEMA}, {**call, field: value}])
+        with pytest.raises(ValueError) as exc:
+            trace.call_records()
+        assert str(exc.value) == f"trace event 2 (llm_call) has ill-typed {field}"
 
 
 def test_trace_requires_schema_header():
