@@ -6,10 +6,14 @@ of each live hypothesis, the model picks the beam, and a deductive check
 decides whether a path now answers the question (halt) or should keep
 growing. Halted paths feed one final answer-generation call.
 
-Every candidate step comes from the graph's real edges, so emitted paths
-are valid by construction; the model can gate and rank but never invent an
-edge. Call count per question is bounded by width*depth verification calls,
-one selection call per non-final depth, one plan call and one answer call.
+Every candidate step is read from its frontier's own adjacency row, so
+pooled and emitted paths are valid by construction and the search does not
+re-check them; the model can gate and rank but never invent an edge.
+Validity is checked where it is measured: ``evaluate_question`` validates
+each emitted path for the report's ``validity_ratio``.
+
+Call count per question is bounded by width*depth verification calls, one
+selection call per non-final depth, one plan call and one answer call.
 
 The verifications of one depth depend only on the question, the plan and
 their own path, so once the run's model calls are seen to wait they overlap,
@@ -28,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text, validate_path
+from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -63,7 +67,6 @@ REASON_BACKEND_FAILURE = "backend-failure"
 
 PRUNE_WIDTH_TRUNCATION = "width-truncation"
 PRUNE_NO_CANDIDATES = "no-candidates"
-PRUNE_INVALID_STEP = "invalid-step"
 
 SELECT_BY_LLM = "llm"
 SELECT_SATURATED = "saturated"
@@ -380,6 +383,17 @@ def _deduped(items) -> list[str]:
     return [item for item in dict.fromkeys(items) if item]
 
 
+@contextmanager
+def _step(recorder: CallRecorder, trace: SearchTrace):
+    """One logical step's calls, added to the trace when the step ends,
+    also when it fails."""
+    step = StepCalls(recorder)
+    try:
+        yield step
+    finally:
+        trace.add_calls(step.records)
+
+
 def run_dvbs(
     question: str,
     topic_entities: Sequence[str],
@@ -426,129 +440,83 @@ def run_dvbs(
     if not present:
         raise TopicEntityError(f"no topic entity of {list(topic_entities)!r} exists in the graph")
 
+    config, retrieval = search_config, retrieval_config
+    context = context or ScoreContext(g, idx, emb)
+    k = config.effective_width
     recorder = CallRecorder(client)
     try:
-        return _search(
-            question, present, g, idx, emb, search_config, retrieval_config,
-            demonstrations, trace, recorder, context or ScoreContext(g, idx, emb),
-        )
-    except LlmError as exc:
-        logger.error("backend failure during search: %s", exc)
-        trace.add("backend-failure", error=str(exc), error_type=type(exc).__name__)
-        answers = AnswerSet(reason=REASON_BACKEND_FAILURE)
-        trace.add("final", answers=[], reason=REASON_BACKEND_FAILURE)
-        return answers, trace
-    finally:
-        recorder.close()
-
-
-@contextmanager
-def _step(recorder: CallRecorder, trace: SearchTrace):
-    """One logical step's calls, added to the trace when the step ends,
-    also when it fails."""
-    step = StepCalls(recorder)
-    try:
-        yield step
-    finally:
-        trace.add_calls(step.records)
-
-
-def _search(
-    question: str,
-    seeds: list[str],
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    emb: Embedder,
-    config: SearchConfig,
-    retrieval: RetrievalConfig,
-    demonstrations: Mapping[str, Sequence[str]] | None,
-    trace: SearchTrace,
-    recorder: CallRecorder,
-    context: ScoreContext,
-) -> tuple[AnswerSet, SearchTrace]:
-    k = config.effective_width
-
-    if config.use_planning:
-        with _step(recorder, trace) as calls:
-            plan = generate_plan(calls, question, demonstrations)
-    else:
-        plan = replace(degraded_plan(question), degraded=False)
-    trace.add(
-        "plan",
-        keywords=list(plan.keywords),
-        planning_steps=list(plan.planning_steps),
-        declarative_statement=plan.declarative_statement,
-        degraded=plan.degraded,
-    )
-    query_vec = context.embed_query(" ".join(plan.keywords))
-
-    # Live and halted paths are (selection rank, arrow, path).
-    live = [(i, e, ReasoningPath(start=e)) for i, e in enumerate(seeds)]
-    halted: list[tuple[int, str, ReasoningPath]] = []
-
-    def verify(calls: Completer, path: ReasoningPath) -> bool:
-        if config.adequacy_mode:
-            return adequacy_verify(calls, question, path, demonstrations)
-        return verify_global(calls, question, plan, path, demonstrations)
-
-    for depth in range(1, config.max_depth + 1):
-        if not live:
-            break
-        if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
-            context.rank([path.terminal_entity for *_, path in live], retrieval.m, retrieval.alpha)
-        # A pool entry is (total score, parent arrow, step, path, arrow).
-        pool = []
-        for _, parent, path in live:
-            ranked = candidate_steps(
-                g, idx, emb, query_vec, path.terminal_entity, retrieval, context=context
-            )
-            if not ranked:
-                trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
-            for cand in ranked:
-                step = cand.step
-                arrow = f"{parent} -> {step.relation} -> {step.entity}"
-                pool.append((cand.total_score, parent, step, path.extend(step), arrow))
-        pool.sort(key=lambda e: (-e[0], e[1], e[2].relation, e[2].entity))
-        trace.add(
-            "depth",
-            depth=depth,
-            live=[arrow for _, arrow, _ in live],
-            pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
-        )
-        if not pool:
-            break
-
-        if depth == config.max_depth:
-            indices, mode = list(range(min(k, len(pool)))), SELECT_FINAL_DEPTH
-        else:
-            arrows = [arrow for *_, arrow in pool]
+        if config.use_planning:
             with _step(recorder, trace) as calls:
-                indices, mode = select_steps(calls, question, plan, arrows, k, demonstrations)
-        chosen = [pool[i] for i in indices]
-        if len(pool) > k:
+                plan = generate_plan(calls, question, demonstrations)
+        else:
+            plan = replace(degraded_plan(question), degraded=False)
+        trace.add(
+            "plan",
+            keywords=list(plan.keywords),
+            planning_steps=list(plan.planning_steps),
+            declarative_statement=plan.declarative_statement,
+            degraded=plan.degraded,
+        )
+        query_vec = context.embed_query(" ".join(plan.keywords))
+
+        # Live and halted paths are (selection rank, arrow, path).
+        live = [(i, e, ReasoningPath(start=e)) for i, e in enumerate(present)]
+        halted: list[tuple[int, str, ReasoningPath]] = []
+
+        def verify(calls: Completer, path: ReasoningPath) -> bool:
+            if config.adequacy_mode:
+                return adequacy_verify(calls, question, path, demonstrations)
+            return verify_global(calls, question, plan, path, demonstrations)
+
+        for depth in range(1, config.max_depth + 1):
+            if not live:
+                break
+            if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
+                context.rank([path.terminal_entity for *_, path in live], retrieval.m, retrieval.alpha)
+            # A pool entry is (total score, parent arrow, step, path, arrow).
+            pool = []
+            for _, parent, path in live:
+                ranked = candidate_steps(
+                    g, idx, emb, query_vec, path.terminal_entity, retrieval, context=context
+                )
+                if not ranked:
+                    trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
+                for cand in ranked:
+                    step = cand.step
+                    arrow = f"{parent} -> {step.relation} -> {step.entity}"
+                    pool.append((cand.total_score, parent, step, path.extend(step), arrow))
+            pool.sort(key=lambda e: (-e[0], e[1], e[2].relation, e[2].entity))
+            trace.add(
+                "depth",
+                depth=depth,
+                live=[arrow for _, arrow, _ in live],
+                pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
+            )
+            if not pool:
+                break
+
+            if depth == config.max_depth:
+                indices, mode = list(range(min(k, len(pool)))), SELECT_FINAL_DEPTH
+            else:
+                arrows = [arrow for *_, arrow in pool]
+                with _step(recorder, trace) as calls:
+                    indices, mode = select_steps(calls, question, plan, arrows, k, demonstrations)
+            chosen = [pool[i] for i in indices]
             kept = {arrow for *_, arrow in chosen}
             for *_, arrow in pool:
                 if arrow not in kept:
                     trace.add("prune", depth=depth, path=arrow, reason=PRUNE_WIDTH_TRUNCATION)
-        trace.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
-
-        # Validate every extension first, then verify the valid ones as one
-        # batch (concurrently when calls wait) and fold the outcomes back in
-        # selection-rank order, so the trace reads as if run one by one.
-        paths = [path for *_, path, _ in chosen]
-        valid = [validate_path(g, path).all_valid for path in paths]
-        checked = [path for path, ok in zip(paths, valid) if ok]
-        outcomes = iter(
-            recorder.run_steps(verify, checked) if config.use_deductive_verifier else ()
-        )
-        next_live = []
-        for rank, ((*_, path, arrow), ok) in enumerate(zip(chosen, valid)):
-            if not ok:
-                logger.error("candidate produced an invalid path %s; pruning", arrow)
-                trace.add("prune", depth=depth, path=arrow, reason=PRUNE_INVALID_STEP)
+            trace.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
+            live = [(rank, arrow, path) for rank, (*_, path, arrow) in enumerate(chosen)]
+            if not config.use_deductive_verifier:
                 continue
-            if config.use_deductive_verifier:
-                calls, deduced, error = next(outcomes)
+
+            # Verify the chosen extensions as one batch (concurrently when
+            # calls wait) and fold the outcomes back in selection-rank order,
+            # so the trace reads as if run one by one.
+            outcomes = recorder.run_steps(verify, [path for *_, path in live])
+            verified, live = live, []
+            for (rank, arrow, path), (calls, deduced, error) in zip(verified, outcomes):
                 trace.add_calls(calls.records)
                 if error is not None:
                     raise error
@@ -559,25 +527,29 @@ def _search(
                     halted=deduced,
                     mode="adequacy" if config.adequacy_mode else "deductive",
                 )
-                if deduced:
-                    halted.append((rank, arrow, path))
-                    continue
-            next_live.append((rank, arrow, path))
-        live = next_live
+                (halted if deduced else live).append((rank, arrow, path))
 
-    # Without the verifier the last live paths answer, also those whose
-    # frontier had no onward edge, but a topic entity alone answers nothing.
-    answered = halted if config.use_deductive_verifier else [h for h in live if h[2].steps]
-    answered = sorted(answered, key=lambda h: h[:2])
-    answer_paths = [path for *_, path in answered]
-    with _step(recorder, trace) as calls:
-        answers = final_reason(calls, question, answer_paths, config, demonstrations)
-    trace.add(
-        "final",
-        answers=list(answers.answers),
-        reason=answers.reason,
-        supporting_paths=[p.to_arrow() for p in answers.supporting_paths],
-        indirect_paths=[p.to_arrow() for p in answers.indirect_paths],
-        halted_depths=[path.depth for path in answer_paths],
-    )
-    return answers, trace
+        # Without the verifier the last live paths answer, also those whose
+        # frontier had no onward edge, but a topic entity alone answers nothing.
+        answered = halted if config.use_deductive_verifier else [h for h in live if h[2].steps]
+        answered = sorted(answered, key=lambda h: h[:2])
+        answer_paths = [path for *_, path in answered]
+        with _step(recorder, trace) as calls:
+            answers = final_reason(calls, question, answer_paths, config, demonstrations)
+        trace.add(
+            "final",
+            answers=list(answers.answers),
+            reason=answers.reason,
+            supporting_paths=[p.to_arrow() for p in answers.supporting_paths],
+            indirect_paths=[p.to_arrow() for p in answers.indirect_paths],
+            halted_depths=[path.depth for path in answer_paths],
+        )
+        return answers, trace
+    except LlmError as exc:
+        logger.error("backend failure during search: %s", exc)
+        trace.add("backend-failure", error=str(exc), error_type=type(exc).__name__)
+        answers = AnswerSet(reason=REASON_BACKEND_FAILURE)
+        trace.add("final", answers=[], reason=REASON_BACKEND_FAILURE)
+        return answers, trace
+    finally:
+        recorder.close()
