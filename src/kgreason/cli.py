@@ -55,11 +55,15 @@ def _load_kg(path: str):
 
 def _effective_config(args) -> RunConfig:
     """Start from defaults, apply the config file, then explicit flags: a
-    flag's ``dest`` is the file key it overrides."""
+    flag's ``dest`` is the file key it overrides, and names a value it
+    refuses."""
     rc = load_config(args.config) if args.config else RunConfig()
     for key, value in vars(args).items():
         if key in KEYS and value is not None:
-            set_value(rc, key, value)
+            try:
+                set_value(rc, key, value)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
     return rc
 
 
@@ -132,9 +136,16 @@ def cmd_ask(args) -> int:
     if args.replay:
         recorded = SearchTrace.from_jsonl(args.replay)
         start = recorded.events[0]
-        question = question or start.get("question")
+        if not question:
+            question = start.get("question")
+            if not isinstance(question, str | None):
+                raise ConfigError("the trace's run_start question is not a string")
         if not topic_entities:
             topic_entities = start.get("topic_entities", [])
+            if not isinstance(topic_entities, list) or not all(
+                isinstance(entity, str) for entity in topic_entities
+            ):
+                raise ConfigError("the trace's run_start topic_entities is not a list of strings")
         backend = ReplayBackend(recorded.call_records())
     else:
         backend = _build_backend(rc, g)

@@ -66,6 +66,8 @@ KEYS = _key_table()
 def set_value(config: RunConfig, key: str, value) -> None:
     """Set one file key's value; a settings object's own checks vet its field."""
     attr, name, _ = KEYS[key]
+    if attr == "eval_parallelism" and value < 1:
+        raise ValueError("parallelism must be >= 1")
     if name is not None:
         value = replace(getattr(config, attr), **{name: value})
     setattr(config, attr, value)

@@ -188,9 +188,12 @@ class SearchTrace:
             if not line.strip():
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace line {line_number} is not valid JSON: {exc}")
+            if not isinstance(event, dict):
+                raise ValueError(f"trace line {line_number} is not a JSON object")
+            events.append(event)
         if not events or events[0].get("schema") != TRACE_SCHEMA:
             raise ValueError(f"trace does not declare schema {TRACE_SCHEMA}")
         question = events[0].get("question", "")
