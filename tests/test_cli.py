@@ -174,6 +174,33 @@ def test_ask_replay_of_a_call_without_a_field_is_a_usage_error(
     assert err == f"error: trace event {number} (llm_call) {problem} {field}\n"
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda events: [[1], *events[1:]], "trace line 1 is not a JSON object"),
+    (lambda events: [events[0], "just a string", *events[1:]], "trace line 2 is not a JSON object"),
+    (
+        lambda events: [{**events[0], "topic_entities": "Justin_Bieber"}, *events[1:]],
+        "the trace's run_start topic_entities is not a list of strings",
+    ),
+    (
+        lambda events: [{**events[0], "question": ["q"]}, *events[1:]],
+        "the trace's run_start question is not a string",
+    ),
+], ids=["list-line", "string-line", "string-topics", "list-question"])
+def test_ask_replay_of_a_malformed_trace_is_a_usage_error(
+    index_file, tmp_path, capsys, damage, message
+):
+    """A line that is not an object, or a run_start field of the wrong type."""
+    trace_path = tmp_path / "run.trace"
+    assert main(ask_args(index_file, BIEBER_Q, "Justin_Bieber", trace=str(trace_path))) == EXIT_OK
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    trace_path.write_text("".join(json.dumps(e) + "\n" for e in damage(events)))
+    capsys.readouterr()
+    code = main(["ask", "--kg", "fixtures/combined.tsv", "--index", str(index_file),
+                 "--replay", str(trace_path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_ask_unknown_topic_entity_is_runtime_error(index_file, capsys):
     code = main(ask_args(index_file, BIEBER_Q, "Atlantis"))
     assert code == EXIT_RUNTIME
@@ -372,12 +399,23 @@ def test_eval_refuses_a_setting_the_run_cannot_use(index_file, tmp_path, capsys,
     assert not report_path.exists()
 
 
-def test_bad_config_value_exits_2_before_any_file_is_read(tmp_path, capsys):
+@pytest.mark.parametrize("command, line, flags, message", [
+    ("ask", "search.width = 0", [], "line 4: search.width: beam_width must be >= 1"),
+    ("ask", "", ["--width", "0"], "search.width: beam_width must be >= 1"),
+    ("eval", "eval.parallelism = 0", [], "line 4: eval.parallelism: parallelism must be >= 1"),
+    ("eval", "", ["--parallelism", "0"], "eval.parallelism: parallelism must be >= 1"),
+])
+def test_bad_config_value_exits_2_before_any_file_is_read(
+    tmp_path, capsys, command, line, flags, message
+):
     config = tmp_path / "run.cfg"
-    config.write_text("schema = kgreason-config/1\nkg = no/such/graph.tsv\nsearch.width = 0\n")
-    code = main(["ask", "--config", str(config), "--question", "q", "--topic-entity", "S"])
+    config.write_text(
+        f"schema = kgreason-config/1\nkg = no/such/graph.tsv\nindex = no/such.idx\n{line}\n"
+    )
+    required = {"ask": ["--question", "q", "--topic-entity", "S"], "eval": ["--dataset", "d.jsonl"]}
+    code = main([command, "--config", str(config), *required[command], *flags])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error: line 3: search.width: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_eval_calls_the_model_with_the_configured_decode_values(

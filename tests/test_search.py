@@ -5,6 +5,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgreason import llm as llm_module
 from kgreason.embedding import HashingEmbedder, build_index
@@ -26,7 +27,7 @@ from kgreason.llm import (
     load_mock_script,
 )
 from kgreason.evaluate import QARecord, evaluate_question, load_dataset, run_experiment
-from kgreason.pathrag import RetrievalConfig, ScoreContext
+from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig, ScoreContext
 from kgreason.prompts import DEDUCTIVE_VERIFY
 from kgreason.search import (
     PRUNE_NO_CANDIDATES,
@@ -405,6 +406,44 @@ def test_emitted_paths_are_structurally_valid():
     answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
     for path in answers.supporting_paths + answers.indirect_paths:
         assert validate_path(g, path).all_valid
+
+
+# Labels with commas, spaces and non-ASCII, never "->"; loading trims them
+# as ``from_arrow`` trims the segments of an arrow.
+pool_label = st.text(alphabet="ab ,\u00e9\u65e5", min_size=1, max_size=3).filter(str.strip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_pooled_and_selected_path_validates(data):
+    """The search does not re-check its extensions, so each arrow it pools or
+    selects must name a path that holds in the graph."""
+    raw = data.draw(st.lists(st.tuples(pool_label, pool_label, pool_label), min_size=1, max_size=12))
+    g = load_triples("\t".join(fields) + "\n" for fields in raw)
+    emb = HashingEmbedder(dimension=8)
+    idx = build_index(g, emb)
+    halting = data.draw(st.sets(st.sampled_from(sorted(g.entities))))
+    rule = lambda bindings: bindings["terminal_entity"] in halting
+    backend = MockBackend(g, answer_key={}, global_rule=rule, adequacy_rule=rule)
+    search = SearchConfig(
+        beam_width=data.draw(st.integers(min_value=1, max_value=3)),
+        max_depth=data.draw(st.integers(min_value=1, max_value=3)),
+        use_planning=False,
+        use_deductive_verifier=data.draw(st.booleans()),
+        adequacy_mode=data.draw(st.booleans()),
+    )
+    retrieval = RetrievalConfig(mode=data.draw(st.sampled_from(RETRIEVER_MODES)), m=3)
+    topic = data.draw(st.sampled_from(sorted({head for head, _, _ in g.edges()})))
+    _, trace = run_dvbs("q", [topic], g, idx, emb, LlmClient(backend), search, retrieval)
+    arrows = []
+    for event in trace.events:
+        if event["event"] == "depth":
+            arrows += [entry["path"] for entry in event["pool"]]
+        elif event["event"] == "selection":
+            arrows += event["selected"]
+    assert arrows
+    for arrow in arrows:
+        assert validate_path(g, ReasoningPath.from_arrow(arrow)).all_valid, arrow
 
 
 @pytest.mark.parametrize("use_verifier", [True, False])
