@@ -55,8 +55,8 @@ def _load_kg(path: str):
 
 def _effective_config(args) -> RunConfig:
     """Start from defaults, apply the config file, then explicit flags: a
-    flag's ``dest`` is the file key it overrides, and names a value it
-    refuses."""
+    flag's ``dest`` is the file key it overrides, named when its value is
+    refused."""
     rc = load_config(args.config) if args.config else RunConfig()
     for key, value in vars(args).items():
         if key in KEYS and value is not None:

@@ -386,17 +386,6 @@ def _deduped(items) -> list[str]:
     return [item for item in dict.fromkeys(items) if item]
 
 
-@contextmanager
-def _step(recorder: CallRecorder, trace: SearchTrace):
-    """One logical step's calls, added to the trace when the step ends,
-    also when it fails."""
-    step = StepCalls(recorder)
-    try:
-        yield step
-    finally:
-        trace.add_calls(step.records)
-
-
 def run_dvbs(
     question: str,
     topic_entities: Sequence[str],
@@ -556,3 +545,14 @@ def run_dvbs(
         return answers, trace
     finally:
         recorder.close()
+
+
+@contextmanager
+def _step(recorder: CallRecorder, trace: SearchTrace):
+    """One logical step's calls, added to the trace when the step ends,
+    also when it fails."""
+    step = StepCalls(recorder)
+    try:
+        yield step
+    finally:
+        trace.add_calls(step.records)
