@@ -1,10 +1,11 @@
 """Language-model gateway.
 
-Every model interaction in the package flows through LlmClient, which books
-calls, tokens and wall time into a UsageLedger and returns a record of each
-call for tracing and replay. A CallRecorder gives one search run its own view of
-the client: calls are booked by the logical step that made them, and
-independent steps can run concurrently once calls are seen to wait; a
+Every model interaction in the package flows through LlmClient.complete,
+which books the call's tokens into a UsageLedger and returns the call's
+CallRecord for tracing and replay. A CallRecorder gives one search run its own
+view of the client: each logical step (plan, select, verify, final) makes its
+calls through a StepCalls, which keeps their records in order and times each
+one, so independent steps can run concurrently once calls are seen to wait; a
 SharedBackend bounds the calls in flight when several runs share a backend.
 Backends plug in behind one interface: a wire client for chat-completion HTTP
 endpoints, a deterministic mock that answers from a knowledge graph, a
@@ -98,7 +99,6 @@ class Completion:
     text: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -131,22 +131,14 @@ class UsageLedger:
         self.llm_calls = 0
         self.prompt_tokens = 0
         self.completion_tokens = 0
-        self.wall_time = 0.0
 
-    def record(
-        self,
-        calls: int = 1,
-        prompt_tokens: int = 0,
-        completion_tokens: int = 0,
-        wall_time: float = 0.0,
-    ):
-        if min(calls, prompt_tokens, completion_tokens) < 0 or wall_time < 0:
+    def record(self, calls: int = 1, prompt_tokens: int = 0, completion_tokens: int = 0):
+        if min(calls, prompt_tokens, completion_tokens) < 0:
             raise ValueError("usage increments must be non-negative")
         with self._lock:
             self.llm_calls += calls
             self.prompt_tokens += prompt_tokens
             self.completion_tokens += completion_tokens
-            self.wall_time += wall_time
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -154,7 +146,6 @@ class UsageLedger:
                 "llm_calls": self.llm_calls,
                 "prompt_tokens": self.prompt_tokens,
                 "completion_tokens": self.completion_tokens,
-                "wall_time": self.wall_time,
             }
 
 
@@ -178,8 +169,8 @@ class SharedBackend:
 
 
 class LlmClient:
-    """Books every completion into the ledger. A backend that reports no
-    wall time is booked the time measured around its ``complete``."""
+    """Books every call's tokens into the ledger and returns its record.
+    The client does not time calls; a search run's StepCalls does."""
 
     def __init__(
         self,
@@ -191,41 +182,23 @@ class LlmClient:
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.params = params
 
-    def complete(self, rendered: RenderedPrompt) -> Completion:
-        return self.call(rendered)[0]
-
-    def call(self, rendered: RenderedPrompt) -> tuple[Completion, CallRecord]:
-        """Complete, returning the call's record with the completion."""
-        started = time.perf_counter()
+    def complete(self, rendered: RenderedPrompt) -> CallRecord:
         completion = self.backend.complete(rendered, self.params)
-        if not completion.wall_time:
-            completion = Completion(
-                completion.text,
-                completion.prompt_tokens,
-                completion.completion_tokens,
-                time.perf_counter() - started,
-            )
-        self.ledger.record(
-            calls=1,
-            prompt_tokens=completion.prompt_tokens,
-            completion_tokens=completion.completion_tokens,
-            wall_time=completion.wall_time,
-        )
-        record = CallRecord(
+        self.ledger.record(1, completion.prompt_tokens, completion.completion_tokens)
+        return CallRecord(
             key=rendered.key,
             bindings_digest=rendered.bindings_digest(),
             response=completion.text,
             prompt_tokens=completion.prompt_tokens,
             completion_tokens=completion.completion_tokens,
         )
-        return completion, record
 
 
 class Completer(Protocol):
     """What the prompt helpers need of a client: an LlmClient or one step of
     a CallRecorder."""
 
-    def complete(self, rendered: RenderedPrompt) -> Completion: ...
+    def complete(self, rendered: RenderedPrompt) -> CallRecord: ...
 
 
 # A batch of independent steps runs on threads only once the fastest call of
@@ -237,17 +210,19 @@ FAN_OUT_MIN_CALL_S = 0.001
 
 class StepCalls:
     """The model calls of one logical step of a run, in the order the step
-    made them. Stands in for the client in the prompt helpers."""
+    made them. Stands in for the client in the prompt helpers: the client
+    books each call, and the step times it for the recorder's fan-out rule."""
 
     def __init__(self, recorder: "CallRecorder"):
         self._recorder = recorder
         self.records: list[CallRecord] = []
 
-    def complete(self, rendered: RenderedPrompt) -> Completion:
-        completion, record = self._recorder.client.call(rendered)
+    def complete(self, rendered: RenderedPrompt) -> CallRecord:
+        started = time.perf_counter()
+        record = self._recorder.client.complete(rendered)
+        self._recorder.observe(time.perf_counter() - started)
         self.records.append(record)
-        self._recorder.observe(completion.wall_time)
-        return completion
+        return record
 
 
 class CallRecorder:
@@ -408,10 +383,9 @@ def complete_json(
     raises JsonDecodeFailure carrying the last raw response."""
     last_raw = ""
     for _ in range(JSON_RETRIES + 1):
-        completion = client.complete(rendered)
-        last_raw = completion.text
+        last_raw = client.complete(rendered).response
         try:
-            return extract_json(completion.text, schema_hint)
+            return extract_json(last_raw, schema_hint)
         except ValueError:
             logger.warning("unparseable JSON response for %s; retrying", rendered.key)
     raise JsonDecodeFailure(
@@ -504,10 +478,9 @@ def generate_plan(
     rendered = render(PLAN_AND_SOLVE, {"query": question}, demonstrations=demonstrations)
     last_error: Exception | None = None
     for _ in range(JSON_RETRIES + 1):
-        completion = client.complete(rendered)
+        response = client.complete(rendered).response
         try:
-            parsed = extract_json(completion.text)
-            return _coerce_plan(parsed)
+            return _coerce_plan(extract_json(response))
         except ValueError as exc:
             last_error = exc
             logger.warning("plan parse failed (%s); retrying", exc)
@@ -541,8 +514,8 @@ class WireBackend:
 
     Transient failures (timeouts, connection errors, 429 and 5xx statuses)
     are retried with exponential backoff, up to WIRE_MAX_ATTEMPTS attempts;
-    auth failures and malformed bodies are not. The sleeper and clock are
-    injectable so fault-injection tests run without real waiting.
+    auth failures and malformed bodies are not. The sleeper is injectable so
+    fault-injection tests run without real waiting.
     """
 
     concurrency_limit = 4
@@ -552,14 +525,12 @@ class WireBackend:
         config: WireConfig,
         session=None,
         sleeper: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
     ):
         import requests
 
         self.config = config
         self.session = session if session is not None else requests.Session()
         self.sleeper = sleeper
-        self.clock = clock
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion:
         import requests
@@ -579,7 +550,6 @@ class WireBackend:
             "top_p": params.top_p,
         }
         headers = {"Authorization": f"Bearer {token}"}
-        started = self.clock()
         last_error: Exception | None = None
         for attempt in range(1, WIRE_MAX_ATTEMPTS + 1):
             if attempt > 1:
@@ -600,12 +570,12 @@ class WireBackend:
                 continue
             if response.status_code != 200:
                 raise WireError(f"endpoint returned HTTP {response.status_code}")
-            return self._parse_body(response, started)
+            return self._parse_body(response)
         raise WireError(
             f"endpoint failed after {WIRE_MAX_ATTEMPTS} attempts: {last_error}"
         )
 
-    def _parse_body(self, response, started: float) -> Completion:
+    def _parse_body(self, response) -> Completion:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
@@ -620,7 +590,7 @@ class WireBackend:
             if count is not None and not is_token_count(count):
                 raise MalformedResponseError(f"usage {name} is not a token count: {count!r}")
             counts[name] = count or 0
-        return Completion(text=text, wall_time=self.clock() - started, **counts)
+        return Completion(text=text, **counts)
 
 
 class MockBackend:

@@ -216,7 +216,7 @@ def _halts(client: Completer, key: str, path: ReasoningPath, bindings: dict, dem
     if not path.steps:
         return False
     rendered = render(key, {**bindings, "terminal_entity": path.terminal_entity}, demonstrations)
-    return classify_verdict(client.complete(rendered).text)
+    return classify_verdict(client.complete(rendered).response)
 
 
 def verify_global(
@@ -339,7 +339,7 @@ def final_reason(
         },
         demonstrations=demonstrations,
     )
-    text = client.complete(rendered).text
+    text = client.complete(rendered).response
     by_norm: dict[str, str] = {}
     for terminal in terminals:
         by_norm.setdefault(normalize(terminal), terminal)

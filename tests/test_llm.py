@@ -2,6 +2,7 @@ import io
 import json
 import logging
 import threading
+import time
 
 import pytest
 import requests
@@ -10,6 +11,7 @@ from kgreason.kg import load_triples
 from kgreason.llm import (
     HINT_INDEX_LIST,
     AuthError,
+    CallRecorder,
     Completion,
     DecodeParams,
     JsonDecodeFailure,
@@ -23,6 +25,7 @@ from kgreason.llm import (
     ReplayMismatchError,
     ScriptedBackend,
     SharedBackend,
+    StepCalls,
     WIRE_MAX_ATTEMPTS,
     UsageLedger,
     WireBackend,
@@ -143,14 +146,13 @@ def test_verdict_of_only_quotes_and_brackets_is_unrecognized(text, caplog):
 
 def test_ledger_accumulates():
     ledger = UsageLedger()
-    ledger.record(calls=1, prompt_tokens=10, completion_tokens=2, wall_time=0.5)
-    ledger.record(calls=1, prompt_tokens=5, completion_tokens=1, wall_time=0.25)
+    ledger.record(calls=1, prompt_tokens=10, completion_tokens=2)
+    ledger.record(calls=1, prompt_tokens=5, completion_tokens=1)
     snap = ledger.snapshot()
     assert snap == {
         "llm_calls": 2,
         "prompt_tokens": 15,
         "completion_tokens": 3,
-        "wall_time": 0.75,
     }
 
 
@@ -159,7 +161,7 @@ def test_ledger_rejects_negative_increments():
     with pytest.raises(ValueError):
         ledger.record(calls=-1)
     with pytest.raises(ValueError):
-        ledger.record(wall_time=-0.1)
+        ledger.record(prompt_tokens=-1)
 
 
 def test_ledger_is_thread_safe():
@@ -178,23 +180,18 @@ def test_ledger_is_thread_safe():
     assert ledger.prompt_tokens == 1600
 
 
-def test_client_books_measured_wall_time_when_backend_reports_none():
-    client = LlmClient(ScriptedBackend(["hello world"]))
-    got = client.complete(plan_prompt("what?"))
-    assert got.wall_time > 0
-    assert client.ledger.wall_time == got.wall_time
-
-
-def test_client_books_backend_wall_time_when_reported():
-    class TimedBackend:
+def test_step_times_the_call_it_makes():
+    class SleepyBackend:
         concurrency_limit = 1
 
         def complete(self, rendered, params):
-            return Completion(text="ok", wall_time=2.5)
+            time.sleep(0.005)
+            return Completion(text="ok")
 
-    client = LlmClient(TimedBackend())
-    assert client.complete(plan_prompt("what?")).wall_time == 2.5
-    assert client.ledger.wall_time == 2.5
+    recorder = CallRecorder(LlmClient(SleepyBackend()))
+    record = StepCalls(recorder).complete(plan_prompt("what?"))
+    assert record.response == "ok"
+    assert recorder.fastest_call_s >= 0.005
 
 
 def test_shared_backend_rejects_backend_without_call_slots():
@@ -208,8 +205,7 @@ def test_client_books_usage_and_call_records():
     backend = ScriptedBackend(["hello world"])
     client = LlmClient(backend)
     rendered = plan_prompt("what?")
-    completion, record = client.call(rendered)
-    assert completion.text == "hello world"
+    record = client.complete(rendered)
     assert client.ledger.llm_calls == 1
     assert client.ledger.completion_tokens == 2
     assert record.key == PLAN_AND_SOLVE
@@ -330,18 +326,13 @@ class FakeSession:
 
 
 class FakeClock:
-    """Clock advanced manually; doubles as the backoff sleeper."""
+    """A backoff sleeper that only notes the sleeps asked of it."""
 
     def __init__(self):
-        self.now = 0.0
         self.sleeps = []
 
     def sleep(self, seconds):
         self.sleeps.append(seconds)
-        self.now += seconds
-
-    def __call__(self):
-        return self.now
 
 
 @pytest.fixture
@@ -353,7 +344,7 @@ def make_wire(outcomes):
     config = WireConfig(endpoint="https://example.test/v1/chat", model="test-model")
     session = FakeSession(outcomes)
     clock = FakeClock()
-    backend = WireBackend(config, session=session, sleeper=clock.sleep, clock=clock)
+    backend = WireBackend(config, session=session, sleeper=clock.sleep)
     return backend, session, clock
 
 
@@ -377,7 +368,6 @@ def test_wire_retries_timeouts_and_counts_backoff(wire_env):
     assert got.text == "ok"
     assert len(session.posts) == 3
     assert clock.sleeps == [1.0, 2.0]
-    assert got.wall_time == pytest.approx(3.0)
 
 
 def test_wire_retries_connection_errors_and_5xx(wire_env):
@@ -488,9 +478,9 @@ def verify_prompt(scope, **extra):
 def test_mock_global_verdict_normalizes_answer_text():
     client, _ = mock_client(answer_key={"q?": ["Erin Wagner"]})
     got = client.complete(verify_prompt("global", query="q?", terminal_entity="Erin_Wagner"))
-    assert got.text == "yes"
+    assert got.response == "yes"
     other = client.complete(verify_prompt("global", query="q?", terminal_entity="Jeremy_Bieber"))
-    assert other.text == "no"
+    assert other.response == "no"
 
 
 def test_mock_beam_select_echoes_leading_indices():
@@ -506,7 +496,7 @@ def test_mock_beam_select_echoes_leading_indices():
         },
         demonstrations={},
     )
-    assert client.complete(rendered).text == "[0, 1, 2, 3]"
+    assert client.complete(rendered).response == "[0, 1, 2, 3]"
 
 
 def test_mock_final_reason_echoes_terminals():
@@ -516,7 +506,7 @@ def test_mock_final_reason_echoes_terminals():
         {"query": "q", "reasoning_path": "A -> r -> B", "terminal_entities": "B\nC"},
         demonstrations={},
     )
-    assert client.complete(rendered).text == "B\nC"
+    assert client.complete(rendered).response == "B\nC"
 
 
 def test_mock_unknown_question_raises_miss():
@@ -528,7 +518,7 @@ def test_mock_unknown_question_raises_miss():
 def test_mock_rules_override_defaults():
     client, _ = mock_client(global_rule=lambda b: True)
     got = client.complete(verify_prompt("global", query="anything", terminal_entity="X"))
-    assert got.text == "yes"
+    assert got.response == "yes"
 
 
 # --- scripted and replay backends ------------------------------------------------
@@ -545,15 +535,15 @@ def test_replay_backend_reserves_recorded_responses():
     source = LlmClient(ScriptedBackend(['{"a": 1}', "yes"]))
     first = plan_prompt("q1")
     second = verify_prompt("global", query="q1", terminal_entity="X")
-    records = [source.call(first)[1], source.call(second)[1]]
+    records = [source.complete(first), source.complete(second)]
     replay = LlmClient(ReplayBackend(records))
-    assert replay.complete(first).text == '{"a": 1}'
-    assert replay.complete(second).text == "yes"
+    assert replay.complete(first).response == '{"a": 1}'
+    assert replay.complete(second).response == "yes"
 
 
 def test_replay_backend_detects_divergence():
     source = LlmClient(ScriptedBackend(["yes"]))
-    _, record = source.call(plan_prompt("q1"))
+    record = source.complete(plan_prompt("q1"))
     replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
         replay.complete(verify_prompt("global", query="q1"))
@@ -561,7 +551,7 @@ def test_replay_backend_detects_divergence():
 
 def test_replay_backend_detects_binding_drift():
     source = LlmClient(ScriptedBackend(["yes"]))
-    _, record = source.call(plan_prompt("q1"))
+    record = source.complete(plan_prompt("q1"))
     replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
         replay.complete(plan_prompt("different question"))
