@@ -366,12 +366,15 @@ def _split_answers(line: str, by_norm: Mapping[str, str]) -> list[str]:
     """Split one response line on commas, scanning from the left: the
     longest run of consecutive pieces whose ``normalize`` is a key of
     ``by_norm`` becomes that terminal entity, verbatim; a piece that starts
-    no such run is an answer of its own, stripped."""
+    no such run is an answer of its own, stripped. ``normalize`` keeps
+    commas, so a run of k pieces can only match a key with k-1 commas, and
+    no run is longer than the key with the most commas allows."""
     pieces = line.split(",")
+    longest = 1 + max((key.count(",") for key in by_norm), default=0)
     answers = []
     start = 0
     while start < len(pieces):
-        for end in range(len(pieces), start, -1):
+        for end in range(min(len(pieces), start + longest), start, -1):
             terminal = by_norm.get(normalize(",".join(pieces[start:end])))
             if terminal is not None:
                 break

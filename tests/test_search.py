@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgreason import llm as llm_module
+from kgreason import search as search_module
 from kgreason.embedding import HashingEmbedder, build_index
 from kgreason.kg import (
     KnowledgeGraph,
@@ -15,6 +16,7 @@ from kgreason.kg import (
     ReasoningStep,
     Triple,
     load_triples,
+    normalize,
     validate_path,
 )
 from kgreason.llm import (
@@ -343,6 +345,62 @@ def test_final_reason_keeps_terminals_that_contain_commas(response, answers, ind
     assert got.answers == answers
     assert tuple(p.terminal_entity for p in got.indirect_paths) == indirect
     assert len(got.supporting_paths) + len(got.indirect_paths) == len(CAPITALS)
+
+
+def test_answer_splitting_costs_linear_normalize_calls(monkeypatch):
+    """A response line of n comma pieces costs O(n) ``normalize`` calls: a
+    run of pieces is never longer than the terminal with the most commas."""
+    real = search_module.normalize
+    calls = []
+
+    def counting(text):
+        calls.append(None)
+        if len(calls) > 10 * pieces:
+            raise AssertionError(f"more than {10 * pieces} normalize calls for {pieces} pieces")
+        return real(text)
+
+    monkeypatch.setattr(search_module, "normalize", counting)
+    counts = []
+    for pieces in (1000, 2000):
+        calls.clear()
+        line = ", ".join(f"item {i}" for i in range(pieces))
+        got = final_reason(LlmClient(ScriptedBackend([line])), "What is the capital?", CAPITALS)
+        assert len(got.answers) == pieces
+        counts.append(len(calls))
+    assert counts[1] <= 2 * counts[0] + 10
+
+
+def unbounded_split(line, by_norm):
+    """The splitter without its run-length cap: every run, longest first."""
+    pieces = line.split(",")
+    answers = []
+    start = 0
+    while start < len(pieces):
+        for end in range(len(pieces), start, -1):
+            terminal = by_norm.get(normalize(",".join(pieces[start:end])))
+            if terminal is not None:
+                break
+        else:
+            end, terminal = start + 1, pieces[start].strip()
+        answers.append(terminal)
+        start = end
+    return answers
+
+
+split_text = st.text(alphabet="aA _,\u00e9\u0130", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_capped_split_matches_unbounded_split(data):
+    terminals = data.draw(st.lists(split_text, max_size=5))
+    piece = st.sampled_from(terminals) | split_text if terminals else split_text
+    line = ",".join(data.draw(st.lists(piece, max_size=8)))
+    by_norm = {}
+    for terminal in terminals:
+        by_norm.setdefault(normalize(terminal), terminal)
+    by_norm.pop("", None)
+    assert search_module._split_answers(line, by_norm) == unbounded_split(line, by_norm)
 
 
 def test_mock_run_answers_an_entity_with_a_comma():
