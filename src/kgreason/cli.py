@@ -31,7 +31,6 @@ from .llm import (
     MockBackend,
     ReplayBackend,
     WireBackend,
-    WireConfig,
     load_mock_script,
 )
 from .pathrag import RETRIEVER_MODES
@@ -95,15 +94,9 @@ def _open_index(rc: RunConfig):
 
 def _build_backend(rc: RunConfig, g):
     if rc.backend_kind == "wire":
-        if not rc.backend_endpoint or not rc.backend_model:
+        if not rc.backend.endpoint or not rc.backend.model:
             raise ConfigError("wire backend needs backend.endpoint and backend.model")
-        return WireBackend(
-            WireConfig(
-                endpoint=rc.backend_endpoint,
-                model=rc.backend_model,
-                auth_env_var=rc.backend_auth_env,
-            )
-        )
+        return WireBackend(rc.backend)
     if not rc.backend_script:
         raise ConfigError("mock backend needs a script file (backend.script or --script)")
     answer_key, plan_script = load_mock_script(rc.backend_script)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import IO, Union
 
 from .kg import read_text
-from .llm import DecodeParams
+from .llm import DecodeParams, WireConfig
 from .pathrag import RetrievalConfig
 from .search import SearchConfig
 
@@ -31,9 +31,7 @@ class RunConfig:
     retriever: RetrievalConfig = RetrievalConfig()
     search: SearchConfig = SearchConfig()
     backend_kind: str = "mock"
-    backend_endpoint: str = ""
-    backend_model: str = ""
-    backend_auth_env: str = "LLM_API_KEY"
+    backend: WireConfig = WireConfig(endpoint="", model="")
     backend_script: str = ""
     decode: DecodeParams = DecodeParams()
     demonstrations: str = ""

@@ -491,11 +491,11 @@ def generate_plan(
 
 # --- Backends --------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class WireConfig:
     endpoint: str
     model: str
-    auth_env_var: str = "LLM_API_KEY"
+    auth_env: str = "LLM_API_KEY"
 
 
 # complete_json and generate_plan re-ask at most this often after unusable JSON.
@@ -535,10 +535,10 @@ class WireBackend:
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion:
         import requests
 
-        token = os.environ.get(self.config.auth_env_var)
+        token = os.environ.get(self.config.auth_env)
         if not token:
             raise AuthError(
-                f"auth token environment variable {self.config.auth_env_var} is not set"
+                f"auth token environment variable {self.config.auth_env} is not set"
             )
         payload = {
             "model": self.config.model,

@@ -522,6 +522,28 @@ def test_config_file_drives_ask(index_file, tmp_path, capsys):
     assert "answers: Erin_Wagner" in out
 
 
+def test_wire_settings_reach_the_wire_backend(index_file, tmp_path, capsys, caplog, monkeypatch):
+    """The wire backend gets the file's endpoint, model and token variable;
+    with the variable unset it fails before sending anything."""
+    monkeypatch.delenv("KGREASON_TEST_TOKEN", raising=False)
+    cfg = tmp_path / "run.cfg"
+    base = (
+        "schema = kgreason-config/1\n"
+        "kg = fixtures/combined.tsv\n"
+        f"index = {index_file}\n"
+        "backend.kind = wire\n"
+        "backend.auth_env = KGREASON_TEST_TOKEN\n"
+    )
+    args = ["ask", "--config", str(cfg), "--question", BIEBER_Q, "--topic-entity", "Justin_Bieber"]
+    cfg.write_text(base + "backend.model = test-model\n")
+    assert main(args) == EXIT_USAGE
+    assert "needs backend.endpoint and backend.model" in capsys.readouterr().err
+    cfg.write_text(base + "backend.model = test-model\nbackend.endpoint = https://example.test/v1\n")
+    assert main(args) == EXIT_RUNTIME
+    assert "reason: backend-failure" in capsys.readouterr().out
+    assert "KGREASON_TEST_TOKEN is not set" in caplog.text
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("schema = kgreason-config/1\nmystery.key = 1\n")

@@ -164,9 +164,9 @@ FILE_KEYS = {
     "search.use_last_step_reasoning": "search.use_last_step_reasoning",
     "search.adequacy_mode": "search.adequacy_mode",
     "backend.kind": "backend_kind",
-    "backend.endpoint": "backend_endpoint",
-    "backend.model": "backend_model",
-    "backend.auth_env": "backend_auth_env",
+    "backend.endpoint": "backend.endpoint",
+    "backend.model": "backend.model",
+    "backend.auth_env": "backend.auth_env",
     "backend.script": "backend_script",
     "decode.temperature": "decode.temperature",
     "decode.top_p": "decode.top_p",
