@@ -7,7 +7,10 @@ non-default setting in ``SETTINGS`` under the path-rag mode. The tests
 compare the ``SearchTrace.to_jsonl()`` text and
 the question's ``(answers, paths, coverage)`` with the files under
 ``tests/golden/``. A change that alters any decision, score, prompt or
-coverage figure fails here. ``report.json`` holds the ``RunReport`` of one
+coverage figure fails here. Each committed trace is also replayed through
+``ReplayBackend`` and ``run_dvbs`` under its own settings, and the trace
+that run records must equal the file, so recording, bindings digests and
+replay stay in step. ``report.json`` holds the ``RunReport`` of one
 fixture eval with a failing backend and a missing topic entity, wall times
 zeroed, so the report's rows and aggregates are checked the same way.
 ``combined.index.sha256`` holds the sha256 of the ``kgreason-index/2`` file
@@ -35,9 +38,9 @@ import pytest
 from kgreason.embedding import HashingEmbedder, build_index, save_index
 from kgreason.evaluate import QARecord, RunReport, evaluate_question, load_dataset, run_experiment
 from kgreason.kg import load_triples
-from kgreason.llm import LlmError, MockBackend, load_mock_script
+from kgreason.llm import LlmClient, LlmError, MockBackend, ReplayBackend, load_mock_script
 from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig
-from kgreason.search import SearchConfig
+from kgreason.search import SearchConfig, SearchTrace, run_dvbs
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -56,6 +59,9 @@ SETTINGS = {
     "m-2": (SearchConfig(), RetrievalConfig(m=2)),
 }
 SETTING_CASES = [(record_id, setting) for record_id in RECORD_IDS for setting in SETTINGS]
+# Every golden trace as (record id, retriever mode, setting or None).
+TRACE_CASES = [(record_id, mode, None) for record_id, mode in CASES]
+TRACE_CASES += [(record_id, "path-rag", setting) for record_id, setting in SETTING_CASES]
 REPORT_PATH = GOLDEN / "report.json"
 INDEX_DIGEST_PATH = GOLDEN / "combined.index.sha256"
 MISSING_TOPIC = QARecord(
@@ -139,6 +145,10 @@ def golden_index_digest() -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest() + "\n"
 
 
+def case_configs(mode: str, setting: str | None) -> tuple[SearchConfig, RetrievalConfig]:
+    return SETTINGS[setting] if setting else (SearchConfig(), RetrievalConfig(mode=mode))
+
+
 def golden_paths(record_id: str, mode: str, setting: str | None = None) -> tuple[Path, Path]:
     stem = f"{record_id}.{mode}" if setting is None else f"{record_id}.{mode}.{setting}"
     return GOLDEN / f"{stem}.trace.jsonl", GOLDEN / f"{stem}.outcome.json"
@@ -160,6 +170,20 @@ def test_search_settings_match_golden_files(record_id, setting):
     assert outcome_text == outcome_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("record_id,mode,setting", TRACE_CASES)
+def test_golden_trace_replays_byte_for_byte(record_id, mode, setting):
+    trace_path, _ = golden_paths(record_id, mode, setting)
+    recorded_text = trace_path.read_text(encoding="utf-8")
+    recorded = SearchTrace.from_jsonl(trace_path)
+    start = recorded.events[0]
+    g, emb, idx, _, _ = fixture_eval()
+    client = LlmClient(ReplayBackend(recorded.call_records()))
+    _, replayed = run_dvbs(
+        start["question"], start["topic_entities"], g, idx, emb, client, *case_configs(mode, setting)
+    )
+    assert replayed.to_jsonl() == recorded_text
+
+
 def test_report_matches_golden_file():
     assert golden_report() == REPORT_PATH.read_text(encoding="utf-8")
 
@@ -170,11 +194,8 @@ def test_index_file_matches_golden_digest():
 
 def write_golden_files() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    jobs = [(record_id, mode, None) for record_id, mode in CASES]
-    jobs += [(record_id, "path-rag", setting) for record_id, setting in SETTING_CASES]
-    for record_id, mode, setting in jobs:
-        configs = SETTINGS[setting] if setting else (SearchConfig(), RetrievalConfig(mode=mode))
-        texts = golden_outputs(record_id, *configs)
+    for record_id, mode, setting in TRACE_CASES:
+        texts = golden_outputs(record_id, *case_configs(mode, setting))
         for path, text in zip(golden_paths(record_id, mode, setting), texts):
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path.relative_to(ROOT)}")
