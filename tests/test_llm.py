@@ -325,16 +325,6 @@ class FakeSession:
         return outcome
 
 
-class FakeClock:
-    """A backoff sleeper that only notes the sleeps asked of it."""
-
-    def __init__(self):
-        self.sleeps = []
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-
-
 @pytest.fixture
 def wire_env(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
@@ -343,9 +333,9 @@ def wire_env(monkeypatch):
 def make_wire(outcomes):
     config = WireConfig(endpoint="https://example.test/v1/chat", model="test-model")
     session = FakeSession(outcomes)
-    clock = FakeClock()
-    backend = WireBackend(config, session=session, sleeper=clock.sleep)
-    return backend, session, clock
+    sleeps = []  # the backoff sleeps asked for, none taken
+    backend = WireBackend(config, session=session, sleeper=sleeps.append)
+    return backend, session, sleeps
 
 
 def test_wire_happy_path_books_tokens(wire_env):
@@ -361,13 +351,13 @@ def test_wire_happy_path_books_tokens(wire_env):
 
 
 def test_wire_retries_timeouts_and_counts_backoff(wire_env):
-    backend, session, clock = make_wire(
+    backend, session, sleeps = make_wire(
         [requests.Timeout("t1"), requests.Timeout("t2"), FakeResponse(200, chat_body("ok"))]
     )
     got = backend.complete(plan_prompt(), DecodeParams())
     assert got.text == "ok"
     assert len(session.posts) == 3
-    assert clock.sleeps == [1.0, 2.0]
+    assert sleeps == [1.0, 2.0]
 
 
 def test_wire_retries_connection_errors_and_5xx(wire_env):
@@ -385,11 +375,11 @@ def test_wire_retries_429(wire_env):
 
 
 def test_wire_401_is_immediate_auth_error(wire_env):
-    backend, session, clock = make_wire([FakeResponse(401)])
+    backend, session, sleeps = make_wire([FakeResponse(401)])
     with pytest.raises(AuthError):
         backend.complete(plan_prompt(), DecodeParams())
     assert len(session.posts) == 1
-    assert clock.sleeps == []
+    assert sleeps == []
 
 
 def test_wire_missing_token_is_auth_error(monkeypatch):
@@ -449,11 +439,11 @@ def test_decode_params_accept_the_edges_of_their_ranges():
 
 
 def test_wire_gives_up_after_max_attempts(wire_env):
-    backend, session, clock = make_wire([FakeResponse(500)] * WIRE_MAX_ATTEMPTS)
+    backend, session, sleeps = make_wire([FakeResponse(500)] * WIRE_MAX_ATTEMPTS)
     with pytest.raises(LlmError):
         backend.complete(plan_prompt(), DecodeParams())
     assert len(session.posts) == WIRE_MAX_ATTEMPTS
-    assert clock.sleeps == [2.0**n for n in range(WIRE_MAX_ATTEMPTS - 1)]
+    assert sleeps == [2.0**n for n in range(WIRE_MAX_ATTEMPTS - 1)]
 
 
 # --- mock backend ---------------------------------------------------------------
