@@ -19,6 +19,7 @@ from .embedding import (
     EmbedderError,
     HashingEmbedder,
     build_index,
+    check_index,
     load_index,
     save_index,
 )
@@ -87,8 +88,12 @@ def _open_index(rc: RunConfig):
             f"index fingerprint {idx.fingerprint!r} does not match embedder "
             f"{emb.fingerprint!r}; {rebuild}"
         )
-    if idx.entity_vectors.keys() != g.entities or idx.relation_vectors.keys() != g.relations:
-        raise ConfigError(f"index {rc.index} was not built from graph {rc.kg}; {rebuild}")
+    try:
+        check_index(g, idx)
+    except ValueError as exc:
+        raise ConfigError(
+            f"index {rc.index} was not built from graph {rc.kg}: {exc}; {rebuild}"
+        ) from exc
     return g, idx, emb
 
 
@@ -112,8 +117,8 @@ def cmd_index(args) -> int:
     emb = HashingEmbedder(dimension=args.dimension)
     idx = build_index(g, emb)
     save_index(idx, args.out)
-    print(f"entities: {len(idx.entity_vectors)}")
-    print(f"relations: {len(idx.relation_vectors)}")
+    print(f"entities: {len(idx.entity_names)}")
+    print(f"relations: {len(idx.relation_names)}")
     print(f"dimension: {idx.dimension}")
     print(f"fingerprint: {idx.fingerprint}")
     print(f"index: {args.out}")

@@ -109,35 +109,46 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return query_cosine(a, norm(a), b)
 
 
-@dataclass
+@dataclass(eq=False)
 class EmbeddingIndex:
-    """One vector per entity and per relation of a single graph.
-
-    :func:`build_index` and :func:`load_index` stack each vocabulary's
-    vectors in sorted identifier order into one float64 matrix, whose rows
-    the dicts hold as views; an index filled in by hand has only the dicts.
-    The vectors are not changed after build, and queries are thread-safe;
-    ``by_graph`` is the one field set later: a ``ScoreContext`` stores its
-    layout of the rows there on first use with a graph.
+    """One vector per entity and per relation of a single graph: each
+    vocabulary's strictly sorted names and a float64 matrix whose row i is
+    name i, so row i is the graph's id i. Any other shape is a ``ValueError``.
+    The rows are not changed after build, and queries are thread-safe.
+    Indexes compare by identity (their matrices have no truth value).
     """
 
-    dimension: int
     fingerprint: str
-    entity_vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    relation_vectors: dict[str, np.ndarray] = field(default_factory=dict)
-    entity_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    relation_matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # pathrag's layout of the rows by one graph's ids, aligned once per graph
-    by_graph: object = field(default=None, init=False, repr=False, compare=False)
+    dimension: int
+    entity_names: tuple[str, ...]
+    relation_names: tuple[str, ...]
+    entity_matrix: np.ndarray = field(repr=False)
+    relation_matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.entity_names, self.relation_names = tuple(self.entity_names), tuple(self.relation_names)
+        self.entity_matrix = np.asarray(self.entity_matrix, dtype=np.float64)
+        self.relation_matrix = np.asarray(self.relation_matrix, dtype=np.float64)
+        for kind, names, matrix in (("entity", self.entity_names, self.entity_matrix),
+                                    ("relation", self.relation_names, self.relation_matrix)):
+            if any(a >= b for a, b in zip(names, names[1:])):
+                raise ValueError(f"index {kind} names are not strictly sorted")
+            if matrix.shape != (len(names), self.dimension):
+                shape = (len(names), self.dimension)
+                raise ValueError(f"index {kind} matrix is {matrix.shape}, not {shape}")
 
 
-def _from_rows(fingerprint: str, entities, relations, matrix: np.ndarray) -> EmbeddingIndex:
-    """The index whose rows are the entities' vectors, then the relations'."""
-    entity_matrix, relation_matrix = matrix[: len(entities)], matrix[len(entities) :]
-    return EmbeddingIndex(
-        matrix.shape[1], fingerprint, dict(zip(entities, entity_matrix)),
-        dict(zip(relations, relation_matrix)), entity_matrix, relation_matrix,
-    )
+def check_index(g: KnowledgeGraph, idx: EmbeddingIndex) -> None:
+    """Raise ``ValueError`` unless ``idx`` names exactly ``g``'s entities and
+    relations, so that its row i is the graph's id i."""
+    for kind, names, indexed in (("entity", g.entity_names, idx.entity_names),
+                                 ("relation", g.relation_names, idx.relation_names)):
+        if names != indexed:
+            missing, extra = sorted(set(names) - set(indexed)), sorted(set(indexed) - set(names))
+            raise ValueError(
+                f"the index's {kind} names are not the graph's: {len(missing)} of the graph's "
+                f"not indexed {missing[:3]}, {len(extra)} indexed not in the graph {extra[:3]}"
+            )
 
 
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
@@ -164,7 +175,10 @@ def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
         matrix[i] = vec
     if not np.all(np.isfinite(matrix)):
         raise _failure(matrix, identifiers, None)
-    return _from_rows(emb.fingerprint, g.entity_names, g.relation_names, matrix)
+    n = len(g.entity_names)
+    return EmbeddingIndex(
+        emb.fingerprint, matrix.shape[1], g.entity_names, g.relation_names, matrix[:n], matrix[n:]
+    )
 
 
 def _failure(rows: np.ndarray, identifiers, error: EmbedderError | None) -> EmbedderError:
@@ -175,15 +189,12 @@ def _failure(rows: np.ndarray, identifiers, error: EmbedderError | None) -> Embe
     return EmbedderError(identifiers[int(np.argmin(finite))], ValueError("non-finite components"))
 
 
-def _rank(vectors: dict[str, np.ndarray], query: np.ndarray, m: int) -> list[tuple[str, float]]:
+def _rank(names: tuple[str, ...], matrix: np.ndarray, query: np.ndarray, m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
     query = np.asarray(query, dtype=np.float64)
     query_norm = norm(query)
-    scored = [
-        (identifier, query_cosine(query, query_norm, np.asarray(vec, dtype=np.float64)))
-        for identifier, vec in vectors.items()
-    ]
+    scored = [(name, query_cosine(query, query_norm, vec)) for name, vec in zip(names, matrix)]
     scored.sort(key=lambda pair: (-pair[1], pair[0]))
     return scored[:m]
 
@@ -193,12 +204,12 @@ def top_m_entities(idx: EmbeddingIndex, query: np.ndarray, m: int) -> list[tuple
 
     Ties break by ascending identifier; fewer than m entities returns all.
     """
-    return _rank(idx.entity_vectors, query, m)
+    return _rank(idx.entity_names, idx.entity_matrix, query, m)
 
 
 def top_m_relations(idx: EmbeddingIndex, query: np.ndarray, m: int) -> list[tuple[str, float]]:
     """As :func:`top_m_entities`, over the relation vocabulary."""
-    return _rank(idx.relation_vectors, query, m)
+    return _rank(idx.relation_names, idx.relation_matrix, query, m)
 
 
 def save_index(idx: EmbeddingIndex, path: str | Path) -> None:
@@ -208,24 +219,20 @@ def save_index(idx: EmbeddingIndex, path: str | Path) -> None:
     and the sorted entity and relation identifiers. Every vector follows as
     raw little-endian float64, in header order: entities, then relations.
     """
-    entities, relations = sorted(idx.entity_vectors), sorted(idx.relation_vectors)
-    header = {"format": INDEX_FORMAT, "fingerprint": idx.fingerprint,
-              "dimension": idx.dimension, "entities": entities, "relations": relations}
+    header = {"format": INDEX_FORMAT, "fingerprint": idx.fingerprint, "dimension": idx.dimension,
+              "entities": list(idx.entity_names), "relations": list(idx.relation_names)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for vectors, identifiers in ((idx.entity_vectors, entities), (idx.relation_vectors, relations)):
-            for identifier in identifiers:
-                row = np.asarray(vectors[identifier], dtype="<f8")
-                if row.shape != (idx.dimension,):
-                    raise ValueError(f"vector of {identifier!r} is not {idx.dimension}-d")
-                fh.write(row.tobytes())
+        for matrix in (idx.entity_matrix, idx.relation_matrix):
+            fh.write(np.ascontiguousarray(matrix, dtype="<f8").data)
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     """Read a file written by :func:`save_index`. Another format, a header
     without a string fingerprint or a non-negative integer dimension, entity
-    or relation lists that are not strictly sorted lists of strings, a body
-    of the wrong length or a trailing byte is a ``ValueError``."""
+    or relation lists that are not strictly sorted lists of strings (the
+    index refuses unsorted ones), a body of the wrong length or a trailing
+    byte is a ``ValueError``."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -239,9 +246,8 @@ def load_index(path: str | Path) -> EmbeddingIndex:
             raise ValueError(f"index header of {path} lacks a string fingerprint or a dimension >= 0")
         entities, relations = header.get("entities"), header.get("relations")
         for key, names in (("entities", entities), ("relations", relations)):
-            strings = isinstance(names, list) and all(isinstance(name, str) for name in names)
-            if not strings or any(a >= b for a, b in zip(names, names[1:])):
-                raise ValueError(f"index {key} of {path} are not a strictly sorted list of strings")
+            if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+                raise ValueError(f"index {key} of {path} are not a list of strings")
         rows = len(entities) + len(relations)
         wrong = f"index body of {path} does not hold {rows} vectors of dimension {dimension}"
         # Compare lengths before reading, so a huge claimed dimension allocates nothing.
@@ -250,4 +256,5 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         matrix = np.fromfile(fh, dtype="<f8", count=rows * dimension)
         if matrix.size != rows * dimension or fh.read(1):
             raise ValueError(wrong)
-    return _from_rows(fingerprint, entities, relations, matrix.reshape(rows, dimension))
+    matrix, n = matrix.reshape(rows, dimension), len(entities)
+    return EmbeddingIndex(fingerprint, dimension, entities, relations, matrix[:n], matrix[n:])

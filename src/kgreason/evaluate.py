@@ -6,10 +6,11 @@ underscores count as spaces. That rule is ``kg.normalize``, the one the mock
 backend and the final-answer matching use too; it is re-exported here.
 
 Batch evaluation isolates per-question faults: a question whose backend
-fails, whose topic entities are missing or whose input is rejected scores
-zero and lands in a failure tally while the rest of the batch proceeds. Any
-other exception is a programming error and aborts the batch. All aggregates
-are macro-averages recomputable from the per-question records.
+fails or whose topic entities are missing scores zero and lands in a failure
+tally while the rest of the batch proceeds. Any other exception, such as a
+set-up fault (an index of another graph or dimension) or a programming
+error, aborts the batch. All aggregates are macro-averages recomputable from
+the per-question records.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ class QARecord:
     ground_truth_paths: tuple[ReasoningPath, ...] = ()
 
     def __post_init__(self):
+        if not self.question.strip():
+            raise ValueError("question must be non-empty")
         if not self.answers:
             raise ValueError("answers must be non-empty")
         if not self.topic_entities:
@@ -275,10 +278,7 @@ def _question_coverage(
 ) -> float | None:
     """Mean coverage of the ground-truth paths against the search's query."""
     ratios = [
-        coverage_ratio(retrieved_steps_along_path(
-            context.g, context.idx, context.emb, context.query_vec, context.query_text, gt,
-            retrieval_config, context=context,
-        ), gt)
+        coverage_ratio(retrieved_steps_along_path(context, gt, retrieval_config), gt)
         for gt in record.ground_truth_paths
     ]
     return sum(ratios) / len(ratios) if ratios else None
@@ -301,9 +301,9 @@ def evaluate_question(
     params: DecodeParams = DecodeParams(),
 ) -> tuple[QuestionResult, SearchTrace | None]:
     """Run one question with a fresh ledger and score the outcome. A backend
-    failure, a missing topic entity or a rejected input scores as a failed
-    question; any other exception propagates. The search and the coverage
-    walk share one score context, so each similarity is computed once."""
+    failure or a missing topic entity scores as a failed question; any other
+    exception propagates. The search and the coverage walk share one score
+    context, so each similarity is computed once."""
     ledger = UsageLedger()
     client = LlmClient(backend, ledger=ledger, params=params)
     context = ScoreContext(g, idx, emb)
@@ -321,7 +321,7 @@ def evaluate_question(
             demonstrations,
             context=context,
         )
-    except (LlmError, TopicEntityError, ValueError) as exc:
+    except (LlmError, TopicEntityError) as exc:
         logger.warning("question %s failed: %s", record.id, exc)
         answers, trace, failure = AnswerSet(), None, f"{type(exc).__name__}: {exc}"
     else:
@@ -372,8 +372,8 @@ def run_experiment(
     params: DecodeParams = DecodeParams(),
 ) -> RunReport:
     """Evaluate a dataset; a failed question (see ``evaluate_question``)
-    never aborts the batch, and the per-question record order always follows
-    the dataset order."""
+    never aborts the batch, a set-up fault does, and the per-question record
+    order always follows the dataset order."""
     if not dataset:
         raise ValueError("no records in dataset")
     if parallelism < 1:

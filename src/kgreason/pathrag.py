@@ -12,13 +12,14 @@ comparison runs.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embedding import Embedder, EmbeddingIndex, cosine, norm, query_cosine
+from .embedding import Embedder, EmbeddingIndex, check_index, cosine, norm, query_cosine
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple
 
 MODE_PATH_RAG = "path-rag"
@@ -72,79 +73,70 @@ class RetrievalConfig:
             raise ValueError(f"unknown retriever mode {self.mode!r}")
 
 
-def _rows(vectors: dict[str, np.ndarray], matrix: np.ndarray | None, names: tuple[str, ...]):
-    """One vocabulary of an index laid out by a graph's ids: each id's vector
-    (``None`` if not indexed), their stacked matrix (zero rows for those) and
-    one over each row's norm (0 for a zero row); the last two are ``None``
-    when the rows differ in length or have no proven approximation."""
-    rows = [vectors.get(name) for name in names]
-    if matrix is None or tuple(vectors) != names:  # not built or loaded in the graph's id order
-        rows = [None if vec is None else np.asarray(vec, dtype=np.float64) for vec in rows]
-        try:
-            zero = np.zeros_like(next(vec for vec in rows if vec is not None))
-            matrix = np.stack([zero if vec is None else vec for vec in rows])
-        except (StopIteration, ValueError):  # nothing indexed, or vectors of different lengths
-            return rows, None, None
-    if matrix.ndim != 2 or matrix.shape[1] > _MAX_DIMENSION:
-        return rows, None, None
+def _inverse_norms(matrix: np.ndarray) -> np.ndarray | None:
+    """One over the norm of each row of ``matrix`` (0 for a zero row), or
+    ``None`` when the rows have no proven approximation."""
+    if matrix.shape[1] > _MAX_DIMENSION:
+        return None
     squared = np.einsum("ij,ij->i", matrix, matrix)
     low, high = _SAFE_SQUARED_NORMS
     if not np.all((squared == 0.0) | ((squared >= low) & (squared <= high))):
-        return rows, None, None
+        return None
     with np.errstate(divide="ignore"):
-        return rows, matrix, np.where(squared == 0.0, 0.0, 1.0 / np.sqrt(squared))
+        return np.where(squared == 0.0, 0.0, 1.0 / np.sqrt(squared))
+
+
+# Each index's inverse row norms, relations' then entities', with the graph
+# its names were last checked against: every question's context of one
+# (graph, index) pair shares them. A pure cache, held only while its index lives.
+_CHECKED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _checked_norms(g: KnowledgeGraph, idx: EmbeddingIndex):
+    checked = _CHECKED.get(idx)
+    if checked is None or checked[0] is not g:
+        check_index(g, idx)
+        norms = _inverse_norms(idx.relation_matrix), _inverse_norms(idx.entity_matrix)
+        checked = _CHECKED[idx] = (g, *norms)
+    return checked[1:]
 
 
 class ScoreContext:
     """The Path-RAG scores of one question's query, shared by every frontier
-    of its search and by its coverage walk; one question, one thread.
+    of its search and by its coverage walk; one question, one thread. It is
+    the one handle retrieval takes.
 
-    Built for one graph, index and embedder, it binds the query on first use
-    and raises ``ValueError`` when used with any other. Cosines are first
-    approximated by matrix-vector products: every relation's on binding, an
-    entity's when a ranked frontier first reaches it. Every frontier is ranked
-    by one rule: approximate totals pick the steps and onward steps that can
-    decide its top m, and only those are scored exactly, each identifier once
-    per question, kept by graph id; all are, when no error bound is proven.
+    Built for one graph, its index and an embedder, it refuses (``ValueError``)
+    an index whose names are not the graph's, checked once per graph and
+    index, and reads the index's own matrices. It binds one query, once.
+    Cosines are first approximated by matrix-vector products: every
+    relation's on binding, an entity's when a ranked frontier first reaches
+    it. Every frontier is ranked by one rule: approximate totals pick the
+    steps and onward steps that can decide its top m, and only those are
+    scored exactly, each identifier once per question, kept by graph id; all
+    are, when no error bound is proven.
     """
 
     def __init__(self, g: KnowledgeGraph, idx: EmbeddingIndex, emb: Embedder):
         self.g, self.idx, self.emb = g, idx, emb
-        self.query_text: str | None = None
-        self.query_vec: np.ndarray | None = None
+        self._norms = _checked_norms(g, idx)
+        self._query: np.ndarray | None = None
 
-    def embed_query(self, text: str) -> np.ndarray:
-        """The query vector of ``text``, embedded only on the first call."""
-        if text != self.query_text:
-            if self.query_text is not None:
-                raise ValueError(f"score context is bound to another query than {text!r}")
-            self._bind_vector(self.emb.embed(text))
-            self.query_text = text
-        return self.query_vec
+    @property
+    def query_vec(self) -> np.ndarray:
+        """The bound query vector."""
+        if self._query is None:
+            raise ValueError("score context has no query bound")
+        return self._query
 
-    def bind(self, g, idx, emb, query_vec: np.ndarray) -> ScoreContext:
-        """This context, checked against the arguments of a scoring call."""
-        if g is not self.g or idx is not self.idx or emb is not self.emb:
-            raise ValueError("score context was built for another graph, index or embedder")
-        self._bind_vector(query_vec)
-        return self
-
-    def _bind_vector(self, query_vec: np.ndarray) -> None:
-        if self.query_vec is not None:
-            if query_vec is not self.query_vec and not np.array_equal(query_vec, self.query_vec):
-                raise ValueError("score context was built for another query vector")
-            return
-        self.query_vec = query_vec
-        self._query = np.asarray(query_vec, dtype=np.float64)
+    def bind_query(self, query: str | np.ndarray) -> np.ndarray:
+        """Bind the question's query, a vector or a text to embed; once."""
+        if self._query is not None:
+            raise ValueError("score context is already bound to a query")
+        query = self.emb.embed(query) if isinstance(query, str) else query
+        self._query = np.asarray(query, dtype=np.float64)
         self._query_norm = norm(self._query)
-        g, idx, layout = self.g, self.idx, self.idx.by_graph
-        if layout is None or layout[0] is not g:  # the first use of this graph and index
-            layout = idx.by_graph = (
-                g,
-                _rows(idx.relation_vectors, idx.relation_matrix, g.relation_names),
-                _rows(idx.entity_vectors, idx.entity_matrix, g.entity_names),
-            )
-        self._rows = layout[1:]
+        g, idx = self.g, self.idx
         self._sims = ([None] * len(g.relation_names), [None] * len(g.entity_names))
         self._ranked: dict[tuple[int, int, float], list[ScoredCandidate]] = {}
         # Approximate cosines, each within (2d + 5)u of the true one, when
@@ -152,25 +144,23 @@ class ScoreContext:
         self._approx = None
         query_squared = float(self._query.dot(self._query)) if self._query.ndim == 1 else 0.0
         low, high = _SAFE_SQUARED_NORMS
-        if low <= query_squared <= high and all(
-            matrix is not None and matrix.shape[1] == len(self._query) for _, matrix, _ in self._rows
-        ):
+        relation_norms, entity_norms = self._norms
+        if (low <= query_squared <= high and idx.dimension == len(self._query)
+                and relation_norms is not None and entity_norms is not None):
             self._unit = self._query / math.sqrt(query_squared)
-            _, matrix, inverse_norms = self._rows[0]
-            self._approx = (matrix @ self._unit * inverse_norms, np.full(len(g.entity_names), np.nan))
+            relation_sims = idx.relation_matrix @ self._unit * relation_norms
+            self._approx = (relation_sims, np.full(len(g.entity_names), np.nan))
+        return self._query
 
     def _base(self, relation: int, entity: int) -> float:
         """The exact base of a step; each similarity is computed once."""
-        relation_sims, entity_sims = self._sims
+        (relation_sims, entity_sims), query, query_norm = self._sims, self._query, self._query_norm
         if relation_sims[relation] is None:
-            relation_sims[relation] = self._cosine(self._rows[0][0][relation])
+            relation_sims[relation] = query_cosine(query, query_norm, self.idx.relation_matrix[relation])
         if entity_sims[entity] is None:
-            entity_sims[entity] = self._cosine(self._rows[1][0][entity])
+            entity_sims[entity] = query_cosine(query, query_norm, self.idx.entity_matrix[entity])
         # Summed from 0.0 so that two -0.0 similarities give 0.0, not -0.0.
         return 0.0 + relation_sims[relation] + entity_sims[entity]
-
-    def _cosine(self, vec: np.ndarray | None) -> float:
-        return 0.0 if vec is None else query_cosine(self._query, self._query_norm, vec)
 
     def top_candidates(self, entity: str, m: int, alpha: float) -> list[ScoredCandidate]:
         """The candidates :meth:`rank` gives ``entity``, none if unknown."""
@@ -206,8 +196,8 @@ class ScoreContext:
             relation_sims, entity_sims = self._approx
             ids = np.concatenate((tails, onward_tails))
             new = ids[np.isnan(entity_sims[ids])]  # not yet approximated
-            _, matrix, inverse_norms = self._rows[1]
-            entity_sims[new] = matrix[new] @ self._unit * inverse_norms[new]
+            inverse_norms = self._norms[1]
+            entity_sims[new] = self.idx.entity_matrix[new] @ self._unit * inverse_norms[new]
             onward_bases = relation_sims[onward_relations] + entity_sims[onward_tails]
             # each step's best onward base, 0 for a dead end: a run that is
             # empty reads the element after it, or the -inf appended
@@ -236,54 +226,41 @@ class ScoreContext:
 
 
 def candidate_steps(
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    emb: Embedder,
-    query_vec: np.ndarray,
-    frontier_entity: str,
-    config: RetrievalConfig,
-    *,
-    context: ScoreContext | None = None,
+    context: ScoreContext, frontier_entity: str, config: RetrievalConfig
 ) -> list[ScoredCandidate]:
-    """Rank the frontier entity's true 1-hop neighborhood as candidate steps.
+    """Rank the frontier entity's true 1-hop neighborhood as candidate steps
+    for the query bound to ``context``.
 
     Candidates are never fabricated: every returned step is an actual edge
     out of the frontier. Scoring depends on the retriever mode; the ranking
     is score-descending with a lexicographic tie-break and truncated to m.
-    Path-RAG scores come from ``context`` (a private one when none is given).
     """
-    scores = (context or ScoreContext(g, idx, emb)).bind(g, idx, emb, query_vec)
+    query_vec = context.query_vec
     if config.mode == MODE_PATH_RAG:
-        candidates = scores.top_candidates(frontier_entity, config.m, config.alpha)
+        candidates = context.top_candidates(frontier_entity, config.m, config.alpha)
     else:
         candidates = []
-        for relation, entity in g.steps(frontier_entity):
+        for relation, entity in context.g.steps(frontier_entity):
             text = f"{relation} {entity}"  # vanilla scores the step as text
             if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
                 text = f"{frontier_entity} {text}"
-            score = cosine(query_vec, emb.embed(text))
+            score = cosine(query_vec, context.emb.embed(text))
             candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
 
 
 def kaping_retrieve(
-    g: KnowledgeGraph,
-    emb: Embedder,
-    query_text: str,
-    k: int,
-    *,
-    query_vec: np.ndarray | None = None,
+    g: KnowledgeGraph, emb: Embedder, query_vec: np.ndarray, k: int
 ) -> list[tuple[Triple, float]]:
-    """Rank whole triples by similarity of their text rendering to the query,
-    embedded from ``query_text`` unless its ``query_vec`` is given.
+    """Rank whole triples by similarity of their text rendering to the query
+    vector.
 
     Each triple renders as ``head relation tail``. Returns the top-k with
     scores, all triples when k exceeds the graph size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    query_vec = emb.embed(query_text) if query_vec is None else query_vec
     scored = [
         (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
         for head, relation, tail in g.edges()
@@ -308,30 +285,19 @@ def coverage_ratio(
 
 
 def retrieved_steps_along_path(
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    emb: Embedder,
-    query_vec: np.ndarray,
-    query_text: str,
-    ground_truth: ReasoningPath,
-    config: RetrievalConfig,
-    *,
-    context: ScoreContext | None = None,
+    context: ScoreContext, ground_truth: ReasoningPath, config: RetrievalConfig
 ) -> list[set[ReasoningStep]]:
     """Retrieved candidate sets at each hop while walking the ground-truth
-    path, for coverage-ratio comparisons between retriever modes.
+    path against the query bound to ``context``, for coverage-ratio
+    comparisons between retriever modes.
 
     The per-frontier retrievers re-rank at every hop; the triple-to-text
     retriever selects one global top-m set that is charged at every hop.
-    Scores come from ``context`` (a private one when none is given), which
-    embeds ``query_text`` at most once; ``query_vec`` must be its vector.
     """
-    context = context or ScoreContext(g, idx, emb)
     if config.mode == MODE_KAPING:
-        query_vec = context.bind(g, idx, emb, query_vec).embed_query(query_text)
-        ranked = kaping_retrieve(g, emb, query_text, config.m, query_vec=query_vec)
+        ranked = kaping_retrieve(context.g, context.emb, context.query_vec, config.m)
         return [{ReasoningStep(t.relation, t.tail) for t, _ in ranked} for _ in ground_truth.steps]
     return [
-        {c.step for c in candidate_steps(g, idx, emb, query_vec, frontier, config, context=context)}
+        {c.step for c in candidate_steps(context, frontier, config)}
         for frontier in ground_truth.entities()[:-1]
     ]

@@ -414,9 +414,14 @@ def run_dvbs(
     live. With the verifier off, the paths still live when the search stops
     (at ``max_depth`` or at an empty pool) answer instead. Backend failures
     are recorded in the trace and yield an empty answer set rather than a
-    crash. ``context`` (a private one when none is given) embeds the plan's
-    keywords and scores every frontier.
+    crash. ``context`` (a private one when none is given) must be built for
+    ``g``, ``idx`` and ``emb``; it binds the plan's keywords as its query and
+    scores every frontier.
     """
+    if context is None:
+        context = ScoreContext(g, idx, emb)
+    elif context.g is not g or context.idx is not idx or context.emb is not emb:
+        raise ValueError("score context was built for another graph, index or embedder")
     trace = SearchTrace(question=question)
     trace.add(
         "run_start",
@@ -436,7 +441,6 @@ def run_dvbs(
         raise TopicEntityError(f"no topic entity of {list(topic_entities)!r} exists in the graph")
 
     config, retrieval = search_config, retrieval_config
-    context = context or ScoreContext(g, idx, emb)
     k = config.effective_width
     recorder = CallRecorder(client)
     try:
@@ -452,7 +456,7 @@ def run_dvbs(
             declarative_statement=plan.declarative_statement,
             degraded=plan.degraded,
         )
-        query_vec = context.embed_query(" ".join(plan.keywords))
+        context.bind_query(" ".join(plan.keywords))
 
         # Live and halted paths are (selection rank, arrow, path).
         live = [(i, e, ReasoningPath(start=e)) for i, e in enumerate(present)]
@@ -471,9 +475,7 @@ def run_dvbs(
             # A pool entry is (total score, parent arrow, step, path, arrow).
             pool = []
             for _, parent, path in live:
-                ranked = candidate_steps(
-                    g, idx, emb, query_vec, path.terminal_entity, retrieval, context=context
-                )
+                ranked = candidate_steps(context, path.terminal_entity, retrieval)
                 if not ranked:
                     trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
                 for cand in ranked:

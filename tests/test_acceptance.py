@@ -40,7 +40,7 @@ from kgreason.kg import (
     validate_path,
 )
 from kgreason.llm import LlmClient, MockBackend, ReplayBackend, UsageLedger, load_mock_script
-from kgreason.pathrag import RetrievalConfig, candidate_steps, retrieved_steps_along_path
+from kgreason.pathrag import RetrievalConfig, ScoreContext, candidate_steps, retrieved_steps_along_path
 from kgreason.pathrag import coverage_ratio as library_coverage_ratio
 from kgreason.search import AnswerSet, SearchConfig, run_dvbs
 
@@ -75,6 +75,13 @@ def fixture_world():
     idx = build_index(g, EMB)
     answer_key, plan_script = load_mock_script(FIXTURES / "mock_script.json")
     return g, idx, answer_key, plan_script
+
+
+def bound(g, idx, query) -> ScoreContext:
+    """A score context of ``g`` and ``idx`` bound to ``query``, a text or a vector."""
+    context = ScoreContext(g, idx, EMB)
+    context.bind_query(query)
+    return context
 
 
 def np_cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -271,16 +278,14 @@ def test_criterion_04_lookahead_matches_brute_force():
 
     checked = 0
     for frontier in ("F", "A", "B"):
-        ranked = candidate_steps(
-            g, idx, EMB, query_vec, frontier, RetrievalConfig(m=10, alpha=alpha)
-        )
+        ranked = candidate_steps(bound(g, idx, query_vec), frontier, RetrievalConfig(m=10, alpha=alpha))
         assert ranked
         for cand in ranked:
             assert abs(cand.total_score - brute_total(cand.step)) <= 1e-12
             checked += 1
 
     # alpha = 0 must order candidates exactly like the base score alone.
-    zero = candidate_steps(g, idx, EMB, query_vec, "F", RetrievalConfig(m=10, alpha=0.0))
+    zero = candidate_steps(bound(g, idx, query_vec), "F", RetrievalConfig(m=10, alpha=0.0))
     by_base = sorted(
         (ReasoningStep(relation=r, entity=e) for r, e in neighbors(g, "F")),
         key=lambda s: (-brute_base(s), s.relation, s.entity),
@@ -295,23 +300,20 @@ def test_criterion_04_lookahead_matches_brute_force():
 def test_criterion_05_top_m_equals_brute_force_argsort():
     started = time.perf_counter()
     rng = np.random.default_rng(7)
-    idx = EmbeddingIndex(dimension=64, fingerprint="hand/1")
     names = [f"v{i:04d}" for i in range(1000)]
-    for name in names:
-        vec = rng.standard_normal(64)
-        idx.entity_vectors[name] = vec
-        idx.relation_vectors[name] = vec * -1.0
+    rows = rng.standard_normal((1000, 64))
+    idx = EmbeddingIndex("hand/1", 64, names, names, rows, rows * -1.0)
 
-    def brute(vectors, query, m):
-        scored = [(name, np_cosine(query, vec)) for name, vec in vectors.items()]
+    def brute(matrix, query, m):
+        scored = [(name, np_cosine(query, vec)) for name, vec in zip(names, matrix)]
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
         return scored[:m]
 
     for trial in range(25):
         query = rng.standard_normal(64)
         for m in (1, 5, 50):
-            assert top_m_entities(idx, query, m) == brute(idx.entity_vectors, query, m)
-            assert top_m_relations(idx, query, m) == brute(idx.relation_vectors, query, m)
+            assert top_m_entities(idx, query, m) == brute(idx.entity_matrix, query, m)
+            assert top_m_relations(idx, query, m) == brute(idx.relation_matrix, query, m)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     ok(5, f"25 queries x m in (1, 5, 50) exact set-and-order over 1000 vectors, {elapsed:.2f}s")
@@ -513,12 +515,11 @@ def test_criterion_08_lookahead_coverage_beats_baselines():
     for n_distractors in (3, 5, 8):
         g, gt, query_text = rescue_family(n_distractors)
         idx = build_index(g, EMB)
-        query_vec = EMB.embed(query_text)
 
         cr = {}
         for mode in ("path-rag", "vanilla", "kaping"):
             config = RetrievalConfig(m=m, alpha=alpha, mode=mode)
-            sets = retrieved_steps_along_path(g, idx, EMB, query_vec, query_text, gt, config)
+            sets = retrieved_steps_along_path(bound(g, idx, query_text), gt, config)
             cr[mode] = library_coverage_ratio(sets, gt)
             assert cr[mode] == brute_force_cr(g, gt, query_text, mode, m, alpha)
 

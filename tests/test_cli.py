@@ -230,13 +230,14 @@ def write_v1_index(path):
     record per vector."""
     with open("fixtures/combined.tsv") as fh:
         idx = build_index(load_triples(fh), HashingEmbedder())
-    header = {"dimension": idx.dimension, "entities": len(idx.entity_vectors),
+    header = {"dimension": idx.dimension, "entities": len(idx.entity_names),
               "fingerprint": idx.fingerprint, "format": "kgreason-index/1",
-              "relations": len(idx.relation_vectors)}
+              "relations": len(idx.relation_names)}
     lines = [json.dumps(header, sort_keys=True)]
-    for kind, vectors in (("entity", idx.entity_vectors), ("relation", idx.relation_vectors)):
+    for kind, names, matrix in (("entity", idx.entity_names, idx.entity_matrix),
+                                ("relation", idx.relation_names, idx.relation_matrix)):
         lines += [json.dumps({"id": key, "kind": kind, "vec": vec.tolist()}, sort_keys=True)
-                  for key, vec in sorted(vectors.items())]
+                  for key, vec in zip(names, matrix)]
     path.write_text("\n".join(lines) + "\n")
 
 

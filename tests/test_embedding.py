@@ -30,10 +30,10 @@ def load_fixture(name):
         return load_triples(fh)
 
 
-def brute_force_rank(vectors, query, m):
+def brute_force_rank(names, matrix, query, m):
     """Independent oracle: full sort by (-cosine, id), head of m."""
     scored = []
-    for identifier, vec in vectors.items():
+    for identifier, vec in zip(names, matrix):
         qn = np.linalg.norm(query)
         vn = np.linalg.norm(vec)
         score = 0.0 if qn == 0 or vn == 0 else float(np.dot(query, vec) / (qn * vn))
@@ -47,8 +47,8 @@ def brute_force_rank(vectors, query, m):
 
 def test_iran_index_vocabulary_counts():
     idx = build_index(load_fixture("iran.tsv"), HashingEmbedder())
-    assert len(idx.entity_vectors) == 6
-    assert len(idx.relation_vectors) == 2
+    assert len(idx.entity_names) == len(idx.entity_matrix) == 6
+    assert len(idx.relation_names) == len(idx.relation_matrix) == 2
     assert idx.dimension == 64
     assert idx.fingerprint == "hashing-embedder/1 d=64"
 
@@ -56,8 +56,8 @@ def test_iran_index_vocabulary_counts():
 def test_entity_only_graph_has_no_relation_vectors():
     g = KnowledgeGraph(entities=["A", "B"])
     idx = build_index(g, HashingEmbedder())
-    assert len(idx.entity_vectors) == 2
-    assert len(idx.relation_vectors) == 0
+    assert len(idx.entity_names) == 2
+    assert idx.relation_names == () and idx.relation_matrix.shape == (0, 64)
 
 
 def test_empty_graph_rejected():
@@ -69,11 +69,16 @@ def test_rebuild_is_byte_identical():
     g = load_fixture("iran.tsv")
     a = build_index(g, HashingEmbedder())
     b = build_index(g, HashingEmbedder())
-    assert sorted(a.entity_vectors) == sorted(b.entity_vectors)
-    for key in a.entity_vectors:
-        assert a.entity_vectors[key].tobytes() == b.entity_vectors[key].tobytes()
-    for key in a.relation_vectors:
-        assert a.relation_vectors[key].tobytes() == b.relation_vectors[key].tobytes()
+    assert (a.entity_names, a.relation_names) == (b.entity_names, b.relation_names)
+    assert a.entity_matrix.tobytes() == b.entity_matrix.tobytes()
+    assert a.relation_matrix.tobytes() == b.relation_matrix.tobytes()
+
+
+def test_indexes_compare_by_identity():
+    g = load_fixture("iran.tsv")
+    a, b = build_index(g, HashingEmbedder()), build_index(g, HashingEmbedder())
+    assert a == a and a != b
+    assert len({a, b}) == 2
 
 
 class ExplodingEmbedder:
@@ -319,7 +324,7 @@ def test_top_m_saturates_to_full_vocabulary():
     idx = build_index(load_fixture("iran.tsv"), HashingEmbedder())
     got = top_m_entities(idx, HashingEmbedder().embed("Iran"), 100)
     assert len(got) == 6
-    assert got == brute_force_rank(idx.entity_vectors, HashingEmbedder().embed("Iran"), 100)
+    assert got == brute_force_rank(idx.entity_names, idx.entity_matrix, HashingEmbedder().embed("Iran"), 100)
 
 
 def test_top_m_exact_match_scores_one():
@@ -362,11 +367,10 @@ def test_top_m_matches_brute_force_on_random_vectors():
     rng = np.random.default_rng(7)
     from kgreason.embedding import EmbeddingIndex
 
-    idx = EmbeddingIndex(dimension=64, fingerprint="random/1")
-    for i in range(1000):
-        idx.entity_vectors[f"e{i:04d}"] = rng.standard_normal(64)
+    names = [f"e{i:04d}" for i in range(1000)]
+    idx = EmbeddingIndex("random/1", 64, names, [], rng.standard_normal((1000, 64)), np.empty((0, 64)))
     query = rng.standard_normal(64)
-    assert top_m_entities(idx, query, 10) == brute_force_rank(idx.entity_vectors, query, 10)
+    assert top_m_entities(idx, query, 10) == brute_force_rank(names, idx.entity_matrix, query, 10)
 
 
 # --- persistence --------------------------------------------------------------
@@ -380,11 +384,9 @@ def test_index_save_load_round_trip(tmp_path):
     loaded = load_index(path)
     assert loaded.fingerprint == idx.fingerprint
     assert loaded.dimension == idx.dimension
-    assert sorted(loaded.entity_vectors) == sorted(idx.entity_vectors)
-    for key in idx.entity_vectors:
-        assert loaded.entity_vectors[key].tobytes() == idx.entity_vectors[key].tobytes()
-    for key in idx.relation_vectors:
-        assert loaded.relation_vectors[key].tobytes() == idx.relation_vectors[key].tobytes()
+    assert (loaded.entity_names, loaded.relation_names) == (idx.entity_names, idx.relation_names)
+    assert loaded.entity_matrix.tobytes() == idx.entity_matrix.tobytes()
+    assert loaded.relation_matrix.tobytes() == idx.relation_matrix.tobytes()
 
 
 def test_index_save_is_deterministic(tmp_path):
@@ -441,23 +443,20 @@ def test_built_and_loaded_indexes_hold_one_matrix_per_vocabulary(tmp_path):
     built = build_index(g, HashingEmbedder())
     save_index(built, tmp_path / "combined.idx")
     for idx in (built, load_index(tmp_path / "combined.idx")):
-        for names, vectors, matrix in (
-            (g.entity_names, idx.entity_vectors, idx.entity_matrix),
-            (g.relation_names, idx.relation_vectors, idx.relation_matrix),
+        for names, indexed, matrix in (
+            (g.entity_names, idx.entity_names, idx.entity_matrix),
+            (g.relation_names, idx.relation_names, idx.relation_matrix),
         ):
-            assert tuple(vectors) == names  # rows in sorted identifier order, as graph ids
+            assert indexed == names  # rows in sorted identifier order, as graph ids
             assert matrix.dtype == np.float64 and matrix.shape == (len(names), 64)
-            for row, vec in zip(matrix, vectors.values()):
-                assert np.shares_memory(row, vec) and row.tobytes() == vec.tobytes()
+        assert idx.entity_matrix.tobytes() == built.entity_matrix.tobytes()
+        assert idx.relation_matrix.tobytes() == built.relation_matrix.tobytes()
 
 
 def test_index_file_is_header_line_then_raw_rows(tmp_path):
     from kgreason.embedding import EmbeddingIndex
 
-    idx = EmbeddingIndex(dimension=2, fingerprint="hand/1")
-    idx.entity_vectors["b"] = np.array([3.0, 4.0])
-    idx.entity_vectors["a"] = np.array([1.0, -0.0])
-    idx.relation_vectors["r"] = np.array([0.5, -2.25])
+    idx = EmbeddingIndex("hand/1", 2, ["a", "b"], ["r"], [[1.0, -0.0], [3.0, 4.0]], [[0.5, -2.25]])
     path = tmp_path / "hand.idx"
     save_index(idx, path)
     header = (
@@ -483,18 +482,23 @@ def test_index_round_trip_is_bit_exact_for_any_identifiers_and_values(tmp_path_f
     from kgreason.embedding import EmbeddingIndex
 
     dimension, entities, relations = drawn
-    idx = EmbeddingIndex(dimension=dimension, fingerprint="drawn/1")
-    idx.entity_vectors = {key: np.array(row) for key, row in entities.items()}
-    idx.relation_vectors = {key: np.array(row) for key, row in relations.items()}
+
+    def matrix(rows):
+        return np.array([rows[key] for key in sorted(rows)], dtype=float).reshape(len(rows), dimension)
+
+    idx = EmbeddingIndex(
+        "drawn/1", dimension, sorted(entities), sorted(relations), matrix(entities), matrix(relations)
+    )
     path = tmp_path_factory.mktemp("idx") / "drawn.idx"
     save_index(idx, path)
     loaded = load_index(path)
     assert (loaded.dimension, loaded.fingerprint) == (dimension, "drawn/1")
-    for original, restored in ((idx.entity_vectors, loaded.entity_vectors),
-                               (idx.relation_vectors, loaded.relation_vectors)):
+    for original, restored in ((entities, zip(loaded.entity_names, loaded.entity_matrix)),
+                               (relations, zip(loaded.relation_names, loaded.relation_matrix))):
+        restored = dict(restored)
         assert sorted(restored) == sorted(original)
-        for key, vec in original.items():
-            assert restored[key].tobytes() == vec.tobytes()
+        for key, values in original.items():
+            assert restored[key].tobytes() == np.array(values, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("cut", [lambda body: body[:-1], lambda body: body + b"\0"],
@@ -507,13 +511,17 @@ def test_load_rejects_a_body_of_the_wrong_length(tmp_path, cut):
         load_index(path)
 
 
-def test_save_rejects_a_vector_of_another_dimension(tmp_path):
+@pytest.mark.parametrize("entities, rows", [
+    (["a"], [[1.0, 0.0, 0.0]]),  # a row of another dimension
+    (["a", "b"], [[1.0, 0.0]]),  # fewer rows than names
+    (["b", "a"], [[1.0, 0.0], [0.0, 1.0]]),  # unsorted names
+    (["a", "a"], [[1.0, 0.0], [0.0, 1.0]]),  # a duplicate name
+])
+def test_index_refuses_rows_of_another_shape_or_unsorted_names(entities, rows):
     from kgreason.embedding import EmbeddingIndex
 
-    idx = EmbeddingIndex(dimension=2, fingerprint="hand/1")
-    idx.entity_vectors["a"] = np.array([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        save_index(idx, tmp_path / "bad.idx")
+        EmbeddingIndex("hand/1", 2, entities, [], rows, np.empty((0, 2)))
 
 
 @settings(max_examples=25)
@@ -522,8 +530,7 @@ def test_top_m_always_matches_oracle(seed, m):
     rng = np.random.default_rng(seed)
     from kgreason.embedding import EmbeddingIndex
 
-    idx = EmbeddingIndex(dimension=8, fingerprint="random/1")
-    for i in range(rng.integers(1, 30)):
-        idx.entity_vectors[f"e{i:02d}"] = rng.standard_normal(8)
+    names = [f"e{i:02d}" for i in range(rng.integers(1, 30))]
+    idx = EmbeddingIndex("random/1", 8, names, [], rng.standard_normal((len(names), 8)), np.empty((0, 8)))
     query = rng.standard_normal(8)
-    assert top_m_entities(idx, query, m) == brute_force_rank(idx.entity_vectors, query, m)
+    assert top_m_entities(idx, query, m) == brute_force_rank(names, idx.entity_matrix, query, m)

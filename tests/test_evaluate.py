@@ -277,6 +277,26 @@ def test_premature_adequacy_scores_below_deductive():
     assert adequacy.aggregates["hits_at_1"] < deductive.aggregates["hits_at_1"]
 
 
+@pytest.mark.parametrize("question", ["", "  \t"])
+def test_record_with_a_blank_question_is_refused(question):
+    with pytest.raises(ValueError, match="question must be non-empty"):
+        QARecord(id="q", question=question, answers=("A",), topic_entities=("A",))
+
+
+def test_index_of_another_dimension_aborts_the_batch():
+    g, _, _, dataset, backend = fixture_harness()
+    idx = build_index(g, HashingEmbedder(dimension=32))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        run_experiment(dataset, g, idx, HashingEmbedder(dimension=64), backend)
+
+
+def test_index_of_another_graph_aborts_the_batch():
+    g, _, emb, dataset, backend = fixture_harness()
+    idx = build_index(load_fixture("iran.tsv"), emb)
+    with pytest.raises(ValueError, match="entity names are not the graph's"):
+        run_experiment(dataset, g, idx, emb, backend)
+
+
 def test_mock_miss_is_isolated_as_failure():
     g, idx, emb, dataset, backend = fixture_harness()
     extra = QARecord(
@@ -386,7 +406,7 @@ def test_question_scores_each_identifier_once_across_depths_and_coverage(monkeyp
     real_cosine = pathrag.query_cosine
 
     def counting_cosine(query, query_norm, vec):
-        scored.append(id(vec))
+        scored.append(vec.ctypes.data)  # the row's address in the index's matrices
         return real_cosine(query, query_norm, vec)
 
     monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
@@ -397,7 +417,7 @@ def test_question_scores_each_identifier_once_across_depths_and_coverage(monkeyp
         )
         assert sum(e["event"] == "depth" for e in trace.events) >= 2
         assert result.coverage == 1.0
-        # each index vector is one identifier's
+        # each index row is one identifier's
         assert scored and len(scored) == len(set(scored))
 
 

@@ -15,6 +15,7 @@ from kgreason.kg import (
 from kgreason.pathrag import (
     MODE_KAPING,
     MODE_VANILLA,
+    RETRIEVER_MODES,
     RetrievalConfig,
     ScoreContext,
     ScoredCandidate,
@@ -37,16 +38,19 @@ def oracle_cosine(a, b):
     return float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
 
 
+def row(idx, kind, name):
+    """The row of ``name`` in the index's ``kind`` ("entity" or "relation") matrix."""
+    names, matrix = getattr(idx, f"{kind}_names"), getattr(idx, f"{kind}_matrix")
+    return matrix[names.index(name)]
+
+
 def oracle_candidate(g, idx, q, step, alpha):
     """Path-RAG's score of ``step`` by brute force: base plus alpha times the
     best base over every edge out of its entity."""
 
     def base(relation, entity):
-        rel, ent = idx.relation_vectors.get(relation), idx.entity_vectors.get(entity)
-        return (
-            0.0
-            + (0.0 if rel is None else oracle_cosine(q, rel))
-            + (0.0 if ent is None else oracle_cosine(q, ent))
+        return 0.0 + oracle_cosine(q, row(idx, "relation", relation)) + oracle_cosine(
+            q, row(idx, "entity", entity)
         )
 
     score = base(step.relation, step.entity)
@@ -54,13 +58,25 @@ def oracle_candidate(g, idx, q, step, alpha):
     return ScoredCandidate(step, score, bonus, score + alpha * bonus)
 
 
-def hand_index(entity_vecs, relation_vecs):
-    idx = EmbeddingIndex(dimension=2, fingerprint="hand/1")
-    for name, vec in entity_vecs.items():
-        idx.entity_vectors[name] = np.array(vec, dtype=float)
-    for name, vec in relation_vecs.items():
-        idx.relation_vectors[name] = np.array(vec, dtype=float)
-    return idx
+def hand_index(g, entity_vecs, relation_vecs, dimension=2):
+    """An index of ``g`` with the given rows; a name given none has a zero row."""
+
+    def matrix(names, vecs):
+        return np.array([vecs.get(name, [0.0] * dimension) for name in names], dtype=float).reshape(
+            len(names), dimension
+        )
+
+    return EmbeddingIndex(
+        "hand/1", dimension, g.entity_names, g.relation_names,
+        matrix(g.entity_names, entity_vecs), matrix(g.relation_names, relation_vecs),
+    )
+
+
+def bound(g, idx, q, emb=None):
+    """A score context of ``g`` and ``idx`` bound to the query vector ``q``."""
+    context = ScoreContext(g, idx, emb or HashingEmbedder())
+    context.bind_query(q)
+    return context
 
 
 def brute_force_candidates(g, idx, q, frontier, config):
@@ -84,13 +100,13 @@ def as_text(candidates):
 
 
 def counting_query_cosine(monkeypatch):
-    """Patch ``pathrag.query_cosine`` and return the list of the ids of the
-    vectors it is called with."""
+    """Patch ``pathrag.query_cosine`` and return the list of the addresses of
+    the rows it is called with."""
     scored = []
     real_cosine = pathrag.query_cosine
 
     def counting_cosine(query, query_norm, vec):
-        scored.append(id(vec))
+        scored.append(vec.ctypes.data)
         return real_cosine(query, query_norm, vec)
 
     monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
@@ -117,9 +133,7 @@ def test_retrieval_config_validation():
 
 def candidate_for(g, idx, q, frontier, step, alpha=0.3, emb=None):
     """The candidate for ``step`` among those ranked out of ``frontier``."""
-    ranked = candidate_steps(
-        g, idx, emb or HashingEmbedder(), q, frontier, RetrievalConfig(alpha=alpha)
-    )
+    ranked = candidate_steps(bound(g, idx, q, emb), frontier, RetrievalConfig(alpha=alpha))
     (cand,) = [c for c in ranked if c.step == step]
     return cand
 
@@ -127,7 +141,7 @@ def candidate_for(g, idx, q, frontier, step, alpha=0.3, emb=None):
 def test_base_score_maximal_alignment_is_two():
     q = np.array([1.0, 0.0])
     g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
-    idx = hand_index({"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
+    idx = hand_index(g, {"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
     cand = candidate_for(g, idx, q, "F", ReasoningStep("r", "E"))
     assert cand.base_score == pytest.approx(2.0, abs=1e-12)
 
@@ -135,7 +149,7 @@ def test_base_score_maximal_alignment_is_two():
 def test_base_score_orthogonal_is_zero():
     q = np.array([1.0, 0.0])
     g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
-    idx = hand_index({"E": [0.0, 1.0]}, {"r": [0.0, 1.0]})
+    idx = hand_index(g, {"E": [0.0, 1.0]}, {"r": [0.0, 1.0]})
     assert candidate_for(g, idx, q, "F", ReasoningStep("r", "E")).base_score == 0.0
 
 
@@ -145,24 +159,12 @@ def test_base_score_fixture_value_matches_oracle():
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
     step = ReasoningStep("location.country.form_of_government", "Theocracy")
-    expected = oracle_cosine(q, idx.relation_vectors[step.relation]) + oracle_cosine(
-        q, idx.entity_vectors[step.entity]
+    expected = oracle_cosine(q, row(idx, "relation", step.relation)) + oracle_cosine(
+        q, row(idx, "entity", step.entity)
     )
     got = candidate_for(g, idx, q, "Iran", step, emb=emb).base_score
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(0.2672612419124244, abs=1e-12)
-
-
-def test_base_score_missing_identifiers_contribute_zero():
-    q = np.array([1.0, 0.0])
-    g = KnowledgeGraph.from_triples(
-        [Triple("F", "ghost_rel", "E"), Triple("F", "ghost_rel", "ghost_ent")]
-    )
-    idx = hand_index({"E": [1.0, 0.0]}, {})
-    into_e = candidate_for(g, idx, q, "F", ReasoningStep("ghost_rel", "E"))
-    into_ghost = candidate_for(g, idx, q, "F", ReasoningStep("ghost_rel", "ghost_ent"))
-    assert into_e.base_score == pytest.approx(1.0, abs=1e-12)
-    assert into_ghost.base_score == 0.0
 
 
 # --- lookahead scoring -------------------------------------------------------
@@ -198,6 +200,7 @@ def test_lookahead_rescues_promising_intermediate():
     )
     q = np.array([1.0, 0.0])
     idx = hand_index(
+        g,
         {"F": [0.0, 1.0], "B": [0.0, 1.0], "D": [0.0, 1.0], "C": [1.0, 0.0]},
         {"r": [0.0, 1.0], "r2": [0.0, 1.0]},
     )
@@ -223,11 +226,11 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
         entity_vecs[f"e{i:03d}"] = [-1.0, 0.0]
         triples.append(Triple("H", f"r{i:03d}", f"e{i:03d}"))
     g = KnowledgeGraph.from_triples(triples)
-    idx = hand_index(entity_vecs, relation_vecs)
+    idx = hand_index(g, entity_vecs, relation_vecs)
     onward = sorted(neighbors(g, "H"))
     assert len(onward) == 300
     brute = max(
-        0.0 + oracle_cosine(q, idx.relation_vectors[r]) + oracle_cosine(q, idx.entity_vectors[e])
+        0.0 + oracle_cosine(q, row(idx, "relation", r)) + oracle_cosine(q, row(idx, "entity", e))
         for r, e in onward
     )
     assert brute == 0.0  # (r_least, E_best): -1 + 1; every other pair scores below -0.09
@@ -250,6 +253,7 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
     )
     rng = np.random.default_rng(3)
     idx = hand_index(
+        g,
         {name: rng.standard_normal(2) for name in "ABCFXYZ"},
         {name: rng.standard_normal(2) for name in "rstu"},
     )
@@ -259,19 +263,19 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
         for step in (ReasoningStep("r", "A"), ReasoningStep("r", "B"), ReasoningStep("s", "C"))
     }
     scored = counting_query_cosine(monkeypatch)
-    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig())
+    got = candidate_steps(bound(g, idx, q), "F", RetrievalConfig())
     assert {c.step: c for c in got} == expected
     # the relations and entities of the three steps, and of the onward pair
     # that gives each step its bonus (A and B share theirs), each once
     pairs = {(c.step.relation, c.step.entity) for c in got}
     for c in got:
         pairs.add(max(sorted(neighbors(g, c.step.entity)), key=lambda pair: (
-            0.0 + oracle_cosine(q, idx.relation_vectors[pair[0]])
-            + oracle_cosine(q, idx.entity_vectors[pair[1]])
+            0.0 + oracle_cosine(q, row(idx, "relation", pair[0]))
+            + oracle_cosine(q, row(idx, "entity", pair[1]))
         )))
-    vectors = [idx.relation_vectors[r] for r, _ in pairs] + [idx.entity_vectors[e] for _, e in pairs]
+    rows = [row(idx, "relation", r) for r, _ in pairs] + [row(idx, "entity", e) for _, e in pairs]
     assert len(scored) == len(set(scored))
-    assert set(scored) == {id(vec) for vec in vectors}
+    assert set(scored) == {vec.ctypes.data for vec in rows}
 
 
 def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
@@ -287,14 +291,16 @@ def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
     ]
     g = KnowledgeGraph.from_triples(triples)
     idx = hand_index(
+        g,
         {name: rng.standard_normal(16) for name in sorted(g.entities)},
         {name: rng.standard_normal(16) for name in sorted(g.relations)},
+        dimension=16,
     )
     q = rng.standard_normal(16)
     config = RetrievalConfig()
     expected = brute_force_candidates(g, idx, q, "H", config)
     scored = counting_query_cosine(monkeypatch)
-    assert candidate_steps(g, idx, HashingEmbedder(), q, "H", config) == expected
+    assert candidate_steps(bound(g, idx, q), "H", config) == expected
     assert len(scored) == len(set(scored)) <= 40
 
 
@@ -307,14 +313,16 @@ def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypa
     triples += [Triple(f"n{i}", f"s{j:02d}", f"t{i}.{j:02d}") for i in range(5) for j in range(20)]
     g = KnowledgeGraph.from_triples(triples)
     idx = hand_index(
+        g,
         {name: rng.standard_normal(16) for name in sorted(g.entities)},
         {name: rng.standard_normal(16) for name in sorted(g.relations)},
+        dimension=16,
     )
     q = rng.standard_normal(16)
     config = RetrievalConfig(m=10)
     expected = brute_force_candidates(g, idx, q, "F", config)
     scored = counting_query_cosine(monkeypatch)
-    assert candidate_steps(g, idx, HashingEmbedder(), q, "F", config) == expected
+    assert candidate_steps(bound(g, idx, q), "F", config) == expected
     assert len(scored) == len(set(scored)) <= 30
 
 
@@ -324,27 +332,44 @@ def test_alpha_that_overflows_the_totals_still_ranks_like_the_oracle():
     g = KnowledgeGraph.from_triples(
         [Triple("F", "r", "A"), Triple("F", "r", "B"), Triple("A", "s", "C"), Triple("B", "s", "C")]
     )
-    idx = hand_index({name: [1.0, 0.0] for name in "FABC"}, {"r": [1.0, 0.0], "s": [1.0, 0.0]})
+    idx = hand_index(g, {name: [1.0, 0.0] for name in "FABC"}, {"r": [1.0, 0.0], "s": [1.0, 0.0]})
     q = np.array([1.0, 0.0])
     config = RetrievalConfig(m=1, alpha=1e308)
-    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", config)
+    got = candidate_steps(bound(g, idx, q), "F", config)
     assert got == brute_force_candidates(g, idx, q, "F", config)
     assert [c.step.entity for c in got] == ["A"]
 
 
-def test_graph_and_index_are_aligned_once_per_pair():
+def test_graph_and_index_are_aligned_once_per_pair(monkeypatch):
     g = load_fixture("combined.tsv")
     emb = HashingEmbedder()
     idx = build_index(g, emb)
-    q = emb.embed("ex wife father")
-    ScoreContext(g, idx, emb).bind(g, idx, emb, q)
-    layout = idx.by_graph
-    assert layout[0] is g
-    ScoreContext(g, idx, emb).bind(g, idx, emb, q)
-    assert idx.by_graph is layout
+    checks = []
+    real_check = pathrag.check_index
+    monkeypatch.setattr(pathrag, "check_index", lambda *pair: checks.append(pair) or real_check(*pair))
+    contexts = [bound(g, idx, emb.embed(text), emb) for text in ("ex wife father", "father")]
+    assert checks == [(g, idx)]
+    bound(load_fixture("combined.tsv"), idx, emb.embed("father"), emb)
+    assert len(checks) == 2  # another graph, even one with the same names
     # the index's own rows, not a copy
-    (_, relation_matrix, _), (_, entity_matrix, _) = layout[1:]
-    assert relation_matrix is idx.relation_matrix and entity_matrix is idx.entity_matrix
+    scored = []
+    monkeypatch.setattr(pathrag, "query_cosine", lambda query, query_norm, vec: scored.append(vec) or 0.5)
+    for context in contexts:
+        candidate_steps(context, "Justin_Bieber", RetrievalConfig())
+    assert scored and all(
+        np.shares_memory(vec, idx.entity_matrix) or np.shares_memory(vec, idx.relation_matrix)
+        for vec in scored
+    )
+
+
+def test_score_context_refuses_an_index_of_another_graph():
+    g = load_fixture("combined.tsv")
+    emb = HashingEmbedder()
+    with pytest.raises(ValueError, match="entity names are not the graph's"):
+        ScoreContext(g, build_index(load_fixture("iran.tsv"), emb), emb)
+    extra = KnowledgeGraph.from_triples([*g.triples, Triple("Justin_Bieber", "new_relation", "Erin_Wagner")])
+    with pytest.raises(ValueError, match=r"relation names are not the graph's: 1 .* \['new_relation'\]"):
+        ScoreContext(extra, build_index(g, emb), emb)
 
 
 VECTOR_KINDS = st.sampled_from(["pool"] * 30 + ["zero", "missing", "tiny"])
@@ -355,8 +380,8 @@ SCALES = st.sampled_from([1.0, 3.0, 0.1, 5.0, 7.0, 11.0, 1e3])
 def wide_frontiers(draw):
     """A graph whose frontier F has more steps than m; an index of 3-d
     vectors drawn as scaled copies of a small pool, so that exact ties and
-    ties up to rounding are common, plus zero rows, rows with a subnormal
-    squared norm, missing rows and maybe one NaN row; a query, possibly
+    ties up to rounding are common, plus zero rows (also for names drawn as
+    missing), rows with a subnormal squared norm and maybe one NaN row; a query, possibly
     zero; and a config, whose alpha may be large enough to overflow a total."""
     m = draw(st.integers(min_value=1, max_value=5))
     entities = [f"e{i}" for i in range(draw(st.integers(min_value=6, max_value=14)))]
@@ -399,7 +424,7 @@ def wide_frontiers(draw):
     query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
     config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e308])))
     g = KnowledgeGraph.from_triples(triples)
-    return g, hand_index(entity_vecs, relation_vecs), np.array(query), config
+    return g, hand_index(g, entity_vecs, relation_vecs, dimension=3), np.array(query), config
 
 
 @settings(max_examples=200, deadline=None)
@@ -407,9 +432,9 @@ def wide_frontiers(draw):
 def test_wide_frontier_equals_a_full_sort_of_the_oracle(drawn):
     g, idx, q, config = drawn
     expected = brute_force_candidates(g, idx, q, "F", config)
-    got = candidate_steps(g, idx, HashingEmbedder(), q, "F", config)
+    got = candidate_steps(bound(g, idx, q), "F", config)
     assert as_text(got) == as_text(expected)
-    if not any(np.isnan(vec).any() for vec in idx.entity_vectors.values()):
+    if not np.isnan(idx.entity_matrix).any():
         assert got == expected
 
 
@@ -428,38 +453,33 @@ def test_wide_frontier_bonus_is_exact_when_onward_steps_tie_up_to_rounding():
         v, q = rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3)
         entity_vecs = {f"t{i:02d}": v * scale for i, scale in enumerate(scales)}
         entity_vecs.update(n0=q, n1=-q, n2=-q)
-        idx = hand_index(entity_vecs, {"r": rng.uniform(-4, 4, 3), "s": rng.uniform(-4, 4, 3)})
-        got = candidate_steps(g, idx, HashingEmbedder(), q, "F", RetrievalConfig(m=2))
+        idx = hand_index(g, entity_vecs, {"r": rng.uniform(-4, 4, 3), "s": rng.uniform(-4, 4, 3)}, dimension=3)
+        got = candidate_steps(bound(g, idx, q), "F", RetrievalConfig(m=2))
         assert got[0] == oracle_candidate(g, idx, q, step, 0.3)
 
 
-def test_score_context_refuses_another_query_graph_index_or_embedder():
+def test_score_context_binds_one_query_once():
     g = load_fixture("iran.tsv")
     emb = HashingEmbedder()
     idx = build_index(g, emb)
-    q = emb.embed("Iran government")
-    context = ScoreContext(g, idx, emb)
-    first = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig(), context=context)
-    again = candidate_steps(g, idx, emb, q.copy(), "Iran", RetrievalConfig(), context=context)
-    assert again == first
-    assert context.embed_query("Iran government") is q
-    misuses = [
-        (g, idx, emb, emb.embed("ex wife father")),
-        (load_fixture("iran.tsv"), idx, emb, q),
-        (g, build_index(g, emb), emb, q),
-        (g, idx, HashingEmbedder(), q),
-    ]
-    for args in misuses:
-        with pytest.raises(ValueError):
-            candidate_steps(*args, "Iran", RetrievalConfig(), context=context)
-    with pytest.raises(ValueError):
-        context.embed_query("ex wife father")
     gt = ReasoningPath.from_arrow("Iranian_rial -> finance.currency.countries_used -> Iran")
-    with pytest.raises(ValueError):
-        retrieved_steps_along_path(
-            g, idx, emb, q, "ex wife father", gt, RetrievalConfig(mode=MODE_KAPING),
-            context=context,
-        )
+    unbound = ScoreContext(g, idx, emb)
+    for mode in RETRIEVER_MODES:
+        with pytest.raises(ValueError, match="no query bound"):
+            candidate_steps(unbound, "Iran", RetrievalConfig(mode=mode))
+        with pytest.raises(ValueError, match="no query bound"):
+            retrieved_steps_along_path(unbound, gt, RetrievalConfig(mode=mode))
+    by_text = ScoreContext(g, idx, emb)
+    q = by_text.bind_query("Iran government")
+    assert q.tobytes() == emb.embed("Iran government").tobytes()
+    assert by_text.query_vec is q
+    by_vector = bound(g, idx, emb.embed("Iran government"), emb)
+    assert candidate_steps(by_text, "Iran", RetrievalConfig()) == candidate_steps(
+        by_vector, "Iran", RetrievalConfig()
+    )
+    for query in ("Iran government", "ex wife father", q):
+        with pytest.raises(ValueError, match="already bound"):
+            by_text.bind_query(query)
 
 
 def test_shared_context_scores_like_private_ones():
@@ -469,10 +489,10 @@ def test_shared_context_scores_like_private_ones():
     q = emb.embed("ex wife father")
     for mode in (MODE_VANILLA, MODE_KAPING, "path-rag"):
         config = RetrievalConfig(mode=mode)
-        context = ScoreContext(g, idx, emb)
+        context = bound(g, idx, q, emb)
         for frontier in sorted(g.entities) * 2:
-            shared = candidate_steps(g, idx, emb, q, frontier, config, context=context)
-            assert shared == candidate_steps(g, idx, emb, q, frontier, config)
+            shared = candidate_steps(context, frontier, config)
+            assert shared == candidate_steps(bound(g, idx, q, emb), frontier, config)
 
 
 def test_candidates_never_fabricated_and_match_eq2():
@@ -480,7 +500,7 @@ def test_candidates_never_fabricated_and_match_eq2():
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
-    got = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig())
+    got = candidate_steps(bound(g, idx, q, emb), "Iran", RetrievalConfig())
     assert {c.step for c in got} == {
         ReasoningStep("location.country.form_of_government", "Islamic_republic"),
         ReasoningStep("location.country.form_of_government", "Theocracy"),
@@ -489,8 +509,8 @@ def test_candidates_never_fabricated_and_match_eq2():
     scores = [c.total_score for c in got]
     assert scores == sorted(scores, reverse=True)
     for cand in got:
-        expected = oracle_cosine(q, idx.relation_vectors[cand.step.relation]) + oracle_cosine(
-            q, idx.entity_vectors[cand.step.entity]
+        expected = oracle_cosine(q, row(idx, "relation", cand.step.relation)) + oracle_cosine(
+            q, row(idx, "entity", cand.step.entity)
         )
         assert cand.total_score == pytest.approx(expected, abs=1e-12)  # all leaves
 
@@ -499,7 +519,7 @@ def test_candidates_empty_frontier():
     g = load_fixture("iran.tsv")
     emb = HashingEmbedder()
     idx = build_index(g, emb)
-    assert candidate_steps(g, idx, emb, emb.embed("x"), "Theocracy", RetrievalConfig()) == []
+    assert candidate_steps(bound(g, idx, emb.embed("x"), emb), "Theocracy", RetrievalConfig()) == []
 
 
 def test_candidates_m1_is_head_of_full_ranking():
@@ -507,8 +527,8 @@ def test_candidates_m1_is_head_of_full_ranking():
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
-    full = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig(m=10))
-    head = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig(m=1))
+    full = candidate_steps(bound(g, idx, q, emb), "Iran", RetrievalConfig(m=10))
+    head = candidate_steps(bound(g, idx, q, emb), "Iran", RetrievalConfig(m=1))
     assert head == full[:1]
 
 
@@ -517,7 +537,7 @@ def test_vanilla_mode_scores_concatenated_step_text():
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     q = emb.embed("Iran government")
-    got = candidate_steps(g, idx, emb, q, "Iran", RetrievalConfig(mode=MODE_VANILLA))
+    got = candidate_steps(bound(g, idx, q, emb), "Iran", RetrievalConfig(mode=MODE_VANILLA))
     for cand in got:
         expected = oracle_cosine(
             q, emb.embed(f"{cand.step.relation} {cand.step.entity}")
@@ -532,7 +552,7 @@ def test_vanilla_mode_scores_concatenated_step_text():
 def test_kaping_saturates_to_all_triples():
     g = load_fixture("iran.tsv")
     emb = HashingEmbedder()
-    got = kaping_retrieve(g, emb, "anything", 100)
+    got = kaping_retrieve(g, emb, emb.embed("anything"), 100)
     assert len(got) == 5
     scores = [s for _, s in got]
     assert scores == sorted(scores, reverse=True)
@@ -541,7 +561,7 @@ def test_kaping_saturates_to_all_triples():
 def test_kaping_identical_text_scores_one():
     g = load_fixture("iran.tsv")
     emb = HashingEmbedder()
-    got = kaping_retrieve(g, emb, "Iranian_rial finance.currency.countries_used Iran", 1)
+    got = kaping_retrieve(g, emb, emb.embed("Iranian_rial finance.currency.countries_used Iran"), 1)
     assert got[0][0] == Triple("Iranian_rial", "finance.currency.countries_used", "Iran")
     assert got[0][1] == pytest.approx(1.0, abs=1e-12)
 
@@ -554,7 +574,7 @@ def test_kaping_top3_matches_brute_force():
         ((oracle_cosine(q, emb.embed(f"{t.head} {t.relation} {t.tail}")), t) for t in g.triples),
         key=lambda pair: (-pair[0], pair[1].head, pair[1].relation, pair[1].tail),
     )
-    got = kaping_retrieve(g, emb, "Iran government", 3)
+    got = kaping_retrieve(g, emb, q, 3)
     assert {t for t, _ in got} == {t for _, t in oracle[:3]}
 
 
@@ -590,11 +610,11 @@ def test_retrieved_steps_along_path_per_mode():
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     q = emb.embed("ex wife father")
-    per_hop = retrieved_steps_along_path(g, idx, emb, q, "ex wife father", GT, RetrievalConfig())
+    per_hop = retrieved_steps_along_path(bound(g, idx, q, emb), GT, RetrievalConfig())
     assert len(per_hop) == 2
     assert GT.steps[0] in per_hop[0]
     assert GT.steps[1] in per_hop[1]
     kaping_hops = retrieved_steps_along_path(
-        g, idx, emb, q, "ex wife father", GT, RetrievalConfig(mode=MODE_KAPING, m=2)
+        bound(g, idx, q, emb), GT, RetrievalConfig(mode=MODE_KAPING, m=2)
     )
     assert kaping_hops[0] == kaping_hops[1]  # one global set charged at every hop

@@ -900,6 +900,19 @@ def test_context_of_another_question_is_refused():
         run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client, context=context)
 
 
+def test_context_of_another_graph_index_or_embedder_is_refused():
+    g, idx, emb, client = mock_runner()
+    context = ScoreContext(g, idx, emb)
+    misuses = [
+        (load_fixture("combined.tsv"), idx, emb),
+        (g, build_index(g, emb), emb),
+        (g, idx, HashingEmbedder()),
+    ]
+    for other_g, other_idx, other_emb in misuses:
+        with pytest.raises(ValueError, match="another graph, index or embedder"):
+            run_dvbs(BIEBER_Q, ["Justin_Bieber"], other_g, other_idx, other_emb, client, context=context)
+
+
 def test_plain_mock_run_never_starts_a_pool(pools_started):
     g, idx, emb, client = mock_runner()
     answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
