@@ -1,10 +1,14 @@
 """Embedding index: embed every entity and relation once, persist the
 vectors, and answer exact top-m cosine queries.
 
-``top_m_entities`` and ``top_m_relations`` are an exact full scan plus sort.
-Path-RAG (``pathrag.ScoreContext``) first approximates similarities with
-matrix-vector products over the index's matrices, then scores exactly only
-the candidates within a proven error band, so its results are exact too.
+Similarities to a query are computed in batches by :func:`query_cosines`,
+which gives each row the bits the scalar :func:`query_cosine` gives it:
+``np.vecdot`` sums a row's products as the 1-d ``dot`` does. It relies on
+the boundary checks here: an index holds C-contiguous float64 matrices of
+finite components, and :func:`query_vector` makes a query one of the right
+dimension. ``top_m_entities`` and ``top_m_relations`` are one batch over a
+vocabulary plus a stable sort; Path-RAG (``pathrag.ScoreContext``) scores the
+rows it reaches in batches too.
 """
 
 from __future__ import annotations
@@ -96,6 +100,36 @@ def query_cosine(query: np.ndarray, query_norm: float, vec: np.ndarray) -> float
     return min(max(float(query.dot(vec) / (query_norm * vec_norm)), -1.0), 1.0)
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The norm of each row of a float64 matrix, bit-identical to
+    :func:`norm` of the row."""
+    return np.sqrt(np.vecdot(matrix, matrix))
+
+
+def query_cosines(query: np.ndarray, query_norm: float, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``query_cosine(query, query_norm, row)`` of each of ``rows``, bit for
+    bit, given the rows' ``norms`` (:func:`row_norms`): the same operations
+    in the same order, on a C-contiguous query and C-contiguous rows (another
+    layout may sum a dot product in another order)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = np.vecdot(rows, query) / (query_norm * norms)
+    if query_norm == 0.0 or not norms.all():
+        logger.warning("cosine of a zero-norm vector defined as 0.0")
+        sims[(norms == 0.0) | (query_norm == 0.0)] = 0.0
+    return sims.clip(-1.0, 1.0, out=sims)
+
+
+def query_vector(query, dimension: int) -> np.ndarray:
+    """``query`` as a C-contiguous float64 vector of ``dimension`` finite
+    components, which :func:`query_cosines` needs; otherwise ``ValueError``."""
+    query = np.ascontiguousarray(query, dtype=np.float64)
+    if query.shape != (dimension,):
+        raise ValueError(f"dimension mismatch: query {query.shape} vs index ({dimension},)")
+    if not np.isfinite(query).all():
+        raise ValueError("query has non-finite components")
+    return query
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity in [-1, 1].
 
@@ -112,8 +146,9 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 @dataclass(eq=False)
 class EmbeddingIndex:
     """One vector per entity and per relation of a single graph: each
-    vocabulary's strictly sorted names and a float64 matrix whose row i is
-    name i, so row i is the graph's id i. Any other shape is a ``ValueError``.
+    vocabulary's strictly sorted names and a C-contiguous float64 matrix of
+    finite components whose row i is name i, so row i is the graph's id i.
+    Any other shape, or a non-finite component, is a ``ValueError``.
     The rows are not changed after build, and queries are thread-safe.
     Indexes compare by identity (their matrices have no truth value).
     """
@@ -127,8 +162,8 @@ class EmbeddingIndex:
 
     def __post_init__(self):
         self.entity_names, self.relation_names = tuple(self.entity_names), tuple(self.relation_names)
-        self.entity_matrix = np.asarray(self.entity_matrix, dtype=np.float64)
-        self.relation_matrix = np.asarray(self.relation_matrix, dtype=np.float64)
+        self.entity_matrix = np.ascontiguousarray(self.entity_matrix, dtype=np.float64)
+        self.relation_matrix = np.ascontiguousarray(self.relation_matrix, dtype=np.float64)
         for kind, names, matrix in (("entity", self.entity_names, self.entity_matrix),
                                     ("relation", self.relation_names, self.relation_matrix)):
             if any(a >= b for a, b in zip(names, names[1:])):
@@ -136,6 +171,8 @@ class EmbeddingIndex:
             if matrix.shape != (len(names), self.dimension):
                 shape = (len(names), self.dimension)
                 raise ValueError(f"index {kind} matrix is {matrix.shape}, not {shape}")
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"index {kind} matrix has non-finite components")
 
 
 def check_index(g: KnowledgeGraph, idx: EmbeddingIndex) -> None:
@@ -192,11 +229,11 @@ def _failure(rows: np.ndarray, identifiers, error: EmbedderError | None) -> Embe
 def _rank(names: tuple[str, ...], matrix: np.ndarray, query: np.ndarray, m: int):
     if m < 1:
         raise ValueError("m must be >= 1")
-    query = np.asarray(query, dtype=np.float64)
-    query_norm = norm(query)
-    scored = [(name, query_cosine(query, query_norm, vec)) for name, vec in zip(names, matrix)]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored[:m]
+    query = query_vector(query, matrix.shape[1])
+    scores = query_cosines(query, norm(query), matrix, row_norms(matrix))
+    # the names are sorted, so a stable sort breaks ties by ascending name
+    top = np.argsort(-scores, kind="stable")[:m]
+    return [(names[i], score) for i, score in zip(top.tolist(), scores[top].tolist())]
 
 
 def top_m_entities(idx: EmbeddingIndex, query: np.ndarray, m: int) -> list[tuple[str, float]]:

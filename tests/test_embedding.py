@@ -18,6 +18,8 @@ from kgreason.embedding import (
     load_index,
     norm,
     query_cosine,
+    query_cosines,
+    row_norms,
     save_index,
     top_m_entities,
     top_m_relations,
@@ -438,6 +440,36 @@ def test_load_rejects_a_malformed_header(tmp_path, damage):
         load_index(path)
 
 
+# rows scaled from 1e-150 to 1e150, and below, where squared norms are subnormal
+ROW_SCALES = st.floats(min_value=-150, max_value=150).map(lambda e: 10.0**e) | st.sampled_from([1e-160, 1e-162])
+ROW_KINDS = st.sampled_from(["scaled"] * 6 + ["zero", "negative zero"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_query_cosines_are_query_cosine_bit_for_bit(data):
+    """Batched cosines of rows gathered by ids, repeats included, and batched
+    row norms equal the scalar ones bit for bit, for any dimension up to 300,
+    zero and -0.0 rows and a zero query."""
+    d = data.draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32)))
+
+    def vector(kind):
+        if kind == "scaled":
+            return rng.standard_normal(d) * data.draw(ROW_SCALES)
+        return np.full(d, 0.0 if kind == "zero" else -0.0)
+
+    matrix = np.array([vector(kind) for kind in data.draw(st.lists(ROW_KINDS, min_size=1, max_size=8))])
+    query = vector(data.draw(st.sampled_from(["scaled", "scaled", "zero"])))
+    ids = data.draw(st.lists(st.integers(min_value=0, max_value=len(matrix) - 1), min_size=1, max_size=12))
+    with np.errstate(all="ignore"):
+        query_norm, norms = norm(query), row_norms(matrix)
+        assert norms.tobytes() == np.array([norm(vec) for vec in matrix]).tobytes()
+        got = query_cosines(query, query_norm, matrix[ids], norms[ids])
+        expected = np.array([query_cosine(query, query_norm, matrix[i]) for i in ids])
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_built_and_loaded_indexes_hold_one_matrix_per_vocabulary(tmp_path):
     g = load_fixture("combined.tsv")
     built = build_index(g, HashingEmbedder())
@@ -467,7 +499,7 @@ def test_index_file_is_header_line_then_raw_rows(tmp_path):
 
 
 IDENTIFIERS = st.text(alphabet=st.sampled_from(list('ab,"\\ \'é→ß日\t')) | st.characters(), min_size=1)
-ROW_VALUES = st.floats(width=64) | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308])
+ROW_VALUES = st.floats(width=64, allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308])
 
 
 @settings(max_examples=50)
@@ -522,6 +554,37 @@ def test_index_refuses_rows_of_another_shape_or_unsorted_names(entities, rows):
 
     with pytest.raises(ValueError):
         EmbeddingIndex("hand/1", 2, entities, [], rows, np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+def test_index_and_loader_refuse_a_non_finite_row(tmp_path, value):
+    """A row that cannot be scored is refused when built and when read back."""
+    from kgreason.embedding import EmbeddingIndex
+
+    with pytest.raises(ValueError, match="entity matrix has non-finite"):
+        EmbeddingIndex("hand/1", 2, ["a", "b"], ["r"], [[1.0, 0.0], [value, 0.0]], [[0.5, 0.5]])
+    with pytest.raises(ValueError, match="relation matrix has non-finite"):
+        EmbeddingIndex("hand/1", 2, ["a"], ["r"], [[1.0, 0.0]], [[0.5, value]])
+    path = tmp_path / "hand.idx"
+    save_index(EmbeddingIndex("hand/1", 2, ["a", "b"], ["r"], [[1.0, 0.0], [3.0, 4.0]], [[0.5, 0.5]]), path)
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", value))
+    with pytest.raises(ValueError, match="relation matrix has non-finite"):
+        load_index(path)
+
+
+def test_index_holds_c_contiguous_rows():
+    """Rows given in another layout are stored C-contiguous, whose dot
+    products ``query_cosines`` sums as the 1-d ``dot`` does (a strided row
+    may sum in another order, and round differently)."""
+    from kgreason.embedding import EmbeddingIndex
+
+    rng = np.random.default_rng(2)
+    names = [f"e{i:02d}" for i in range(40)]
+    rows = np.asfortranarray(rng.standard_normal((40, 64)))
+    idx = EmbeddingIndex("random/1", 64, names, [], rows, np.empty((0, 64)))
+    assert idx.entity_matrix.flags.c_contiguous and idx.entity_matrix.tobytes() == rows.tobytes(order="C")
+    query = rng.standard_normal(64)
+    assert top_m_entities(idx, query, 40) == brute_force_rank(names, np.ascontiguousarray(rows), query, 40)
 
 
 @settings(max_examples=25)

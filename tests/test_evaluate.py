@@ -402,23 +402,35 @@ class CountingEmbedder(HashingEmbedder):
 
 def test_question_scores_each_identifier_once_across_depths_and_coverage(monkeypatch):
     g, idx, emb, dataset, backend = fixture_harness()
-    scored = []
-    real_cosine = pathrag.query_cosine
+    batches, ranks = [], []
+    real_cosines, real_rank = pathrag.query_cosines, pathrag.ScoreContext.rank
 
-    def counting_cosine(query, query_norm, vec):
-        scored.append(vec.ctypes.data)  # the row's address in the index's matrices
-        return real_cosine(query, query_norm, vec)
+    def counting_cosines(query, query_norm, rows, norms):
+        batches.append(rows)
+        return real_cosines(query, query_norm, rows, norms)
 
-    monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
+    def counting_rank(context, *args):
+        ranks.append(args)
+        return real_rank(context, *args)
+
+    monkeypatch.setattr(pathrag, "query_cosines", counting_cosines)
+    monkeypatch.setattr(pathrag.ScoreContext, "rank", counting_rank)
+    # each index row is one identifier's
+    by_row = {vec.tobytes(): name for name, vec in zip(idx.entity_names, idx.entity_matrix)}
+    assert len(by_row) == len(idx.entity_names)
     for record in dataset:
-        scored.clear()
+        batches.clear()
+        ranks.clear()
         result, trace = evaluate_question(
             record, g, idx, emb, backend, SearchConfig(), RetrievalConfig()
         )
         assert sum(e["event"] == "depth" for e in trace.events) >= 2
         assert result.coverage == 1.0
-        # each index row is one identifier's
-        assert scored and len(scored) == len(set(scored))
+        # the relations once, then at most one batch of entities per rank call
+        assert batches[0] is idx.relation_matrix
+        assert 1 <= len(batches) - 1 <= len(ranks)
+        scored = [by_row[vec.tobytes()] for rows in batches[1:] for vec in rows]
+        assert len(scored) == len(set(scored))
 
 
 @pytest.mark.parametrize("mode", RETRIEVER_MODES)

@@ -91,26 +91,48 @@ def brute_force_candidates(g, idx, q, frontier, config):
 
 
 def as_text(candidates):
-    """Steps and the reprs of their scores, so that NaN equals NaN and -0.0
-    differs from 0.0."""
+    """Steps and the reprs of their scores, so that -0.0 differs from 0.0."""
     return [
         (c.step, repr(c.base_score), repr(c.lookahead_bonus), repr(c.total_score))
         for c in candidates
     ]
 
 
-def counting_query_cosine(monkeypatch):
-    """Patch ``pathrag.query_cosine`` and return the list of the addresses of
-    the rows it is called with."""
-    scored = []
-    real_cosine = pathrag.query_cosine
+class CountingScores:
+    """Patches ``pathrag.query_cosines`` and ``ScoreContext.rank``: ``batches``
+    holds the rows of each batch of similarities, ``ranks`` the number of
+    ``rank`` calls."""
 
-    def counting_cosine(query, query_norm, vec):
-        scored.append(vec.ctypes.data)
-        return real_cosine(query, query_norm, vec)
+    def __init__(self, monkeypatch):
+        self.batches, self.ranks = [], 0
+        real_cosines, real_rank = pathrag.query_cosines, ScoreContext.rank
 
-    monkeypatch.setattr(pathrag, "query_cosine", counting_cosine)
-    return scored
+        def counting_cosines(query, query_norm, rows, norms):
+            self.batches.append(rows)
+            return real_cosines(query, query_norm, rows, norms)
+
+        def counting_rank(context, *args):
+            self.ranks += 1
+            return real_rank(context, *args)
+
+        monkeypatch.setattr(pathrag, "query_cosines", counting_cosines)
+        monkeypatch.setattr(ScoreContext, "rank", counting_rank)
+
+    def entities(self, idx):
+        """The entities of the rows scored after the first batch, which is the
+        relations' (the index's rows are distinct), in the order scored."""
+        by_row = {vec.tobytes(): name for name, vec in zip(idx.entity_names, idx.entity_matrix)}
+        assert len(by_row) == len(idx.entity_names)
+        return [by_row[vec.tobytes()] for rows in self.batches[1:] for vec in rows]
+
+    def check_batches(self, idx):
+        """One relation batch, the index's own matrix, then at most one entity
+        batch per ``rank`` call, each entity once; the entities scored."""
+        assert self.batches[0] is idx.relation_matrix
+        assert len(self.batches) - 1 <= self.ranks
+        scored = self.entities(idx)
+        assert len(scored) == len(set(scored))
+        return set(scored)
 
 
 # --- config ----------------------------------------------------------------
@@ -238,7 +260,8 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
 
 
 def test_candidate_steps_computes_each_cosine_once(monkeypatch):
-    """A and B share their onward pairs; each identifier is scored once."""
+    """A and B share their onward pairs; each identifier is scored once, in
+    one batch per vocabulary."""
     g = KnowledgeGraph.from_triples(
         [
             Triple("F", "r", "A"),
@@ -262,26 +285,19 @@ def test_candidate_steps_computes_each_cosine_once(monkeypatch):
         step: oracle_candidate(g, idx, q, step, 0.3)
         for step in (ReasoningStep("r", "A"), ReasoningStep("r", "B"), ReasoningStep("s", "C"))
     }
-    scored = counting_query_cosine(monkeypatch)
+    counting = CountingScores(monkeypatch)
     got = candidate_steps(bound(g, idx, q), "F", RetrievalConfig())
     assert {c.step: c for c in got} == expected
-    # the relations and entities of the three steps, and of the onward pair
-    # that gives each step its bonus (A and B share theirs), each once
-    pairs = {(c.step.relation, c.step.entity) for c in got}
-    for c in got:
-        pairs.add(max(sorted(neighbors(g, c.step.entity)), key=lambda pair: (
-            0.0 + oracle_cosine(q, row(idx, "relation", pair[0]))
-            + oracle_cosine(q, row(idx, "entity", pair[1]))
-        )))
-    rows = [row(idx, "relation", r) for r, _ in pairs] + [row(idx, "entity", e) for _, e in pairs]
-    assert len(scored) == len(set(scored))
-    assert set(scored) == {vec.ctypes.data for vec in rows}
+    # every relation in one batch, then the entities of the three steps and
+    # of their onward steps (A and B share theirs) in one batch, each once
+    assert counting.ranks == 1 and len(counting.batches) == 2
+    assert counting.check_batches(idx) == set("ABCXYZ")
 
 
 def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
-    """300 steps out of hub H, each to an entity with two onward steps: only
-    the steps and onward steps that can still rank in the top m are scored
-    with the exact cosine."""
+    """300 steps out of hub H, each to an entity with two onward steps: the
+    top m equal a full sort of the oracle, and the entities are scored in
+    one batch, each once."""
     rng = np.random.default_rng(11)
     triples = [Triple("H", f"r{i % 3}", f"n{i:03d}") for i in range(300)]
     triples += [
@@ -299,15 +315,16 @@ def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
     q = rng.standard_normal(16)
     config = RetrievalConfig()
     expected = brute_force_candidates(g, idx, q, "H", config)
-    scored = counting_query_cosine(monkeypatch)
+    counting = CountingScores(monkeypatch)
     assert candidate_steps(bound(g, idx, q), "H", config) == expected
-    assert len(scored) == len(set(scored)) <= 40
+    reached = {e for _, e in neighbors(g, "H")} | {e for n in g.entities if n != "H" for _, e in neighbors(g, n)}
+    assert counting.check_batches(idx) == reached
 
 
 def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypatch):
     """5 steps out of F, fewer than m, each to an entity with 20 onward
-    steps: the steps and, for each, the onward steps that can still give its
-    bonus are scored with the exact cosine, not every onward pair."""
+    steps: the candidates equal the oracle's, and the steps' and onward
+    steps' entities are scored in one batch, each once."""
     rng = np.random.default_rng(5)
     triples = [Triple("F", f"r{i}", f"n{i}") for i in range(5)]
     triples += [Triple(f"n{i}", f"s{j:02d}", f"t{i}.{j:02d}") for i in range(5) for j in range(20)]
@@ -321,9 +338,9 @@ def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypa
     q = rng.standard_normal(16)
     config = RetrievalConfig(m=10)
     expected = brute_force_candidates(g, idx, q, "F", config)
-    scored = counting_query_cosine(monkeypatch)
+    counting = CountingScores(monkeypatch)
     assert candidate_steps(bound(g, idx, q), "F", config) == expected
-    assert len(scored) == len(set(scored)) <= 30
+    assert counting.check_batches(idx) == set(g.entities) - {"F"}
 
 
 def test_alpha_that_overflows_the_totals_still_ranks_like_the_oracle():
@@ -347,19 +364,19 @@ def test_graph_and_index_are_aligned_once_per_pair(monkeypatch):
     checks = []
     real_check = pathrag.check_index
     monkeypatch.setattr(pathrag, "check_index", lambda *pair: checks.append(pair) or real_check(*pair))
+    counting = CountingScores(monkeypatch)
     contexts = [bound(g, idx, emb.embed(text), emb) for text in ("ex wife father", "father")]
     assert checks == [(g, idx)]
     bound(load_fixture("combined.tsv"), idx, emb.embed("father"), emb)
     assert len(checks) == 2  # another graph, even one with the same names
-    # the index's own rows, not a copy
-    scored = []
-    monkeypatch.setattr(pathrag, "query_cosine", lambda query, query_norm, vec: scored.append(vec) or 0.5)
     for context in contexts:
         candidate_steps(context, "Justin_Bieber", RetrievalConfig())
-    assert scored and all(
-        np.shares_memory(vec, idx.entity_matrix) or np.shares_memory(vec, idx.relation_matrix)
-        for vec in scored
-    )
+    # the index's own relation matrix on each binding, then rows of its entity matrix
+    relation_batches, entity_batches = counting.batches[:3], counting.batches[3:]
+    assert all(rows is idx.relation_matrix for rows in relation_batches)
+    assert len(entity_batches) == counting.ranks == 2
+    entity_rows = {vec.tobytes() for vec in idx.entity_matrix}
+    assert all(vec.tobytes() in entity_rows for rows in entity_batches for vec in rows)
 
 
 def test_score_context_refuses_an_index_of_another_graph():
@@ -381,8 +398,8 @@ def wide_frontiers(draw):
     """A graph whose frontier F has more steps than m; an index of 3-d
     vectors drawn as scaled copies of a small pool, so that exact ties and
     ties up to rounding are common, plus zero rows (also for names drawn as
-    missing), rows with a subnormal squared norm and maybe one NaN row; a query, possibly
-    zero; and a config, whose alpha may be large enough to overflow a total."""
+    missing) and rows with a subnormal squared norm; a query, possibly zero;
+    and a config, whose alpha may be large enough to overflow a total."""
     m = draw(st.integers(min_value=1, max_value=5))
     entities = [f"e{i}" for i in range(draw(st.integers(min_value=6, max_value=14)))]
     relations = [f"r{i}" for i in range(draw(st.integers(min_value=1, max_value=3)))]
@@ -419,8 +436,6 @@ def wide_frontiers(draw):
         return drawn
 
     entity_vecs, relation_vecs = vectors(["F"] + entities), vectors(relations)
-    if draw(st.integers(min_value=0, max_value=9)) == 0 and entity_vecs:
-        entity_vecs[draw(st.sampled_from(sorted(entity_vecs)))] = [float("nan"), 0.0, 0.0]
     query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
     config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e308])))
     g = KnowledgeGraph.from_triples(triples)
@@ -434,8 +449,7 @@ def test_wide_frontier_equals_a_full_sort_of_the_oracle(drawn):
     expected = brute_force_candidates(g, idx, q, "F", config)
     got = candidate_steps(bound(g, idx, q), "F", config)
     assert as_text(got) == as_text(expected)
-    if not np.isnan(idx.entity_matrix).any():
-        assert got == expected
+    assert got == expected
 
 
 def test_wide_frontier_bonus_is_exact_when_onward_steps_tie_up_to_rounding():
@@ -480,6 +494,35 @@ def test_score_context_binds_one_query_once():
     for query in ("Iran government", "ex wife father", q):
         with pytest.raises(ValueError, match="already bound"):
             by_text.bind_query(query)
+
+
+def test_rank_before_a_query_is_bound_is_refused():
+    g = load_fixture("iran.tsv")
+    emb = HashingEmbedder()
+    with pytest.raises(ValueError, match="no query bound"):
+        ScoreContext(g, build_index(g, emb), emb).rank(["Iran"], 10, 0.3)
+
+
+@pytest.mark.parametrize("query", [
+    [float("nan")] + [0.0] * 63,
+    [1.0] * 63 + [float("-inf")],
+    [1.0] * 63,  # another dimension
+    [[1.0] * 64],  # not a vector
+], ids=["nan", "inf", "dimension", "2-d"])
+def test_score_context_refuses_a_query_it_cannot_score(query):
+    g = load_fixture("iran.tsv")
+    emb = HashingEmbedder()
+    context = ScoreContext(g, build_index(g, emb), emb)
+    with pytest.raises(ValueError):
+        context.bind_query(np.array(query))
+    with pytest.raises(ValueError, match="no query bound"):
+        context.query_vec
+    # a strided query is bound as a contiguous copy, and scores as one
+    strided = np.stack([emb.embed("Iran government")] * 2, axis=1)[:, 0]
+    assert not strided.flags.c_contiguous
+    assert context.bind_query(strided).flags.c_contiguous
+    expected = candidate_steps(bound(g, context.idx, emb.embed("Iran government"), emb), "Iran", RetrievalConfig())
+    assert candidate_steps(context, "Iran", RetrievalConfig()) == expected
 
 
 def test_shared_context_scores_like_private_ones():
