@@ -119,7 +119,7 @@ def query_cosines(query: np.ndarray, query_norm: float, rows: np.ndarray, norms:
     return sims.clip(-1.0, 1.0, out=sims)
 
 
-def query_vector(query, dimension: int) -> np.ndarray:
+def query_vector(query: np.ndarray, dimension: int) -> np.ndarray:
     """``query`` as a C-contiguous float64 vector of ``dimension`` finite
     components, which :func:`query_cosines` needs; otherwise ``ValueError``."""
     query = np.ascontiguousarray(query, dtype=np.float64)
@@ -171,7 +171,9 @@ class EmbeddingIndex:
             if matrix.shape != (len(names), self.dimension):
                 shape = (len(names), self.dimension)
                 raise ValueError(f"index {kind} matrix is {matrix.shape}, not {shape}")
-            if not np.isfinite(matrix).all():
+            # a NaN or an infinity shows in the extremes, found without a
+            # temporary the size of the matrix
+            if matrix.size and not np.isfinite((matrix.min(), matrix.max())).all():
                 raise ValueError(f"index {kind} matrix has non-finite components")
 
 

@@ -131,25 +131,28 @@ class ScoreContext:
         base + alpha * bonus. A search depth's frontiers pay numpy's per-call
         cost once."""
         query, g = self.query_vec, self.g
-        heads = [g.entity_ids.get(entity) for entity in dict.fromkeys(entities)]
+        heads = map(g.entity_ids.get, dict.fromkeys(entities))
         heads = np.array([h for h in heads if h is not None and (h, m, alpha) not in self._ranked], dtype=np.int64)
         if not len(heads):
             return
         # the frontiers' steps, then their onward edges, as CSR positions, a run
         # each (array methods: numpy's function wrappers cost more, this small)
-        step_counts = g.offsets[heads + 1] - g.offsets[heads]
-        step_starts = step_counts.cumsum() - step_counts
-        steps_at = np.arange(step_counts.sum()) + (g.offsets[heads] - step_starts).repeat(step_counts)
+        step_firsts = g.offsets[heads]
+        step_counts = g.offsets[heads + 1] - step_firsts
+        frontier_of = np.arange(len(heads)).repeat(step_counts)
+        within = np.arange(len(frontier_of)) - (step_counts.cumsum() - step_counts)[frontier_of]
+        steps_at = step_firsts[frontier_of] + within
         relations, tails = g.edge_relations[steps_at], g.edge_tails[steps_at]
         firsts = g.offsets[tails]
         counts = g.offsets[tails + 1] - firsts
         starts = counts.cumsum() - counts
         onward = np.arange(counts.sum()) + (firsts - starts).repeat(counts)
         onward_relations, onward_tails = g.edge_relations[onward], g.edge_tails[onward]
-        # the entities reached for the first time, in one batch
-        reached = np.concatenate((tails, onward_tails))
-        new = np.unique(reached[~self._entity_scored[reached]])
+        # the entities reached for the first time, each once, in one batch
+        new = np.concatenate((tails, onward_tails))
+        new = np.sort(new[~self._entity_scored[new]])
         if len(new):
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             entity_rows, entity_norms = self.idx.entity_matrix[new], self._norms[1][new]
             self._entity_sims[new] = query_cosines(query, self._query_norm, entity_rows, entity_norms)
             self._entity_scored[new] = True
@@ -164,19 +167,18 @@ class ScoreContext:
         with np.errstate(over="ignore"):  # a large alpha may overflow to +inf, as floats do
             totals = bases + alpha * bonuses
         # One stable sort by frontier, then descending total: equal totals
-        # keep CSR order, which is (relation, entity) name order.
-        frontier_of = np.arange(len(heads)).repeat(step_counts)
-        order = np.lexsort((-totals, frontier_of))
-        top = order[np.arange(len(order)) - step_starts.repeat(step_counts) < m]
-        ranked = [[] for _ in range(len(heads))]
-        for frontier, relation, tail, base, bonus, total in zip(
-            frontier_of[top].tolist(), relations[top].tolist(), tails[top].tolist(),
-            bases[top].tolist(), bonuses[top].tolist(), totals[top].tolist(),
-        ):
-            step = ReasoningStep(g.relation_names[relation], g.entity_names[tail])
-            ranked[frontier].append(ScoredCandidate(step, base, bonus, total))
-        for head, candidates in zip(heads.tolist(), ranked):
-            self._ranked[head, m, alpha] = candidates
+        # keep CSR order, which is (relation, entity) name order. Each
+        # frontier's run then starts with its top m.
+        top = np.lexsort((-totals, frontier_of))[within < m]
+        steps = map(
+            ReasoningStep,
+            map(g.relation_names.__getitem__, relations[top].tolist()),
+            map(g.entity_names.__getitem__, tails[top].tolist()),
+        )
+        ranked = list(map(ScoredCandidate, steps, bases[top].tolist(), bonuses[top].tolist(), totals[top].tolist()))
+        ends = np.minimum(step_counts, m).cumsum().tolist()
+        for head, start, end in zip(heads.tolist(), [0, *ends], ends):
+            self._ranked[head, m, alpha] = ranked[start:end]
 
 
 def candidate_steps(
