@@ -6,9 +6,8 @@ semantic alignment of a step with a one-hop lookahead bonus, so a step that
 looks dull by itself but leads somewhere promising still ranks. It reads the
 graph's CSR rows, computes every similarity exactly, in batches, once per
 question, keeps them by graph id and ranks all the frontiers of a search
-depth in one numpy pass. Two baseline
-retrievers (vanilla concatenation and triple-to-text) are included for
-comparison runs.
+depth in one numpy pass. Two baseline retrievers (vanilla concatenation and
+triple-to-text) are included for comparison runs.
 """
 
 from __future__ import annotations
@@ -192,16 +191,15 @@ def candidate_steps(
     is score-descending with a lexicographic tie-break and truncated to m.
     """
     query_vec = context.query_vec
-    if config.mode == MODE_PATH_RAG:
-        candidates = context.top_candidates(frontier_entity, config.m, config.alpha)
-    else:
-        candidates = []
-        for relation, entity in context.g.steps(frontier_entity):
-            text = f"{relation} {entity}"  # vanilla scores the step as text
-            if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
-                text = f"{frontier_entity} {text}"
-            score = cosine(query_vec, context.emb.embed(text))
-            candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
+    if config.mode == MODE_PATH_RAG:  # ranked and truncated already
+        return context.top_candidates(frontier_entity, config.m, config.alpha)
+    candidates = []
+    for relation, entity in context.g.steps(frontier_entity):
+        text = f"{relation} {entity}"  # vanilla scores the step as text
+        if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
+            text = f"{frontier_entity} {text}"
+        score = cosine(query_vec, context.emb.embed(text))
+        candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
 
