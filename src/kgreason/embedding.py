@@ -20,8 +20,9 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -43,7 +44,11 @@ class EmbedderError(RuntimeError):
 
 
 class Embedder(Protocol):
-    """Text-to-vector capability. Must be deterministic per fingerprint."""
+    """Text-to-vector capability. Must be deterministic per fingerprint.
+
+    An embedder may also have ``embed_many(texts)``, the ``(len(texts), d)``
+    matrix of the texts' vectors, which :func:`build_index` then uses.
+    """
 
     fingerprint: str
 
@@ -56,7 +61,10 @@ class HashingEmbedder:
     Ships so the whole pipeline runs with zero network access. Tokens are
     lowercased alphanumeric runs; each token is hashed (blake2b, unsalted)
     to a bucket and a sign, once per instance (threads sharing it store only
-    equal values). Identical text always yields identical vectors.
+    equal values). Identical text always yields identical vectors. A
+    component is a sum of +-1.0 terms, exact in any order, so
+    :meth:`embed_many` sums a whole vocabulary in one batch to the same
+    bits as :meth:`embed` of each text.
     """
 
     def __init__(self, dimension: int = 64):
@@ -66,19 +74,40 @@ class HashingEmbedder:
         self.fingerprint = f"hashing-embedder/1 d={dimension}"
         self._hashed: dict[str, tuple[int, float]] = {}
 
+    def _hash(self, token: str) -> tuple[int, float]:
+        """The bucket and sign of ``token``, remembered for the next use."""
+        value = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+        hashed = self._hashed[token] = (value % self.dimension, -1.0 if value >> 63 else 1.0)
+        return hashed
+
     def embed(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dimension, dtype=np.float64)
         for token in _TOKEN_RE.findall(text.lower()):
-            hashed = self._hashed.get(token)
-            if hashed is None:
-                digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-                value = int.from_bytes(digest, "big")
-                hashed = self._hashed[token] = (value % self.dimension, -1.0 if value >> 63 else 1.0)
-            vec[hashed[0]] += hashed[1]
+            bucket, sign = self._hashed.get(token) or self._hash(token)
+            vec[bucket] += sign
         vec_norm = norm(vec)
         if vec_norm > 0:
             vec /= vec_norm
         return vec
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The ``(len(texts), dimension)`` matrix whose row i is bit-identical
+        to ``embed(texts[i])``: every token's (row, bucket, sign) summed into
+        zeros by one ``np.bincount``, and each nonzero row divided by its norm."""
+        tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts)))
+        get = self._hashed.get
+        hashed = [get(token) or self._hash(token) for row in tokens for token in row]
+        buckets = np.fromiter(map(itemgetter(0), hashed), dtype=np.intp, count=len(hashed))
+        signs = np.fromiter(map(itemgetter(1), hashed), dtype=np.float64, count=len(hashed))
+        rows = np.repeat(np.arange(len(tokens)), list(map(len, tokens)))
+        matrix = np.bincount(
+            rows * self.dimension + buckets, weights=signs, minlength=len(tokens) * self.dimension
+        )
+        # bincount gives integer zeros, not float ones, when there is no token
+        matrix = matrix.astype(np.float64, copy=False).reshape(len(tokens), self.dimension)
+        norms = row_norms(matrix)
+        matrix /= np.where(norms > 0, norms, 1.0)[:, None]
+        return matrix
 
 
 def norm(x: np.ndarray) -> float:
@@ -191,13 +220,33 @@ def check_index(g: KnowledgeGraph, idx: EmbeddingIndex) -> None:
 
 
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
-    """Embed every entity and relation of ``g`` with ``emb``.
+    """Embed every entity and relation of ``g`` with ``emb``: in one batch
+    through ``emb.embed_many(identifiers)`` when the embedder has it, else
+    one identifier at a time through ``emb.embed``.
 
-    An embedder failure aborts the build and names the first failing identifier.
+    An embedder failure aborts the build and names the first failing
+    identifier; a non-finite row names its identifier on either path.
     """
     if not g.entity_names and not g.relation_names:
         raise ValueError("cannot index an empty graph")
     identifiers = g.entity_names + g.relation_names
+    embed_many = getattr(emb, "embed_many", None)
+    if embed_many is None:
+        matrix = _embed_each(emb, identifiers)
+    else:
+        matrix = np.asarray(embed_many(identifiers), dtype=np.float64)
+        if matrix.ndim != 2 or len(matrix) != len(identifiers):
+            raise ValueError(f"embed_many gave a {matrix.shape} array for {len(identifiers)} identifiers")
+    if not np.all(np.isfinite(matrix)):
+        raise _failure(matrix, identifiers, None)
+    n = len(g.entity_names)
+    return EmbeddingIndex(
+        emb.fingerprint, matrix.shape[1], g.entity_names, g.relation_names, matrix[:n], matrix[n:]
+    )
+
+
+def _embed_each(emb: Embedder, identifiers: tuple[str, ...]) -> np.ndarray:
+    """The rows of ``emb.embed`` of each identifier, checked one by one."""
     matrix = np.empty((len(identifiers), 0))
     for i, identifier in enumerate(identifiers):
         try:
@@ -212,12 +261,7 @@ def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
                      else f"dimension {len(vec)} != index dimension {matrix.shape[1]}")
             raise _failure(matrix[:i], identifiers, EmbedderError(identifier, ValueError(cause)))
         matrix[i] = vec
-    if not np.all(np.isfinite(matrix)):
-        raise _failure(matrix, identifiers, None)
-    n = len(g.entity_names)
-    return EmbeddingIndex(
-        emb.fingerprint, matrix.shape[1], g.entity_names, g.relation_names, matrix[:n], matrix[n:]
-    )
+    return matrix
 
 
 def _failure(rows: np.ndarray, identifiers, error: EmbedderError | None) -> EmbedderError:

@@ -136,13 +136,27 @@ class KnowledgeGraph:
     rows): the edges out of head h are positions ``offsets[h]`` to
     ``offsets[h + 1]`` of the read-only ``edge_relations`` and ``edge_tails``,
     sorted by relation id, then tail id, which is (relation, tail) order.
+
+    The graph is built from three columns, its edges' heads, relations and
+    tails: ``load_triples`` parses into them, and the ``edges`` given to the
+    constructor are transposed into them. Each column is interned through
+    the vocabulary's name-to-id dict into one int64 array.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
         """The graph of the ``(head, relation, tail)`` ``edges``, without
         duplicates, plus any ``entities`` that no edge names."""
-        edges = list(edges)
-        heads, relations, tails = ([edge[i] for edge in edges] for i in range(3))
+        heads, relations, tails = list(zip(*edges)) or ((), (), ())
+        self._build(heads, relations, tails, entities)
+
+    @classmethod
+    def _from_columns(cls, heads: list[str], relations: list[str], tails: list[str]) -> "KnowledgeGraph":
+        """The graph of the edges ``(heads[i], relations[i], tails[i])``."""
+        graph = cls.__new__(cls)
+        graph._build(heads, relations, tails, ())
+        return graph
+
+    def _build(self, heads, relations, tails, entities) -> None:
         self.entity_names = tuple(sorted({*heads, *tails, *entities}))
         self.relation_names = tuple(sorted(set(relations)))
         self.entity_ids = {name: i for i, name in enumerate(self.entity_names)}
@@ -150,18 +164,20 @@ class KnowledgeGraph:
         # set-like views, in id order
         self.entities, self.relations = self.entity_ids.keys(), self.relation_ids.keys()
         eid, rid = self.entity_ids.__getitem__, self.relation_ids.__getitem__
-        coded = np.array(
-            [list(map(eid, heads)), list(map(rid, relations)), list(map(eid, tails))], dtype=np.int64
+        n_edges = len(heads)
+        head_ids, relation_ids, tail_ids = (
+            np.fromiter(map(ids, column), dtype=np.int64, count=n_edges)
+            for ids, column in ((eid, heads), (rid, relations), (eid, tails))
         )
         n_entities, n_relations = len(self.entity_names), len(self.relation_names)
         if n_entities**2 * n_relations >= 2**63:
             raise ValueError("too many entities and relations for one int64 key per edge")
         # one key per edge, sorted by head, then relation, then tail; duplicates dropped
-        keys = np.sort((coded[0] * n_relations + coded[1]) * n_entities + coded[2])
+        keys = np.sort((head_ids * n_relations + relation_ids) * n_entities + tail_ids)
         keys = keys[np.diff(keys, prepend=-1) != 0]
-        heads, self.edge_relations = np.divmod(keys // n_entities, n_relations)
+        edge_heads, self.edge_relations = np.divmod(keys // n_entities, n_relations)
         self.edge_tails = keys % n_entities
-        self.offsets = np.searchsorted(heads, np.arange(n_entities + 1))
+        self.offsets = np.searchsorted(edge_heads, np.arange(n_entities + 1))
         for array in (self.offsets, self.edge_relations, self.edge_tails):
             array.flags.writeable = False
         # the same arrays as read-only views whose items are Python ints, for bisect
@@ -204,33 +220,44 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     One ``head<TAB>relation<TAB>tail`` triple per line; ``#`` lines are
     comments and blank lines are skipped. Duplicates are deduplicated and
     line order does not affect the result. An empty stream yields an empty
-    graph. Malformed lines raise :class:`TripleParseError` with the line
+    graph. A UTF-8 byte-order mark at the start of the first line is
+    dropped. Malformed lines raise :class:`TripleParseError` with the line
     number; so does an identifier containing ``->``, the separator of the
     arrow format that paths are written in.
+
+    The stream is read line by line, and each triple's three stripped fields
+    go to three columns that the graph interns.
     """
-    edges = []
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        # a trailing newline is whitespace to every check, so it is never cut
-        unindented = raw.lstrip()
-        if not unindented or unindented[0] == "#":
-            continue
-        if "->" in raw:
-            raise TripleParseError("identifier contains '->'", line_number)
-        fields = raw.split("\t")
-        if len(fields) != 3:
+    heads, relations, tails = [], [], []
+    for line_number, line in enumerate(_iter_lines(source), start=1):
+        fields = line.split("\t")
+        if len(fields) == 3 and "->" not in line:
+            head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            if head and relation and tail and head[0] != "#":
+                heads.append(head)
+                relations.append(relation)
+                tails.append(tail)
+                continue
+        # Any line with a triple was taken above, so this one is a comment,
+        # blank or malformed. A trailing newline is whitespace to every check.
+        unindented = line.lstrip()
+        if unindented and unindented[0] != "#":
             raise TripleParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", line_number
+                "identifier contains '->'" if "->" in line
+                else f"expected 3 tab-separated fields, got {len(fields)}" if len(fields) != 3
+                else "empty field after normalization",
+                line_number,
             )
-        edge = (fields[0].strip(), fields[1].strip(), fields[2].strip())
-        if not all(edge):
-            raise TripleParseError("empty field after normalization", line_number)
-        edges.append(edge)
-    return KnowledgeGraph(edges)
+    return KnowledgeGraph._from_columns(heads, relations, tails)
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
-    for item in source:
-        yield item.decode("utf-8") if isinstance(item, bytes) else item
+    """The lines of ``source`` as str, bytes decoded as UTF-8, without a
+    byte-order mark at the start of the first."""
+    lines = (item.decode("utf-8") if isinstance(item, bytes) else item for item in source)
+    for first in lines:
+        yield first.removeprefix("\ufeff")
+        yield from lines
 
 
 def read_text(source: Union[str, os.PathLike, IO[str]]) -> str:

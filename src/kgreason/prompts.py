@@ -12,6 +12,7 @@ shipped, and callers can override it from a JSON file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -28,6 +29,9 @@ FINAL_REASON = "final_reason"
 DEFAULT_DEMO_COUNT = 5
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+# json.dumps(..., sort_keys=True) builds an encoder per call; this one is
+# shared (encoding keeps no state between calls) and gives the same text.
+_BINDINGS_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class UnboundPlaceholderError(KeyError):
@@ -46,10 +50,16 @@ class PromptTemplate:
     key: str
     system_text: str
     user_text: str
+    # user_text split once at its placeholders: literal text at the even
+    # positions, placeholder names at the odd ones
+    pieces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pieces", tuple(_PLACEHOLDER_RE.split(self.user_text)))
 
     @property
     def placeholder_names(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(_PLACEHOLDER_RE.findall(self.user_text)))
+        return tuple(dict.fromkeys(self.pieces[1::2]))
 
 
 @dataclass(frozen=True)
@@ -66,9 +76,7 @@ class RenderedPrompt:
     bindings: Mapping[str, str] = field(default_factory=dict)
 
     def bindings_digest(self) -> str:
-        import hashlib
-
-        blob = json.dumps(dict(self.bindings), sort_keys=True, ensure_ascii=True)
+        blob = _BINDINGS_ENCODER.encode(dict(self.bindings))
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -300,7 +308,9 @@ def render(
     missing = [name for name in template.placeholder_names if name not in str_bindings]
     if missing:
         raise UnboundPlaceholderError(template_key, missing)
-    user = _PLACEHOLDER_RE.sub(lambda m: str_bindings[m.group(1)], template.user_text)
+    pieces = list(template.pieces)
+    pieces[1::2] = [str_bindings[name] for name in pieces[1::2]]
+    user = "".join(pieces)
     demo_source = demonstrations if demonstrations is not None else BUILTIN_DEMONSTRATIONS
     demos = tuple(demo_source.get(template_key, ()))[:DEFAULT_DEMO_COUNT]
     if demos:

@@ -319,6 +319,73 @@ def test_threads_sharing_one_embedder_get_the_vectors_of_hashing_every_token():
     assert [[results[k][i] for i in range(len(texts))] for k in range(8)] == [expected] * 8
 
 
+# labels whose two tokens hash to one bucket with opposite signs at d=64, so
+# their vectors are zero; commas, non-ASCII and tokenless texts
+EMBED_LABELS = ["Alma Thorne", "Anton Dunmore", "Washington, D.C.", "S\u00e3o Paulo", "", "!!! ???"]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 5, 64]), st.lists(EMBED_TEXT | st.sampled_from(EMBED_LABELS), max_size=8))
+def test_embed_many_rows_are_embed_bit_for_bit(dimension, texts):
+    emb = HashingEmbedder(dimension)
+    batch = emb.embed_many(texts)  # on a fresh memo; embed then reuses it
+    assert batch.shape == (len(texts), dimension) and batch.dtype == np.float64
+    assert [row.tobytes() for row in batch] == [emb.embed(text).tobytes() for text in texts]
+
+
+def test_labels_whose_tokens_cancel_embed_to_zero_rows():
+    batch = HashingEmbedder().embed_many(EMBED_LABELS[:2] + ["Alma"])
+    assert not batch[:2].any() and row_norms(batch[2:]).tolist() == [1.0]
+
+
+class BatchEmbedder:
+    """``HashingEmbedder.embed_many``, its matrix passed through ``damage``;
+    ``build_index`` must not fall back to ``embed``."""
+
+    fingerprint = HashingEmbedder().fingerprint
+
+    def __init__(self, damage=lambda matrix: matrix):
+        self.inner, self.damage = HashingEmbedder(), damage
+
+    def embed(self, text):
+        raise AssertionError("embedded one identifier at a time")
+
+    def embed_many(self, texts):
+        return self.damage(self.inner.embed_many(texts))
+
+
+class EmbedOnly:
+    """``HashingEmbedder`` without ``embed_many``."""
+
+    fingerprint = HashingEmbedder().fingerprint
+
+    def __init__(self):
+        self.embed = HashingEmbedder().embed
+
+
+def test_build_index_embeds_in_one_batch_to_the_bits_of_one_at_a_time():
+    g = load_fixture("iran.tsv")
+    batch, each = build_index(g, BatchEmbedder()), build_index(g, EmbedOnly())
+    for a, b in ((batch.entity_matrix, each.entity_matrix), (batch.relation_matrix, each.relation_matrix)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_build_index_names_a_non_finite_row_of_a_batch():
+    def poison(matrix):
+        matrix[[3, 4], 1] = np.nan  # "d" and "r"
+        return matrix
+
+    with pytest.raises(EmbedderError) as exc:
+        build_index(KnowledgeGraph([("a", "r", "b"), ("c", "s", "d")]), BatchEmbedder(poison))
+    assert (exc.value.identifier, str(exc.value)) == ("d", "embedding failed for 'd': non-finite components")
+
+
+@pytest.mark.parametrize("damage", [lambda m: m[1:], lambda m: m[0], lambda m: m[None]], ids=["rows", "1-d", "3-d"])
+def test_build_index_refuses_a_batch_of_another_shape(damage):
+    with pytest.raises(ValueError, match="embed_many gave a"):
+        build_index(KnowledgeGraph([("a", "r", "b")]), BatchEmbedder(damage))
+
+
 # --- top-m retrieval ----------------------------------------------------------
 
 

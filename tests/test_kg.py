@@ -124,6 +124,72 @@ def test_load_triples_matches_the_line_stripping_loop(drawn):
         assert load_triples(lines) == expected
 
 
+def per_line_load_triples(source):
+    """``load_triples`` as it was before it parsed into columns: every check
+    on every line, one edge tuple per triple. Kept as the reference."""
+    edges = []
+    lines = (item.decode("utf-8") if isinstance(item, bytes) else item for item in source)
+    for line_number, raw in enumerate(lines, start=1):
+        unindented = raw.lstrip()
+        if not unindented or unindented[0] == "#":
+            continue
+        if "->" in raw:
+            raise TripleParseError("identifier contains '->'", line_number)
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise TripleParseError(f"expected 3 tab-separated fields, got {len(fields)}", line_number)
+        edge = (fields[0].strip(), fields[1].strip(), fields[2].strip())
+        if not all(edge):
+            raise TripleParseError("empty field after normalization", line_number)
+        edges.append(edge)
+    return KnowledgeGraph(edges)
+
+
+# Unicode whitespace that str.strip removes, and \r, which it also removes
+PADS = ["", " ", "\u00a0", "\u2003", "\u3000", "\x0b", "\x1c", "\r"]
+# words with non-ASCII letters, a '#' inside, the arrow or half of it, nothing
+WORDS = ["A", "b c", "\u00dcn\u00ef", "\u65e5\u672c", "#", "a#b", "->", "x->y", "-", ">", ""]
+PADDED = st.tuples(st.sampled_from(PADS), st.sampled_from(WORDS), st.sampled_from(PADS)).map("".join)
+FIELDS = st.lists(PADDED, min_size=2, max_size=4).map("\t".join)  # 2 to 4 fields
+COMMENT = st.tuples(st.sampled_from(PADS), st.lists(PADDED, max_size=3).map("\t".join)).map("#".join)
+LINE = st.tuples(st.one_of(FIELDS, FIELDS, COMMENT, st.sampled_from(PADS)), st.sampled_from(["\n", "\r\n", ""]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(LINE.map("".join), max_size=8), st.booleans())
+def test_load_triples_matches_the_per_line_parser(lines, as_bytes):
+    source = [line.encode("utf-8") for line in lines] if as_bytes else lines
+    try:
+        expected = per_line_load_triples(source)
+    except TripleParseError as error:
+        with pytest.raises(TripleParseError) as exc:
+            load_triples(source)
+        assert (str(exc.value), exc.value.line_number) == (str(error), error.line_number)
+    else:
+        assert load_triples(source) == expected
+
+
+@pytest.mark.parametrize(
+    "source",
+    [io.BytesIO(b"\xef\xbb\xbfA\tr\tB\n"), io.StringIO("\ufeffA\tr\tB\n"), [b"\xef\xbb\xbfA\tr\tB"]],
+    ids=["bytes", "str", "list"],
+)
+def test_a_byte_order_mark_before_the_first_line_is_dropped(source):
+    assert load_triples(source).entity_names == ("A", "B")
+
+
+def test_a_utf8_file_with_a_byte_order_mark_loads_its_first_head(tmp_path):
+    path = tmp_path / "kg.tsv"
+    path.write_bytes(b"\xef\xbb\xbf# header\nA\tr\tB\n")
+    with open(path, encoding="utf-8") as fh:
+        assert load_triples(fh).entity_names == ("A", "B")
+
+
+def test_a_byte_order_mark_after_the_start_of_the_file_is_kept():
+    g = load_triples(["A\tr\tB\n", "\ufeffC\tr\tD\n", "E\tr\t\ufeffF\n"])
+    assert g.entity_names == ("A", "B", "D", "E", "\ufeffC", "\ufeffF")
+
+
 def test_empty_stream_gives_empty_graph():
     g = load_triples(io.StringIO(""))
     assert len(g.triples) == 0
