@@ -63,8 +63,8 @@ class HashingEmbedder:
     to a bucket and a sign, once per instance (threads sharing it store only
     equal values). Identical text always yields identical vectors. A
     component is a sum of +-1.0 terms, exact in any order, so
-    :meth:`embed_many` sums a whole vocabulary in one batch to the same
-    bits as :meth:`embed` of each text.
+    :meth:`embed_many` sums a whole vocabulary in one batch, and
+    :meth:`embed` is its one-row case.
     """
 
     def __init__(self, dimension: int = 64):
@@ -74,29 +74,19 @@ class HashingEmbedder:
         self.fingerprint = f"hashing-embedder/1 d={dimension}"
         self._hashed: dict[str, tuple[int, float]] = {}
 
-    def _hash(self, token: str) -> tuple[int, float]:
-        """The bucket and sign of ``token``, remembered for the next use."""
-        value = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
-        hashed = self._hashed[token] = (value % self.dimension, -1.0 if value >> 63 else 1.0)
-        return hashed
-
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
-        for token in _TOKEN_RE.findall(text.lower()):
-            bucket, sign = self._hashed.get(token) or self._hash(token)
-            vec[bucket] += sign
-        vec_norm = norm(vec)
-        if vec_norm > 0:
-            vec /= vec_norm
-        return vec
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """The ``(len(texts), dimension)`` matrix whose row i is bit-identical
-        to ``embed(texts[i])``: every token's (row, bucket, sign) summed into
-        zeros by one ``np.bincount``, and each nonzero row divided by its norm."""
+        """The ``(len(texts), dimension)`` matrix of the texts' vectors: every
+        token's (row, bucket, sign) summed into zeros by one ``np.bincount``,
+        and each nonzero row divided by its norm."""
         tokens = list(map(_TOKEN_RE.findall, map(str.lower, texts)))
-        get = self._hashed.get
-        hashed = [get(token) or self._hash(token) for row in tokens for token in row]
+        memo = self._hashed
+        for token in {token for row in tokens for token in row if token not in memo}:
+            value = int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
+            memo[token] = (value % self.dimension, -1.0 if value >> 63 else 1.0)
+        hashed = [memo[token] for row in tokens for token in row]
         buckets = np.fromiter(map(itemgetter(0), hashed), dtype=np.intp, count=len(hashed))
         signs = np.fromiter(map(itemgetter(1), hashed), dtype=np.float64, count=len(hashed))
         rows = np.repeat(np.arange(len(tokens)), list(map(len, tokens)))

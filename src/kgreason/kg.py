@@ -137,17 +137,16 @@ class KnowledgeGraph:
     ``offsets[h + 1]`` of the read-only ``edge_relations`` and ``edge_tails``,
     sorted by relation id, then tail id, which is (relation, tail) order.
 
-    The graph is built from three columns, its edges' heads, relations and
-    tails: ``load_triples`` parses into them, and the ``edges`` given to the
-    constructor are transposed into them. Each column is interned through
-    the vocabulary's name-to-id dict into one int64 array.
+    The edges' heads, relations and tails are interned as three columns,
+    each through the vocabulary's name-to-id dict into one int64 array;
+    ``load_triples`` parses straight into such columns.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
         """The graph of the ``(head, relation, tail)`` ``edges``, without
         duplicates, plus any ``entities`` that no edge names."""
-        heads, relations, tails = list(zip(*edges)) or ((), (), ())
-        self._build(heads, relations, tails, entities)
+        edges = list(edges)
+        self._build(*([edge[i] for edge in edges] for i in range(3)), entities)
 
     @classmethod
     def _from_columns(cls, heads: list[str], relations: list[str], tails: list[str]) -> "KnowledgeGraph":
@@ -164,9 +163,8 @@ class KnowledgeGraph:
         # set-like views, in id order
         self.entities, self.relations = self.entity_ids.keys(), self.relation_ids.keys()
         eid, rid = self.entity_ids.__getitem__, self.relation_ids.__getitem__
-        n_edges = len(heads)
         head_ids, relation_ids, tail_ids = (
-            np.fromiter(map(ids, column), dtype=np.int64, count=n_edges)
+            np.fromiter(map(ids, column), dtype=np.int64, count=len(column))
             for ids, column in ((eid, heads), (rid, relations), (eid, tails))
         )
         n_entities, n_relations = len(self.entity_names), len(self.relation_names)
@@ -223,31 +221,27 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     graph. A UTF-8 byte-order mark at the start of the first line is
     dropped. Malformed lines raise :class:`TripleParseError` with the line
     number; so does an identifier containing ``->``, the separator of the
-    arrow format that paths are written in.
-
-    The stream is read line by line, and each triple's three stripped fields
-    go to three columns that the graph interns.
+    arrow format that paths are written in. The stream is read line by line.
     """
     heads, relations, tails = [], [], []
-    for line_number, line in enumerate(_iter_lines(source), start=1):
-        fields = line.split("\t")
-        if len(fields) == 3 and "->" not in line:
-            head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-            if head and relation and tail and head[0] != "#":
-                heads.append(head)
-                relations.append(relation)
-                tails.append(tail)
-                continue
-        # Any line with a triple was taken above, so this one is a comment,
-        # blank or malformed. A trailing newline is whitespace to every check.
-        unindented = line.lstrip()
-        if unindented and unindented[0] != "#":
+    for line_number, raw in enumerate(_iter_lines(source), start=1):
+        # a trailing newline is whitespace to every check, so it is never cut
+        unindented = raw.lstrip()
+        if not unindented or unindented[0] == "#":
+            continue
+        if "->" in raw:
+            raise TripleParseError("identifier contains '->'", line_number)
+        fields = raw.split("\t")
+        if len(fields) != 3:
             raise TripleParseError(
-                "identifier contains '->'" if "->" in line
-                else f"expected 3 tab-separated fields, got {len(fields)}" if len(fields) != 3
-                else "empty field after normalization",
-                line_number,
+                f"expected 3 tab-separated fields, got {len(fields)}", line_number
             )
+        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if not (head and relation and tail):
+            raise TripleParseError("empty field after normalization", line_number)
+        heads.append(head)
+        relations.append(relation)
+        tails.append(tail)
     return KnowledgeGraph._from_columns(heads, relations, tails)
 
 

@@ -330,7 +330,9 @@ def test_embed_many_rows_are_embed_bit_for_bit(dimension, texts):
     emb = HashingEmbedder(dimension)
     batch = emb.embed_many(texts)  # on a fresh memo; embed then reuses it
     assert batch.shape == (len(texts), dimension) and batch.dtype == np.float64
-    assert [row.tobytes() for row in batch] == [emb.embed(text).tobytes() for text in texts]
+    rows = [row.tobytes() for row in batch]
+    assert rows == [emb.embed(text).tobytes() for text in texts]
+    assert rows == [blake2b_per_token_embed(text, dimension).tobytes() for text in texts]
 
 
 def test_labels_whose_tokens_cancel_embed_to_zero_rows():
