@@ -24,7 +24,9 @@ from .embedding import (
     save_index,
 )
 from .evaluate import DatasetError, load_dataset, run_experiment
-from .kg import PathParseError, ReasoningPath, TripleParseError, load_triples, validate_path
+from .kg import (
+    PathParseError, ReasoningPath, TripleParseError, load_triples, read_text, split_lines, validate_path,
+)
 from .llm import (
     AuthError,
     LlmClient,
@@ -229,8 +231,7 @@ def cmd_eval(args) -> int:
 
 def cmd_validate(args) -> int:
     g = _load_kg(args.kg)
-    with open(args.paths, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = split_lines(read_text(args.paths))
     paths = 0
     valid_steps = 0
     total_steps = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import IO, Union
 
-from .kg import read_text
+from .kg import read_text, split_lines
 from .llm import DecodeParams, WireConfig
 from .pathrag import RetrievalConfig
 from .search import SearchConfig
@@ -89,7 +89,7 @@ def _parse_value(target_type: str, text: str):
 def parse_config(text: str) -> RunConfig:
     config = RunConfig()
     saw_schema = False
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, validate_path
+from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, split_lines, validate_path
 from .llm import DecodeParams, LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
 from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
@@ -70,7 +70,7 @@ class QARecord:
 def load_dataset(source: Union[str, IO[str]]) -> list[QARecord]:
     """Parse a JSON-lines dataset; every schema violation reports its line."""
     records = []
-    for line_number, line in enumerate(read_text(source).splitlines(), start=1):
+    for line_number, line in enumerate(split_lines(read_text(source)), start=1):
         if not line.strip():
             continue
         try:

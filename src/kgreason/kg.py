@@ -9,6 +9,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import io
 import os
 import re
 from bisect import bisect_left, bisect_right
@@ -256,11 +257,18 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:
 
 def read_text(source: Union[str, os.PathLike, IO[str]]) -> str:
     """The whole text of a UTF-8 file, given by path, or of an open text
-    stream."""
+    stream, without a byte-order mark at its start."""
     if hasattr(source, "read"):
-        return source.read()
+        return source.read().removeprefix("\ufeff")
     with open(source, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return fh.read().removeprefix("\ufeff")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text`` without their ends, split only at ``\\n``,
+    ``\\r\\n`` and ``\\r`` as text-mode file reading does (``str.splitlines``
+    also splits at U+2028, U+0085 and others, which JSON strings hold raw)."""
+    return [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
 def serialize(g: KnowledgeGraph) -> str:

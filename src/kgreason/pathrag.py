@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embedding import (
-    Embedder, EmbeddingIndex, check_index, cosine, norm, query_cosines, query_vector, row_norms,
+    Embedder, EmbeddingIndex, check_index, norm, query_cosines, query_vector, row_norms, text_cosines, top_m,
 )
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple
 
@@ -190,18 +190,15 @@ def candidate_steps(
     out of the frontier. Scoring depends on the retriever mode; the ranking
     is score-descending with a lexicographic tie-break and truncated to m.
     """
-    query_vec = context.query_vec
     if config.mode == MODE_PATH_RAG:  # ranked and truncated already
         return context.top_candidates(frontier_entity, config.m, config.alpha)
-    candidates = []
-    for relation, entity in context.g.steps(frontier_entity):
-        text = f"{relation} {entity}"  # vanilla scores the step as text
-        if config.mode == MODE_KAPING:  # and kaping the frontier's whole triple
-            text = f"{frontier_entity} {text}"
-        score = cosine(query_vec, context.emb.embed(text))
-        candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
-    candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
-    return candidates[: config.m]
+    steps = context.g.steps(frontier_entity)
+    # vanilla scores the step as text, and kaping the frontier's whole triple
+    head = f"{frontier_entity} " if config.mode == MODE_KAPING else ""
+    texts = [f"{head}{relation} {entity}" for relation, entity in steps]
+    # steps come in (relation, entity) order, which equal scores keep
+    top, scores = top_m(text_cosines(context.emb, context.query_vec, texts), config.m)
+    return [ScoredCandidate(ReasoningStep(*steps[i]), s, 0.0, s) for i, s in zip(top, scores)]
 
 
 def kaping_retrieve(
@@ -215,12 +212,11 @@ def kaping_retrieve(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = [
-        (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
-        for head, relation, tail in g.edges()
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].head, pair[0].relation, pair[0].tail))
-    return scored[:k]
+    edges = list(g.edges())
+    texts = [f"{head} {relation} {tail}" for head, relation, tail in edges]
+    # edges come in (head, relation, tail) order, which equal scores keep
+    top, scores = top_m(text_cosines(emb, query_vec, texts), k)
+    return [(Triple(*edges[i]), score) for i, score in zip(top, scores)]
 
 
 def coverage_ratio(

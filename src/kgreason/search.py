@@ -32,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import IO, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text
+from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text, split_lines
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -184,7 +184,7 @@ class SearchTrace:
     @classmethod
     def from_jsonl(cls, source: Union[str, IO[str]]) -> "SearchTrace":
         events = []
-        for line_number, line in enumerate(read_text(source).splitlines(), start=1):
+        for line_number, line in enumerate(split_lines(read_text(source)), start=1):
             if not line.strip():
                 continue
             try:

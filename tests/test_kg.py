@@ -20,6 +20,7 @@ from kgreason.kg import (
     load_triples,
     neighbors,
     serialize,
+    split_lines,
     validate_path,
 )
 from kgreason.llm import load_mock_script
@@ -416,17 +417,79 @@ LOADER_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", LOADER_INPUTS)
-def test_loaders_read_a_path_and_an_open_stream_alike(name, tmp_path):
+def loader_input(name):
+    """The loader named ``name`` and the text of its input."""
     load, fixture = LOADER_INPUTS[name]
     if fixture is None:
-        text = json.dumps({key: list(demos) for key, demos in BUILTIN_DEMONSTRATIONS.items()})
-    else:
-        text = Path(fixture).read_text(encoding="utf-8")
+        return load, json.dumps({key: list(demos) for key, demos in BUILTIN_DEMONSTRATIONS.items()})
+    return load, Path(fixture).read_text(encoding="utf-8")
+
+
+def loaded(value):
+    """What a loader returned, as a value that compares by content."""
+    return value.events if isinstance(value, SearchTrace) else value
+
+
+@pytest.mark.parametrize("name", LOADER_INPUTS)
+def test_loaders_read_a_path_and_an_open_stream_alike(name, tmp_path):
+    load, text = loader_input(name)
     path = tmp_path / "input"
     path.write_text(text, encoding="utf-8")
-    from_path, from_stream = load(str(path)), load(io.StringIO(text))
-    if isinstance(from_path, SearchTrace):
-        from_path, from_stream = from_path.events, from_stream.events
-    assert from_path == from_stream
+    from_path = loaded(load(str(path)))
+    assert from_path == loaded(load(io.StringIO(text)))
     assert from_path  # the fixture is not read as empty
+
+
+@pytest.mark.parametrize("name", LOADER_INPUTS)
+def test_loaders_drop_a_byte_order_mark(name, tmp_path):
+    load, text = loader_input(name)
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = loaded(load(str(plain)))
+    assert loaded(load(str(marked))) == expected
+    assert loaded(load(io.StringIO("\ufeff" + text))) == expected
+
+
+@pytest.mark.parametrize("name", ["dataset", "trace", "config"])
+def test_line_loaders_read_crlf_and_cr_line_ends(name, tmp_path):
+    load, text = loader_input(name)
+    expected = loaded(load(io.StringIO(text)))
+    for end in ("\r\n", "\r"):
+        crlf = text.replace("\n", end)
+        assert loaded(load(io.StringIO(crlf))) == expected
+        path = tmp_path / "input"
+        path.write_bytes(crlf.encode("utf-8"))
+        assert loaded(load(str(path))) == expected
+
+
+# characters that str.splitlines breaks a line at, and a JSON string may hold raw
+LINE_SEPARATORS = ["\u2028", "\u2029", "\x85"]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=["u2028", "u2029", "u0085"])
+def test_a_dataset_record_may_hold_a_raw_line_separator(separator, tmp_path):
+    question = f"Who{separator}governs Iran?"
+    record = {"id": "q1", "question": question, "answers": ["Theocracy"], "topic_entities": ["Iran"]}
+    path = tmp_path / "dataset.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    (parsed,) = load_dataset(str(path))
+    assert parsed.question == question
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=["u2028", "u2029", "u0085"])
+def test_a_trace_line_may_hold_a_raw_line_separator(separator, tmp_path):
+    _, text = loader_input("trace")
+    events = [json.loads(line) for line in text.split("\n") if line]
+    events[0]["question"] += separator
+    path = tmp_path / "trace.jsonl"
+    path.write_text("".join(json.dumps(e, ensure_ascii=False) + "\n" for e in events), encoding="utf-8")
+    trace = SearchTrace.from_jsonl(str(path))
+    assert trace.events == events and trace.question.endswith(separator)
+
+
+@given(st.text(st.sampled_from("ab\r\n\u2028\u2029\x85\x0b\x1c\x1e\ufeff"), max_size=12))
+def test_split_lines_splits_as_text_mode_reading_does(text):
+    reader = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=None)
+    assert split_lines(text) == [line.removesuffix("\n") for line in reader]

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kgreason import pathrag
-from kgreason.embedding import EmbeddingIndex, HashingEmbedder, build_index
+from kgreason import embedding, pathrag
+from kgreason.embedding import EmbeddingIndex, HashingEmbedder, build_index, cosine
 from kgreason.kg import (
     KnowledgeGraph,
     ReasoningPath,
@@ -619,6 +621,105 @@ def test_kaping_top3_matches_brute_force():
     )
     got = kaping_retrieve(g, emb, q, 3)
     assert {t for t, _ in got} == {t for _, t in oracle[:3]}
+
+
+def scalar_candidate_steps(context, frontier_entity, config):
+    """The vanilla and kaping branch of ``candidate_steps`` as it was when it
+    embedded one text at a time and scored it with the scalar ``cosine``:
+    the oracle of the batched branch."""
+    candidates = []
+    for relation, entity in context.g.steps(frontier_entity):
+        text = f"{relation} {entity}"
+        if config.mode == MODE_KAPING:
+            text = f"{frontier_entity} {text}"
+        score = cosine(context.query_vec, context.emb.embed(text))
+        candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
+    candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
+    return candidates[: config.m]
+
+
+def scalar_kaping_retrieve(g, emb, query_vec, k):
+    """``kaping_retrieve`` as it was when it embedded one triple at a time
+    and scored it with the scalar ``cosine``: the oracle of the batched one."""
+    scored = [
+        (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
+        for head, relation, tail in g.edges()
+    ]
+    scored.sort(key=lambda pair: (-pair[1], pair[0].head, pair[0].relation, pair[0].tail))
+    return scored[:k]
+
+
+def as_hex(ranked):
+    """Ranked triples with their scores' exact bits."""
+    return [(triple, score.hex()) for triple, score in ranked]
+
+
+# Labels with commas, spaces and non-ASCII. "Alma Thorne" and "Anton Dunmore"
+# embed to zero rows at d=64, and so does a text that joins "Alma" and
+# "Thorne"; labels that differ only in case or separators embed alike, so
+# their texts tie.
+TEXT_LABELS = [
+    "Alma", "Thorne", "Alma Thorne", "Anton Dunmore", "Washington, D.C.", "washington_d.c",
+    "S\u00e3o Paulo", "s\u00e3o paulo", "Z\u00fcrich", "\u65e5\u672c", "b c", "B_C", "r",
+]
+
+
+@st.composite
+def text_graphs(draw):
+    """A graph of drawn labels around a frontier, the frontier, a query
+    (a label text's vector, random or zero) and m."""
+    labels = st.sampled_from(TEXT_LABELS)
+    frontier = draw(labels)
+    steps = draw(st.lists(st.tuples(labels, labels), min_size=1, max_size=12, unique=True))
+    others = draw(st.lists(st.tuples(labels, labels, labels), max_size=12))
+    g = KnowledgeGraph([(frontier, relation, entity) for relation, entity in steps] + others)
+    kind = draw(st.sampled_from(["text", "random", "zero"]))
+    if kind == "text":
+        query = HashingEmbedder().embed(" ".join(draw(st.lists(labels, min_size=1, max_size=3))))
+    else:
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+        query = rng.standard_normal(64) if kind == "random" else np.zeros(64)
+    return g, frontier, query, draw(st.integers(min_value=1, max_value=15))
+
+
+def assert_text_retrieval_is_the_scalar_loop(g, frontier, q, m):
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    for mode in (MODE_VANILLA, MODE_KAPING):
+        config = RetrievalConfig(m=m, mode=mode)
+        context = bound(g, idx, q, emb)
+        assert as_text(candidate_steps(context, frontier, config)) == as_text(
+            scalar_candidate_steps(context, frontier, config)
+        )
+    assert as_hex(kaping_retrieve(g, emb, q, m)) == as_hex(scalar_kaping_retrieve(g, emb, q, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(text_graphs(), st.sampled_from([1, 2, 3, 5]))
+def test_batched_text_retrieval_is_the_scalar_loop_bit_for_bit(drawn, chunk):
+    """Steps and triples in the same order, with the same score bits, as
+    the one-text-at-a-time loops, in chunks smaller than the texts."""
+    with mock.patch.object(embedding, "TEXT_CHUNK", chunk):
+        assert_text_retrieval_is_the_scalar_loop(*drawn)
+
+
+@pytest.mark.parametrize("m", [10, 1000])
+def test_batched_text_retrieval_across_a_chunk_is_the_scalar_loop(m):
+    """A frontier with more steps than one chunk of ``TEXT_CHUNK`` texts."""
+    n = embedding.TEXT_CHUNK + 3
+    labels = TEXT_LABELS
+    g = KnowledgeGraph(
+        [("Hub", labels[i % len(labels)], f"{labels[i * 7 % len(labels)]} {i % 50}") for i in range(n)]
+        + [(labels[i % len(labels)], "r", "Hub") for i in range(n)]
+    )
+    assert len(g.steps("Hub")) > embedding.TEXT_CHUNK
+    assert_text_retrieval_is_the_scalar_loop(g, "Hub", HashingEmbedder().embed("Alma Washington 7"), m)
+
+
+def test_text_scores_refuse_a_query_of_another_dimension():
+    g = load_fixture("iran.tsv")
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        kaping_retrieve(g, HashingEmbedder(), np.ones(63), 3)
 
 
 # --- coverage ratio -------------------------------------------------------------
