@@ -34,7 +34,7 @@ INDEX_FORMAT = "kgreason-index/2"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# Texts per embed_many call of text_cosines; 100,000 texts in one call peaked at 238 MB RSS.
+# Texts per embed_many call of build_index and text_cosines; 100,000 in one call peaked at 238 MB RSS.
 TEXT_CHUNK = 256
 
 
@@ -213,25 +213,39 @@ def check_index(g: KnowledgeGraph, idx: EmbeddingIndex) -> None:
 
 
 def build_index(g: KnowledgeGraph, emb: Embedder) -> EmbeddingIndex:
-    """Embed every entity and relation of ``g`` in one ``emb.embed_many`` call.
+    """Embed every entity and relation of ``g`` into one matrix, one
+    ``emb.embed_many`` call per ``TEXT_CHUNK`` identifiers.
 
-    A batch that is not one row per identifier is a ``ValueError``, and a
-    non-finite row an :class:`EmbedderError` naming the first such
-    identifier; an exception raised by ``embed_many`` propagates unchanged.
+    A chunk that is not one row per identifier, as wide as the first chunk,
+    is a ``ValueError``, and a non-finite row an :class:`EmbedderError` naming
+    the first such identifier; an exception from ``embed_many`` propagates.
     """
     if not g.entity_names and not g.relation_names:
         raise ValueError("cannot index an empty graph")
     identifiers = g.entity_names + g.relation_names
-    matrix = np.asarray(emb.embed_many(identifiers), dtype=np.float64)
-    if matrix.ndim != 2 or len(matrix) != len(identifiers):
-        raise ValueError(f"embed_many gave a {matrix.shape} array for {len(identifiers)} identifiers")
-    if not np.all(np.isfinite(matrix)):
-        first = int(np.argmin(np.isfinite(matrix).all(axis=1)))
-        raise EmbedderError(identifiers[first], ValueError("non-finite components"))
+    matrix = None
+    for start, rows in _embedded_chunks(emb, identifiers):
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise EmbedderError(identifiers[start + int(np.argmin(finite))], ValueError("non-finite components"))
+        if matrix is None:
+            matrix = np.empty((len(identifiers), rows.shape[1]))
+        matrix[start : start + len(rows)] = rows
     n = len(g.entity_names)
-    return EmbeddingIndex(
-        emb.fingerprint, matrix.shape[1], g.entity_names, g.relation_names, matrix[:n], matrix[n:]
-    )
+    return EmbeddingIndex(emb.fingerprint, matrix.shape[1], g.entity_names, g.relation_names, matrix[:n], matrix[n:])
+
+
+def _embedded_chunks(emb: Embedder, texts: Sequence[str], row_shape: tuple | None = None):
+    """``(start, emb.embed_many(texts[start : start + TEXT_CHUNK]))`` per chunk, as C-contiguous
+    float64 rows of ``row_shape`` (by default, the first chunk's); another shape is a ``ValueError``."""
+    for start in range(0, len(texts), TEXT_CHUNK):
+        chunk = texts[start : start + TEXT_CHUNK]
+        rows = np.ascontiguousarray(emb.embed_many(chunk), dtype=np.float64)
+        row_shape = rows.shape[1:] if row_shape is None else row_shape
+        if rows.ndim != 2 or rows.shape != (len(chunk), *row_shape):
+            shape = f"{rows.shape} array for {len(chunk)} texts of shape {row_shape}"
+            raise ValueError(f"dimension mismatch: embed_many gave a {shape}")
+        yield start, rows
 
 
 def text_cosines(emb: Embedder, query: np.ndarray, texts: Sequence[str]) -> np.ndarray:
@@ -241,12 +255,8 @@ def text_cosines(emb: Embedder, query: np.ndarray, texts: Sequence[str]) -> np.n
     query = np.ascontiguousarray(query, dtype=np.float64)
     query_norm = norm(query)
     sims = np.empty(len(texts))
-    for start in range(0, len(texts), TEXT_CHUNK):
-        chunk = texts[start : start + TEXT_CHUNK]
-        rows = np.ascontiguousarray(emb.embed_many(chunk), dtype=np.float64)
-        if rows.shape != (len(chunk), *query.shape):
-            raise ValueError(f"dimension mismatch: query {query.shape} vs {rows.shape} text vectors")
-        sims[start : start + len(chunk)] = query_cosines(query, query_norm, rows, row_norms(rows))
+    for start, rows in _embedded_chunks(emb, texts, query.shape):
+        sims[start : start + len(rows)] = query_cosines(query, query_norm, rows, row_norms(rows))
     return sims
 
 

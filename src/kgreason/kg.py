@@ -12,8 +12,12 @@ from __future__ import annotations
 import io
 import os
 import re
+from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count, islice
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -22,6 +26,10 @@ MISSING_TRIPLE = "missing-triple"
 FORMAT_ERROR = "format-error"
 
 _WS_RE = re.compile(r"\s+")
+
+# Edges, or triple-file lines, interned at a time: a chunk's strings are
+# dropped once its ids are stored, so set-up holds one string per name.
+INTERN_CHUNK = 4096
 
 
 def normalize(text: str) -> str:
@@ -138,35 +146,37 @@ class KnowledgeGraph:
     ``offsets[h + 1]`` of the read-only ``edge_relations`` and ``edge_tails``,
     sorted by relation id, then tail id, which is (relation, tail) order.
 
-    The edges' heads, relations and tails are interned as three columns,
-    each through the vocabulary's name-to-id dict into one int64 array;
-    ``load_triples`` parses straight into such columns.
+    Edges are interned ``INTERN_CHUNK`` at a time into int64 columns of
+    first-seen ids, so set-up keeps one string per distinct name. No name
+    may contain ``->``, the separator of the arrow format of paths.
     """
 
     def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
         """The graph of the ``(head, relation, tail)`` ``edges``, without
         duplicates, plus any ``entities`` that no edge names."""
-        edges = list(edges)
-        self._build(*([edge[i] for edge in edges] for i in range(3)), entities)
+        edges = iter(edges)
+        chunks = iter(lambda: list(islice(edges, INTERN_CHUNK)), [])
+        self._build(((map(itemgetter(i), chunk) for i in range(3)) for chunk in chunks), entities)
 
-    @classmethod
-    def _from_columns(cls, heads: list[str], relations: list[str], tails: list[str]) -> "KnowledgeGraph":
-        """The graph of the edges ``(heads[i], relations[i], tails[i])``."""
-        graph = cls.__new__(cls)
-        graph._build(heads, relations, tails, ())
-        return graph
-
-    def _build(self, heads, relations, tails, entities) -> None:
-        self.entity_names = tuple(sorted({*heads, *tails, *entities}))
-        self.relation_names = tuple(sorted(set(relations)))
-        self.entity_ids = {name: i for i, name in enumerate(self.entity_names)}
-        self.relation_ids = {name: i for i, name in enumerate(self.relation_names)}
+    def _build(self, chunks: Iterable[Iterable[Iterable[str]]], entities: Iterable[str]) -> None:
+        """Intern each chunk's head, relation and tail columns to first-seen
+        ids, renumber them in name order with one take per column, build the CSR."""
+        entities_seen, relations_seen = defaultdict(count().__next__), defaultdict(count().__next__)
+        columns = (array("q"), array("q"), array("q"))
+        for chunk in chunks:
+            for column, seen, names in zip(columns, (entities_seen, relations_seen, entities_seen), chunk):
+                column.extend(map(seen.__getitem__, names))
+        for name in entities:
+            entities_seen[name]  # a name without an edge
+        self.entity_names, entity_order = _sorted_ids(entities_seen)
+        self.relation_names, relation_order = _sorted_ids(relations_seen)
+        self.entity_ids = dict(zip(self.entity_names, range(len(self.entity_names))))
+        self.relation_ids = dict(zip(self.relation_names, range(len(self.relation_names))))
         # set-like views, in id order
         self.entities, self.relations = self.entity_ids.keys(), self.relation_ids.keys()
-        eid, rid = self.entity_ids.__getitem__, self.relation_ids.__getitem__
         head_ids, relation_ids, tail_ids = (
-            np.fromiter(map(ids, column), dtype=np.int64, count=len(column))
-            for ids, column in ((eid, heads), (rid, relations), (eid, tails))
+            order[np.frombuffer(column, dtype=np.int64)]
+            for order, column in zip((entity_order, relation_order, entity_order), columns)
         )
         n_entities, n_relations = len(self.entity_names), len(self.relation_names)
         if n_entities**2 * n_relations >= 2**63:
@@ -177,8 +187,8 @@ class KnowledgeGraph:
         edge_heads, self.edge_relations = np.divmod(keys // n_entities, n_relations)
         self.edge_tails = keys % n_entities
         self.offsets = np.searchsorted(edge_heads, np.arange(n_entities + 1))
-        for array in (self.offsets, self.edge_relations, self.edge_tails):
-            array.flags.writeable = False
+        for ids in (self.offsets, self.edge_relations, self.edge_tails):
+            ids.flags.writeable = False
         # the same arrays as read-only views whose items are Python ints, for bisect
         self._int_views = tuple(map(memoryview, (self.offsets, self.edge_relations, self.edge_tails)))
 
@@ -222,28 +232,48 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     graph. A UTF-8 byte-order mark at the start of the first line is
     dropped. Malformed lines raise :class:`TripleParseError` with the line
     number; so does an identifier containing ``->``, the separator of the
-    arrow format that paths are written in. The stream is read line by line.
+    arrow format that paths are written in. Each ``INTERN_CHUNK`` lines
+    are interned before the next are read.
     """
-    heads, relations, tails = [], [], []
-    for line_number, raw in enumerate(_iter_lines(source), start=1):
-        # a trailing newline is whitespace to every check, so it is never cut
-        unindented = raw.lstrip()
-        if not unindented or unindented[0] == "#":
-            continue
-        if "->" in raw:
-            raise TripleParseError("identifier contains '->'", line_number)
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise TripleParseError(
-                f"expected 3 tab-separated fields, got {len(fields)}", line_number
-            )
-        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not (head and relation and tail):
-            raise TripleParseError("empty field after normalization", line_number)
-        heads.append(head)
-        relations.append(relation)
-        tails.append(tail)
-    return KnowledgeGraph._from_columns(heads, relations, tails)
+    graph = KnowledgeGraph.__new__(KnowledgeGraph)
+    graph._build(_parsed_chunks(source), ())
+    return graph
+
+
+def _parsed_chunks(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[list[str], ...]]:
+    """The head, relation and tail columns of each ``INTERN_CHUNK`` lines."""
+    lines = enumerate(_iter_lines(source), start=1)
+    while chunk := list(islice(lines, INTERN_CHUNK)):
+        heads, relations, tails = [], [], []
+        for line_number, raw in chunk:
+            # a trailing newline is whitespace to every check, so it is never cut
+            unindented = raw.lstrip()
+            if not unindented or unindented[0] == "#":
+                continue
+            if "->" in raw:
+                raise TripleParseError("identifier contains '->'", line_number)
+            fields = raw.split("\t")
+            if len(fields) != 3:
+                raise TripleParseError(
+                    f"expected 3 tab-separated fields, got {len(fields)}", line_number
+                )
+            head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+            if not (head and relation and tail):
+                raise TripleParseError("empty field after normalization", line_number)
+            heads.append(head)
+            relations.append(relation)
+            tails.append(tail)
+        yield heads, relations, tails
+
+
+def _sorted_ids(seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted names of a first-seen id table, and each first-seen id's
+    position among them. A name containing ``->`` is a ``ValueError``."""
+    names = tuple(sorted(seen))
+    for arrow in (name for name in names if "->" in name):
+        raise ValueError(f"identifier {arrow!r} contains '->', the separator of arrow paths")
+    # the inverse of the permutation that sorts the first-seen ids by name
+    return names, np.argsort(np.fromiter(map(seen.__getitem__, names), dtype=np.int64, count=len(names)))
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[str]:

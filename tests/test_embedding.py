@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kgreason.embedding import (
+    TEXT_CHUNK,
     EmbedderError,
     HashingEmbedder,
     build_index,
@@ -367,6 +368,65 @@ def test_build_index_names_a_non_finite_row_of_a_batch():
 def test_build_index_refuses_a_batch_of_another_shape(damage):
     with pytest.raises(ValueError, match="embed_many gave a"):
         build_index(KnowledgeGraph([("a", "r", "b")]), BatchEmbedder(damage))
+
+
+# a graph of 341 identifiers (301 entities, then 40 relations), more than one
+# chunk of TEXT_CHUNK
+WIDE_GRAPH = KnowledgeGraph([(f"entity {i}", f"relation {i % 40}", f"entity {i + 1}") for i in range(300)])
+WIDE_ORDER = WIDE_GRAPH.entity_names + WIDE_GRAPH.relation_names
+
+
+class ChunkEmbedder:
+    """``HashingEmbedder``, with ``fault(call, matrix)`` applied to the matrix
+    of the ``call``-th ``embed_many`` call, counted from 0."""
+
+    fingerprint = HashingEmbedder().fingerprint
+
+    def __init__(self, fault):
+        self.inner, self.fault, self.calls = HashingEmbedder(), fault, []
+
+    def embed(self, text):
+        raise AssertionError("embedded one identifier at a time")
+
+    def embed_many(self, texts):
+        self.calls.append(len(texts))
+        return self.fault(len(self.calls) - 1, self.inner.embed_many(texts))
+
+
+def test_build_index_embeds_chunk_by_chunk_into_the_embed_rows():
+    assert len(WIDE_ORDER) > TEXT_CHUNK
+    emb = ChunkEmbedder(lambda call, matrix: matrix)
+    idx = build_index(WIDE_GRAPH, emb)
+    assert emb.calls == [TEXT_CHUNK, len(WIDE_ORDER) - TEXT_CHUNK]
+    rows = np.vstack([idx.entity_matrix, idx.relation_matrix])
+    assert [row.tobytes() for row in rows] == [HashingEmbedder().embed(name).tobytes() for name in WIDE_ORDER]
+
+
+def test_build_index_names_the_first_non_finite_row_of_a_later_chunk():
+    first, second = WIDE_ORDER[TEXT_CHUNK + 3], WIDE_ORDER[-5]
+    assert second in WIDE_GRAPH.relation_ids  # later in the same chunk as the first
+    with pytest.raises(EmbedderError) as exc:
+        build_index(WIDE_GRAPH, FaultyEmbedder({second: "nan", first: "inf"}))
+    assert (exc.value.identifier, str(exc.value)) == (first, f"embedding failed for {first!r}: non-finite components")
+
+
+def test_build_index_refuses_a_later_chunk_of_another_width():
+    emb = ChunkEmbedder(lambda call, matrix: matrix[:, :32] if call else matrix)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: embed_many gave a \(85, 32\) array"):
+        build_index(WIDE_GRAPH, emb)
+
+
+def test_an_exception_from_a_later_chunk_reaches_the_caller_unchanged():
+    error = KeyError("lost on the second chunk")
+
+    def fault(call, matrix):
+        if call:
+            raise error
+        return matrix
+
+    with pytest.raises(KeyError) as exc:
+        build_index(WIDE_GRAPH, ChunkEmbedder(fault))
+    assert exc.value is error
 
 
 # --- top-m retrieval ----------------------------------------------------------
