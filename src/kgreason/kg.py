@@ -27,8 +27,8 @@ FORMAT_ERROR = "format-error"
 
 _WS_RE = re.compile(r"\s+")
 
-# Edges, or triple-file lines, interned at a time: a chunk's strings are
-# dropped once its ids are stored, so set-up holds one string per name.
+# Edges interned at a time: a chunk's strings are dropped once its ids are
+# stored, so set-up holds one string per name, not one per field.
 INTERN_CHUNK = 4096
 
 
@@ -156,7 +156,7 @@ class KnowledgeGraph:
         duplicates, plus any ``entities`` that no edge names."""
         edges = iter(edges)
         chunks = iter(lambda: list(islice(edges, INTERN_CHUNK)), [])
-        self._build(((map(itemgetter(i), chunk) for i in range(3)) for chunk in chunks), entities)
+        self._build((tuple(map(itemgetter(i), chunk) for i in range(3)) for chunk in chunks), entities)
 
     def _build(self, chunks: Iterable[Iterable[Iterable[str]]], entities: Iterable[str]) -> None:
         """Intern each chunk's head, relation and tail columns to first-seen
@@ -232,8 +232,7 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
     graph. A UTF-8 byte-order mark at the start of the first line is
     dropped. Malformed lines raise :class:`TripleParseError` with the line
     number; so does an identifier containing ``->``, the separator of the
-    arrow format that paths are written in. Each ``INTERN_CHUNK`` lines
-    are interned before the next are read.
+    arrow format that paths are written in. Triples are interned as they are read.
     """
     graph = KnowledgeGraph.__new__(KnowledgeGraph)
     graph._build(_parsed_chunks(source), ())
@@ -241,29 +240,30 @@ def load_triples(source: IO[bytes] | IO[str] | Iterable[str]) -> KnowledgeGraph:
 
 
 def _parsed_chunks(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[tuple[list[str], ...]]:
-    """The head, relation and tail columns of each ``INTERN_CHUNK`` lines."""
-    lines = enumerate(_iter_lines(source), start=1)
-    while chunk := list(islice(lines, INTERN_CHUNK)):
-        heads, relations, tails = [], [], []
-        for line_number, raw in chunk:
-            # a trailing newline is whitespace to every check, so it is never cut
-            unindented = raw.lstrip()
-            if not unindented or unindented[0] == "#":
-                continue
-            if "->" in raw:
-                raise TripleParseError("identifier contains '->'", line_number)
-            fields = raw.split("\t")
-            if len(fields) != 3:
-                raise TripleParseError(
-                    f"expected 3 tab-separated fields, got {len(fields)}", line_number
-                )
-            head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
-            if not (head and relation and tail):
-                raise TripleParseError("empty field after normalization", line_number)
-            heads.append(head)
-            relations.append(relation)
-            tails.append(tail)
-        yield heads, relations, tails
+    """The head, relation and tail columns of each ``INTERN_CHUNK`` triples."""
+    heads, relations, tails = [], [], []
+    for line_number, raw in enumerate(_iter_lines(source), start=1):
+        # a trailing newline is whitespace to every check, so it is never cut
+        unindented = raw.lstrip()
+        if not unindented or unindented[0] == "#":
+            continue
+        if "->" in raw:
+            raise TripleParseError("identifier contains '->'", line_number)
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise TripleParseError(
+                f"expected 3 tab-separated fields, got {len(fields)}", line_number
+            )
+        head, relation, tail = fields[0].strip(), fields[1].strip(), fields[2].strip()
+        if not (head and relation and tail):
+            raise TripleParseError("empty field after normalization", line_number)
+        heads.append(head)
+        relations.append(relation)
+        tails.append(tail)
+        if len(tails) == INTERN_CHUNK:
+            yield heads, relations, tails
+            heads, relations, tails = [], [], []
+    yield heads, relations, tails
 
 
 def _sorted_ids(seen: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
