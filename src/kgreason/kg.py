@@ -29,7 +29,7 @@ _WS_RE = re.compile(r"\s+")
 
 # Edges interned at a time: a chunk's strings are dropped once its ids are
 # stored, so set-up holds one string per name, not one per field.
-INTERN_CHUNK = 4096
+INTERN_CHUNK = 1024
 
 
 def normalize(text: str) -> str:
