@@ -370,34 +370,16 @@ def test_build_index_refuses_a_batch_of_another_shape(damage):
         build_index(KnowledgeGraph([("a", "r", "b")]), BatchEmbedder(damage))
 
 
-# a graph of 341 identifiers (301 entities, then 40 relations), more than one
-# chunk of TEXT_CHUNK
+# a graph of 341 identifiers (301 entities, then 40 relations): one chunk of
+# TEXT_CHUNK, then 85
 WIDE_GRAPH = KnowledgeGraph([(f"entity {i}", f"relation {i % 40}", f"entity {i + 1}") for i in range(300)])
 WIDE_ORDER = WIDE_GRAPH.entity_names + WIDE_GRAPH.relation_names
 
 
-class ChunkEmbedder:
-    """``HashingEmbedder``, with ``fault(call, matrix)`` applied to the matrix
-    of the ``call``-th ``embed_many`` call, counted from 0."""
-
-    fingerprint = HashingEmbedder().fingerprint
-
-    def __init__(self, fault):
-        self.inner, self.fault, self.calls = HashingEmbedder(), fault, []
-
-    def embed(self, text):
-        raise AssertionError("embedded one identifier at a time")
-
-    def embed_many(self, texts):
-        self.calls.append(len(texts))
-        return self.fault(len(self.calls) - 1, self.inner.embed_many(texts))
-
-
 def test_build_index_embeds_chunk_by_chunk_into_the_embed_rows():
-    assert len(WIDE_ORDER) > TEXT_CHUNK
-    emb = ChunkEmbedder(lambda call, matrix: matrix)
-    idx = build_index(WIDE_GRAPH, emb)
-    assert emb.calls == [TEXT_CHUNK, len(WIDE_ORDER) - TEXT_CHUNK]
+    calls = []
+    idx = build_index(WIDE_GRAPH, BatchEmbedder(lambda matrix: calls.append(len(matrix)) or matrix))
+    assert calls == [TEXT_CHUNK, len(WIDE_ORDER) - TEXT_CHUNK]
     rows = np.vstack([idx.entity_matrix, idx.relation_matrix])
     assert [row.tobytes() for row in rows] == [HashingEmbedder().embed(name).tobytes() for name in WIDE_ORDER]
 
@@ -411,7 +393,7 @@ def test_build_index_names_the_first_non_finite_row_of_a_later_chunk():
 
 
 def test_build_index_refuses_a_later_chunk_of_another_width():
-    emb = ChunkEmbedder(lambda call, matrix: matrix[:, :32] if call else matrix)
+    emb = BatchEmbedder(lambda matrix: matrix if len(matrix) == TEXT_CHUNK else matrix[:, :32])
     with pytest.raises(ValueError, match=r"^dimension mismatch: embed_many gave a \(85, 32\) array"):
         build_index(WIDE_GRAPH, emb)
 
@@ -419,14 +401,17 @@ def test_build_index_refuses_a_later_chunk_of_another_width():
 def test_an_exception_from_a_later_chunk_reaches_the_caller_unchanged():
     error = KeyError("lost on the second chunk")
 
-    def fault(call, matrix):
-        if call:
+    calls = []
+
+    def fault(matrix):
+        if calls:
             raise error
+        calls.append(len(matrix))
         return matrix
 
     with pytest.raises(KeyError) as exc:
-        build_index(WIDE_GRAPH, ChunkEmbedder(fault))
-    assert exc.value is error
+        build_index(WIDE_GRAPH, BatchEmbedder(fault))
+    assert exc.value is error and calls == [TEXT_CHUNK]
 
 
 # --- top-m retrieval ----------------------------------------------------------
