@@ -22,7 +22,7 @@ import numpy as np
 from .embedding import (
     Embedder, EmbeddingIndex, check_index, norm, query_cosines, query_vector, row_norms, text_cosines, top_m,
 )
-from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep, Triple
+from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep
 
 MODE_PATH_RAG = "path-rag"
 MODE_VANILLA = "vanilla"
@@ -201,24 +201,6 @@ def candidate_steps(
     return [ScoredCandidate(ReasoningStep(*steps[i]), s, 0.0, s) for i, s in zip(top, scores)]
 
 
-def kaping_retrieve(
-    g: KnowledgeGraph, emb: Embedder, query_vec: np.ndarray, k: int
-) -> list[tuple[Triple, float]]:
-    """Rank whole triples by similarity of their text rendering to the query
-    vector.
-
-    Each triple renders as ``head relation tail``. Returns the top-k with
-    scores, all triples when k exceeds the graph size.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    edges = list(g.edges())
-    texts = [f"{head} {relation} {tail}" for head, relation, tail in edges]
-    # edges come in (head, relation, tail) order, which equal scores keep
-    top, scores = top_m(text_cosines(emb, query_vec, texts), k)
-    return [(Triple(*edges[i]), score) for i, score in zip(top, scores)]
-
-
 def coverage_ratio(
     retrieved_steps_per_hop: Sequence[Iterable[ReasoningStep]],
     ground_truth: ReasoningPath,
@@ -239,14 +221,10 @@ def retrieved_steps_along_path(
 ) -> list[set[ReasoningStep]]:
     """Retrieved candidate sets at each hop while walking the ground-truth
     path against the query bound to ``context``, for coverage-ratio
-    comparisons between retriever modes.
-
-    The per-frontier retrievers re-rank at every hop; the triple-to-text
-    retriever selects one global top-m set that is charged at every hop.
+    comparisons between retriever modes: each hop's set is what
+    :func:`candidate_steps`, the search's own retriever, gives that hop's
+    gold frontier.
     """
-    if config.mode == MODE_KAPING:
-        ranked = kaping_retrieve(context.g, context.emb, context.query_vec, config.m)
-        return [{ReasoningStep(t.relation, t.tail) for t, _ in ranked} for _ in ground_truth.steps]
     return [
         {c.step for c in candidate_steps(context, frontier, config)}
         for frontier in ground_truth.entities()[:-1]

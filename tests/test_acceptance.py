@@ -482,29 +482,23 @@ def brute_force_cr(g, gt, query_text, mode, m, alpha) -> float:
             query_vec, EMB.embed(step[1])
         )
 
-    if mode == "kaping":
-        scored = [
-            (np_cosine(query_vec, EMB.embed(f"{t.head} {t.relation} {t.tail}")), t)
-            for t in g.triples
-        ]
-        scored.sort(key=lambda pair: (-pair[0], pair[1].head, pair[1].relation, pair[1].tail))
-        retrieved = {(t.relation, t.tail) for _, t in scored[:m]}
-        per_hop = [retrieved for _ in gt.steps]
-    else:
-        per_hop = []
-        frontier = gt.start
-        for step in gt.steps:
-            pairs = sorted(neighbors(g, frontier))
-            if mode == "path-rag":
-                def total(pair):
-                    onward = [base(nxt) for nxt in sorted(neighbors(g, pair[1]))]
-                    return base(pair) + alpha * (max(onward) if onward else 0.0)
-            else:  # vanilla: one flat similarity over the joined step text
-                def total(pair):
-                    return np_cosine(query_vec, EMB.embed(f"{pair[0]} {pair[1]}"))
-            ranked = sorted(pairs, key=lambda p: (-total(p), p[0], p[1]))
-            per_hop.append(set(ranked[:m]))
-            frontier = step.entity
+    per_hop = []
+    frontier = gt.start
+    for step in gt.steps:
+        pairs = sorted(neighbors(g, frontier))
+        if mode == "path-rag":
+            def total(pair):
+                onward = [base(nxt) for nxt in sorted(neighbors(g, pair[1]))]
+                return base(pair) + alpha * (max(onward) if onward else 0.0)
+        elif mode == "kaping":  # one flat similarity over the frontier's whole triple text
+            def total(pair):
+                return np_cosine(query_vec, EMB.embed(f"{frontier} {pair[0]} {pair[1]}"))
+        else:  # vanilla: one flat similarity over the joined step text
+            def total(pair):
+                return np_cosine(query_vec, EMB.embed(f"{pair[0]} {pair[1]}"))
+        ranked = sorted(pairs, key=lambda p: (-total(p), p[0], p[1]))
+        per_hop.append(set(ranked[:m]))
+        frontier = step.entity
 
     hits = sum(
         1 for hop, step in enumerate(gt.steps) if (step.relation, step.entity) in per_hop[hop]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgreason.embedding import HashingEmbedder, build_index
-from kgreason.kg import ReasoningPath, ReasoningStep, load_triples
+from kgreason.kg import KnowledgeGraph, ReasoningPath, ReasoningStep, load_triples
 from kgreason.llm import LlmClient, MockBackend, load_mock_script
 from kgreason.evaluate import (
     REPORT_SCHEMA,
@@ -448,6 +448,20 @@ def test_question_embeds_its_query_once(mode):
         assert emb.texts.count(query) == 1
         if mode == "path-rag":
             assert emb.texts == [query]
+
+
+def test_kaping_coverage_walks_the_gold_frontiers_not_the_whole_graph(monkeypatch):
+    """KAPING coverage ranks each gold frontier's triples, as the search
+    does, and never lists the graph's edges."""
+    g, idx, emb, dataset, backend = fixture_harness()
+
+    def whole_graph(self):
+        raise AssertionError("KnowledgeGraph.edges read while evaluating a question")
+
+    monkeypatch.setattr(KnowledgeGraph, "edges", whole_graph)
+    report = run_experiment(dataset, g, idx, emb, backend, retrieval_config=RetrievalConfig(mode="kaping"))
+    assert report.aggregates["failures"] == 0
+    assert [r.coverage for r in report.results] == [1.0, 1.0]
 
 
 def test_parallel_report_equals_serial():

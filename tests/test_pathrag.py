@@ -23,7 +23,6 @@ from kgreason.pathrag import (
     ScoredCandidate,
     candidate_steps,
     coverage_ratio,
-    kaping_retrieve,
     retrieved_steps_along_path,
 )
 
@@ -594,33 +593,15 @@ def test_vanilla_mode_scores_concatenated_step_text():
 # --- triple-to-text retrieval ---------------------------------------------------
 
 
-def test_kaping_saturates_to_all_triples():
+def test_kaping_mode_identical_triple_text_scores_one():
+    """KAPING ranks a frontier's triples as ``head relation tail`` texts, so
+    a query that is one of them scores it 1."""
     g = load_fixture("iran.tsv")
     emb = HashingEmbedder()
-    got = kaping_retrieve(g, emb, emb.embed("anything"), 100)
-    assert len(got) == 5
-    scores = [s for _, s in got]
-    assert scores == sorted(scores, reverse=True)
-
-
-def test_kaping_identical_text_scores_one():
-    g = load_fixture("iran.tsv")
-    emb = HashingEmbedder()
-    got = kaping_retrieve(g, emb, emb.embed("Iranian_rial finance.currency.countries_used Iran"), 1)
-    assert got[0][0] == Triple("Iranian_rial", "finance.currency.countries_used", "Iran")
-    assert got[0][1] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kaping_top3_matches_brute_force():
-    g = load_fixture("iran.tsv")
-    emb = HashingEmbedder()
-    q = emb.embed("Iran government")
-    oracle = sorted(
-        ((oracle_cosine(q, emb.embed(f"{t.head} {t.relation} {t.tail}")), t) for t in g.triples),
-        key=lambda pair: (-pair[0], pair[1].head, pair[1].relation, pair[1].tail),
-    )
-    got = kaping_retrieve(g, emb, q, 3)
-    assert {t for t, _ in got} == {t for _, t in oracle[:3]}
+    q = emb.embed("Iranian_rial finance.currency.countries_used Iran")
+    got = candidate_steps(bound(g, build_index(g, emb), q, emb), "Iranian_rial", RetrievalConfig(mode=MODE_KAPING))
+    assert got[0].step == ReasoningStep("finance.currency.countries_used", "Iran")
+    assert got[0].total_score == pytest.approx(1.0, abs=1e-12)
 
 
 def scalar_candidate_steps(context, frontier_entity, config):
@@ -636,22 +617,6 @@ def scalar_candidate_steps(context, frontier_entity, config):
         candidates.append(ScoredCandidate(ReasoningStep(relation, entity), score, 0.0, score))
     candidates.sort(key=lambda c: (-c.total_score, c.step.relation, c.step.entity))
     return candidates[: config.m]
-
-
-def scalar_kaping_retrieve(g, emb, query_vec, k):
-    """``kaping_retrieve`` as it was when it embedded one triple at a time
-    and scored it with the scalar ``cosine``: the oracle of the batched one."""
-    scored = [
-        (Triple(head, relation, tail), cosine(query_vec, emb.embed(f"{head} {relation} {tail}")))
-        for head, relation, tail in g.edges()
-    ]
-    scored.sort(key=lambda pair: (-pair[1], pair[0].head, pair[0].relation, pair[0].tail))
-    return scored[:k]
-
-
-def as_hex(ranked):
-    """Ranked triples with their scores' exact bits."""
-    return [(triple, score.hex()) for triple, score in ranked]
 
 
 # Labels with commas, spaces and non-ASCII. "Alma Thorne" and "Anton Dunmore"
@@ -691,14 +656,13 @@ def assert_text_retrieval_is_the_scalar_loop(g, frontier, q, m):
         assert as_text(candidate_steps(context, frontier, config)) == as_text(
             scalar_candidate_steps(context, frontier, config)
         )
-    assert as_hex(kaping_retrieve(g, emb, q, m)) == as_hex(scalar_kaping_retrieve(g, emb, q, m))
 
 
 @settings(max_examples=150, deadline=None)
 @given(text_graphs(), st.sampled_from([1, 2, 3, 5]))
 def test_batched_text_retrieval_is_the_scalar_loop_bit_for_bit(drawn, chunk):
-    """Steps and triples in the same order, with the same score bits, as
-    the one-text-at-a-time loops, in chunks smaller than the texts."""
+    """Steps in the same order, with the same score bits, as the
+    one-text-at-a-time loop, in chunks smaller than the texts."""
     with mock.patch.object(embedding, "TEXT_CHUNK", chunk):
         assert_text_retrieval_is_the_scalar_loop(*drawn)
 
@@ -717,9 +681,8 @@ def test_batched_text_retrieval_across_a_chunk_is_the_scalar_loop(m):
 
 
 def test_text_scores_refuse_a_query_of_another_dimension():
-    g = load_fixture("iran.tsv")
     with pytest.raises(ValueError, match="dimension mismatch"):
-        kaping_retrieve(g, HashingEmbedder(), np.ones(63), 3)
+        embedding.text_cosines(HashingEmbedder(), np.ones(63), ["Iran Theocracy"])
 
 
 # --- coverage ratio -------------------------------------------------------------
@@ -758,7 +721,11 @@ def test_retrieved_steps_along_path_per_mode():
     assert len(per_hop) == 2
     assert GT.steps[0] in per_hop[0]
     assert GT.steps[1] in per_hop[1]
-    kaping_hops = retrieved_steps_along_path(
-        bound(g, idx, q, emb), GT, RetrievalConfig(mode=MODE_KAPING, m=2)
-    )
-    assert kaping_hops[0] == kaping_hops[1]  # one global set charged at every hop
+    config = RetrievalConfig(mode=MODE_KAPING, m=2)
+    kaping_hops = retrieved_steps_along_path(bound(g, idx, q, emb), GT, config)
+    # each hop's set is what the search's retriever gives that hop's frontier
+    assert kaping_hops == [
+        {c.step for c in candidate_steps(bound(g, idx, q, emb), frontier, config)}
+        for frontier in ("Justin_Bieber", "Jeremy_Bieber")
+    ]
+    assert kaping_hops[0] != kaping_hops[1]
