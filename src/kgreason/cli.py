@@ -36,7 +36,7 @@ from .llm import (
     WireBackend,
     load_mock_script,
 )
-from .pathrag import RETRIEVER_MODES
+from .pathrag import RETRIEVER_MODES, ScoreContext
 from .prompts import load_demonstrations
 from .search import (
     REASON_BACKEND_FAILURE,
@@ -156,17 +156,9 @@ def cmd_ask(args) -> int:
         print("error: no topic entities given (--topic-entity or --replay)", file=sys.stderr)
         return EXIT_USAGE
 
-    client = LlmClient(backend, params=rc.decode)
+    client = LlmClient(backend, params=rc.decode, demonstrations=_demonstrations(rc))
     answers, trace = run_dvbs(
-        question,
-        topic_entities,
-        g,
-        idx,
-        emb,
-        client,
-        rc.search,
-        rc.retriever,
-        _demonstrations(rc),
+        question, topic_entities, ScoreContext(g, idx, emb), client, rc.search, rc.retriever
     )
     if rc.out_trace:
         with open(rc.out_trace, "w", encoding="utf-8") as fh:

@@ -301,31 +301,26 @@ def evaluate_question(
     params: DecodeParams = DecodeParams(),
 ) -> tuple[QuestionResult, SearchTrace | None]:
     """Run one question with a fresh ledger and score the outcome. A backend
-    failure or a missing topic entity scores as a failed question; any other
-    exception propagates. The search and the coverage walk share one score
-    context, so each similarity is computed once."""
+    failure or a missing topic entity scores as a failed question, its
+    ``failure`` reading ``"<error type>: <error>"``; any other exception
+    propagates. The search and the coverage walk share one score context, so
+    each similarity is computed once."""
     ledger = UsageLedger()
-    client = LlmClient(backend, ledger=ledger, params=params)
+    client = LlmClient(backend, ledger=ledger, params=params, demonstrations=demonstrations)
     context = ScoreContext(g, idx, emb)
     started = time.monotonic()
     try:
         answers, trace = run_dvbs(
-            record.question,
-            record.topic_entities,
-            g,
-            idx,
-            emb,
-            client,
-            search_config,
-            retrieval_config,
-            demonstrations,
-            context=context,
+            record.question, record.topic_entities, context, client, search_config, retrieval_config
         )
     except (LlmError, TopicEntityError) as exc:
         logger.warning("question %s failed: %s", record.id, exc)
         answers, trace, failure = AnswerSet(), None, f"{type(exc).__name__}: {exc}"
     else:
-        failure = answers.reason if answers.reason == REASON_BACKEND_FAILURE else None
+        failure = None
+        if answers.reason == REASON_BACKEND_FAILURE:
+            (event,) = [e for e in trace.events if e["event"] == "backend-failure"]
+            failure = f"{event['error_type']}: {event['error']}"
     wall = time.monotonic() - started
     usage = ledger.snapshot()
     emitted = answers.supporting_paths + answers.indirect_paths

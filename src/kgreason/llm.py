@@ -1,12 +1,15 @@
 """Language-model gateway.
 
-Every model interaction in the package flows through LlmClient.complete,
-which books the call's tokens into a UsageLedger and returns the call's
-CallRecord for tracing and replay. A CallRecorder gives one search run its own
-view of the client: each logical step (plan, select, verify, final) makes its
-calls through a StepCalls, which keeps their records in order and times each
-one, so independent steps can run concurrently once calls are seen to wait; a
-SharedBackend bounds the calls in flight when several runs share a backend.
+Every model interaction in the package flows through LlmClient.complete:
+the caller names a template and its bindings, and the client renders them
+with the run's few-shot demonstrations, sends the prompt with the run's
+decode parameters, books the call's tokens into a UsageLedger and returns the
+call's CallRecord for tracing and replay. A CallRecorder gives one search run
+its own view of the client: each logical step (plan, select, verify, final)
+makes its calls through a StepCalls, which keeps their records in order and
+times each one, so independent steps can run concurrently once calls are
+seen to wait; a SharedBackend bounds the calls in flight when several runs
+share a backend.
 Backends plug in behind one interface: a wire client for chat-completion HTTP
 endpoints, a deterministic mock that answers from a knowledge graph, a
 scripted sequence for fault injection, and a replay backend that re-serves
@@ -169,20 +172,24 @@ class SharedBackend:
 
 
 class LlmClient:
-    """Books every call's tokens into the ledger and returns its record.
-    The client does not time calls; a search run's StepCalls does."""
+    """Renders every prompt with the run's demonstrations (the built-in ones
+    when None), books every call's tokens into the ledger and returns its
+    record. The client does not time calls; a search run's StepCalls does."""
 
     def __init__(
         self,
         backend: LlmBackend,
         ledger: UsageLedger | None = None,
         params: DecodeParams = DecodeParams(),
+        demonstrations: Mapping[str, Sequence[str]] | None = None,
     ):
         self.backend = backend
         self.ledger = ledger if ledger is not None else UsageLedger()
         self.params = params
+        self.demonstrations = demonstrations
 
-    def complete(self, rendered: RenderedPrompt) -> CallRecord:
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
+        rendered = render(key, bindings, self.demonstrations)
         completion = self.backend.complete(rendered, self.params)
         self.ledger.record(1, completion.prompt_tokens, completion.completion_tokens)
         return CallRecord(
@@ -196,9 +203,10 @@ class LlmClient:
 
 class Completer(Protocol):
     """What the prompt helpers need of a client: an LlmClient or one step of
-    a CallRecorder."""
+    a CallRecorder. Either one takes a template key and its bindings; the
+    client renders the prompt."""
 
-    def complete(self, rendered: RenderedPrompt) -> CallRecord: ...
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord: ...
 
 
 # A batch of independent steps runs on threads only once the fastest call of
@@ -211,15 +219,16 @@ FAN_OUT_MIN_CALL_S = 0.001
 class StepCalls:
     """The model calls of one logical step of a run, in the order the step
     made them. Stands in for the client in the prompt helpers: the client
-    books each call, and the step times it for the recorder's fan-out rule."""
+    renders and books each call, and the step times it, rendering included,
+    for the recorder's fan-out rule."""
 
     def __init__(self, recorder: "CallRecorder"):
         self._recorder = recorder
         self.records: list[CallRecord] = []
 
-    def complete(self, rendered: RenderedPrompt) -> CallRecord:
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
         started = time.perf_counter()
-        record = self._recorder.client.complete(rendered)
+        record = self._recorder.client.complete(key, bindings)
         self._recorder.observe(time.perf_counter() - started)
         self.records.append(record)
         return record
@@ -375,7 +384,8 @@ def extract_json(text: str, schema_hint: str | None = None):
 
 def complete_json(
     client: Completer,
-    rendered: RenderedPrompt,
+    key: str,
+    bindings: Mapping[str, object],
     schema_hint: str | None = None,
 ):
     """Call the model until a response parses as JSON, up to ``JSON_RETRIES``
@@ -383,13 +393,13 @@ def complete_json(
     raises JsonDecodeFailure carrying the last raw response."""
     last_raw = ""
     for _ in range(JSON_RETRIES + 1):
-        last_raw = client.complete(rendered).response
+        last_raw = client.complete(key, bindings).response
         try:
             return extract_json(last_raw, schema_hint)
         except ValueError:
-            logger.warning("unparseable JSON response for %s; retrying", rendered.key)
+            logger.warning("unparseable JSON response for %s; retrying", key)
     raise JsonDecodeFailure(
-        f"no parseable JSON for {rendered.key} after {JSON_RETRIES + 1} attempts", last_raw
+        f"no parseable JSON for {key} after {JSON_RETRIES + 1} attempts", last_raw
     )
 
 
@@ -466,19 +476,14 @@ def _coerce_plan(parsed: object) -> Plan:
     return Plan(keywords=keywords, planning_steps=tuple(steps), declarative_statement=statement)
 
 
-def generate_plan(
-    client: Completer,
-    question: str,
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
-) -> Plan:
+def generate_plan(client: Completer, question: str) -> Plan:
     """Ask the model for a navigation plan; with no usable JSON after
     ``JSON_RETRIES`` re-asks, fall back to a degraded plan from the question."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    rendered = render(PLAN_AND_SOLVE, {"query": question}, demonstrations=demonstrations)
     last_error: Exception | None = None
     for _ in range(JSON_RETRIES + 1):
-        response = client.complete(rendered).response
+        response = client.complete(PLAN_AND_SOLVE, {"query": question}).response
         try:
             return _coerce_plan(extract_json(response))
         except ValueError as exc:

@@ -31,8 +31,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import IO, Mapping, Sequence, Union
 
-from .embedding import Embedder, EmbeddingIndex
-from .kg import KnowledgeGraph, ReasoningPath, normalize, read_text, split_lines
+from .kg import ReasoningPath, normalize, read_text, split_lines
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
@@ -50,13 +49,7 @@ from .llm import (
     is_token_count,
 )
 from .pathrag import MODE_PATH_RAG, RetrievalConfig, ScoreContext, candidate_steps
-from .prompts import (
-    ADEQUACY_VERIFY,
-    BEAM_SELECT,
-    DEDUCTIVE_VERIFY,
-    FINAL_REASON,
-    render,
-)
+from .prompts import ADEQUACY_VERIFY, BEAM_SELECT, DEDUCTIVE_VERIFY, FINAL_REASON
 
 logger = logging.getLogger(__name__)
 
@@ -210,22 +203,16 @@ def _path_sentences(path: ReasoningPath) -> str:
     return "\n".join(lines)
 
 
-def _halts(client: Completer, key: str, path: ReasoningPath, bindings: dict, demonstrations) -> bool:
+def _halts(client: Completer, key: str, path: ReasoningPath, bindings: dict) -> bool:
     """One halting check: an empty path never halts and costs no call; any
     other gets the verdict of one call on ``bindings`` and its terminal entity."""
     if not path.steps:
         return False
-    rendered = render(key, {**bindings, "terminal_entity": path.terminal_entity}, demonstrations)
-    return classify_verdict(client.complete(rendered).response)
+    bindings = {**bindings, "terminal_entity": path.terminal_entity}
+    return classify_verdict(client.complete(key, bindings).response)
 
 
-def verify_global(
-    client: Completer,
-    question: str,
-    plan: Plan,
-    path: ReasoningPath,
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
-) -> bool:
+def verify_global(client: Completer, question: str, plan: Plan, path: ReasoningPath) -> bool:
     """Ask whether the path now entails the plan's cloze statement, filled
     with the path's terminal entity verbatim. An empty path is never
     deducible and costs no call."""
@@ -235,19 +222,14 @@ def verify_global(
         "query": question,
         "verify_scope": "global",
     }
-    return _halts(client, DEDUCTIVE_VERIFY, path, bindings, demonstrations)
+    return _halts(client, DEDUCTIVE_VERIFY, path, bindings)
 
 
-def adequacy_verify(
-    client: Completer,
-    question: str,
-    path: ReasoningPath,
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
-) -> bool:
+def adequacy_verify(client: Completer, question: str, path: ReasoningPath) -> bool:
     """Sufficiency-style halting check: is this path enough to answer the
     question? Swapped in for the deductive check in adequacy mode."""
     bindings = {"reasoning_path": path.to_arrow(), "query": question}
-    return _halts(client, ADEQUACY_VERIFY, path, bindings, demonstrations)
+    return _halts(client, ADEQUACY_VERIFY, path, bindings)
 
 
 def select_steps(
@@ -256,7 +238,6 @@ def select_steps(
     plan: Plan,
     arrows: Sequence[str],
     k: int,
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> tuple[list[int], str]:
     """Pick at most k of the score-ranked candidate paths, given as arrow
     texts, and return their indices in pick order plus the mode.
@@ -271,19 +252,15 @@ def select_steps(
     top = list(range(min(k, len(arrows))))
     if len(arrows) <= k:
         return top, SELECT_SATURATED
-    rendered = render(
-        BEAM_SELECT,
-        {
-            "plan_context": plan.plan_context,
-            "query": question,
-            "beam_width": k,
-            "reasoning_paths": "\n".join(f"{i}. {arrow}" for i, arrow in enumerate(arrows)),
-            "candidate_count": len(arrows),
-        },
-        demonstrations=demonstrations,
-    )
+    bindings = {
+        "plan_context": plan.plan_context,
+        "query": question,
+        "beam_width": k,
+        "reasoning_paths": "\n".join(f"{i}. {arrow}" for i, arrow in enumerate(arrows)),
+        "candidate_count": len(arrows),
+    }
     try:
-        parsed = complete_json(client, rendered, HINT_INDEX_LIST)
+        parsed = complete_json(client, BEAM_SELECT, bindings, HINT_INDEX_LIST)
     except JsonDecodeFailure:
         logger.warning("beam selection response unusable; falling back to score order")
         return top, SELECT_FALLBACK
@@ -312,7 +289,6 @@ def final_reason(
     question: str,
     halted_paths: Sequence[ReasoningPath],
     config: SearchConfig = SearchConfig(),
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
 ) -> AnswerSet:
     """Produce the answer set from the halted paths.
 
@@ -330,16 +306,12 @@ def final_reason(
     terminals = _deduped([p.terminal_entity for p in halted_paths])
     if not config.use_last_step_reasoning:
         return AnswerSet(answers=tuple(terminals), supporting_paths=tuple(halted_paths))
-    rendered = render(
-        FINAL_REASON,
-        {
-            "query": question,
-            "reasoning_path": "\n".join(p.to_arrow() for p in halted_paths),
-            "terminal_entities": ", ".join(terminals),
-        },
-        demonstrations=demonstrations,
-    )
-    text = client.complete(rendered).response
+    bindings = {
+        "query": question,
+        "reasoning_path": "\n".join(p.to_arrow() for p in halted_paths),
+        "terminal_entities": ", ".join(terminals),
+    }
+    text = client.complete(FINAL_REASON, bindings).response
     by_norm: dict[str, str] = {}
     for terminal in terminals:
         by_norm.setdefault(normalize(terminal), terminal)
@@ -392,15 +364,10 @@ def _deduped(items) -> list[str]:
 def run_dvbs(
     question: str,
     topic_entities: Sequence[str],
-    g: KnowledgeGraph,
-    idx: EmbeddingIndex,
-    emb: Embedder,
+    context: ScoreContext,
     client: LlmClient,
     search_config: SearchConfig = SearchConfig(),
     retrieval_config: RetrievalConfig = RetrievalConfig(),
-    demonstrations: Mapping[str, Sequence[str]] | None = None,
-    *,
-    context: ScoreContext | None = None,
 ) -> tuple[AnswerSet, SearchTrace]:
     """Run the full search for one question and return the answers plus a
     replayable trace.
@@ -414,14 +381,11 @@ def run_dvbs(
     live. With the verifier off, the paths still live when the search stops
     (at ``max_depth`` or at an empty pool) answer instead. Backend failures
     are recorded in the trace and yield an empty answer set rather than a
-    crash. ``context`` (a private one when none is given) must be built for
-    ``g``, ``idx`` and ``emb``; it binds the plan's keywords as its query and
-    scores every frontier.
+    crash. ``context`` is the question's own, unbound retrieval handle: the
+    search reads the graph from it, binds the plan's keywords as its query
+    (a context already bound is a ``ValueError``) and scores every frontier
+    with it.
     """
-    if context is None:
-        context = ScoreContext(g, idx, emb)
-    elif context.g is not g or context.idx is not idx or context.emb is not emb:
-        raise ValueError("score context was built for another graph, index or embedder")
     trace = SearchTrace(question=question)
     trace.add(
         "run_start",
@@ -432,7 +396,7 @@ def run_dvbs(
     )
     present = []
     for entity in dict.fromkeys(topic_entities):
-        if entity in g.entities:
+        if entity in context.g.entities:
             present.append(entity)
         else:
             logger.warning("topic entity %r not in graph; skipping", entity)
@@ -446,7 +410,7 @@ def run_dvbs(
     try:
         if config.use_planning:
             with _step(recorder, trace) as calls:
-                plan = generate_plan(calls, question, demonstrations)
+                plan = generate_plan(calls, question)
         else:
             plan = replace(degraded_plan(question), degraded=False)
         trace.add(
@@ -464,8 +428,8 @@ def run_dvbs(
 
         def verify(calls: Completer, path: ReasoningPath) -> bool:
             if config.adequacy_mode:
-                return adequacy_verify(calls, question, path, demonstrations)
-            return verify_global(calls, question, plan, path, demonstrations)
+                return adequacy_verify(calls, question, path)
+            return verify_global(calls, question, plan, path)
 
         for depth in range(1, config.max_depth + 1):
             if not live:
@@ -497,7 +461,7 @@ def run_dvbs(
             else:
                 arrows = [arrow for *_, arrow in pool]
                 with _step(recorder, trace) as calls:
-                    indices, mode = select_steps(calls, question, plan, arrows, k, demonstrations)
+                    indices, mode = select_steps(calls, question, plan, arrows, k)
             chosen = [pool[i] for i in indices]
             kept = {arrow for *_, arrow in chosen}
             for *_, arrow in pool:
@@ -532,7 +496,7 @@ def run_dvbs(
         answered = sorted(answered, key=lambda h: h[:2])
         answer_paths = [path for *_, path in answered]
         with _step(recorder, trace) as calls:
-            answers = final_reason(calls, question, answer_paths, config, demonstrations)
+            answers = final_reason(calls, question, answer_paths, config)
         trace.add(
             "final",
             answers=list(answers.answers),

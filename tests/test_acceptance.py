@@ -155,9 +155,7 @@ def test_criterion_02_validity_ratio_is_always_one():
             answers, _ = run_dvbs(
                 q,
                 [topic],
-                g,
-                idx,
-                EMB,
+                ScoreContext(g, idx, EMB),
                 LlmClient(backend),
                 search_config=SearchConfig(beam_width=3, max_depth=3),
             )
@@ -211,9 +209,7 @@ def run_counting_calls(g, layers, global_rule, width, depth):
     run_dvbs(
         q,
         ["hub"],
-        g,
-        idx,
-        EMB,
+        ScoreContext(g, idx, EMB),
         client,
         search_config=SearchConfig(beam_width=width, max_depth=depth),
     )
@@ -412,9 +408,7 @@ def test_criterion_06_search_matches_exhaustive_oracle():
             answers, trace = run_dvbs(
                 q,
                 [topic],
-                g,
-                idx,
-                EMB,
+                ScoreContext(g, idx, EMB),
                 LlmClient(backend),
                 search_config=SearchConfig(beam_width=branching, max_depth=depth),
             )
@@ -532,7 +526,7 @@ def test_criterion_09_byte_identical_traces_and_replay():
     def one_run():
         g, idx, answer_key, plan_script = fixture_world()
         client = LlmClient(MockBackend(g, answer_key, plan_script))
-        return run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, EMB, client), (g, idx)
+        return run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, EMB), client), (g, idx)
 
     (answers_a, trace_a), (g, idx) = one_run()
     (answers_b, trace_b), _ = one_run()
@@ -542,7 +536,7 @@ def test_criterion_09_byte_identical_traces_and_replay():
     # Replay re-serves recorded completions; no mock script is in reach.
     replay_client = LlmClient(ReplayBackend(trace_a.call_records()))
     replay_answers, replay_trace = run_dvbs(
-        BIEBER_Q, ["Justin_Bieber"], g, idx, EMB, replay_client
+        BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, EMB), replay_client
     )
     assert replay_answers.answers == answers_a.answers
     assert replay_trace.to_jsonl() == trace_a.to_jsonl()

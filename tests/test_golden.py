@@ -39,7 +39,7 @@ from kgreason.embedding import HashingEmbedder, build_index, save_index
 from kgreason.evaluate import QARecord, RunReport, evaluate_question, load_dataset, run_experiment
 from kgreason.kg import load_triples
 from kgreason.llm import LlmClient, LlmError, MockBackend, ReplayBackend, load_mock_script
-from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig
+from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig, ScoreContext
 from kgreason.search import SearchConfig, SearchTrace, run_dvbs
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -179,7 +179,8 @@ def test_golden_trace_replays_byte_for_byte(record_id, mode, setting):
     g, emb, idx, _, _ = fixture_eval()
     client = LlmClient(ReplayBackend(recorded.call_records()))
     _, replayed = run_dvbs(
-        start["question"], start["topic_entities"], g, idx, emb, client, *case_configs(mode, setting)
+        start["question"], start["topic_entities"], ScoreContext(g, idx, emb), client,
+        *case_configs(mode, setting),
     )
     assert replayed.to_jsonl() == recorded_text
 

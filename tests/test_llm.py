@@ -52,8 +52,13 @@ def load_fixture(name):
         return load_triples(fh)
 
 
+def plan_call(question="who?"):
+    """The template key and bindings of a plan call."""
+    return PLAN_AND_SOLVE, {"query": question}
+
+
 def plan_prompt(question="who?"):
-    return render(PLAN_AND_SOLVE, {"query": question}, demonstrations={})
+    return render(*plan_call(question), demonstrations={})
 
 
 # --- JSON repair -------------------------------------------------------------
@@ -100,7 +105,7 @@ def test_extract_garbage_raises():
 def test_complete_json_retries_then_succeeds():
     backend = ScriptedBackend(["garbage", "also garbage", '{"ok": true}'])
     client = LlmClient(backend)
-    parsed = complete_json(client, plan_prompt())
+    parsed = complete_json(client, *plan_call())
     assert parsed == {"ok": True}
     assert client.ledger.llm_calls == 3
 
@@ -109,7 +114,7 @@ def test_complete_json_exhaustion_carries_last_raw():
     backend = ScriptedBackend(["bad one", "bad two", "bad three"])
     client = LlmClient(backend)
     with pytest.raises(JsonDecodeFailure) as exc:
-        complete_json(client, plan_prompt())
+        complete_json(client, *plan_call())
     assert exc.value.last_raw == "bad three"
     assert client.ledger.llm_calls == 3
 
@@ -189,7 +194,7 @@ def test_step_times_the_call_it_makes():
             return Completion(text="ok")
 
     recorder = CallRecorder(LlmClient(SleepyBackend()))
-    record = StepCalls(recorder).complete(plan_prompt("what?"))
+    record = StepCalls(recorder).complete(*plan_call("what?"))
     assert record.response == "ok"
     assert recorder.fastest_call_s >= 0.005
 
@@ -204,12 +209,11 @@ def test_shared_backend_rejects_backend_without_call_slots():
 def test_client_books_usage_and_call_records():
     backend = ScriptedBackend(["hello world"])
     client = LlmClient(backend)
-    rendered = plan_prompt("what?")
-    record = client.complete(rendered)
+    record = client.complete(*plan_call("what?"))
     assert client.ledger.llm_calls == 1
     assert client.ledger.completion_tokens == 2
     assert record.key == PLAN_AND_SOLVE
-    assert record.bindings_digest == rendered.bindings_digest()
+    assert record.bindings_digest == plan_prompt("what?").bindings_digest()
     assert record.response == "hello world"
 
 
@@ -455,59 +459,52 @@ def mock_client(answer_key=None, **kwargs):
     return LlmClient(backend), g
 
 
-def verify_prompt(scope, **extra):
+def verify_call(scope, **extra):
+    """The template key and bindings of a deductive verification call."""
     bindings = {
         "declarative_statement": "stmt",
         "parsed_reasoning_path": "path",
         "verify_scope": scope,
     }
     bindings.update(extra)
-    return render(DEDUCTIVE_VERIFY, bindings, demonstrations={})
+    return DEDUCTIVE_VERIFY, bindings
 
 
 def test_mock_global_verdict_normalizes_answer_text():
     client, _ = mock_client(answer_key={"q?": ["Erin Wagner"]})
-    got = client.complete(verify_prompt("global", query="q?", terminal_entity="Erin_Wagner"))
+    got = client.complete(*verify_call("global", query="q?", terminal_entity="Erin_Wagner"))
     assert got.response == "yes"
-    other = client.complete(verify_prompt("global", query="q?", terminal_entity="Jeremy_Bieber"))
+    other = client.complete(*verify_call("global", query="q?", terminal_entity="Jeremy_Bieber"))
     assert other.response == "no"
 
 
 def test_mock_beam_select_echoes_leading_indices():
     client, _ = mock_client()
-    rendered = render(
-        BEAM_SELECT,
-        {
-            "plan_context": "p",
-            "query": "q",
-            "beam_width": 4,
-            "reasoning_paths": "1. x",
-            "candidate_count": 6,
-        },
-        demonstrations={},
-    )
-    assert client.complete(rendered).response == "[0, 1, 2, 3]"
+    bindings = {
+        "plan_context": "p",
+        "query": "q",
+        "beam_width": 4,
+        "reasoning_paths": "1. x",
+        "candidate_count": 6,
+    }
+    assert client.complete(BEAM_SELECT, bindings).response == "[0, 1, 2, 3]"
 
 
 def test_mock_final_reason_echoes_terminals():
     client, _ = mock_client()
-    rendered = render(
-        FINAL_REASON,
-        {"query": "q", "reasoning_path": "A -> r -> B", "terminal_entities": "B\nC"},
-        demonstrations={},
-    )
-    assert client.complete(rendered).response == "B\nC"
+    bindings = {"query": "q", "reasoning_path": "A -> r -> B", "terminal_entities": "B\nC"}
+    assert client.complete(FINAL_REASON, bindings).response == "B\nC"
 
 
 def test_mock_unknown_question_raises_miss():
     client, _ = mock_client()
     with pytest.raises(MockMissError):
-        client.complete(verify_prompt("global", query="never scripted", terminal_entity="X"))
+        client.complete(*verify_call("global", query="never scripted", terminal_entity="X"))
 
 
 def test_mock_rules_override_defaults():
     client, _ = mock_client(global_rule=lambda b: True)
-    got = client.complete(verify_prompt("global", query="anything", terminal_entity="X"))
+    got = client.complete(*verify_call("global", query="anything", terminal_entity="X"))
     assert got.response == "yes"
 
 
@@ -516,41 +513,41 @@ def test_mock_rules_override_defaults():
 
 def test_scripted_backend_exhaustion():
     client = LlmClient(ScriptedBackend(["one"]))
-    client.complete(plan_prompt())
+    client.complete(*plan_call())
     with pytest.raises(LlmError):
-        client.complete(plan_prompt())
+        client.complete(*plan_call())
 
 
 def test_replay_backend_reserves_recorded_responses():
     source = LlmClient(ScriptedBackend(['{"a": 1}', "yes"]))
-    first = plan_prompt("q1")
-    second = verify_prompt("global", query="q1", terminal_entity="X")
-    records = [source.complete(first), source.complete(second)]
+    first = plan_call("q1")
+    second = verify_call("global", query="q1", terminal_entity="X")
+    records = [source.complete(*first), source.complete(*second)]
     replay = LlmClient(ReplayBackend(records))
-    assert replay.complete(first).response == '{"a": 1}'
-    assert replay.complete(second).response == "yes"
+    assert replay.complete(*first).response == '{"a": 1}'
+    assert replay.complete(*second).response == "yes"
 
 
 def test_replay_backend_detects_divergence():
     source = LlmClient(ScriptedBackend(["yes"]))
-    record = source.complete(plan_prompt("q1"))
+    record = source.complete(*plan_call("q1"))
     replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
-        replay.complete(verify_prompt("global", query="q1"))
+        replay.complete(*verify_call("global", query="q1"))
 
 
 def test_replay_backend_detects_binding_drift():
     source = LlmClient(ScriptedBackend(["yes"]))
-    record = source.complete(plan_prompt("q1"))
+    record = source.complete(*plan_call("q1"))
     replay = LlmClient(ReplayBackend([record]))
     with pytest.raises(ReplayMismatchError):
-        replay.complete(plan_prompt("different question"))
+        replay.complete(*plan_call("different question"))
 
 
 def test_replay_backend_exhaustion():
     replay = LlmClient(ReplayBackend([]))
     with pytest.raises(ReplayMismatchError):
-        replay.complete(plan_prompt())
+        replay.complete(*plan_call())
 
 
 # --- mock script files ------------------------------------------------------------

@@ -434,7 +434,7 @@ def test_mock_run_answers_an_entity_with_a_comma():
 
 def test_bieber_end_to_end():
     g, idx, emb, client = mock_runner()
-    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client)
+    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client)
     assert answers.answers == ("Erin_Wagner",)
     assert answers.top_answer == "Erin_Wagner"
     assert len(answers.supporting_paths) == 1
@@ -452,7 +452,7 @@ def test_bieber_end_to_end():
 
 def test_iran_end_to_end():
     g, idx, emb, client = mock_runner()
-    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
+    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client)
     assert set(answers.answers) == {"Islamic_republic", "Theocracy", "Unitary_state"}
     assert {p.depth for p in answers.supporting_paths} == {2}
     assert len(answers.supporting_paths) == 3
@@ -461,7 +461,7 @@ def test_iran_end_to_end():
 
 def test_emitted_paths_are_structurally_valid():
     g, idx, emb, client = mock_runner()
-    answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
+    answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client)
     for path in answers.supporting_paths + answers.indirect_paths:
         assert validate_path(g, path).all_valid
 
@@ -492,7 +492,9 @@ def test_every_pooled_and_selected_path_validates(data):
     )
     retrieval = RetrievalConfig(mode=data.draw(st.sampled_from(RETRIEVER_MODES)), m=3)
     topic = data.draw(st.sampled_from(sorted({head for head, _, _ in g.edges()})))
-    _, trace = run_dvbs("q", [topic], g, idx, emb, LlmClient(backend), search, retrieval)
+    _, trace = run_dvbs(
+        "q", [topic], ScoreContext(g, idx, emb), LlmClient(backend), search, retrieval
+    )
     arrows = []
     for event in trace.events:
         if event["event"] == "depth":
@@ -522,7 +524,9 @@ def test_frontier_without_neighbors_yields_empty_answer(use_verifier):
     )
     client = LlmClient(backend)
     config = SearchConfig(use_deductive_verifier=use_verifier)
-    answers, trace = run_dvbs("dead end?", ["US"], g, idx, emb, client, search_config=config)
+    answers, trace = run_dvbs(
+        "dead end?", ["US"], ScoreContext(g, idx, emb), client, search_config=config
+    )
     assert answers.answers == ()  # the topic entity alone is no answer
     assert answers.reason == REASON_NO_DEDUCIBLE_PATH
     depth_one = [e for e in trace.events if e["event"] == "depth" and e["depth"] == 1][0]
@@ -534,7 +538,7 @@ def test_frontier_without_neighbors_yields_empty_answer(use_verifier):
 def test_missing_topic_entity_recorded_but_run_continues():
     g, idx, emb, client = mock_runner()
     answers, trace = run_dvbs(
-        BIEBER_Q, ["Atlantis", "Justin_Bieber"], g, idx, emb, client
+        BIEBER_Q, ["Atlantis", "Justin_Bieber"], ScoreContext(g, idx, emb), client
     )
     assert answers.answers == ("Erin_Wagner",)
     misses = [e for e in trace.events if e["event"] == "topic-entity-miss"]
@@ -545,7 +549,7 @@ def test_repeated_topic_entity_is_searched_once():
     outcomes = []
     for topics in (["Justin_Bieber"], ["Justin_Bieber", "Justin_Bieber"]):
         g, idx, emb, client = mock_runner("bieber.tsv")
-        answers, trace = run_dvbs(BIEBER_Q, topics, g, idx, emb, client)
+        answers, trace = run_dvbs(BIEBER_Q, topics, ScoreContext(g, idx, emb), client)
         assert trace.events[0]["topic_entities"] == topics
         outcomes.append((answers.answers, answers.supporting_paths, client.ledger.llm_calls))
     assert outcomes[1] == outcomes[0]
@@ -555,7 +559,7 @@ def test_repeated_topic_entity_is_searched_once():
 def test_all_topic_entities_missing_is_typed_error():
     g, idx, emb, client = mock_runner()
     with pytest.raises(TopicEntityError):
-        run_dvbs(BIEBER_Q, ["Atlantis", "Lemuria"], g, idx, emb, client)
+        run_dvbs(BIEBER_Q, ["Atlantis", "Lemuria"], ScoreContext(g, idx, emb), client)
 
 
 def test_backend_failure_yields_marked_trace():
@@ -570,7 +574,7 @@ def test_backend_failure_yields_marked_trace():
         }
     )
     client = LlmClient(ScriptedBackend([plan_json]))  # dies on the first verify
-    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client)
+    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client)
     assert answers.answers == ()
     assert answers.reason == REASON_BACKEND_FAILURE
     kinds = [e["event"] for e in trace.events]
@@ -581,16 +585,18 @@ def test_backend_failure_yields_marked_trace():
 def test_two_runs_trace_byte_identical():
     g, idx, emb, client_a = mock_runner()
     _, _, _, client_b = mock_runner()
-    _, trace_a = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client_a)
-    _, trace_b = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client_b)
+    _, trace_a = run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client_a)
+    _, trace_b = run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client_b)
     assert trace_a.to_jsonl() == trace_b.to_jsonl()
 
 
 def test_replay_reproduces_answers_and_trace():
     g, idx, emb, client = mock_runner()
-    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
+    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client)
     replay_client = LlmClient(ReplayBackend(trace.call_records()))
-    replayed, replay_trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, replay_client)
+    replayed, replay_trace = run_dvbs(
+        IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), replay_client
+    )
     assert replayed.answers == answers.answers
     assert replay_trace.to_jsonl() == trace.to_jsonl()
 
@@ -614,7 +620,7 @@ def test_never_yes_verifier_reaches_exact_depth():
     client = LlmClient(backend)
     config = SearchConfig(max_depth=2)
     answers, trace = run_dvbs(
-        IRAN_Q, ["Iranian_rial"], g, idx, emb, client, search_config=config
+        IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client, search_config=config
     )
     assert answers.answers == ()
     verdicts = [e for e in trace.events if e["event"] == "verdict"]
@@ -644,7 +650,8 @@ def test_two_scripted_yes_halve_the_live_beam():
     )
     client = LlmClient(backend)
     answers, trace = run_dvbs(
-        "which ones?", ["S"], g, idx, emb, client, search_config=SearchConfig(max_depth=2)
+        "which ones?", ["S"], ScoreContext(g, idx, emb), client,
+        search_config=SearchConfig(max_depth=2),
     )
     assert set(answers.answers) == {"A1", "A3"}
     depth_one_verdicts = [
@@ -672,7 +679,7 @@ def test_width_truncation_prunes_are_traced():
     )
     client = LlmClient(backend)
     answers, trace = run_dvbs(
-        "fan?", ["S"], g, idx, emb, client, search_config=SearchConfig(max_depth=2)
+        "fan?", ["S"], ScoreContext(g, idx, emb), client, search_config=SearchConfig(max_depth=2)
     )
     prunes = [e for e in trace.prune_events() if e["reason"] == PRUNE_WIDTH_TRUNCATION]
     assert len(prunes) == 2
@@ -701,7 +708,7 @@ def test_beam_nesting_under_deterministic_selection():
         )
         client = LlmClient(backend)
         _, trace = run_dvbs(
-            "fan?", ["S"], g, idx, emb, client,
+            "fan?", ["S"], ScoreContext(g, idx, emb), client,
             search_config=SearchConfig(beam_width=width, max_depth=1),
         )
         selection = [e for e in trace.events if e["event"] == "selection"][0]
@@ -715,7 +722,9 @@ def test_verifier_ablation_answers_from_live_paths(max_depth):
     # At depth 4 both live paths dead-end at depth 3 and still answer.
     g, idx, emb, client = mock_runner()
     config = SearchConfig(max_depth=max_depth, use_deductive_verifier=False)
-    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client, search_config=config)
+    answers, trace = run_dvbs(
+        BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client, search_config=config
+    )
     assert set(answers.answers) == {"Erin_Wagner", "US"}
     assert not [e for e in trace.events if e["event"] == "verdict"]
     assert client.ledger.llm_calls == 2  # plan and final answer only
@@ -724,7 +733,9 @@ def test_verifier_ablation_answers_from_live_paths(max_depth):
 def test_single_hypothesis_mode_narrows_beam():
     g, idx, emb, client = mock_runner()
     config = SearchConfig(max_depth=2, use_beam_search=False)
-    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client, search_config=config)
+    answers, trace = run_dvbs(
+        BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client, search_config=config
+    )
     for event in trace.events:
         if event["event"] == "selection":
             assert len(event["selected"]) <= 1
@@ -747,7 +758,9 @@ def test_premature_adequacy_stops_shallow_with_wrong_answer():
     )
     client = LlmClient(backend)
     config = SearchConfig(adequacy_mode=True)
-    answers, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g2, idx, emb, client, search_config=config)
+    answers, trace = run_dvbs(
+        BIEBER_Q, ["Justin_Bieber"], ScoreContext(g2, idx, emb), client, search_config=config
+    )
     final = [e for e in trace.events if e["event"] == "final"][0]
     assert final["halted_depths"] == [1]
     assert answers.answers == ("Jeremy_Bieber",)  # stopped before the real answer
@@ -755,7 +768,7 @@ def test_premature_adequacy_stops_shallow_with_wrong_answer():
 
 def test_early_halt_uses_fewer_calls_than_full_depth():
     g, idx, emb, client = mock_runner()
-    run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client)
+    run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client)
     halted_calls = client.ledger.llm_calls
 
     g2 = load_fixture("combined.tsv")
@@ -766,7 +779,7 @@ def test_early_halt_uses_fewer_calls_than_full_depth():
         g2, answer_key=answer_key, plan_script=plan_script, global_rule=lambda b: False
     )
     never_client = LlmClient(backend)
-    run_dvbs(BIEBER_Q, ["Justin_Bieber"], g2, idx2, HashingEmbedder(), never_client)
+    run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g2, idx2, HashingEmbedder()), never_client)
     assert halted_calls < call_budget(SearchConfig())
     assert halted_calls <= never_client.ledger.llm_calls + 1  # early halt never costs more
 
@@ -778,7 +791,7 @@ def slow_iran_run(concurrency_limit, fail=None):
     g, idx, emb, client = mock_runner()
     backend = SlowBackend(client.backend, concurrency_limit, fail=fail)
     slow_client = LlmClient(backend)
-    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, slow_client)
+    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), slow_client)
     return answers, trace, backend, slow_client
 
 
@@ -798,7 +811,9 @@ def test_concurrent_trace_replays():
     answers, trace, _, _ = slow_iran_run(4)
     g, idx, emb, _ = mock_runner()
     replay_client = LlmClient(ReplayBackend(trace.call_records()))
-    replayed, replay_trace = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, replay_client)
+    replayed, replay_trace = run_dvbs(
+        IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), replay_client
+    )
     assert replayed == answers
     assert replay_trace.to_jsonl() == trace.to_jsonl()
 
@@ -844,7 +859,8 @@ def test_failed_batch_row_books_every_call_the_trace_books_the_serial_prefix(
     result, trace = evaluate_question(
         record, g, idx, emb, backend, SearchConfig(), RetrievalConfig()
     )
-    assert result.failure == REASON_BACKEND_FAILURE
+    assert result.failed
+    assert result.failure == "LlmError: injected failure for Theocracy"
     assert (result.llm_calls, result.prompt_tokens) == row_usage
     calls = trace.call_records()
     assert (len(calls), sum(c.prompt_tokens for c in calls)) == (2, 536)
@@ -895,27 +911,14 @@ def test_run_leaves_no_pool_thread_behind(failing_terminal, pools_started):
 def test_context_of_another_question_is_refused():
     g, idx, emb, client = mock_runner()
     context = ScoreContext(g, idx, emb)
-    run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client, context=context)
+    run_dvbs(BIEBER_Q, ["Justin_Bieber"], context, client)
     with pytest.raises(ValueError):
-        run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client, context=context)
-
-
-def test_context_of_another_graph_index_or_embedder_is_refused():
-    g, idx, emb, client = mock_runner()
-    context = ScoreContext(g, idx, emb)
-    misuses = [
-        (load_fixture("combined.tsv"), idx, emb),
-        (g, build_index(g, emb), emb),
-        (g, idx, HashingEmbedder()),
-    ]
-    for other_g, other_idx, other_emb in misuses:
-        with pytest.raises(ValueError, match="another graph, index or embedder"):
-            run_dvbs(BIEBER_Q, ["Justin_Bieber"], other_g, other_idx, other_emb, client, context=context)
+        run_dvbs(IRAN_Q, ["Iranian_rial"], context, client)
 
 
 def test_plain_mock_run_never_starts_a_pool(pools_started):
     g, idx, emb, client = mock_runner()
-    answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], g, idx, emb, client)
+    answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client)
     assert len(answers.answers) == 3
     assert pools_started == []
 
@@ -925,7 +928,7 @@ def test_plain_mock_run_never_starts_a_pool(pools_started):
 
 def test_trace_round_trip():
     g, idx, emb, client = mock_runner()
-    _, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], g, idx, emb, client)
+    _, trace = run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client)
     text = trace.to_jsonl()
     loaded = SearchTrace.from_jsonl(io.StringIO(text))
     assert loaded.question == BIEBER_Q
