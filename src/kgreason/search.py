@@ -3,8 +3,9 @@
 The engine builds reasoning paths step by step: a plan turns the question
 into keywords and a cloze statement, retrieval proposes true-edge extensions
 of each live hypothesis, the model picks the beam, and a deductive check
-decides whether a path now answers the question (halt) or should keep
-growing. Halted paths feed one final answer-generation call.
+decides whether a path now answers the question. The search stops after
+the first depth at which any path verifies, and the paths that verified
+there feed one final answer-generation call.
 
 Every candidate step is read from its frontier's own adjacency row, so
 pooled and emitted paths are valid by construction and the search does not
@@ -13,7 +14,9 @@ Validity is checked where it is measured: ``evaluate_question`` validates
 each emitted path for the report's ``validity_ratio``.
 
 Call count per question is bounded by width*depth verification calls, one
-selection call per non-final depth, one plan call and one answer call.
+selection call per non-final depth, one plan call and one answer call; a
+question that is deducible at depth d stops there, at most d*(width+1) + 2
+calls.
 
 The verifications of one depth depend only on the question, the plan and
 their own path, so once the run's model calls are seen to wait they overlap,
@@ -103,8 +106,11 @@ def run_config(search: SearchConfig, retrieval: RetrievalConfig) -> dict:
 
 
 def call_budget(config: SearchConfig) -> int:
-    """Worst-case model calls for one question: one verification per
-    retained path per depth, one selection per depth, one plan call."""
+    """Worst-case model calls for one question, when no path verifies
+    before the last depth: one verification per retained path per depth,
+    one selection per depth, one plan call. The search stops after the first
+    depth at which a path verifies, so a question deducible at depth d makes
+    at most d*(width+1) + 2 calls, the answer call included."""
     n = config.effective_width
     d = config.max_depth
     return n * d + d + 1
@@ -376,15 +382,15 @@ def run_dvbs(
     first-occurrence order. Each depth pools candidate extensions of all
     live paths, keeps the beam via model selection (skipped when the pool
     already fits, and replaced by score order at the last depth), then
-    verifies each kept extension once:
-    a passing path halts and is frozen for answering, a failing one stays
-    live. With the verifier off, the paths still live when the search stops
-    (at ``max_depth`` or at an empty pool) answer instead. Backend failures
-    are recorded in the trace and yield an empty answer set rather than a
-    crash. ``context`` is the question's own, unbound retrieval handle: the
-    search reads the graph from it, binds the plan's keywords as its query
-    (a context already bound is a ``ValueError``) and scores every frontier
-    with it.
+    verifies each kept extension once. The search stops after the first
+    depth at which any path passes, and the paths that passed there answer;
+    otherwise it stops at ``max_depth`` or at an empty pool with no answer.
+    With the verifier off nothing halts, and the paths still live when the
+    search stops answer instead. Backend failures are recorded in the trace
+    and yield an empty answer set rather than a crash. ``context`` is the
+    question's own, unbound retrieval handle: the search reads the graph
+    from it, binds the plan's keywords as its query (a context already bound
+    is a ``ValueError``) and scores every frontier with it.
     """
     trace = SearchTrace(question=question)
     trace.add(
@@ -432,7 +438,7 @@ def run_dvbs(
             return verify_global(calls, question, plan, path)
 
         for depth in range(1, config.max_depth + 1):
-            if not live:
+            if not live or halted:
                 break
             if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
                 context.rank([path.terminal_entity for *_, path in live], retrieval.m, retrieval.alpha)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -630,16 +631,18 @@ def test_never_yes_verifier_reaches_exact_depth():
     assert all(len(ReasoningPath.from_arrow(v["path"]).steps) == 2 for v in deepest)
 
 
-def test_two_scripted_yes_halve_the_live_beam():
-    g = KnowledgeGraph.from_triples(
-        [Triple("S", "r", f"A{i}") for i in range(1, 5)]
-        + [Triple(f"A{i}", "r2", f"B{i}") for i in range(1, 5)]
-    )
-    emb = HashingEmbedder()
-    idx = build_index(g, emb)
-    backend = MockBackend(
+def fan_of_chains(length):
+    """S -> r -> A_i, then a chain of ``length - 1`` more hops from each A_i."""
+    edges = [("S", "r", f"A{i}") for i in range(1, 5)]
+    for hop, (src, dst) in enumerate(zip("ABC"[: length - 1], "BCD"), start=2):
+        edges += [(f"{src}{i}", f"r{hop}", f"{dst}{i}") for i in range(1, 5)]
+    return KnowledgeGraph(edges)
+
+
+def which_ones_backend(g, answers, **rules):
+    return MockBackend(
         g,
-        answer_key={"which ones?": ["A1", "A3"]},
+        answer_key={"which ones?": answers},
         plan_script={
             "which ones?": {
                 "keywords": ["which"],
@@ -647,19 +650,123 @@ def test_two_scripted_yes_halve_the_live_beam():
                 "declarative_statement": "The answer is *placeholder*.",
             }
         },
+        **rules,
     )
-    client = LlmClient(backend)
+
+
+def test_two_scripted_yes_at_depth_one_end_the_search():
+    g = fan_of_chains(2)
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    client = LlmClient(which_ones_backend(g, ["A1", "A3"]))
     answers, trace = run_dvbs(
         "which ones?", ["S"], ScoreContext(g, idx, emb), client,
         search_config=SearchConfig(max_depth=2),
     )
     assert set(answers.answers) == {"A1", "A3"}
-    depth_one_verdicts = [
-        e for e in trace.events if e["event"] == "verdict" and e["depth"] == 1
+    verdicts = [e for e in trace.events if e["event"] == "verdict"]
+    assert [v["depth"] for v in verdicts] == [1, 1, 1, 1]
+    assert sum(v["halted"] for v in verdicts) == 2
+    assert not [e for e in trace.events if e["event"] == "depth" and e["depth"] == 2]
+    last_verdict = max(i for i, e in enumerate(trace.events) if e["event"] == "verdict")
+    after = trace.events[last_verdict + 1 :]
+    assert [(e["event"], e.get("key")) for e in after] == [
+        ("llm_call", "final_reason"),
+        ("final", None),
     ]
-    assert sum(v["halted"] for v in depth_one_verdicts) == 2
-    depth_two = [e for e in trace.events if e["event"] == "depth" and e["depth"] == 2][0]
-    assert len(depth_two["live"]) == 2
+
+
+def test_verifier_off_runs_to_max_depth():
+    g = fan_of_chains(3)
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    client = LlmClient(which_ones_backend(g, ["A1"], global_rule=lambda b: True))
+    answers, trace = run_dvbs(
+        "which ones?", ["S"], ScoreContext(g, idx, emb), client,
+        search_config=SearchConfig(max_depth=3, use_deductive_verifier=False),
+    )
+    assert [e["depth"] for e in trace.events if e["event"] == "depth"] == [1, 2, 3]
+    assert set(answers.answers) == {"C1", "C2", "C3", "C4"}
+
+
+def test_first_adequacy_yes_ends_the_search():
+    g = fan_of_chains(3)
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    client = LlmClient(
+        which_ones_backend(g, ["C2"], adequacy_rule=lambda b: b["terminal_entity"] == "A2")
+    )
+    answers, trace = run_dvbs(
+        "which ones?", ["S"], ScoreContext(g, idx, emb), client,
+        search_config=SearchConfig(max_depth=3, adequacy_mode=True),
+    )
+    assert answers.answers == ("A2",)
+    assert [e["depth"] for e in trace.events if e["event"] == "depth"] == [1]
+    verdicts = [e for e in trace.events if e["event"] == "verdict"]
+    assert [v["mode"] for v in verdicts] == ["adequacy"] * 4
+    assert [v["halted"] for v in verdicts].count(True) == 1
+
+
+def flipped_verdicts(answers, seed, fraction):
+    """A verifier rule that agrees with the oracle (the terminal entity is
+    one of ``answers``) except on about ``fraction`` of the paths, picked by a
+    seeded blake2b hash of the question and the path."""
+    gold = {normalize(a) for a in answers}
+
+    def rule(bindings):
+        path = bindings.get("parsed_reasoning_path", bindings.get("reasoning_path"))
+        key = f"{seed}\n{bindings['query']}\n{path}".encode()
+        draw = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
+        return (normalize(bindings["terminal_entity"]) in gold) != (draw < fraction * 2**64)
+
+    return rule
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_call_after_the_halting_depth(data):
+    """Under a verifier that errs on a seeded share of paths, the search
+    stops at the first depth with a passing verdict: after that depth's
+    verdicts only the answer call is made, the calls stay within
+    1 + d*(width+1) + 1, and the trace replays byte for byte."""
+    # A few names, so the graphs have cycles and paths deeper than one hop.
+    names = st.sampled_from(data.draw(st.lists(pool_label, min_size=2, max_size=6)))
+    raw = data.draw(st.lists(st.tuples(names, names, names), min_size=1, max_size=12))
+    g = load_triples("\t".join(fields) + "\n" for fields in raw)
+    emb = HashingEmbedder(dimension=8)
+    idx = build_index(g, emb)
+    gold = data.draw(st.lists(st.sampled_from(sorted(g.entities)), max_size=3))
+    fraction = data.draw(st.sampled_from([0.0, 0.05, 0.2, 0.5]))
+    rule = flipped_verdicts(gold, data.draw(st.integers(min_value=0, max_value=2**16)), fraction)
+    plan = {"keywords": ["k"], "planning_steps": [], "declarative_statement": "It is *placeholder*."}
+    backend = MockBackend(
+        g, answer_key={"q": gold}, plan_script={"q": plan}, global_rule=rule, adequacy_rule=rule
+    )
+    search = SearchConfig(
+        beam_width=data.draw(st.integers(min_value=1, max_value=3)),
+        max_depth=data.draw(st.integers(min_value=1, max_value=4)),
+        adequacy_mode=data.draw(st.booleans()),
+    )
+    retrieval = RetrievalConfig(m=3)
+    topic = data.draw(st.sampled_from(sorted({head for head, _, _ in g.edges()})))
+    client = LlmClient(backend)
+    _, trace = run_dvbs("q", [topic], ScoreContext(g, idx, emb), client, search, retrieval)
+
+    events = trace.events
+    verdicts = [(i, e) for i, e in enumerate(events) if e["event"] == "verdict"]
+    halting = [e["depth"] for _, e in verdicts if e["halted"]]
+    if halting:
+        d = halting[0]
+        last = max(i for i, e in verdicts if e["depth"] == d)
+        assert [e["key"] for e in events[last + 1 :] if e["event"] == "llm_call"] == ["final_reason"]
+        assert all(e.get("depth", d) <= d for e in events)
+        assert client.ledger.llm_calls <= 1 + d * (search.effective_width + 1) + 1
+    else:
+        assert client.ledger.llm_calls <= call_budget(search)
+
+    replay = LlmClient(ReplayBackend(trace.call_records()))
+    _, replayed = run_dvbs("q", [topic], ScoreContext(g, idx, emb), replay, search, retrieval)
+    assert replayed.to_jsonl() == trace.to_jsonl()
 
 
 def test_width_truncation_prunes_are_traced():
