@@ -428,9 +428,9 @@ def run_dvbs(
         )
         context.bind_query(" ".join(plan.keywords))
 
-        # Live and halted paths are (selection rank, arrow, path).
-        live = [(i, e, ReasoningPath(start=e)) for i, e in enumerate(present)]
-        halted: list[tuple[int, str, ReasoningPath]] = []
+        # Live and halted paths are (arrow, path), in selection-rank order.
+        live = [(e, ReasoningPath(start=e)) for e in present]
+        halted: list[tuple[str, ReasoningPath]] = []
 
         def verify(calls: Completer, path: ReasoningPath) -> bool:
             if config.adequacy_mode:
@@ -441,10 +441,10 @@ def run_dvbs(
             if not live or halted:
                 break
             if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
-                context.rank([path.terminal_entity for *_, path in live], retrieval.m, retrieval.alpha)
+                context.rank([path.terminal_entity for _, path in live], retrieval.m, retrieval.alpha)
             # A pool entry is (total score, parent arrow, step, path, arrow).
             pool = []
-            for _, parent, path in live:
+            for parent, path in live:
                 ranked = candidate_steps(context, path.terminal_entity, retrieval)
                 if not ranked:
                     trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
@@ -456,7 +456,7 @@ def run_dvbs(
             trace.add(
                 "depth",
                 depth=depth,
-                live=[arrow for _, arrow, _ in live],
+                live=[arrow for arrow, _ in live],
                 pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
             )
             if not pool:
@@ -474,16 +474,16 @@ def run_dvbs(
                 if arrow not in kept:
                     trace.add("prune", depth=depth, path=arrow, reason=PRUNE_WIDTH_TRUNCATION)
             trace.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
-            live = [(rank, arrow, path) for rank, (*_, path, arrow) in enumerate(chosen)]
+            live = [(arrow, path) for *_, path, arrow in chosen]
             if not config.use_deductive_verifier:
                 continue
 
             # Verify the chosen extensions as one batch (concurrently when
             # calls wait) and fold the outcomes back in selection-rank order,
             # so the trace reads as if run one by one.
-            outcomes = recorder.run_steps(verify, [path for *_, path in live])
+            outcomes = recorder.run_steps(verify, [path for _, path in live])
             verified, live = live, []
-            for (rank, arrow, path), (calls, deduced, error) in zip(verified, outcomes):
+            for (arrow, path), (calls, deduced, error) in zip(verified, outcomes):
                 trace.add_calls(calls.records)
                 if error is not None:
                     raise error
@@ -494,13 +494,13 @@ def run_dvbs(
                     halted=deduced,
                     mode="adequacy" if config.adequacy_mode else "deductive",
                 )
-                (halted if deduced else live).append((rank, arrow, path))
+                (halted if deduced else live).append((arrow, path))
 
         # Without the verifier the last live paths answer, also those whose
-        # frontier had no onward edge, but a topic entity alone answers nothing.
-        answered = halted if config.use_deductive_verifier else [h for h in live if h[2].steps]
-        answered = sorted(answered, key=lambda h: h[:2])
-        answer_paths = [path for *_, path in answered]
+        # frontier had no onward edge, but a topic entity alone answers
+        # nothing (and never halts, since an empty path is not verified).
+        answered = halted if config.use_deductive_verifier else live
+        answer_paths = [path for _, path in answered if path.steps]
         with _step(recorder, trace) as calls:
             answers = final_reason(calls, question, answer_paths, config)
         trace.add(
