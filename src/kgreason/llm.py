@@ -253,23 +253,26 @@ class CallRecorder:
         with self._lock:
             self.fastest_call_s = min(self.fastest_call_s, seconds)
 
+    def calls_wait(self) -> bool:
+        """Whether the run has made a call and its fastest call so far took
+        longer than FAN_OUT_MIN_CALL_S."""
+        return FAN_OUT_MIN_CALL_S < self.fastest_call_s < math.inf
+
     def run_steps(
         self, fn: Callable[[StepCalls, Any], Any], items: Sequence
     ) -> list[tuple[StepCalls, Any, Exception | None]]:
         """Call ``fn(step, item)`` for each item, each with a step of its
         own, and return ``(step, result, error)`` per item in item order.
 
-        Items run one after another, stopping at the first error, unless the
-        run has made a call and its fastest call so far took longer than
-        FAN_OUT_MIN_CALL_S. Then they run concurrently, as many at once as
-        the backend's ``concurrency_limit`` allows, and every item runs to
-        completion before the outcomes come back; the pool starts threads
-        only as a batch needs them.
+        Items run one after another, stopping at the first error, unless
+        the run's calls are seen to wait (:meth:`calls_wait`). Then they run
+        concurrently, as many at once as the backend's ``concurrency_limit``
+        allows, and every item runs to completion before the outcomes come
+        back; the pool starts threads only as a batch needs them.
         """
         steps = [StepCalls(self) for _ in items]
         limit = self.client.backend.concurrency_limit
-        calls_wait = FAN_OUT_MIN_CALL_S < self.fastest_call_s < math.inf
-        if min(len(items), limit) < 2 or not calls_wait:
+        if min(len(items), limit) < 2 or not self.calls_wait():
             outcomes = []
             for step, item in zip(steps, items):
                 try:

@@ -16,12 +16,18 @@ each emitted path for the report's ``validity_ratio``.
 Call count per question is bounded by width*depth verification calls, one
 selection call per non-final depth, one plan call and one answer call; a
 question that is deducible at depth d stops there, at most d*(width+1) + 2
-calls.
+calls in its trace.
 
 The verifications of one depth depend only on the question, the plan and
 their own path, so once the run's model calls are seen to wait they overlap,
 up to the backend's ``concurrency_limit``. Wall time then grows with about
-2*depth + 1 call latencies instead of width*depth + depth + 1. Each call is
+2*depth + 1 call latencies instead of width*depth + depth + 1. A depth whose
+beam score order fixes (the final depth, or a pool no wider than the beam)
+needs no selection call, so its verifications wait only on whether the depth
+before halts: once calls wait, they go in that depth's batch, after its own,
+when both fit the ``concurrency_limit``, which saves one call latency. When
+the depth before halts they are dropped, so a question that halts at depth d
+may have made up to width more calls than its trace shows. Each call is
 booked by the step that made it, and the trace lists calls and verdicts in
 selection-rank order, so it is byte-identical to a serial run's.
 """
@@ -110,7 +116,10 @@ def call_budget(config: SearchConfig) -> int:
     before the last depth: one verification per retained path per depth,
     one selection per depth, one plan call. The search stops after the first
     depth at which a path verifies, so a question deducible at depth d makes
-    at most d*(width+1) + 2 calls, the answer call included."""
+    at most d*(width+1) + 2 calls, the answer call included, plus up to width
+    verifications of depth d+1 that were sent with depth d's and dropped;
+    since depth d+1 then needs no selection call, the total stays within
+    this budget."""
     n = config.effective_width
     d = config.max_depth
     return n * d + d + 1
@@ -238,6 +247,18 @@ def adequacy_verify(client: Completer, question: str, path: ReasoningPath) -> bo
     return _halts(client, ADEQUACY_VERIFY, path, bindings)
 
 
+def fixed_beam(pool_size: int, k: int, final: bool) -> tuple[list[int], str] | None:
+    """The beam that score order alone fixes, as pool indices and a
+    selection mode, or None when picking it takes a model call: the top k
+    at the final depth, whose paths are verified but never extended, and
+    the whole pool when it is no wider than the beam."""
+    if final:
+        return list(range(min(k, pool_size))), SELECT_FINAL_DEPTH
+    if pool_size <= k:
+        return list(range(pool_size)), SELECT_SATURATED
+    return None
+
+
 def select_steps(
     client: Completer,
     question: str,
@@ -255,9 +276,10 @@ def select_steps(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    top = list(range(min(k, len(arrows))))
-    if len(arrows) <= k:
-        return top, SELECT_SATURATED
+    fixed = fixed_beam(len(arrows), k, final=False)
+    if fixed is not None:
+        return fixed
+    top = list(range(k))
     bindings = {
         "plan_context": plan.plan_context,
         "query": question,
@@ -382,9 +404,12 @@ def run_dvbs(
     first-occurrence order. Each depth pools candidate extensions of all
     live paths, keeps the beam via model selection (skipped when the pool
     already fits, and replaced by score order at the last depth), then
-    verifies each kept extension once. The search stops after the first
-    depth at which any path passes, and the paths that passed there answer;
-    otherwise it stops at ``max_depth`` or at an empty pool with no answer.
+    verifies each kept extension once. Once the run's calls wait, a beam
+    that score order fixes is verified in the same batch as the depth
+    before, and dropped unused if that depth halts; the trace is the same
+    as a serial run's. The search stops after the first depth at which any
+    path passes, and the paths that passed there answer; otherwise it stops
+    at ``max_depth`` or at an empty pool with no answer.
     With the verifier off nothing halts, and the paths still live when the
     search stops answer instead. Backend failures are recorded in the trace
     and yield an empty answer set rather than a crash. ``context`` is the
@@ -437,9 +462,9 @@ def run_dvbs(
                 return adequacy_verify(calls, question, path)
             return verify_global(calls, question, plan, path)
 
-        for depth in range(1, config.max_depth + 1):
-            if not live or halted:
-                break
+        def expand(depth: int, live: list, events: SearchTrace) -> tuple[list, list | None]:
+            """Pool the depth's extensions of ``live`` and, when score order
+            fixes the beam, keep it; the depth's events go to ``events``."""
             if retrieval.mode == MODE_PATH_RAG:  # score the depth's frontiers at once
                 context.rank([path.terminal_entity for _, path in live], retrieval.m, retrieval.alpha)
             # A pool entry is (total score, parent arrow, step, path, arrow).
@@ -447,41 +472,70 @@ def run_dvbs(
             for parent, path in live:
                 ranked = candidate_steps(context, path.terminal_entity, retrieval)
                 if not ranked:
-                    trace.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
+                    events.add("prune", depth=depth, path=parent, reason=PRUNE_NO_CANDIDATES)
                 for cand in ranked:
                     step = cand.step
                     arrow = f"{parent} -> {step.relation} -> {step.entity}"
                     pool.append((cand.total_score, parent, step, path.extend(step), arrow))
             pool.sort(key=lambda e: (-e[0], e[1], e[2].relation, e[2].entity))
-            trace.add(
+            events.add(
                 "depth",
                 depth=depth,
                 live=[arrow for arrow, _ in live],
                 pool=[{"path": arrow, "score": round(score, 12)} for score, *_, arrow in pool],
             )
-            if not pool:
-                break
+            fixed = fixed_beam(len(pool), k, depth == config.max_depth)
+            return pool, keep(depth, pool, fixed, events) if pool and fixed else None
 
-            if depth == config.max_depth:
-                indices, mode = list(range(min(k, len(pool)))), SELECT_FINAL_DEPTH
-            else:
-                arrows = [arrow for *_, arrow in pool]
-                with _step(recorder, trace) as calls:
-                    indices, mode = select_steps(calls, question, plan, arrows, k)
+        def keep(depth: int, pool: list, selection: tuple[list[int], str], events: SearchTrace) -> list:
+            """The selected pool entries as the beam; the depth's prune and
+            selection events go to ``events``."""
+            indices, mode = selection
             chosen = [pool[i] for i in indices]
             kept = {arrow for *_, arrow in chosen}
             for *_, arrow in pool:
                 if arrow not in kept:
-                    trace.add("prune", depth=depth, path=arrow, reason=PRUNE_WIDTH_TRUNCATION)
-            trace.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
-            live = [(arrow, path) for *_, path, arrow in chosen]
+                    events.add("prune", depth=depth, path=arrow, reason=PRUNE_WIDTH_TRUNCATION)
+            events.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
+            return [(arrow, path) for *_, path, arrow in chosen]
+
+        # The next depth's (events, pool, beam), pooled during this depth,
+        # and its beam's verification outcomes when they shared this round.
+        ahead = prefetched = None
+        for depth in range(1, config.max_depth + 1):
+            if not live or halted:
+                break
+            if ahead is None:
+                pool, beam = expand(depth, live, trace)
+            else:
+                (events, pool, beam), ahead = ahead, None
+                trace.events += events.events
+            outcomes, prefetched = prefetched, None
+            if not pool:
+                break
+            if beam is None:
+                with _step(recorder, trace) as calls:
+                    selection = select_steps(calls, question, plan, [arrow for *_, arrow in pool], k)
+                beam = keep(depth, pool, selection, trace)
+            live = beam
             if not config.use_deductive_verifier:
                 continue
 
-            # Verify the chosen extensions as one batch (concurrently when
-            # calls wait) and fold the outcomes back in selection-rank order,
-            # so the trace reads as if run one by one.
-            outcomes = recorder.run_steps(verify, [path for _, path in live])
+            # Verify the beam as one batch (concurrently when calls wait) and
+            # fold the outcomes back in selection-rank order, so the trace
+            # reads as if run one by one. Once calls wait, the next depth is
+            # pooled first, and a beam that score order fixes rides in this
+            # batch, after this depth's paths, if both fit the backend's limit.
+            if outcomes is None:
+                paths = [path for _, path in live]
+                if depth < config.max_depth and recorder.calls_wait():
+                    events = SearchTrace(question)
+                    next_pool, next_beam = expand(depth + 1, live, events)
+                    ahead = events, next_pool, next_beam
+                    if next_beam and len(paths) + len(next_beam) <= client.backend.concurrency_limit:
+                        paths += [path for _, path in next_beam]
+                outcomes = recorder.run_steps(verify, paths)
+                prefetched = outcomes[len(live) :] or None
             verified, live = live, []
             for (arrow, path), (calls, deduced, error) in zip(verified, outcomes):
                 trace.add_calls(calls.records)

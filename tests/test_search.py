@@ -722,13 +722,10 @@ def flipped_verdicts(answers, seed, fraction):
     return rule
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_no_call_after_the_halting_depth(data):
-    """Under a verifier that errs on a seeded share of paths, the search
-    stops at the first depth with a passing verdict: after that depth's
-    verdicts only the answer call is made, the calls stay within
-    1 + d*(width+1) + 1, and the trace replays byte for byte."""
+def draw_halting_case(data, min_depth=1):
+    """A small generated graph with its index and embedder, a mock whose
+    verifier errs on a seeded share of paths, search and retrieval settings
+    (``max_depth`` at least ``min_depth``), and a topic entity."""
     # A few names, so the graphs have cycles and paths deeper than one hop.
     names = st.sampled_from(data.draw(st.lists(pool_label, min_size=2, max_size=6)))
     raw = data.draw(st.lists(st.tuples(names, names, names), min_size=1, max_size=12))
@@ -744,11 +741,22 @@ def test_no_call_after_the_halting_depth(data):
     )
     search = SearchConfig(
         beam_width=data.draw(st.integers(min_value=1, max_value=3)),
-        max_depth=data.draw(st.integers(min_value=1, max_value=4)),
+        max_depth=data.draw(st.integers(min_value=min_depth, max_value=4)),
         adequacy_mode=data.draw(st.booleans()),
     )
     retrieval = RetrievalConfig(m=3)
     topic = data.draw(st.sampled_from(sorted({head for head, _, _ in g.edges()})))
+    return g, idx, emb, backend, search, retrieval, topic
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_no_call_after_the_halting_depth(data):
+    """Under a verifier that errs on a seeded share of paths, the search
+    stops at the first depth with a passing verdict: after that depth's
+    verdicts only the answer call is made, the calls stay within
+    1 + d*(width+1) + 1, and the trace replays byte for byte."""
+    g, idx, emb, backend, search, retrieval, topic = draw_halting_case(data)
     client = LlmClient(backend)
     _, trace = run_dvbs("q", [topic], ScoreContext(g, idx, emb), client, search, retrieval)
 
@@ -1028,6 +1036,152 @@ def test_plain_mock_run_never_starts_a_pool(pools_started):
     answers, _ = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), client)
     assert len(answers.answers) == 3
     assert pools_started == []
+
+
+# --- the next depth's fixed beam in the current depth's batch ----------------------
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The size of every batch a run hands to ``CallRecorder.run_steps``."""
+    sizes = []
+    real = llm_module.CallRecorder.run_steps
+
+    def recording(self, fn, items):
+        sizes.append(len(items))
+        return real(self, fn, items)
+
+    monkeypatch.setattr(llm_module.CallRecorder, "run_steps", recording)
+    return sizes
+
+
+def fan_of_forks():
+    """S -> r -> A_i, and two edges on from each A_i: a depth-2 pool of 8."""
+    edges = [("S", "r", f"A{i}") for i in range(1, 5)]
+    edges += [(f"A{i}", "r2", f"{tail}{i}") for i in range(1, 5) for tail in "BC"]
+    return KnowledgeGraph(edges)
+
+
+def fan_run(g, answers, concurrency_limit=None, max_depth=2, fail=None):
+    """One "which ones?" run over ``g``, through a SlowBackend when a
+    ``concurrency_limit`` is given: (answers, trace, backend, client)."""
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    backend = which_ones_backend(g, answers)
+    if concurrency_limit is not None:
+        backend = SlowBackend(backend, concurrency_limit, fail=fail)
+    client = LlmClient(backend)
+    answer_set, trace = run_dvbs(
+        "which ones?", ["S"], ScoreContext(g, idx, emb), client,
+        search_config=SearchConfig(max_depth=max_depth),
+    )
+    return answer_set, trace, backend, client
+
+
+def fails_on(terminal):
+    return lambda rendered: rendered.bindings.get("terminal_entity") == terminal
+
+
+def test_fixed_last_beam_is_verified_in_the_round_before(batches):
+    # max_depth 2 fixes the depth-2 beam by score, so it needs no selection.
+    g = fan_of_forks()
+    answers = ["B1", "C1", "B2", "C2", "B3", "C3", "B4", "C4"]
+    serial_answers, serial_trace, serial_backend, serial_client = fan_run(g, answers, 1)
+    assert batches == [4, 4]
+    assert serial_backend.max_in_flight == 1
+    batches.clear()
+    got, trace, backend, client = fan_run(g, answers, 8)
+    assert batches == [8]
+    assert backend.max_in_flight > 4
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert got == serial_answers and len(got.answers) == 4
+    assert client.ledger.snapshot() == serial_client.ledger.snapshot()
+
+
+def test_a_beam_that_needs_a_selection_waits_for_its_round(batches):
+    g = fan_of_forks()
+    _, serial_trace, _, _ = fan_run(g, ["B1"], max_depth=3)
+    assert batches == [4, 4]
+    batches.clear()
+    _, trace, _, _ = fan_run(g, ["B1"], 8, max_depth=3)
+    assert batches == [4, 4]
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+
+
+def test_prefetched_calls_of_a_halting_depth_are_booked_not_traced(batches):
+    g = fan_of_chains(2)
+    serial_answers, serial_trace, _, serial_client = fan_run(g, ["A1", "A3"])
+    assert batches == [4]
+    batches.clear()
+    got, trace, _, client = fan_run(g, ["A1", "A3"], 8)
+    assert batches == [8]
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert got == serial_answers
+    assert set(got.answers) == {"A1", "A3"}
+    assert client.ledger.llm_calls == serial_client.ledger.llm_calls + 4
+    assert serial_client.ledger.prompt_tokens < client.ledger.prompt_tokens
+    assert client.ledger.llm_calls <= call_budget(SearchConfig(max_depth=2))
+
+
+def test_failed_prefetched_call_is_dropped_when_the_depth_before_halts():
+    g = fan_of_chains(2)
+    serial_answers, serial_trace, _, _ = fan_run(g, ["A1", "A3"])
+    got, trace, _, client = fan_run(g, ["A1", "A3"], 8, fail=fails_on("B2"))
+    assert got == serial_answers
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert client.ledger.llm_calls == 6 + 3  # the failed call books nothing
+
+
+def test_failed_prefetched_call_is_raised_at_its_own_depth(batches):
+    g = fan_of_chains(2)
+    serial_answers, serial_trace, _, _ = fan_run(g, ["B3"], 1, fail=fails_on("B2"))
+    assert batches == [4, 4]
+    batches.clear()
+    got, trace, _, _ = fan_run(g, ["B3"], 8, fail=fails_on("B2"))
+    assert batches == [8]
+    assert got == serial_answers
+    assert got.reason == REASON_BACKEND_FAILURE
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert [e["depth"] for e in trace.events if e["event"] == "verdict"][-1] == 2
+
+
+def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_started):
+    g = fan_of_chains(2)
+    _, plain_trace, _, plain_client = fan_run(g, ["A1", "A3"])
+    assert batches == [4]
+    assert pools_started == []
+    batches.clear()
+    _, trace, backend, client = fan_run(g, ["A1", "A3"], 4)
+    assert batches == [4]  # 4 paths now and 4 next would exceed the limit of 4
+    assert backend.max_in_flight == 4
+    assert trace.to_jsonl() == plain_trace.to_jsonl()
+    assert client.ledger.snapshot() == plain_client.ledger.snapshot()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_no_call_after_the_halting_depth_when_calls_wait(data):
+    """With calls that wait, the search makes the serial run's trace; the
+    calls of a question that halts at depth d stay within
+    d*(width+1) + 2 + width (a dropped next beam) and within ``call_budget``,
+    the trace replays byte for byte, and no pool thread outlives the run."""
+    g, idx, emb, backend, search, retrieval, topic = draw_halting_case(data, min_depth=2)
+    _, serial = run_dvbs("q", [topic], ScoreContext(g, idx, emb), LlmClient(backend), search, retrieval)
+    baseline = threading.active_count()
+    slow = SlowBackend(backend, data.draw(st.sampled_from([2, 8])), delay=0.002)
+    client = LlmClient(slow)
+    _, trace = run_dvbs("q", [topic], ScoreContext(g, idx, emb), client, search, retrieval)
+    assert threading.active_count() == baseline
+    assert trace.to_jsonl() == serial.to_jsonl()
+    n = search.effective_width
+    halting = [e["depth"] for e in trace.events if e["event"] == "verdict" and e["halted"]]
+    if halting:
+        assert client.ledger.llm_calls <= halting[0] * (n + 1) + 2 + n
+    assert client.ledger.llm_calls <= call_budget(search)
+
+    replay = LlmClient(ReplayBackend(trace.call_records()))
+    _, replayed = run_dvbs("q", [topic], ScoreContext(g, idx, emb), replay, search, retrieval)
+    assert replayed.to_jsonl() == trace.to_jsonl()
 
 
 # --- trace serialization ----------------------------------------------------------
