@@ -132,12 +132,17 @@ def query_cosines(query: np.ndarray, query_norm: float, rows: np.ndarray, norms:
     """``query_cosine(query, query_norm, row)`` of each of ``rows``, bit for
     bit, given the rows' ``norms`` (:func:`row_norms`): the same operations
     in the same order, on a C-contiguous query and C-contiguous rows (another
-    layout may sum a dot product in another order)."""
+    layout may sum a dot product in another order). A zero query scores 0.0
+    with a warning; a zero row scores 0.0 silently, since the rows' owner
+    knows them ahead of any query (a search's score context reports an
+    index's zero rows once)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         sims = np.vecdot(rows, query) / (query_norm * norms)
-    if query_norm == 0.0 or not norms.all():
-        logger.warning("cosine of a zero-norm vector defined as 0.0")
-        sims[(norms == 0.0) | (query_norm == 0.0)] = 0.0
+    if query_norm == 0.0:
+        logger.warning("cosine of a zero-norm query vector defined as 0.0")
+        sims[:] = 0.0
+    elif not norms.all():
+        sims[norms == 0.0] = 0.0
     return sims.clip(-1.0, 1.0, out=sims)
 
 

@@ -12,6 +12,7 @@ triple-to-text) are included for comparison runs.
 
 from __future__ import annotations
 
+import logging
 import math
 import weakref
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ from .embedding import (
     Embedder, EmbeddingIndex, check_index, norm, query_cosines, query_vector, row_norms, text_cosines, top_m,
 )
 from .kg import KnowledgeGraph, ReasoningPath, ReasoningStep
+
+logger = logging.getLogger(__name__)
 
 MODE_PATH_RAG = "path-rag"
 MODE_VANILLA = "vanilla"
@@ -57,7 +60,8 @@ class RetrievalConfig:
 
 # Each index's row norms, relations' then entities', with the graph its
 # names were last checked against: every question's context of one (graph,
-# index) pair shares them. A pure cache, held only while its index lives.
+# index) pair shares them, and the pair's zero rows are reported once, when
+# they are computed. A cache held only while its index lives.
 _CHECKED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -66,6 +70,12 @@ def _checked_norms(g: KnowledgeGraph, idx: EmbeddingIndex):
     if checked is None or checked[0] is not g:
         check_index(g, idx)
         checked = _CHECKED[idx] = (g, row_norms(idx.relation_matrix), row_norms(idx.entity_matrix))
+        zero_relations, zero_entities = (int((norms == 0.0).sum()) for norms in checked[1:])
+        if zero_relations or zero_entities:
+            logger.warning(
+                "index has %d zero-norm entity rows and %d zero-norm relation rows;"
+                " their cosines are defined as 0.0", zero_entities, zero_relations,
+            )
     return checked[1:]
 
 

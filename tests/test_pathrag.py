@@ -1,3 +1,4 @@
+import logging
 from unittest import mock
 
 import numpy as np
@@ -167,6 +168,30 @@ def test_base_score_maximal_alignment_is_two():
     idx = hand_index(g, {"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
     cand = candidate_for(g, idx, q, "F", ReasoningStep("r", "E"))
     assert cand.base_score == pytest.approx(2.0, abs=1e-12)
+
+
+def test_zero_rows_are_reported_once_per_graph_and_index(caplog):
+    """Zero rows score 0.0 in every ranking, but only their first context
+    of a (graph, index) pair warns, naming how many rows of each kind are
+    zero; a zero query still warns on its own."""
+    g = KnowledgeGraph([("S", "r", "A"), ("S", "r", "Z"), ("A", "q", "Z"), ("Z", "z", "A")])
+    idx = hand_index(g, {"S": [1.0, 0.0], "A": [0.0, 1.0]}, {"r": [1.0, 1.0], "q": [1.0, 0.0]})
+    config = RetrievalConfig(m=5)
+    with caplog.at_level(logging.WARNING, logger="kgreason"):
+        for x in range(1, 30):
+            context = bound(g, idx, np.array([1.0, x / 10]))
+            context.rank(["S", "A", "Z"], config.m, config.alpha)
+            scored = {c.step.entity: c.base_score for c in candidate_steps(context, "S", config)}
+            assert scored["Z"] == pytest.approx(oracle_cosine(np.array([1.0, x / 10]), [1.0, 1.0]))
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == [
+            "index has 1 zero-norm entity rows and 1 zero-norm relation rows;"
+            " their cosines are defined as 0.0"
+        ]
+        bound(g, idx, np.zeros(2))
+        assert [r.getMessage() for r in caplog.records][1:] == [
+            "cosine of a zero-norm query vector defined as 0.0"
+        ]
 
 
 def test_base_score_orthogonal_is_zero():
