@@ -167,20 +167,6 @@ def accuracy(predicted: AnswerSet, gold: Iterable[str]) -> int:
     return 1 if _normalized_set(predicted.answers) & gold_set else 0
 
 
-def validity_ratio(g: KnowledgeGraph, paths: Iterable[ReasoningPath]) -> float | None:
-    """Fraction of steps across all paths that exist in the graph; None when
-    there are no steps to judge."""
-    valid = 0
-    total = 0
-    for path in paths:
-        report = validate_path(g, path)
-        valid += report.valid_step_count
-        total += report.total_step_count
-    if total == 0:
-        return None
-    return valid / total
-
-
 def avg_depth(depths_per_question: Sequence[Sequence[int]]) -> float | None:
     """Per-question mean path depth, macro-averaged over questions that
     produced at least one path."""

@@ -301,12 +301,6 @@ def split_lines(text: str) -> list[str]:
     return [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
-def serialize(g: KnowledgeGraph) -> str:
-    """Inverse of :func:`load_triples` on the triple set; lines are sorted."""
-    lines = sorted(f"{head}\t{relation}\t{tail}" for head, relation, tail in g.edges())
-    return "".join(line + "\n" for line in lines)
-
-
 def neighbors(g: KnowledgeGraph, entity: str) -> set[tuple[str, str]]:
     """All (relation, entity) pairs one hop out from ``entity``.
 

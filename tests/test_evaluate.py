@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgreason.embedding import HashingEmbedder, build_index
-from kgreason.kg import KnowledgeGraph, ReasoningPath, ReasoningStep, load_triples
+from kgreason.kg import KnowledgeGraph, ReasoningPath, ReasoningStep, load_triples, validate_path
 from kgreason.llm import LlmClient, MockBackend, load_mock_script
 from kgreason.evaluate import (
     REPORT_SCHEMA,
     DatasetError,
     QARecord,
+    QuestionResult,
     accuracy,
     avg_depth,
     compute_aggregates,
@@ -22,7 +23,6 @@ from kgreason.evaluate import (
     load_dataset,
     normalize,
     run_experiment,
-    validity_ratio,
 )
 from kgreason.search import AnswerSet, SearchConfig
 from kgreason import pathrag
@@ -212,7 +212,8 @@ def test_validity_ratio_engine_paths():
             ReasoningStep("people.married_to.person", "Erin_Wagner"),
         ),
     )
-    assert validity_ratio(g, [path]) == 1.0
+    report = validate_path(g, path)
+    assert (report.valid_step_count, report.total_step_count) == (2, 2)
 
 
 def test_validity_ratio_corrupted_path():
@@ -225,12 +226,18 @@ def test_validity_ratio_corrupted_path():
             ReasoningStep("fabricated.link", "Nowhere"),
         ),
     )
-    assert validity_ratio(g, [corrupted]) == pytest.approx(0.667, abs=1e-3)
+    report = validate_path(g, corrupted)
+    assert (report.valid_step_count, report.total_step_count) == (2, 3)
+    assert report.valid_step_count / report.total_step_count == pytest.approx(0.667, abs=1e-3)
 
 
 def test_validity_ratio_empty_run():
-    g = load_fixture("bieber.tsv")
-    assert validity_ratio(g, []) is None
+    """A report whose rows emitted no step has no validity ratio."""
+    row = QuestionResult(
+        record_id="q", question="q?", llm_calls=0, prompt_tokens=0, completion_tokens=0,
+        wall_time=0.0, failed=True,
+    )
+    assert compute_aggregates([row])["validity_ratio"] is None
 
 
 def test_avg_depth_uniform():
