@@ -902,11 +902,13 @@ def test_early_halt_uses_fewer_calls_than_full_depth():
 # --- concurrent verification --------------------------------------------------------
 
 
-def slow_iran_run(concurrency_limit, fail=None):
+def slow_iran_run(concurrency_limit, fail=None, config=SearchConfig()):
     g, idx, emb, client = mock_runner()
     backend = SlowBackend(client.backend, concurrency_limit, fail=fail)
     slow_client = LlmClient(backend)
-    answers, trace = run_dvbs(IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), slow_client)
+    answers, trace = run_dvbs(
+        IRAN_Q, ["Iranian_rial"], ScoreContext(g, idx, emb), slow_client, search_config=config
+    )
     return answers, trace, backend, slow_client
 
 
@@ -1055,16 +1057,11 @@ def batches(monkeypatch):
     return sizes
 
 
-def fan_of_forks():
-    """S -> r -> A_i, and two edges on from each A_i: a depth-2 pool of 8."""
-    edges = [("S", "r", f"A{i}") for i in range(1, 5)]
-    edges += [(f"A{i}", "r2", f"{tail}{i}") for i in range(1, 5) for tail in "BC"]
-    return KnowledgeGraph(edges)
-
-
-def fan_run(g, answers, concurrency_limit=None, max_depth=2, fail=None):
-    """One "which ones?" run over ``g``, through a SlowBackend when a
+def fan_run(answers, concurrency_limit=None, fail=None):
+    """One "which ones?" run over a fan of two-hop chains, four paths wide at
+    depths 1 and 2, with ``max_depth`` 2, through a SlowBackend when a
     ``concurrency_limit`` is given: (answers, trace, backend, client)."""
+    g = fan_of_chains(2)
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     backend = which_ones_backend(g, answers)
@@ -1073,7 +1070,7 @@ def fan_run(g, answers, concurrency_limit=None, max_depth=2, fail=None):
     client = LlmClient(backend)
     answer_set, trace = run_dvbs(
         "which ones?", ["S"], ScoreContext(g, idx, emb), client,
-        search_config=SearchConfig(max_depth=max_depth),
+        search_config=SearchConfig(max_depth=2),
     )
     return answer_set, trace, backend, client
 
@@ -1083,37 +1080,35 @@ def fails_on(terminal):
 
 
 def test_fixed_last_beam_is_verified_in_the_round_before(batches):
-    # max_depth 2 fixes the depth-2 beam by score, so it needs no selection.
-    g = fan_of_forks()
-    answers = ["B1", "C1", "B2", "C2", "B3", "C3", "B4", "C4"]
-    serial_answers, serial_trace, serial_backend, serial_client = fan_run(g, answers, 1)
-    assert batches == [4, 4]
+    # At max_depth 2, score order cuts the depth-2 pool of 3 to the width of 2.
+    config = SearchConfig(beam_width=2, max_depth=2)
+    serial_answers, serial_trace, serial_backend, serial_client = slow_iran_run(1, config=config)
+    assert batches == [1, 2]
     assert serial_backend.max_in_flight == 1
     batches.clear()
-    got, trace, backend, client = fan_run(g, answers, 8)
-    assert batches == [8]
-    assert backend.max_in_flight > 4
+    answers, trace, backend, client = slow_iran_run(8, config=config)
+    assert batches == [3]
+    assert backend.max_in_flight > config.beam_width
     assert trace.to_jsonl() == serial_trace.to_jsonl()
-    assert got == serial_answers and len(got.answers) == 4
+    assert answers == serial_answers and len(answers.answers) == 2
     assert client.ledger.snapshot() == serial_client.ledger.snapshot()
 
 
 def test_a_beam_that_needs_a_selection_waits_for_its_round(batches):
-    g = fan_of_forks()
-    _, serial_trace, _, _ = fan_run(g, ["B1"], max_depth=3)
-    assert batches == [4, 4]
+    config = SearchConfig(beam_width=2, max_depth=3)
+    _, serial_trace, _, _ = slow_iran_run(1, config=config)
+    assert batches == [1, 2]
     batches.clear()
-    _, trace, _, _ = fan_run(g, ["B1"], 8, max_depth=3)
-    assert batches == [4, 4]
+    _, trace, _, _ = slow_iran_run(8, config=config)
+    assert batches == [1, 2]
     assert trace.to_jsonl() == serial_trace.to_jsonl()
 
 
 def test_prefetched_calls_of_a_halting_depth_are_booked_not_traced(batches):
-    g = fan_of_chains(2)
-    serial_answers, serial_trace, _, serial_client = fan_run(g, ["A1", "A3"])
+    serial_answers, serial_trace, _, serial_client = fan_run(["A1", "A3"])
     assert batches == [4]
     batches.clear()
-    got, trace, _, client = fan_run(g, ["A1", "A3"], 8)
+    got, trace, _, client = fan_run(["A1", "A3"], 8)
     assert batches == [8]
     assert trace.to_jsonl() == serial_trace.to_jsonl()
     assert got == serial_answers
@@ -1124,20 +1119,18 @@ def test_prefetched_calls_of_a_halting_depth_are_booked_not_traced(batches):
 
 
 def test_failed_prefetched_call_is_dropped_when_the_depth_before_halts():
-    g = fan_of_chains(2)
-    serial_answers, serial_trace, _, _ = fan_run(g, ["A1", "A3"])
-    got, trace, _, client = fan_run(g, ["A1", "A3"], 8, fail=fails_on("B2"))
+    serial_answers, serial_trace, _, _ = fan_run(["A1", "A3"])
+    got, trace, _, client = fan_run(["A1", "A3"], 8, fail=fails_on("B2"))
     assert got == serial_answers
     assert trace.to_jsonl() == serial_trace.to_jsonl()
     assert client.ledger.llm_calls == 6 + 3  # the failed call books nothing
 
 
 def test_failed_prefetched_call_is_raised_at_its_own_depth(batches):
-    g = fan_of_chains(2)
-    serial_answers, serial_trace, _, _ = fan_run(g, ["B3"], 1, fail=fails_on("B2"))
+    serial_answers, serial_trace, _, _ = fan_run(["B3"], 1, fail=fails_on("B2"))
     assert batches == [4, 4]
     batches.clear()
-    got, trace, _, _ = fan_run(g, ["B3"], 8, fail=fails_on("B2"))
+    got, trace, _, _ = fan_run(["B3"], 8, fail=fails_on("B2"))
     assert batches == [8]
     assert got == serial_answers
     assert got.reason == REASON_BACKEND_FAILURE
@@ -1146,14 +1139,12 @@ def test_failed_prefetched_call_is_raised_at_its_own_depth(batches):
 
 
 def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_started):
-    g = fan_of_chains(2)
-    _, plain_trace, _, plain_client = fan_run(g, ["A1", "A3"])
+    _, plain_trace, _, plain_client = fan_run(["A1", "A3"])
     assert batches == [4]
     assert pools_started == []
     batches.clear()
-    _, trace, backend, client = fan_run(g, ["A1", "A3"], 4)
+    _, trace, _, client = fan_run(["A1", "A3"], 4)
     assert batches == [4]  # 4 paths now and 4 next would exceed the limit of 4
-    assert backend.max_in_flight == 4
     assert trace.to_jsonl() == plain_trace.to_jsonl()
     assert client.ledger.snapshot() == plain_client.ledger.snapshot()
 
