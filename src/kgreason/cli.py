@@ -21,6 +21,7 @@ from .embedding import (
     build_index,
     check_index,
     load_index,
+    row_norms,
     save_index,
 )
 from .evaluate import DatasetError, load_dataset, run_experiment
@@ -119,8 +120,13 @@ def cmd_index(args) -> int:
     emb = HashingEmbedder(dimension=args.dimension)
     idx = build_index(g, emb)
     save_index(idx, args.out)
+    zero_entities, zero_relations = (
+        int((row_norms(matrix) == 0.0).sum()) for matrix in (idx.entity_matrix, idx.relation_matrix)
+    )
     print(f"entities: {len(idx.entity_names)}")
+    print(f"zero-norm entity rows: {zero_entities}")
     print(f"relations: {len(idx.relation_names)}")
+    print(f"zero-norm relation rows: {zero_relations}")
     print(f"dimension: {idx.dimension}")
     print(f"fingerprint: {idx.fingerprint}")
     print(f"index: {args.out}")

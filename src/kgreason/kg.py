@@ -51,20 +51,6 @@ class PathParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Triple:
-    """A directed labeled edge: head --relation--> tail."""
-
-    head: str
-    relation: str
-    tail: str
-
-    def __post_init__(self):
-        for name in ("head", "relation", "tail"):
-            if not getattr(self, name):
-                raise ValueError(f"triple field {name!r} must be non-empty")
-
-
-@dataclass(frozen=True)
 class ReasoningStep:
     """One hop: a (relation, entity) pair extending a path."""
 
@@ -153,10 +139,16 @@ class KnowledgeGraph:
 
     def __init__(self, edges: Iterable[tuple[str, str, str]] = (), entities: Iterable[str] = ()):
         """The graph of the ``(head, relation, tail)`` ``edges``, without
-        duplicates, plus any ``entities`` that no edge names."""
+        duplicates, plus any ``entities`` that no edge names. A name that is
+        empty or has surrounding whitespace is a ``ValueError``, as it is a
+        parse error to ``load_triples``, which strips every field."""
         edges = iter(edges)
         chunks = iter(lambda: list(islice(edges, INTERN_CHUNK)), [])
         self._build((tuple(map(itemgetter(i), chunk) for i in range(3)) for chunk in chunks), entities)
+        for kind, names in (("entity", self.entity_names), ("relation", self.relation_names)):
+            for name in names:
+                if not name or name != name.strip():
+                    raise ValueError(f"{kind} name {name!r} is empty or has surrounding whitespace")
 
     def _build(self, chunks: Iterable[Iterable[Iterable[str]]], entities: Iterable[str]) -> None:
         """Intern each chunk's head, relation and tail columns to first-seen
@@ -192,10 +184,6 @@ class KnowledgeGraph:
         # the same arrays as read-only views whose items are Python ints, for bisect
         self._int_views = tuple(map(memoryview, (self.offsets, self.edge_relations, self.edge_tails)))
 
-    @classmethod
-    def from_triples(cls, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        return cls((t.head, t.relation, t.tail) for t in triples)
-
     def steps(self, entity: str) -> list[tuple[str, str]]:
         """The sorted (relation, tail) pairs out of ``entity``; none if unknown."""
         head = self.entity_ids.get(entity)
@@ -208,11 +196,6 @@ class KnowledgeGraph:
         heads = np.repeat(np.arange(len(self.entity_names)), np.diff(self.offsets)).tolist()
         for h, r, t in zip(heads, self.edge_relations.tolist(), self.edge_tails.tolist()):
             yield self.entity_names[h], self.relation_names[r], self.entity_names[t]
-
-    @property
-    def triples(self) -> frozenset[Triple]:
-        """Every edge as a Triple, built on each access."""
-        return frozenset(Triple(*edge) for edge in self.edges())
 
     def __len__(self) -> int:
         return len(self.edge_tails)

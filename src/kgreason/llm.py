@@ -298,8 +298,10 @@ class CallRecorder:
 
 
 def _estimated(rendered: RenderedPrompt, text: str) -> Completion:
-    """A completion of ``text``, its token counts estimated as word counts."""
-    return Completion(text, len((rendered.system + " " + rendered.user).split()), len(text.split()))
+    """A completion of ``text``, its token counts estimated as word counts:
+    the prompt's is ``rendered.word_count``, the words of the system text
+    plus the user text, few-shot block included, which ``render`` counts."""
+    return Completion(text, rendered.word_count, len(text.split()))
 
 
 def classify_verdict(text: str) -> bool:
@@ -623,27 +625,24 @@ class MockBackend:
         adequacy_rule: Callable[[Mapping[str, str]], bool] | None = None,
     ):
         self.kg = kg
-        self.answer_key = {q: tuple(a) for q, a in answer_key.items()}
-        self.plan_script = dict(plan_script or {})
+        # per question: the normalized gold answers and the plan's response text
+        self.gold = {q: frozenset(map(normalize, a)) for q, a in answer_key.items()}
+        self.plan_texts = {q: json.dumps(p, sort_keys=True) for q, p in (plan_script or {}).items()}
         self.verify_rules = {DEDUCTIVE_VERIFY: global_rule, ADEQUACY_VERIFY: adequacy_rule}
 
-    def _answers_for(self, question: str) -> tuple[str, ...]:
-        if question not in self.answer_key:
-            raise MockMissError(question)
-        return self.answer_key[question]
-
     def _entailed_globally(self, bindings: Mapping[str, str]) -> bool:
-        answers = self._answers_for(bindings["query"])
-        terminal = bindings.get("terminal_entity", "")
-        return normalize(terminal) in {normalize(a) for a in answers}
+        question = bindings["query"]
+        if question not in self.gold:
+            raise MockMissError(question)
+        return normalize(bindings.get("terminal_entity", "")) in self.gold[question]
 
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion:
         b = rendered.bindings
         if rendered.key == PLAN_AND_SOLVE:
             question = b["query"]
-            if question not in self.plan_script:
+            if question not in self.plan_texts:
                 raise MockMissError(question)
-            text = json.dumps(self.plan_script[question], sort_keys=True)
+            text = self.plan_texts[question]
         elif rendered.key in self.verify_rules:
             rule = self.verify_rules[rendered.key] or self._entailed_globally
             text = "yes" if rule(b) else "no"

@@ -16,6 +16,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import IO, Mapping, Sequence, Union
 
 from .kg import read_text
@@ -53,19 +54,23 @@ class PromptTemplate:
     # user_text split once at its placeholders: literal text at the even
     # positions, placeholder names at the odd ones
     pieces: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    placeholder_names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pieces", tuple(_PLACEHOLDER_RE.split(self.user_text)))
-
-    @property
-    def placeholder_names(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(self.pieces[1::2]))
+        pieces = tuple(_PLACEHOLDER_RE.split(self.user_text))
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "placeholder_names", tuple(dict.fromkeys(pieces[1::2])))
 
 
 @dataclass(frozen=True)
 class RenderedPrompt:
     """A fully bound prompt, ready for a backend.
 
+    ``user`` is the few-shot block followed by the filled user text.
+    ``word_count`` is ``len((system + " " + user).split())``, the prompt
+    size the in-process backends report as prompt tokens; ``render`` adds
+    the bound text's words to a count of the system text and few-shot block
+    that it makes once per template and demonstrations.
     ``bindings`` keeps everything the caller passed, including extras beyond
     the template's own placeholders; deterministic backends key off them.
     """
@@ -73,6 +78,7 @@ class RenderedPrompt:
     key: str
     system: str
     user: str
+    word_count: int
     bindings: Mapping[str, str] = field(default_factory=dict)
 
     def bindings_digest(self) -> str:
@@ -299,7 +305,10 @@ def render(
     Extra bindings beyond the template's placeholders are allowed and kept on
     the result. Missing ones raise UnboundPlaceholderError naming them. The
     few-shot block (the first ``DEFAULT_DEMO_COUNT`` demonstrations given for
-    the key, if any) precedes the filled user text.
+    the key, if any) precedes the filled user text. The block and the word
+    count of the system text plus the block are built once per template and
+    demonstrations; each call splits only the filled user text into words
+    for ``word_count``.
     """
     if template_key not in TEMPLATES:
         raise KeyError(f"unknown template key: {template_key!r}")
@@ -310,14 +319,26 @@ def render(
         raise UnboundPlaceholderError(template_key, missing)
     pieces = list(template.pieces)
     pieces[1::2] = [str_bindings[name] for name in pieces[1::2]]
-    user = "".join(pieces)
+    filled = "".join(pieces)
     demo_source = demonstrations if demonstrations is not None else BUILTIN_DEMONSTRATIONS
     demos = tuple(demo_source.get(template_key, ()))[:DEFAULT_DEMO_COUNT]
-    if demos:
-        user = "\n\n".join(demos) + "\n\n" + user
+    block, fixed_words = _fixed_part(template_key, demos)
     return RenderedPrompt(
         key=template_key,
         system=template.system_text,
-        user=user,
+        user=block + filled,
+        word_count=fixed_words + len(filled.split()),
         bindings=str_bindings,
     )
+
+
+@lru_cache(maxsize=64)
+def _fixed_part(template_key: str, demos: tuple[str, ...]) -> tuple[str, int]:
+    """The few-shot block of ``demos`` (each followed by a blank line) and
+    the word count of the template's system text plus that block. Cached by
+    content: the demonstrations tuple, never the mapping it came from.
+    Word counts add across the whitespace that joins the system text, the
+    block and the filled user text, so this count plus the filled text's is
+    the whole prompt's."""
+    block = "".join(demo + "\n\n" for demo in demos)
+    return block, len(TEMPLATES[template_key].system_text.split()) + len(block.split())

@@ -186,9 +186,6 @@ class SearchTrace:
             records.append(CallRecord(**values))
         return records
 
-    def prune_events(self) -> list[dict]:
-        return [e for e in self.events if e.get("event") == "prune"]
-
     @classmethod
     def from_jsonl(cls, source: Union[str, IO[str]]) -> "SearchTrace":
         events = []

@@ -33,7 +33,6 @@ from kgreason.kg import (
     KnowledgeGraph,
     ReasoningPath,
     ReasoningStep,
-    Triple,
     load_triples,
     neighbors,
     validate_path,
@@ -122,10 +121,10 @@ def random_kg(rng: random.Random) -> tuple[KnowledgeGraph, str]:
     triples = []
     for head in entities:
         for _ in range(rng.randint(0, 3)):
-            triples.append(Triple(head, rng.choice(relations), rng.choice(entities)))
+            triples.append((head, rng.choice(relations), rng.choice(entities)))
     if not triples:
-        triples.append(Triple(entities[0], relations[0], entities[-1]))
-    g = KnowledgeGraph.from_triples(triples)
+        triples.append((entities[0], relations[0], entities[-1]))
+    g = KnowledgeGraph(triples)
     topic = rng.choice(sorted(g.entities))
     return g, topic
 
@@ -183,8 +182,8 @@ def dense_layered_world(depth: int, fanout: int):
         layers.append(layer)
         for src in layers[level - 1]:
             for dst in layer:
-                triples.append(Triple(src, f"r{level}", dst))
-    return KnowledgeGraph.from_triples(triples), layers
+                triples.append((src, f"r{level}", dst))
+    return KnowledgeGraph(triples), layers
 
 
 def run_counting_calls(g, layers, global_rule, width, depth):
@@ -245,13 +244,13 @@ def test_criterion_03_call_budget():
 
 def test_criterion_04_lookahead_matches_brute_force():
     # Six nodes: F fans out to A, B, C; A and B continue one hop; C is a leaf.
-    g = KnowledgeGraph.from_triples(
+    g = KnowledgeGraph(
         [
-            Triple("F", "into_a", "A"),
-            Triple("F", "into_b", "B"),
-            Triple("F", "into_c", "C"),
-            Triple("A", "onward_d", "D"),
-            Triple("B", "onward_e", "E"),
+            ("F", "into_a", "A"),
+            ("F", "into_b", "B"),
+            ("F", "into_c", "C"),
+            ("A", "onward_d", "D"),
+            ("B", "onward_e", "E"),
         ]
     )
     idx = build_index(g, EMB)
@@ -342,8 +341,8 @@ def layered_kg(rng: random.Random, depth: int) -> tuple[KnowledgeGraph, str]:
     for level in range(depth):
         for src in layers[level]:
             for _ in range(rng.randint(1, 3)):
-                triples.append(Triple(src, rng.choice(relations), rng.choice(layers[level + 1])))
-    return KnowledgeGraph.from_triples(triples), layers[0][0]
+                triples.append((src, rng.choice(relations), rng.choice(layers[level + 1])))
+    return KnowledgeGraph(triples), layers[0][0]
 
 
 def enumerate_paths(g: KnowledgeGraph, start: str, depth: int) -> list[list[tuple[str, str]]]:
@@ -450,11 +449,11 @@ def rescue_family(n_distractors: int) -> tuple[KnowledgeGraph, ReasoningPath, st
     """The bridge hop scores poorly on its own but leads straight to the
     target hop; distractor relations at the hub share the query's tokens."""
     triples = [
-        Triple("start_hub", "linked_via", "bridge_node"),
-        Triple("bridge_node", "target_relation_alpha", "answer_beta"),
+        ("start_hub", "linked_via", "bridge_node"),
+        ("bridge_node", "target_relation_alpha", "answer_beta"),
     ]
     for i in range(n_distractors):
-        triples.append(Triple("start_hub", f"alpha_decoy_rel_{i}", f"decoy_{i}"))
+        triples.append(("start_hub", f"alpha_decoy_rel_{i}", f"decoy_{i}"))
     gt = ReasoningPath(
         start="start_hub",
         steps=(
@@ -462,7 +461,7 @@ def rescue_family(n_distractors: int) -> tuple[KnowledgeGraph, ReasoningPath, st
             ReasoningStep(relation="target_relation_alpha", entity="answer_beta"),
         ),
     )
-    return KnowledgeGraph.from_triples(triples), gt, "target relation alpha answer beta"
+    return KnowledgeGraph(triples), gt, "target relation alpha answer beta"
 
 
 def brute_force_cr(g, gt, query_text, mode, m, alpha) -> float:

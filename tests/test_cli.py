@@ -46,9 +46,20 @@ def test_index_prints_vocabulary_counts(tmp_path, capsys):
     assert code == EXIT_OK
     assert "entities: 10" in lines
     assert "relations: 5" in lines
+    assert "zero-norm entity rows: 0" in lines
     assert "dimension: 64" in lines
     assert "fingerprint: hashing-embedder/1 d=64" in lines
     assert out.exists()
+
+
+def test_index_counts_zero_norm_rows(tmp_path, capsys):
+    kg = tmp_path / "dots.tsv"
+    kg.write_text("...\tknows\tAlice\nAlice\tknows\tBob\n", encoding="utf-8")
+    assert main(["index", "--kg", str(kg), "--out", str(tmp_path / "dots.idx")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "entities: 3" in lines
+    assert "zero-norm entity rows: 1" in lines
+    assert "zero-norm relation rows: 0" in lines
 
 
 def test_index_rerun_is_byte_identical(tmp_path):

@@ -16,7 +16,6 @@ from kgreason.kg import (
     PathParseError,
     ReasoningPath,
     ReasoningStep,
-    Triple,
     TripleParseError,
     contains_triple,
     load_triples,
@@ -34,6 +33,12 @@ def load_fixture(name):
         return load_triples(fh)
 
 
+def triples_of(g):
+    """The graph's edges as a set of (head, relation, tail) tuples, the
+    oracle the parsing and CSR tests compare with."""
+    return frozenset(g.edges())
+
+
 # --- parsing -----------------------------------------------------------------
 
 
@@ -41,19 +46,19 @@ def test_single_line_parses_to_one_triple():
     g = load_triples(io.StringIO("A\tr1\tB\n"))
     assert len(g.entities) == 2
     assert len(g.relations) == 1
-    assert len(g.triples) == 1
-    assert Triple("A", "r1", "B") in g.triples
+    assert len(triples_of(g)) == 1
+    assert ("A", "r1", "B") in triples_of(g)
 
 
 def test_duplicate_lines_dedupe():
     g = load_triples(io.StringIO("A\tr1\tB\nA\tr1\tB\n"))
-    assert len(g.triples) == 1
+    assert len(triples_of(g)) == 1
     assert g == load_triples(io.StringIO("A\tr1\tB\n"))
 
 
 def test_comments_and_blank_lines_skipped():
     g = load_triples(io.StringIO("# header\n\nA\tr1\tB\n"))
-    assert len(g.triples) == 1
+    assert len(triples_of(g)) == 1
 
 
 def test_bytes_and_iterable_sources():
@@ -156,7 +161,7 @@ def test_a_byte_order_mark_after_the_start_of_the_file_is_kept():
 
 def test_empty_stream_gives_empty_graph():
     g = load_triples(io.StringIO(""))
-    assert len(g.triples) == 0
+    assert len(triples_of(g)) == 0
     assert len(g.entities) == 0
 
 
@@ -227,6 +232,29 @@ def test_a_graph_built_in_code_refuses_an_identifier_with_an_arrow(edges, entiti
     assert str(exc.value) == f"identifier {name!r} contains '->', the separator of arrow paths"
 
 
+@pytest.mark.parametrize("bad", ["", "  ", " a", "a\t", "a\u2003"])
+@pytest.mark.parametrize(
+    "edges,entities,kind",
+    [([("{}", "r", "c")], (), "entity"), ([("a", "{}", "c")], (), "relation"),
+     ([("a", "r", "{}")], (), "entity"), ([("a", "r", "c")], ["{}"], "entity")],
+    ids=["head", "relation", "tail", "entities"],
+)
+def test_a_graph_built_in_code_refuses_an_empty_or_unstripped_name(edges, entities, kind, bad):
+    """load_triples strips every field and refuses an empty one, and
+    ReasoningPath.from_arrow strips every segment, so such a name could
+    never round-trip as a path."""
+    edges = [tuple(bad if field == "{}" else field for field in edge) for edge in edges]
+    entities = [bad if name == "{}" else name for name in entities]
+    with pytest.raises(ValueError) as exc:
+        KnowledgeGraph(edges, entities)
+    assert str(exc.value) == f"{kind} name {bad!r} is empty or has surrounding whitespace"
+
+
+def test_a_graph_built_in_code_refuses_empty_and_blank_names():
+    with pytest.raises(ValueError, match="empty or has surrounding whitespace"):
+        KnowledgeGraph([("", "r", "t"), ("a", "r", "  ")])
+
+
 def test_loading_keeps_no_string_per_field():
     """60,000 lines over 2,000 names: a loader that held one string per field
     until the graph was built peaked at 13.8 MB traced, one that interns each
@@ -245,7 +273,7 @@ def test_loading_keeps_no_string_per_field():
 
 def test_iran_fixture_adjacency():
     g = load_fixture("iran.tsv")
-    assert len(g.triples) == 5
+    assert len(triples_of(g)) == 5
     assert len(g.entities) == 6
     assert len(g.relations) == 2
     assert len(neighbors(g, "Iran")) == 3
@@ -397,7 +425,7 @@ def serialize(g):
 
 @given(triples)
 def test_serialize_round_trip(raw):
-    g = KnowledgeGraph.from_triples(Triple(h, r, t) for h, r, t in raw)
+    g = KnowledgeGraph((h, r, t) for h, r, t in raw)
     assert load_triples(io.StringIO(serialize(g))) == g
 
 
@@ -435,7 +463,7 @@ def test_paths_over_any_loadable_graph_survive_arrow_round_trip(raw):
 @given(triples)
 def test_engine_emitted_steps_always_validate(raw):
     """Any path assembled purely from adjacency entries validates fully."""
-    g = KnowledgeGraph.from_triples(Triple(h, r, t) for h, r, t in raw)
+    g = KnowledgeGraph((h, r, t) for h, r, t in raw)
     for entity in g.entities:
         for relation, tail in neighbors(g, entity):
             path = ReasoningPath(entity, (ReasoningStep(relation, tail),))
@@ -468,7 +496,7 @@ def triple_files(draw):
 def test_csr_graph_agrees_with_a_set_of_triples(drawn, rng):
     lines, model = drawn
     g = load_triples(line + "\n" for line in lines)
-    assert g.triples == {Triple(*t) for t in model}
+    assert triples_of(g) == model
     assert len(g) == len(model)
     entities = {h for h, _, _ in model} | {t for _, _, t in model}
     assert set(g.entities) == entities and set(g.relations) == {r for _, r, _ in model}

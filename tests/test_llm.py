@@ -6,6 +6,7 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from kgreason.kg import load_triples
 from kgreason.llm import (
@@ -40,9 +41,11 @@ from kgreason.llm import (
 )
 from kgreason.prompts import (
     BEAM_SELECT,
+    DEFAULT_DEMO_COUNT,
     DEDUCTIVE_VERIFY,
     FINAL_REASON,
     PLAN_AND_SOLVE,
+    TEMPLATES,
     render,
 )
 
@@ -573,3 +576,73 @@ def test_load_mock_script_requires_answers():
 def test_load_mock_script_rejects_non_object():
     with pytest.raises(ValueError):
         load_mock_script(io.StringIO(json.dumps(["not", "an", "object"])))
+
+
+# --- prompt token estimates ---------------------------------------------------
+
+# str.split() also splits at U+2003 and at the separators \x1c-\x1f
+PROMPT_TEXT = st.text(st.sampled_from("ab_ .\n\t\u2003\x1c\x1f{}é"), max_size=12) | st.sampled_from(
+    ["", " ", "\n\n", "\u2003", "\x1c", "a\x1cb", "one two"]
+)
+
+
+def whole_prompt_words(rendered):
+    return len((rendered.system + " " + rendered.user).split())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(sorted(TEMPLATES)),
+    demos=st.none() | st.lists(PROMPT_TEXT, max_size=DEFAULT_DEMO_COUNT + 3),
+    values=st.dictionaries(st.sampled_from(sorted({n for t in TEMPLATES.values() for n in t.placeholder_names})), PROMPT_TEXT),
+    query=PROMPT_TEXT,
+    width=st.integers(1, 5),
+    count=st.integers(0, 8),
+)
+def test_estimated_prompt_tokens_are_the_whole_prompt_word_count(key, demos, values, query, width, count):
+    demonstrations = None if demos is None else {key: demos}
+    bindings = {name: "x" for name in TEMPLATES[key].placeholder_names}
+    bindings.update(values, query=query, terminal_entity="T", beam_width=width, candidate_count=count)
+    rendered = render(key, bindings, demonstrations)
+    plan = {"keywords": ["k"], "planning_steps": [], "declarative_statement": "x *placeholder*"}
+    mock = MockBackend(None, answer_key={query: ["T"]}, plan_script={query: plan})
+    for backend in (mock, ScriptedBackend(["some answer"])):
+        record = LlmClient(backend, demonstrations=demonstrations).complete(key, bindings)
+        assert record.prompt_tokens == whole_prompt_words(rendered)
+
+
+def test_each_call_renders_and_counts_its_own_demonstrations():
+    class Recording(ScriptedBackend):
+        def __init__(self, responses):
+            super().__init__(responses)
+            self.prompts = []
+
+        def complete(self, rendered, params):
+            self.prompts.append(rendered)
+            return super().complete(rendered, params)
+
+    backend = Recording(["yes"] * 8)
+    call = verify_call("global", query="q?", terminal_entity="X")
+    system = TEMPLATES[DEDUCTIVE_VERIFY].system_text
+    filled = "Whether the conclusion 'stmt' can be deduced from 'path', if yes, return yes, if no, return no.\n\nA:"
+
+    def check(record, demos):
+        user = "".join(d + "\n\n" for d in demos) + filled
+        assert backend.prompts[-1].user == user
+        assert record.prompt_tokens == len(f"{system} {user}".split())
+
+    # two clients with different demonstrations, called alternately
+    one = ["one demo"]
+    three = ["three", "more\u2003demo words", "here"]
+    first = LlmClient(backend, demonstrations={DEDUCTIVE_VERIFY: one})
+    second = LlmClient(backend, demonstrations={DEDUCTIVE_VERIFY: three})
+    for client, demos in ((first, one), (second, three), (first, one), (second, three)):
+        check(client.complete(*call), demos)
+    # one demonstrations dict, mutated between two clients
+    shared = {DEDUCTIVE_VERIFY: ["before"]}
+    before = LlmClient(backend, demonstrations=shared)
+    check(before.complete(*call), ["before"])
+    shared[DEDUCTIVE_VERIFY] = ["after the change", "and\x1canother"]
+    after = LlmClient(backend, demonstrations=shared)
+    check(after.complete(*call), shared[DEDUCTIVE_VERIFY])
+    check(before.complete(*call), shared[DEDUCTIVE_VERIFY])

@@ -11,7 +11,6 @@ from kgreason.kg import (
     KnowledgeGraph,
     ReasoningPath,
     ReasoningStep,
-    Triple,
     load_triples,
     neighbors,
 )
@@ -164,7 +163,7 @@ def candidate_for(g, idx, q, frontier, step, alpha=0.3, emb=None):
 
 def test_base_score_maximal_alignment_is_two():
     q = np.array([1.0, 0.0])
-    g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
+    g = KnowledgeGraph([("F", "r", "E")])
     idx = hand_index(g, {"E": [1.0, 0.0]}, {"r": [1.0, 0.0]})
     cand = candidate_for(g, idx, q, "F", ReasoningStep("r", "E"))
     assert cand.base_score == pytest.approx(2.0, abs=1e-12)
@@ -196,7 +195,7 @@ def test_zero_rows_are_reported_once_per_graph_and_index(caplog):
 
 def test_base_score_orthogonal_is_zero():
     q = np.array([1.0, 0.0])
-    g = KnowledgeGraph.from_triples([Triple("F", "r", "E")])
+    g = KnowledgeGraph([("F", "r", "E")])
     idx = hand_index(g, {"E": [0.0, 1.0]}, {"r": [0.0, 1.0]})
     assert candidate_for(g, idx, q, "F", ReasoningStep("r", "E")).base_score == 0.0
 
@@ -243,8 +242,8 @@ def test_leaf_entity_gets_zero_bonus():
 def test_lookahead_rescues_promising_intermediate():
     """Chain F -> B -> C where B itself is dull but C matches the query;
     a dead-end sibling D with the same dull base score must rank below B."""
-    g = KnowledgeGraph.from_triples(
-        [Triple("F", "r", "B"), Triple("F", "r", "D"), Triple("B", "r2", "C")]
+    g = KnowledgeGraph(
+        [("F", "r", "B"), ("F", "r", "D"), ("B", "r2", "C")]
     )
     q = np.array([1.0, 0.0])
     idx = hand_index(
@@ -265,15 +264,15 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
     """300 pairs out of hub H; the best one has the least query-aligned
     relation, so a max over the best-aligned relations alone would miss it."""
     q = np.array([1.0, 0.0])
-    triples = [Triple("F", "r", "H"), Triple("H", "r_least", "E_best")]
+    triples = [("F", "r", "H"), ("H", "r_least", "E_best")]
     relation_vecs = {"r": [0.0, 1.0], "r_least": [-1.0, 0.0]}
     entity_vecs = {"F": [0.0, 1.0], "H": [0.0, 1.0], "E_best": [1.0, 0.0]}
     for i in range(299):
         angle = 0.45 + 1.6 * i / 299  # relation cosines from 0.90 down to -0.46
         relation_vecs[f"r{i:03d}"] = [np.cos(angle), np.sin(angle)]
         entity_vecs[f"e{i:03d}"] = [-1.0, 0.0]
-        triples.append(Triple("H", f"r{i:03d}", f"e{i:03d}"))
-    g = KnowledgeGraph.from_triples(triples)
+        triples.append(("H", f"r{i:03d}", f"e{i:03d}"))
+    g = KnowledgeGraph(triples)
     idx = hand_index(g, entity_vecs, relation_vecs)
     onward = sorted(neighbors(g, "H"))
     assert len(onward) == 300
@@ -288,16 +287,16 @@ def test_hub_lookahead_is_the_max_over_every_onward_pair():
 def test_candidate_steps_computes_each_cosine_once(monkeypatch):
     """A and B share their onward pairs; each identifier is scored once, in
     one batch per vocabulary."""
-    g = KnowledgeGraph.from_triples(
+    g = KnowledgeGraph(
         [
-            Triple("F", "r", "A"),
-            Triple("F", "r", "B"),
-            Triple("F", "s", "C"),
-            Triple("A", "t", "X"),
-            Triple("A", "u", "Y"),
-            Triple("B", "t", "X"),
-            Triple("B", "u", "Y"),
-            Triple("C", "t", "Z"),
+            ("F", "r", "A"),
+            ("F", "r", "B"),
+            ("F", "s", "C"),
+            ("A", "t", "X"),
+            ("A", "u", "Y"),
+            ("B", "t", "X"),
+            ("B", "u", "Y"),
+            ("C", "t", "Z"),
         ]
     )
     rng = np.random.default_rng(3)
@@ -325,13 +324,13 @@ def test_hub_frontier_scores_a_few_dozen_identifiers_exactly(monkeypatch):
     top m equal a full sort of the oracle, and the entities are scored in
     one batch, each once."""
     rng = np.random.default_rng(11)
-    triples = [Triple("H", f"r{i % 3}", f"n{i:03d}") for i in range(300)]
+    triples = [("H", f"r{i % 3}", f"n{i:03d}") for i in range(300)]
     triples += [
-        Triple(f"n{i:03d}", f"s{j}", f"leaf{rng.integers(60):02d}")
+        (f"n{i:03d}", f"s{j}", f"leaf{rng.integers(60):02d}")
         for i in range(300)
         for j in range(2)
     ]
-    g = KnowledgeGraph.from_triples(triples)
+    g = KnowledgeGraph(triples)
     idx = hand_index(
         g,
         {name: rng.standard_normal(16) for name in sorted(g.entities)},
@@ -352,9 +351,9 @@ def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypa
     steps: the candidates equal the oracle's, and the steps' and onward
     steps' entities are scored in one batch, each once."""
     rng = np.random.default_rng(5)
-    triples = [Triple("F", f"r{i}", f"n{i}") for i in range(5)]
-    triples += [Triple(f"n{i}", f"s{j:02d}", f"t{i}.{j:02d}") for i in range(5) for j in range(20)]
-    g = KnowledgeGraph.from_triples(triples)
+    triples = [("F", f"r{i}", f"n{i}") for i in range(5)]
+    triples += [(f"n{i}", f"s{j:02d}", f"t{i}.{j:02d}") for i in range(5) for j in range(20)]
+    g = KnowledgeGraph(triples)
     idx = hand_index(
         g,
         {name: rng.standard_normal(16) for name in sorted(g.entities)},
@@ -372,8 +371,8 @@ def test_narrow_frontier_scores_only_onward_steps_that_can_give_a_bonus(monkeypa
 def test_alpha_that_overflows_the_totals_still_ranks_like_the_oracle():
     """Both steps total +inf with alpha 1e308; the one kept is the first by
     name, as a full sort of the oracle gives."""
-    g = KnowledgeGraph.from_triples(
-        [Triple("F", "r", "A"), Triple("F", "r", "B"), Triple("A", "s", "C"), Triple("B", "s", "C")]
+    g = KnowledgeGraph(
+        [("F", "r", "A"), ("F", "r", "B"), ("A", "s", "C"), ("B", "s", "C")]
     )
     idx = hand_index(g, {name: [1.0, 0.0] for name in "FABC"}, {"r": [1.0, 0.0], "s": [1.0, 0.0]})
     q = np.array([1.0, 0.0])
@@ -410,7 +409,7 @@ def test_score_context_refuses_an_index_of_another_graph():
     emb = HashingEmbedder()
     with pytest.raises(ValueError, match="entity names are not the graph's"):
         ScoreContext(g, build_index(load_fixture("iran.tsv"), emb), emb)
-    extra = KnowledgeGraph.from_triples([*g.triples, Triple("Justin_Bieber", "new_relation", "Erin_Wagner")])
+    extra = KnowledgeGraph([*g.edges(), ("Justin_Bieber", "new_relation", "Erin_Wagner")])
     with pytest.raises(ValueError, match=r"relation names are not the graph's: 1 .* \['new_relation'\]"):
         ScoreContext(extra, build_index(g, emb), emb)
 
@@ -435,7 +434,7 @@ def wide_frontiers(draw):
             min_size=m + 1, max_size=m + 10, unique=True,
         )
     )
-    triples = [Triple("F", r, e) for r, e in steps]
+    triples = [("F", r, e) for r, e in steps]
     for entity in draw(st.lists(st.sampled_from(entities), max_size=4, unique=True)):
         onward = draw(
             st.lists(
@@ -443,7 +442,7 @@ def wide_frontiers(draw):
                 min_size=1, max_size=6,
             )
         )
-        triples += [Triple(entity, r, t) for r, t in onward]
+        triples += [(entity, r, t) for r, t in onward]
     # generic components: small integers would make most cosines exact
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
     pool = rng.uniform(-4, 4, (draw(st.integers(min_value=1, max_value=2)), 3)).tolist()
@@ -464,7 +463,7 @@ def wide_frontiers(draw):
     entity_vecs, relation_vecs = vectors(["F"] + entities), vectors(relations)
     query = draw(st.sampled_from(pool + [rng.uniform(-4, 4, 3).tolist(), [0.0, 0.0, 0.0]]))
     config = RetrievalConfig(m=m, alpha=draw(st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e308])))
-    g = KnowledgeGraph.from_triples(triples)
+    g = KnowledgeGraph(triples)
     return g, hand_index(g, entity_vecs, relation_vecs, dimension=3), np.array(query), config
 
 
@@ -484,9 +483,9 @@ def test_wide_frontier_bonus_is_exact_when_onward_steps_tie_up_to_rounding():
     round differently; n0 ranks first on a frontier wider than m and its
     bonus must still be the exact maximum."""
     scales = [1.0, 3.0, 0.1, 7.0, 1e3, 5.0, 11.0, 13.0, 0.3, 17.0, 19.0, 23.0]
-    triples = [Triple("F", "r", f"n{i}") for i in range(3)]
-    triples += [Triple("n0", "s", f"t{i:02d}") for i in range(len(scales))]
-    g = KnowledgeGraph.from_triples(triples)
+    triples = [("F", "r", f"n{i}") for i in range(3)]
+    triples += [("n0", "s", f"t{i:02d}") for i in range(len(scales))]
+    g = KnowledgeGraph(triples)
     step = ReasoningStep("r", "n0")
     for seed in range(100):
         rng = np.random.default_rng(seed)

@@ -15,7 +15,6 @@ from kgreason.kg import (
     KnowledgeGraph,
     ReasoningPath,
     ReasoningStep,
-    Triple,
     load_triples,
     normalize,
     validate_path,
@@ -58,6 +57,10 @@ from kgreason.llm import Plan
 def load_fixture(name):
     with open(f"fixtures/{name}") as fh:
         return load_triples(fh)
+
+
+def prune_events(trace):
+    return [e for e in trace.events if e.get("event") == "prune"]
 
 
 def mock_runner(kg_file="combined.tsv", **backend_kwargs):
@@ -532,7 +535,7 @@ def test_frontier_without_neighbors_yields_empty_answer(use_verifier):
     assert answers.reason == REASON_NO_DEDUCIBLE_PATH
     depth_one = [e for e in trace.events if e["event"] == "depth" and e["depth"] == 1][0]
     assert depth_one["pool"] == []
-    prunes = trace.prune_events()
+    prunes = prune_events(trace)
     assert prunes and prunes[0]["reason"] == PRUNE_NO_CANDIDATES
 
 
@@ -778,7 +781,7 @@ def test_no_call_after_the_halting_depth(data):
 
 
 def test_width_truncation_prunes_are_traced():
-    g = KnowledgeGraph.from_triples([Triple("S", "r", f"A{i}") for i in range(6)])
+    g = KnowledgeGraph([("S", "r", f"A{i}") for i in range(6)])
     emb = HashingEmbedder()
     idx = build_index(g, emb)
     backend = MockBackend(
@@ -796,7 +799,7 @@ def test_width_truncation_prunes_are_traced():
     answers, trace = run_dvbs(
         "fan?", ["S"], ScoreContext(g, idx, emb), client, search_config=SearchConfig(max_depth=2)
     )
-    prunes = [e for e in trace.prune_events() if e["reason"] == PRUNE_WIDTH_TRUNCATION]
+    prunes = [e for e in prune_events(trace) if e["reason"] == PRUNE_WIDTH_TRUNCATION]
     assert len(prunes) == 2
     selection = [e for e in trace.events if e["event"] == "selection" and e["depth"] == 1][0]
     assert selection["mode"] == SELECT_BY_LLM
@@ -804,7 +807,7 @@ def test_width_truncation_prunes_are_traced():
 
 
 def test_beam_nesting_under_deterministic_selection():
-    g = KnowledgeGraph.from_triples([Triple("S", "r", f"A{i}") for i in range(5)])
+    g = KnowledgeGraph([("S", "r", f"A{i}") for i in range(5)])
     emb = HashingEmbedder()
     idx = build_index(g, emb)
 
