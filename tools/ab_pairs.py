@@ -14,7 +14,9 @@ outputs digest are kept. The first run that exits non-zero or reads
 ``correct: false`` ends the series; it is recorded and no summary is made.
 
 The workload's section of the BENCH file (other workloads' sections are
-kept) holds every run and, per end-to-end metric declared in
+kept; a section of the same parent, change and seconds gains the new pairs,
+so a second series is summarized with the first) holds every run and, per
+end-to-end metric declared in
 ``BENCHMARK.json``, each side's median and quartiles (``numpy.percentile``,
 linear), the change's wins (ties count for neither side), whether a claim
 of a gain would hold (at least 9 of 10 pairs won, and the medians differ by
@@ -162,10 +164,18 @@ def main(argv=None) -> int:
             if failure:
                 break
 
+    path = ROOT / f"BENCH_{args.label}.json"
+    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"label": args.label}
+    seeds = [f"{args.seeds[0]}-{args.seeds[-1]}"]
+    earlier = bench.get("workloads", {}).get(args.workload)
+    if earlier and [earlier[key] for key in ("parent", "change", "seconds")] == [args.parent, args.change, args.seconds]:
+        # another series of the same comparison: every pair run counts
+        runs, seeds = earlier["runs"] + runs, earlier["seeds"] + seeds
+        failure = failure or earlier["failure"]
     section = {
         "parent": args.parent,
         "change": args.change,
-        "seeds": f"{args.seeds[0]}-{args.seeds[-1]}",
+        "seeds": seeds,
         "seconds": args.seconds,
         "command": "python3 perfbench/run.py --workload <workload> --seed <seed> --seconds <seconds> --trace 0",
         "runs": runs,
@@ -176,8 +186,6 @@ def main(argv=None) -> int:
                    for side in ("parent", "change")} for pair in runs]
         section["digests_identical"] = all(pair["parent"]["digest"] == pair["change"]["digest"] for pair in runs)
         section["summary"] = summarize(values, benchmark["end_to_end"])
-    path = ROOT / f"BENCH_{args.label}.json"
-    bench = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"label": args.label}
     bench.setdefault("workloads", {})[args.workload] = section
     path.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"ab_pairs: wrote {args.workload} to {path.name}", file=sys.stderr)
