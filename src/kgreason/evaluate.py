@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, split_lines, validate_path
-from .llm import DecodeParams, LlmBackend, LlmClient, LlmError, SharedBackend, UsageLedger
+from .llm import DecodeParams, LlmBackend, LlmClient, LlmError, SharedBackend
 from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
@@ -286,13 +286,13 @@ def evaluate_question(
     demonstrations: Mapping[str, Sequence[str]] | None = None,
     params: DecodeParams = DecodeParams(),
 ) -> tuple[QuestionResult, SearchTrace | None]:
-    """Run one question with a fresh ledger and score the outcome. A backend
-    failure or a missing topic entity scores as a failed question, its
-    ``failure`` reading ``"<error type>: <error>"``; any other exception
-    propagates. The search and the coverage walk share one score context, so
-    each similarity is computed once."""
-    ledger = UsageLedger()
-    client = LlmClient(backend, ledger=ledger, params=params, demonstrations=demonstrations)
+    """Run one question with a client of its own and score the outcome; the
+    row's usage counts every call that client made. A backend failure or a
+    missing topic entity scores as a failed question, its ``failure``
+    reading ``"<error type>: <error>"``; any other exception propagates. The
+    search and the coverage walk share one score context, so each similarity
+    is computed once."""
+    client = LlmClient(backend, params=params, demonstrations=demonstrations)
     context = ScoreContext(g, idx, emb)
     started = time.monotonic()
     try:
@@ -308,7 +308,7 @@ def evaluate_question(
             (event,) = [e for e in trace.events if e["event"] == "backend-failure"]
             failure = f"{event['error_type']}: {event['error']}"
     wall = time.monotonic() - started
-    usage = ledger.snapshot()
+    usage = client.usage()
     emitted = answers.supporting_paths + answers.indirect_paths
     yes, no = _verdict_counts(trace.events if trace is not None else ())
     scores = {}

@@ -3,13 +3,13 @@
 Every model interaction in the package flows through LlmClient.complete:
 the caller names a template and its bindings, and the client renders them
 with the run's few-shot demonstrations, sends the prompt with the run's
-decode parameters, books the call's tokens into a UsageLedger and returns the
-call's CallRecord for tracing and replay. A CallRecorder gives one search run
-its own view of the client: each logical step (plan, select, verify, final)
-makes its calls through a StepCalls, which keeps their records in order and
-times each one, so independent steps can run concurrently once calls are
-seen to wait; a SharedBackend bounds the calls in flight when several runs
-share a backend.
+decode parameters, times the call and keeps its CallRecord, from which it
+reports the run's usage; the record is returned for tracing and replay. A
+client serves one run: each logical step (plan, select, verify, final)
+makes its calls through a StepCalls, which keeps that step's records in
+order, and the client runs independent steps concurrently once its calls
+are seen to wait; a SharedBackend bounds the calls in flight when several
+runs share a backend.
 Backends plug in behind one interface: a wire client for chat-completion HTTP
 endpoints, a deterministic mock that answers from a knowledge graph, a
 scripted sequence for fault injection, and a replay backend that re-serves
@@ -126,32 +126,6 @@ class LlmBackend(Protocol):
     def complete(self, rendered: RenderedPrompt, params: DecodeParams) -> Completion: ...
 
 
-class UsageLedger:
-    """Thread-safe per-question usage counters; all monotone non-decreasing."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.llm_calls = 0
-        self.prompt_tokens = 0
-        self.completion_tokens = 0
-
-    def record(self, calls: int = 1, prompt_tokens: int = 0, completion_tokens: int = 0):
-        if min(calls, prompt_tokens, completion_tokens) < 0:
-            raise ValueError("usage increments must be non-negative")
-        with self._lock:
-            self.llm_calls += calls
-            self.prompt_tokens += prompt_tokens
-            self.completion_tokens += completion_tokens
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "llm_calls": self.llm_calls,
-                "prompt_tokens": self.prompt_tokens,
-                "completion_tokens": self.completion_tokens,
-            }
-
-
 class SharedBackend:
     """A backend shared by concurrent callers: each call holds one of the
     wrapped backend's ``concurrency_limit`` slots, so the calls in flight
@@ -171,44 +145,6 @@ class SharedBackend:
             return self.backend.complete(rendered, params)
 
 
-class LlmClient:
-    """Renders every prompt with the run's demonstrations (the built-in ones
-    when None), books every call's tokens into the ledger and returns its
-    record. The client does not time calls; a search run's StepCalls does."""
-
-    def __init__(
-        self,
-        backend: LlmBackend,
-        ledger: UsageLedger | None = None,
-        params: DecodeParams = DecodeParams(),
-        demonstrations: Mapping[str, Sequence[str]] | None = None,
-    ):
-        self.backend = backend
-        self.ledger = ledger if ledger is not None else UsageLedger()
-        self.params = params
-        self.demonstrations = demonstrations
-
-    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
-        rendered = render(key, bindings, self.demonstrations)
-        completion = self.backend.complete(rendered, self.params)
-        self.ledger.record(1, completion.prompt_tokens, completion.completion_tokens)
-        return CallRecord(
-            key=rendered.key,
-            bindings_digest=rendered.bindings_digest(),
-            response=completion.text,
-            prompt_tokens=completion.prompt_tokens,
-            completion_tokens=completion.completion_tokens,
-        )
-
-
-class Completer(Protocol):
-    """What the prompt helpers need of a client: an LlmClient or one step of
-    a CallRecorder. Either one takes a template key and its bindings; the
-    client renders the prompt."""
-
-    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord: ...
-
-
 # A batch of independent steps runs on threads only once the fastest call of
 # the run took longer than this. In-process backends answer in about 0.1 ms,
 # less than handing a call to another thread costs; a call that waits on a
@@ -216,46 +152,62 @@ class Completer(Protocol):
 FAN_OUT_MIN_CALL_S = 0.001
 
 
-class StepCalls:
-    """The model calls of one logical step of a run, in the order the step
-    made them. Stands in for the client in the prompt helpers: the client
-    renders and books each call, and the step times it, rendering included,
-    for the recorder's fan-out rule."""
-
-    def __init__(self, recorder: "CallRecorder"):
-        self._recorder = recorder
-        self.records: list[CallRecord] = []
-
-    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
-        started = time.perf_counter()
-        record = self._recorder.client.complete(key, bindings)
-        self._recorder.observe(time.perf_counter() - started)
-        self.records.append(record)
-        return record
-
-
-class CallRecorder:
-    """One run's model calls, booked by the logical step that made them, so
-    a trace lists them in step order however the calls interleave.
+class LlmClient:
+    """One run's model calls. Renders every prompt with the run's
+    demonstrations (the built-in ones when None), times each call, rendering
+    included, and keeps its record in ``records``, also when the run drops
+    the call's outcome; ``usage`` sums them. A backend call that fails keeps
+    nothing. A client serves one run, as ``evaluate_question`` makes one per
+    question.
 
     ``run_steps`` runs a batch of independent steps; once the run's calls
-    are seen to wait, it runs them on a thread pool the recorder starts on
+    are seen to wait, it runs them on a thread pool the client starts on
     first use. ``close`` shuts that pool down.
     """
 
-    def __init__(self, client: LlmClient):
-        self.client = client
+    def __init__(
+        self,
+        backend: LlmBackend,
+        params: DecodeParams = DecodeParams(),
+        demonstrations: Mapping[str, Sequence[str]] | None = None,
+    ):
+        self.backend = backend
+        self.params = params
+        self.demonstrations = demonstrations
+        self.records: list[CallRecord] = []
         self.fastest_call_s = math.inf
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
-    def observe(self, seconds: float) -> None:
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
+        started = time.perf_counter()
+        rendered = render(key, bindings, self.demonstrations)
+        completion = self.backend.complete(rendered, self.params)
+        record = CallRecord(
+            key=rendered.key,
+            bindings_digest=rendered.bindings_digest(),
+            response=completion.text,
+            prompt_tokens=completion.prompt_tokens,
+            completion_tokens=completion.completion_tokens,
+        )
+        seconds = time.perf_counter() - started
         with self._lock:
+            self.records.append(record)
             self.fastest_call_s = min(self.fastest_call_s, seconds)
+        return record
+
+    def usage(self) -> dict:
+        """The calls and tokens of every record so far."""
+        with self._lock:
+            return {
+                "llm_calls": len(self.records),
+                "prompt_tokens": sum(r.prompt_tokens for r in self.records),
+                "completion_tokens": sum(r.completion_tokens for r in self.records),
+            }
 
     def calls_wait(self) -> bool:
-        """Whether the run has made a call and its fastest call so far took
-        longer than FAN_OUT_MIN_CALL_S."""
+        """Whether the client has made a call and its fastest call so far
+        took longer than FAN_OUT_MIN_CALL_S."""
         return FAN_OUT_MIN_CALL_S < self.fastest_call_s < math.inf
 
     def run_steps(
@@ -271,7 +223,7 @@ class CallRecorder:
         back; the pool starts threads only as a batch needs them.
         """
         steps = [StepCalls(self) for _ in items]
-        limit = self.client.backend.concurrency_limit
+        limit = self.backend.concurrency_limit
         if min(len(items), limit) < 2 or not self.calls_wait():
             outcomes = []
             for step, item in zip(steps, items):
@@ -295,6 +247,29 @@ class CallRecorder:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+
+
+class Completer(Protocol):
+    """What the prompt helpers need of a client: an LlmClient or one step of
+    a run, a StepCalls. Either one takes a template key and its bindings;
+    the client renders the prompt."""
+
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord: ...
+
+
+class StepCalls:
+    """The model calls of one logical step of a run, in the order the step
+    made them. Stands in for the client in the prompt helpers; the client
+    makes, times and keeps each call."""
+
+    def __init__(self, client: LlmClient):
+        self._client = client
+        self.records: list[CallRecord] = []
+
+    def complete(self, key: str, bindings: Mapping[str, object]) -> CallRecord:
+        record = self._client.complete(key, bindings)
+        self.records.append(record)
+        return record
 
 
 def _estimated(rendered: RenderedPrompt, text: str) -> Completion:

@@ -44,7 +44,6 @@ from .kg import ReasoningPath, normalize, read_text, split_lines
 from .llm import (
     HINT_INDEX_LIST,
     CallRecord,
-    CallRecorder,
     Completer,
     JsonDecodeFailure,
     LlmClient,
@@ -434,10 +433,9 @@ def run_dvbs(
 
     config, retrieval = search_config, retrieval_config
     k = config.effective_width
-    recorder = CallRecorder(client)
     try:
         if config.use_planning:
-            with _step(recorder, trace) as calls:
+            with _step(client, trace) as calls:
                 plan = generate_plan(calls, question)
         else:
             plan = replace(degraded_plan(question), degraded=False)
@@ -511,7 +509,7 @@ def run_dvbs(
             if not pool:
                 break
             if beam is None:
-                with _step(recorder, trace) as calls:
+                with _step(client, trace) as calls:
                     selection = select_steps(calls, question, plan, [arrow for *_, arrow in pool], k)
                 beam = keep(depth, pool, selection, trace)
             live = beam
@@ -525,13 +523,13 @@ def run_dvbs(
             # batch, after this depth's paths, if both fit the backend's limit.
             if outcomes is None:
                 paths = [path for _, path in live]
-                if depth < config.max_depth and recorder.calls_wait():
+                if depth < config.max_depth and client.calls_wait():
                     events = SearchTrace(question)
                     next_pool, next_beam = expand(depth + 1, live, events)
                     ahead = events, next_pool, next_beam
                     if next_beam and len(paths) + len(next_beam) <= client.backend.concurrency_limit:
                         paths += [path for _, path in next_beam]
-                outcomes = recorder.run_steps(verify, paths)
+                outcomes = client.run_steps(verify, paths)
                 prefetched = outcomes[len(live) :] or None
             verified, live = live, []
             for (arrow, path), (calls, deduced, error) in zip(verified, outcomes):
@@ -552,7 +550,7 @@ def run_dvbs(
         # nothing (and never halts, since an empty path is not verified).
         answered = halted if config.use_deductive_verifier else live
         answer_paths = [path for _, path in answered if path.steps]
-        with _step(recorder, trace) as calls:
+        with _step(client, trace) as calls:
             answers = final_reason(calls, question, answer_paths, config)
         trace.add(
             "final",
@@ -570,14 +568,14 @@ def run_dvbs(
         trace.add("final", answers=[], reason=REASON_BACKEND_FAILURE)
         return answers, trace
     finally:
-        recorder.close()
+        client.close()
 
 
 @contextmanager
-def _step(recorder: CallRecorder, trace: SearchTrace):
+def _step(client: LlmClient, trace: SearchTrace):
     """One logical step's calls, added to the trace when the step ends,
     also when it fails."""
-    step = StepCalls(recorder)
+    step = StepCalls(client)
     try:
         yield step
     finally:

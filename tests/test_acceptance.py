@@ -37,7 +37,7 @@ from kgreason.kg import (
     neighbors,
     validate_path,
 )
-from kgreason.llm import LlmClient, MockBackend, ReplayBackend, UsageLedger, load_mock_script
+from kgreason.llm import LlmClient, MockBackend, ReplayBackend, load_mock_script
 from kgreason.pathrag import RetrievalConfig, ScoreContext, candidate_steps, retrieved_steps_along_path
 from kgreason.pathrag import coverage_ratio as library_coverage_ratio
 from kgreason.search import AnswerSet, SearchConfig, run_dvbs
@@ -201,8 +201,7 @@ def run_counting_calls(g, layers, global_rule, width, depth):
         },
         global_rule=global_rule,
     )
-    ledger = UsageLedger()
-    client = LlmClient(backend, ledger=ledger)
+    client = LlmClient(backend)
     run_dvbs(
         q,
         ["hub"],
@@ -210,7 +209,7 @@ def run_counting_calls(g, layers, global_rule, width, depth):
         client,
         search_config=SearchConfig(beam_width=width, max_depth=depth),
     )
-    return ledger.llm_calls
+    return client.usage()["llm_calls"]
 
 
 def test_criterion_03_call_budget():

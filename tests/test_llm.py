@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import sys
 import threading
 import time
 
@@ -12,7 +13,6 @@ from kgreason.kg import load_triples
 from kgreason.llm import (
     HINT_INDEX_LIST,
     AuthError,
-    CallRecorder,
     Completion,
     DecodeParams,
     JsonDecodeFailure,
@@ -28,7 +28,6 @@ from kgreason.llm import (
     SharedBackend,
     StepCalls,
     WIRE_MAX_ATTEMPTS,
-    UsageLedger,
     WireBackend,
     WireConfig,
     classify_verdict,
@@ -110,7 +109,7 @@ def test_complete_json_retries_then_succeeds():
     client = LlmClient(backend)
     parsed = complete_json(client, *plan_call())
     assert parsed == {"ok": True}
-    assert client.ledger.llm_calls == 3
+    assert client.usage()["llm_calls"] == 3
 
 
 def test_complete_json_exhaustion_carries_last_raw():
@@ -119,7 +118,7 @@ def test_complete_json_exhaustion_carries_last_raw():
     with pytest.raises(JsonDecodeFailure) as exc:
         complete_json(client, *plan_call())
     assert exc.value.last_raw == "bad three"
-    assert client.ledger.llm_calls == 3
+    assert client.usage()["llm_calls"] == 3
 
 
 # --- verdict classification ---------------------------------------------------
@@ -152,40 +151,47 @@ def test_verdict_of_only_quotes_and_brackets_is_unrecognized(text, caplog):
 # --- usage accounting ----------------------------------------------------------
 
 
-def test_ledger_accumulates():
-    ledger = UsageLedger()
-    ledger.record(calls=1, prompt_tokens=10, completion_tokens=2)
-    ledger.record(calls=1, prompt_tokens=5, completion_tokens=1)
-    snap = ledger.snapshot()
-    assert snap == {
+def test_client_usage_sums_its_records():
+    client = LlmClient(ScriptedBackend(["hello world", "one two three"]))
+    assert client.usage() == {"llm_calls": 0, "prompt_tokens": 0, "completion_tokens": 0}
+    client.complete(*plan_call("what?"))
+    client.complete(*plan_call("who is it?"))
+    records = client.records
+    assert [r.response for r in records] == ["hello world", "one two three"]
+    assert client.usage() == {
         "llm_calls": 2,
-        "prompt_tokens": 15,
-        "completion_tokens": 3,
+        "prompt_tokens": sum(r.prompt_tokens for r in records),
+        "completion_tokens": 5,
     }
+    assert client.usage()["prompt_tokens"] > 0
 
 
-def test_ledger_rejects_negative_increments():
-    ledger = UsageLedger()
-    with pytest.raises(ValueError):
-        ledger.record(calls=-1)
-    with pytest.raises(ValueError):
-        ledger.record(prompt_tokens=-1)
+def test_client_usage_is_thread_safe():
+    class OneTokenBackend:
+        concurrency_limit = 8
 
+        def complete(self, rendered, params):
+            return Completion(text="ok", prompt_tokens=1, completion_tokens=1)
 
-def test_ledger_is_thread_safe():
-    ledger = UsageLedger()
+    client = LlmClient(OneTokenBackend())
 
     def work():
         for _ in range(200):
-            ledger.record(calls=1, prompt_tokens=1)
+            client.complete(*plan_call())
 
     threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert ledger.llm_calls == 1600
-    assert ledger.prompt_tokens == 1600
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert client.usage() == {"llm_calls": 1600, "prompt_tokens": 1600, "completion_tokens": 1600}
+    assert len(client.records) == 1600
 
 
 def test_step_times_the_call_it_makes():
@@ -196,10 +202,10 @@ def test_step_times_the_call_it_makes():
             time.sleep(0.005)
             return Completion(text="ok")
 
-    recorder = CallRecorder(LlmClient(SleepyBackend()))
-    record = StepCalls(recorder).complete(*plan_call("what?"))
+    client = LlmClient(SleepyBackend())
+    record = StepCalls(client).complete(*plan_call("what?"))
     assert record.response == "ok"
-    assert recorder.fastest_call_s >= 0.005
+    assert client.fastest_call_s >= 0.005
 
 
 def test_shared_backend_rejects_backend_without_call_slots():
@@ -213,8 +219,8 @@ def test_client_books_usage_and_call_records():
     backend = ScriptedBackend(["hello world"])
     client = LlmClient(backend)
     record = client.complete(*plan_call("what?"))
-    assert client.ledger.llm_calls == 1
-    assert client.ledger.completion_tokens == 2
+    assert client.usage()["llm_calls"] == 1
+    assert client.usage()["completion_tokens"] == 2
     assert record.key == PLAN_AND_SOLVE
     assert record.bindings_digest == plan_prompt("what?").bindings_digest()
     assert record.response == "hello world"
@@ -268,7 +274,7 @@ def test_generate_plan_falls_back_after_exhausted_retries(caplog):
     with caplog.at_level(logging.WARNING):
         plan = generate_plan(client, "Who founded Acme?")
     assert plan.degraded
-    assert client.ledger.llm_calls == 3
+    assert client.usage()["llm_calls"] == 3
 
 
 def test_generate_plan_stringifies_dict_steps(caplog):

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,7 +173,7 @@ def test_verify_global_empty_path_costs_nothing():
     client = LlmClient(MockBackend(g, answer_key={}))
     got = verify_global(client, "q?", PLAN, ReasoningPath("Justin_Bieber"))
     assert got is False
-    assert client.ledger.llm_calls == 0
+    assert client.usage()["llm_calls"] == 0
 
 
 def test_verify_global_requires_placeholder():
@@ -213,14 +214,14 @@ def test_verify_global_one_hop_prefix_stays_open():
         "Justin_Bieber", (ReasoningStep("people.person.father", "Jeremy_Bieber"),)
     )
     assert verify_global(client, BIEBER_Q, plan, one_hop) is False
-    assert client.ledger.llm_calls == 1
+    assert client.usage()["llm_calls"] == 1
 
 
 def test_adequacy_empty_path_costs_nothing():
     g = load_fixture("bieber.tsv")
     client = LlmClient(MockBackend(g, answer_key={}))
     assert adequacy_verify(client, "q?", ReasoningPath("A")) is False
-    assert client.ledger.llm_calls == 0
+    assert client.usage()["llm_calls"] == 0
 
 
 def test_adequacy_matches_deductive_when_verdicts_coincide():
@@ -246,7 +247,7 @@ def test_select_echo_keeps_first_k():
     chosen, mode = select_steps(client, "q?", PLAN, pool, k=4)
     assert mode == SELECT_BY_LLM
     assert chosen == [0, 1, 2, 3]
-    assert client.ledger.llm_calls == 1
+    assert client.usage()["llm_calls"] == 1
 
 
 def test_select_out_of_range_falls_back_with_flag():
@@ -264,7 +265,7 @@ def test_select_saturated_pool_costs_nothing():
     chosen, mode = select_steps(client, "q?", PLAN, pool, k=4)
     assert mode == SELECT_SATURATED
     assert chosen == [0, 1]
-    assert client.ledger.llm_calls == 0
+    assert client.usage()["llm_calls"] == 0
 
 
 def test_select_short_valid_list_fills_from_score_order():
@@ -292,7 +293,7 @@ def test_final_reason_zero_paths():
     assert got.answers == ()
     assert got.reason == REASON_NO_DEDUCIBLE_PATH
     assert got.top_answer is None
-    assert client.ledger.llm_calls == 0
+    assert client.usage()["llm_calls"] == 0
 
 
 def test_final_reason_ablation_returns_terminals():
@@ -305,7 +306,7 @@ def test_final_reason_ablation_returns_terminals():
     config = SearchConfig(use_last_step_reasoning=False)
     got = final_reason(client, "q?", paths, config)
     assert got.answers == ("B", "C")
-    assert client.ledger.llm_calls == 0
+    assert client.usage()["llm_calls"] == 0
 
 
 def test_final_reason_mock_answers_three_paths():
@@ -448,8 +449,8 @@ def test_bieber_end_to_end():
         "Justin_Bieber -> people.person.father -> Jeremy_Bieber"
         " -> people.married_to.person -> Erin_Wagner"
     )
-    assert client.ledger.llm_calls == 5
-    assert client.ledger.llm_calls <= call_budget(SearchConfig())
+    assert client.usage()["llm_calls"] == 5
+    assert client.usage()["llm_calls"] <= call_budget(SearchConfig())
     final = [e for e in trace.events if e["event"] == "final"][0]
     assert final["halted_depths"] == [2]
 
@@ -460,7 +461,7 @@ def test_iran_end_to_end():
     assert set(answers.answers) == {"Islamic_republic", "Theocracy", "Unitary_state"}
     assert {p.depth for p in answers.supporting_paths} == {2}
     assert len(answers.supporting_paths) == 3
-    assert client.ledger.llm_calls == 6
+    assert client.usage()["llm_calls"] == 6
 
 
 def test_emitted_paths_are_structurally_valid():
@@ -555,7 +556,7 @@ def test_repeated_topic_entity_is_searched_once():
         g, idx, emb, client = mock_runner("bieber.tsv")
         answers, trace = run_dvbs(BIEBER_Q, topics, ScoreContext(g, idx, emb), client)
         assert trace.events[0]["topic_entities"] == topics
-        outcomes.append((answers.answers, answers.supporting_paths, client.ledger.llm_calls))
+        outcomes.append((answers.answers, answers.supporting_paths, client.usage()["llm_calls"]))
     assert outcomes[1] == outcomes[0]
     assert outcomes[0][2] == 5
 
@@ -771,9 +772,9 @@ def test_no_call_after_the_halting_depth(data):
         last = max(i for i, e in verdicts if e["depth"] == d)
         assert [e["key"] for e in events[last + 1 :] if e["event"] == "llm_call"] == ["final_reason"]
         assert all(e.get("depth", d) <= d for e in events)
-        assert client.ledger.llm_calls <= 1 + d * (search.effective_width + 1) + 1
+        assert client.usage()["llm_calls"] <= 1 + d * (search.effective_width + 1) + 1
     else:
-        assert client.ledger.llm_calls <= call_budget(search)
+        assert client.usage()["llm_calls"] <= call_budget(search)
 
     replay = LlmClient(ReplayBackend(trace.call_records()))
     _, replayed = run_dvbs("q", [topic], ScoreContext(g, idx, emb), replay, search, retrieval)
@@ -845,7 +846,7 @@ def test_verifier_ablation_answers_from_live_paths(max_depth):
     )
     assert set(answers.answers) == {"Erin_Wagner", "US"}
     assert not [e for e in trace.events if e["event"] == "verdict"]
-    assert client.ledger.llm_calls == 2  # plan and final answer only
+    assert client.usage()["llm_calls"] == 2  # plan and final answer only
 
 
 def test_single_hypothesis_mode_narrows_beam():
@@ -887,7 +888,7 @@ def test_premature_adequacy_stops_shallow_with_wrong_answer():
 def test_early_halt_uses_fewer_calls_than_full_depth():
     g, idx, emb, client = mock_runner()
     run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client)
-    halted_calls = client.ledger.llm_calls
+    halted_calls = client.usage()["llm_calls"]
 
     g2 = load_fixture("combined.tsv")
     idx2 = build_index(g2, HashingEmbedder())
@@ -899,7 +900,7 @@ def test_early_halt_uses_fewer_calls_than_full_depth():
     never_client = LlmClient(backend)
     run_dvbs(BIEBER_Q, ["Justin_Bieber"], ScoreContext(g2, idx2, HashingEmbedder()), never_client)
     assert halted_calls < call_budget(SearchConfig())
-    assert halted_calls <= never_client.ledger.llm_calls + 1  # early halt never costs more
+    assert halted_calls <= never_client.usage()["llm_calls"] + 1  # early halt never costs more
 
 
 # --- concurrent verification --------------------------------------------------------
@@ -924,7 +925,7 @@ def test_concurrent_verification_trace_matches_serial(pools_started):
     assert len(pools_started) == 1
     assert trace.to_jsonl() == serial_trace.to_jsonl()
     assert answers == serial_answers
-    assert client.ledger.llm_calls == 6
+    assert client.usage()["llm_calls"] == 6
 
 
 def test_concurrent_trace_replays():
@@ -957,16 +958,16 @@ def test_failure_in_concurrent_batch_traces_like_serial(failing_rank):
     assert kinds[-2:] == ["backend-failure", "final"]
     assert sum(e["event"] == "verdict" for e in trace.events) == 1 + failing_rank
     # Higher ranks of the batch ran anyway; their calls stay booked.
-    assert client.ledger.llm_calls == 4
-    assert serial_client.ledger.llm_calls == 2 + failing_rank
-    assert client.ledger.llm_calls <= call_budget(SearchConfig())
+    assert client.usage()["llm_calls"] == 4
+    assert serial_client.usage()["llm_calls"] == 2 + failing_rank
+    assert client.usage()["llm_calls"] <= call_budget(SearchConfig())
 
 
 @pytest.mark.parametrize("concurrency_limit, row_usage", [(1, (2, 536)), (4, (4, 964))])
 def test_failed_batch_row_books_every_call_the_trace_books_the_serial_prefix(
     concurrency_limit, row_usage
 ):
-    """The report row's usage comes from the ledger, so it counts the calls
+    """The report row's usage comes from the client, so it counts the calls
     of a concurrent batch that ran past the failing one; the trace keeps
     only the serial prefix."""
     g, idx, emb, client = mock_runner()
@@ -1048,15 +1049,15 @@ def test_plain_mock_run_never_starts_a_pool(pools_started):
 
 @pytest.fixture
 def batches(monkeypatch):
-    """The size of every batch a run hands to ``CallRecorder.run_steps``."""
+    """The size of every batch a run hands to ``LlmClient.run_steps``."""
     sizes = []
-    real = llm_module.CallRecorder.run_steps
+    real = LlmClient.run_steps
 
     def recording(self, fn, items):
         sizes.append(len(items))
         return real(self, fn, items)
 
-    monkeypatch.setattr(llm_module.CallRecorder, "run_steps", recording)
+    monkeypatch.setattr(LlmClient, "run_steps", recording)
     return sizes
 
 
@@ -1094,7 +1095,7 @@ def test_fixed_last_beam_is_verified_in_the_round_before(batches):
     assert backend.max_in_flight > config.beam_width
     assert trace.to_jsonl() == serial_trace.to_jsonl()
     assert answers == serial_answers and len(answers.answers) == 2
-    assert client.ledger.snapshot() == serial_client.ledger.snapshot()
+    assert client.usage() == serial_client.usage()
 
 
 def test_a_beam_that_needs_a_selection_waits_for_its_round(batches):
@@ -1116,9 +1117,36 @@ def test_prefetched_calls_of_a_halting_depth_are_booked_not_traced(batches):
     assert trace.to_jsonl() == serial_trace.to_jsonl()
     assert got == serial_answers
     assert set(got.answers) == {"A1", "A3"}
-    assert client.ledger.llm_calls == serial_client.ledger.llm_calls + 4
-    assert serial_client.ledger.prompt_tokens < client.ledger.prompt_tokens
-    assert client.ledger.llm_calls <= call_budget(SearchConfig(max_depth=2))
+    assert client.usage()["llm_calls"] == serial_client.usage()["llm_calls"] + 4
+    assert serial_client.usage()["prompt_tokens"] < client.usage()["prompt_tokens"]
+    assert client.usage()["llm_calls"] <= call_budget(SearchConfig(max_depth=2))
+
+
+def test_client_records_every_call_and_the_trace_all_but_the_dropped_ones():
+    """The client keeps the record of every call it made, and usage is read
+    from those records; the trace lists them all except the early
+    verifications of depth 2, dropped when depth 1 halted."""
+    _, trace, _, client = fan_run(["A1", "A3"], 8)
+    records = client.records
+    assert client.usage() == {
+        "llm_calls": len(records),
+        "prompt_tokens": sum(r.prompt_tokens for r in records),
+        "completion_tokens": sum(r.completion_tokens for r in records),
+    }
+    (plan_event,) = [e for e in trace.events if e["event"] == "plan"]
+    plan = Plan(
+        keywords=tuple(plan_event["keywords"]),
+        planning_steps=tuple(plan_event["planning_steps"]),
+        declarative_statement=plan_event["declarative_statement"],
+    )
+    dropped = LlmClient(which_ones_backend(fan_of_chains(2), ["A1", "A3"]))
+    for i in range(1, 5):
+        path = ReasoningPath.from_arrow(f"S -> r -> A{i} -> r2 -> B{i}")
+        verify_global(dropped, "which ones?", plan, path)
+    traced = Counter(trace.call_records())
+    assert not traced - Counter(records)
+    assert Counter(records) - traced == Counter(dropped.records)
+    assert len(dropped.records) == 4
 
 
 def test_failed_prefetched_call_is_dropped_when_the_depth_before_halts():
@@ -1126,7 +1154,7 @@ def test_failed_prefetched_call_is_dropped_when_the_depth_before_halts():
     got, trace, _, client = fan_run(["A1", "A3"], 8, fail=fails_on("B2"))
     assert got == serial_answers
     assert trace.to_jsonl() == serial_trace.to_jsonl()
-    assert client.ledger.llm_calls == 6 + 3  # the failed call books nothing
+    assert client.usage()["llm_calls"] == 6 + 3  # the failed call books nothing
 
 
 def test_failed_prefetched_call_is_raised_at_its_own_depth(batches):
@@ -1149,7 +1177,7 @@ def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_st
     _, trace, _, client = fan_run(["A1", "A3"], 4)
     assert batches == [4]  # 4 paths now and 4 next would exceed the limit of 4
     assert trace.to_jsonl() == plain_trace.to_jsonl()
-    assert client.ledger.snapshot() == plain_client.ledger.snapshot()
+    assert client.usage() == plain_client.usage()
 
 
 @settings(max_examples=40, deadline=None)
@@ -1170,8 +1198,8 @@ def test_no_call_after_the_halting_depth_when_calls_wait(data):
     n = search.effective_width
     halting = [e["depth"] for e in trace.events if e["event"] == "verdict" and e["halted"]]
     if halting:
-        assert client.ledger.llm_calls <= halting[0] * (n + 1) + 2 + n
-    assert client.ledger.llm_calls <= call_budget(search)
+        assert client.usage()["llm_calls"] <= halting[0] * (n + 1) + 2 + n
+    assert client.usage()["llm_calls"] <= call_budget(search)
 
     replay = LlmClient(ReplayBackend(trace.call_records()))
     _, replayed = run_dvbs("q", [topic], ScoreContext(g, idx, emb), replay, search, retrieval)
