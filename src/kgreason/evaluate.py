@@ -24,7 +24,7 @@ from typing import IO, Iterable, Mapping, Sequence, Union
 
 from .embedding import Embedder, EmbeddingIndex
 from .kg import KnowledgeGraph, PathParseError, ReasoningPath, normalize, read_text, split_lines, validate_path
-from .llm import DecodeParams, LlmBackend, LlmClient, LlmError, SharedBackend
+from .llm import DecodeParams, LlmBackend, LlmClient, SharedBackend
 from .pathrag import RetrievalConfig, ScoreContext, coverage_ratio, retrieved_steps_along_path
 from .search import (
     REASON_BACKEND_FAILURE,
@@ -299,7 +299,7 @@ def evaluate_question(
         answers, trace = run_dvbs(
             record.question, record.topic_entities, context, client, search_config, retrieval_config
         )
-    except (LlmError, TopicEntityError) as exc:
+    except TopicEntityError as exc:
         logger.warning("question %s failed: %s", record.id, exc)
         answers, trace, failure = AnswerSet(), None, f"{type(exc).__name__}: {exc}"
     else:

@@ -362,6 +362,23 @@ def extract_json(text: str, schema_hint: str | None = None):
     raise ValueError(f"no parseable JSON in response: {text[:120]!r}")
 
 
+def _complete_parsed(client: Completer, key: str, bindings: Mapping[str, object], parse):
+    """Call the model until ``parse`` accepts a response, up to
+    ``JSON_RETRIES`` re-asks after the first attempt, and return what it
+    made of it; ``parse`` refuses a response by raising ValueError.
+    Exhaustion raises JsonDecodeFailure carrying the last raw response."""
+    last_raw = ""
+    for _ in range(JSON_RETRIES + 1):
+        last_raw = client.complete(key, bindings).response
+        try:
+            return parse(last_raw)
+        except ValueError as exc:
+            logger.warning("unusable JSON response for %s (%s); retrying", key, exc)
+    raise JsonDecodeFailure(
+        f"no parseable JSON for {key} after {JSON_RETRIES + 1} attempts", last_raw
+    )
+
+
 def complete_json(
     client: Completer,
     key: str,
@@ -371,16 +388,7 @@ def complete_json(
     """Call the model until a response parses as JSON, up to ``JSON_RETRIES``
     re-asks after the first attempt. Returns the parsed value; exhaustion
     raises JsonDecodeFailure carrying the last raw response."""
-    last_raw = ""
-    for _ in range(JSON_RETRIES + 1):
-        last_raw = client.complete(key, bindings).response
-        try:
-            return extract_json(last_raw, schema_hint)
-        except ValueError:
-            logger.warning("unparseable JSON response for %s; retrying", key)
-    raise JsonDecodeFailure(
-        f"no parseable JSON for {key} after {JSON_RETRIES + 1} attempts", last_raw
-    )
+    return _complete_parsed(client, key, bindings, lambda text: extract_json(text, schema_hint))
 
 
 # --- Plans -----------------------------------------------------------------
@@ -461,17 +469,13 @@ def generate_plan(client: Completer, question: str) -> Plan:
     ``JSON_RETRIES`` re-asks, fall back to a degraded plan from the question."""
     if not question.strip():
         raise ValueError("question must be non-empty")
-    last_error: Exception | None = None
-    for _ in range(JSON_RETRIES + 1):
-        response = client.complete(PLAN_AND_SOLVE, {"query": question}).response
-        try:
-            return _coerce_plan(extract_json(response))
-        except ValueError as exc:
-            last_error = exc
-            logger.warning("plan parse failed (%s); retrying", exc)
-    logger.warning("plan generation failed after %d attempts (%s); using degraded plan",
-                   JSON_RETRIES + 1, last_error)
-    return degraded_plan(question)
+    try:
+        return _complete_parsed(
+            client, PLAN_AND_SOLVE, {"query": question}, lambda text: _coerce_plan(extract_json(text))
+        )
+    except JsonDecodeFailure:
+        logger.warning("plan generation failed after %d attempts; using degraded plan", JSON_RETRIES + 1)
+        return degraded_plan(question)
 
 
 # --- Backends --------------------------------------------------------------

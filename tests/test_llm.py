@@ -277,6 +277,20 @@ def test_generate_plan_falls_back_after_exhausted_retries(caplog):
     assert client.usage()["llm_calls"] == 3
 
 
+def test_generate_plan_re_asks_after_a_plan_it_cannot_use():
+    refused = json.dumps(
+        {"keywords": [], "planning_steps": [], "declarative_statement": "It is *placeholder*."}
+    )
+    usable = json.dumps(
+        {"keywords": ["founder"], "planning_steps": [], "declarative_statement": "It is *placeholder*."}
+    )
+    client = LlmClient(ScriptedBackend([refused, usable]))
+    plan = generate_plan(client, "Who founded Acme?")
+    assert not plan.degraded
+    assert plan.keywords == ("founder",)
+    assert client.usage()["llm_calls"] == 2
+
+
 def test_generate_plan_stringifies_dict_steps(caplog):
     scripted = json.dumps(
         {
