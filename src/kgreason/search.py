@@ -85,7 +85,6 @@ class SearchConfig:
     max_depth: int = 4
     use_planning: bool = True
     use_deductive_verifier: bool = True
-    use_beam_search: bool = True
     use_last_step_reasoning: bool = True
     adequacy_mode: bool = False
 
@@ -94,10 +93,6 @@ class SearchConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-
-    @property
-    def effective_width(self) -> int:
-        return self.beam_width if self.use_beam_search else 1
 
 
 def run_config(search: SearchConfig, retrieval: RetrievalConfig) -> dict:
@@ -119,7 +114,7 @@ def call_budget(config: SearchConfig) -> int:
     verifications of depth d+1 that were sent with depth d's and dropped;
     since depth d+1 then needs no selection call, the total stays within
     this budget."""
-    n = config.effective_width
+    n = config.beam_width
     d = config.max_depth
     return n * d + d + 1
 
@@ -432,7 +427,7 @@ def run_dvbs(
         raise TopicEntityError(f"no topic entity of {list(topic_entities)!r} exists in the graph")
 
     config, retrieval = search_config, retrieval_config
-    k = config.effective_width
+    k = config.beam_width
     try:
         if config.use_planning:
             with _step(client, trace) as calls:

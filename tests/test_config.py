@@ -27,7 +27,6 @@ retriever.alpha = 0.5
 search.width = 2
 search.depth = 3
 search.adequacy_mode = true
-search.use_beam_search = false
 
 backend.kind = mock
 backend.script = fixtures/mock_script.json
@@ -46,7 +45,6 @@ def test_full_config_parses():
     assert config.search.beam_width == 2
     assert config.search.max_depth == 3
     assert config.search.adequacy_mode is True
-    assert config.search.use_beam_search is False
     assert config.backend_kind == "mock"
     assert config.decode.temperature == 0.7
     assert config.eval_parallelism == 4
@@ -86,7 +84,13 @@ def test_unknown_key_reports_line_number():
 
 
 @pytest.mark.parametrize(
-    "line", ["retriever.neighbor_cap = 256", "search.demo_count = 5", "search.json_retries = 2"]
+    "line",
+    [
+        "retriever.neighbor_cap = 256",
+        "search.demo_count = 5",
+        "search.json_retries = 2",
+        "search.use_beam_search = false",
+    ],
 )
 def test_retired_key_fails_as_unknown_key(line):
     with pytest.raises(ConfigError) as exc:
@@ -128,9 +132,7 @@ def test_bad_backend_kind_rejected():
 
 def test_settings_objects_carry_values_through():
     config = parse_config(FULL)
-    assert config.search == SearchConfig(
-        beam_width=2, max_depth=3, adequacy_mode=True, use_beam_search=False
-    )
+    assert config.search == SearchConfig(beam_width=2, max_depth=3, adequacy_mode=True)
     assert config.retriever == RetrievalConfig(m=7, alpha=0.5, mode="vanilla")
     assert config.decode == DecodeParams(temperature=0.7, top_p=1.0)
 
@@ -160,7 +162,6 @@ FILE_KEYS = {
     "search.depth": "search.max_depth",
     "search.use_planning": "search.use_planning",
     "search.use_deductive_verifier": "search.use_deductive_verifier",
-    "search.use_beam_search": "search.use_beam_search",
     "search.use_last_step_reasoning": "search.use_last_step_reasoning",
     "search.adequacy_mode": "search.adequacy_mode",
     "backend.kind": "backend_kind",

@@ -54,7 +54,7 @@ CASES = [(record_id, mode) for record_id in RECORD_IDS for mode in RETRIEVER_MOD
 SETTINGS = {
     "no-verifier": (SearchConfig(use_deductive_verifier=False), RetrievalConfig()),
     "adequacy": (SearchConfig(adequacy_mode=True), RetrievalConfig()),
-    "no-beam": (SearchConfig(use_beam_search=False), RetrievalConfig()),
+    "no-beam": (SearchConfig(beam_width=1), RetrievalConfig()),
     "depth-1": (SearchConfig(max_depth=1), RetrievalConfig()),
     "m-2": (SearchConfig(), RetrievalConfig(m=2)),
 }

@@ -160,11 +160,6 @@ def test_search_config_validation():
         SearchConfig(max_depth=0)
 
 
-def test_effective_width_without_beam_search():
-    assert SearchConfig(beam_width=4, use_beam_search=False).effective_width == 1
-    assert SearchConfig(beam_width=4).effective_width == 4
-
-
 # --- verification ops -----------------------------------------------------------
 
 
@@ -772,7 +767,7 @@ def test_no_call_after_the_halting_depth(data):
         last = max(i for i, e in verdicts if e["depth"] == d)
         assert [e["key"] for e in events[last + 1 :] if e["event"] == "llm_call"] == ["final_reason"]
         assert all(e.get("depth", d) <= d for e in events)
-        assert client.usage()["llm_calls"] <= 1 + d * (search.effective_width + 1) + 1
+        assert client.usage()["llm_calls"] <= 1 + d * (search.beam_width + 1) + 1
     else:
         assert client.usage()["llm_calls"] <= call_budget(search)
 
@@ -851,7 +846,7 @@ def test_verifier_ablation_answers_from_live_paths(max_depth):
 
 def test_single_hypothesis_mode_narrows_beam():
     g, idx, emb, client = mock_runner()
-    config = SearchConfig(max_depth=2, use_beam_search=False)
+    config = SearchConfig(beam_width=1, max_depth=2)
     answers, trace = run_dvbs(
         BIEBER_Q, ["Justin_Bieber"], ScoreContext(g, idx, emb), client, search_config=config
     )
@@ -1195,7 +1190,7 @@ def test_no_call_after_the_halting_depth_when_calls_wait(data):
     _, trace = run_dvbs("q", [topic], ScoreContext(g, idx, emb), client, search, retrieval)
     assert threading.active_count() == baseline
     assert trace.to_jsonl() == serial.to_jsonl()
-    n = search.effective_width
+    n = search.beam_width
     halting = [e["depth"] for e in trace.events if e["event"] == "verdict" and e["halted"]]
     if halting:
         assert client.usage()["llm_calls"] <= halting[0] * (n + 1) + 2 + n
