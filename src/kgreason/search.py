@@ -20,16 +20,19 @@ calls in its trace.
 
 The verifications of one depth depend only on the question, the plan and
 their own path, so once the run's model calls are seen to wait they overlap,
-up to the backend's ``concurrency_limit``. Wall time then grows with about
-2*depth + 1 call latencies instead of width*depth + depth + 1. A depth whose
-beam score order fixes (the final depth, or a pool no wider than the beam)
-needs no selection call, so its verifications wait only on whether the depth
-before halts: once calls wait, they go in that depth's batch, after its own,
-when both fit the ``concurrency_limit``, which saves one call latency. When
-the depth before halts they are dropped, so a question that halts at depth d
-may have made up to width more calls than its trace shows. Each call is
-booked by the step that made it, and the trace lists calls and verdicts in
-selection-rank order, so it is byte-identical to a serial run's.
+up to the backend's ``concurrency_limit``. The next depth's calls depend
+only on its pool, which is known before the verdicts come back, so they wait
+only on whether this depth halts: once calls wait and at least one more call
+fits the limit, the next depth is pooled before the verdicts, and its
+selection call, or the verifications of a beam that score order fixes (the
+final depth, or a pool no wider than the beam), go in this depth's batch,
+after its own, when all fit the limit. Wall time then grows with about
+depth + 3 call latencies (plan, first selection, one round per depth,
+answer) instead of width*depth + depth + 1. When this depth halts, or one of
+its verifications fails, the early calls are dropped, so a question that
+halts at depth d may have made up to width more calls than its trace shows.
+Each call is booked by the step that made it, and the trace lists calls and
+verdicts in selection-rank order, so it is byte-identical to a serial run's.
 """
 
 from __future__ import annotations
@@ -110,10 +113,11 @@ def call_budget(config: SearchConfig) -> int:
     before the last depth: one verification per retained path per depth,
     one selection per depth, one plan call. The search stops after the first
     depth at which a path verifies, so a question deducible at depth d makes
-    at most d*(width+1) + 2 calls, the answer call included, plus up to width
-    verifications of depth d+1 that were sent with depth d's and dropped;
-    since depth d+1 then needs no selection call, the total stays within
-    this budget."""
+    at most d*(width+1) + 2 calls, the answer call included, plus the calls
+    of depth d+1 that were sent with depth d's and dropped: up to width
+    verifications, or its one selection call. Both need d < max_depth, and
+    (max_depth-1)*(width+1) + 2 + width is this budget, so the total stays
+    within it."""
     n = config.beam_width
     d = config.max_depth
     return n * d + d + 1
@@ -395,12 +399,13 @@ def run_dvbs(
     first-occurrence order. Each depth pools candidate extensions of all
     live paths, keeps the beam via model selection (skipped when the pool
     already fits, and replaced by score order at the last depth), then
-    verifies each kept extension once. Once the run's calls wait, a beam
-    that score order fixes is verified in the same batch as the depth
-    before, and dropped unused if that depth halts; the trace is the same
-    as a serial run's. The search stops after the first depth at which any
-    path passes, and the paths that passed there answer; otherwise it stops
-    at ``max_depth`` or at an empty pool with no answer.
+    verifies each kept extension once. Once the run's calls wait, the next
+    depth's selection call, or the verifications of a beam that score order
+    fixes, go in the same batch as a depth's verifications, and are dropped
+    unused if that depth halts or fails; the trace is the same as a serial
+    run's. The search stops after the first depth at which any path passes,
+    and the paths that passed there answer; otherwise it stops at
+    ``max_depth`` or at an empty pool with no answer.
     With the verifier off nothing halts, and the paths still live when the
     search stops answer instead. Backend failures are recorded in the trace
     and yield an empty answer set rather than a crash. ``context`` is the
@@ -489,9 +494,13 @@ def run_dvbs(
             events.add("selection", depth=depth, mode=mode, selected=[arrow for *_, arrow in chosen])
             return [(arrow, path) for *_, path, arrow in chosen]
 
+        def select(calls: Completer, pool: list) -> tuple[list[int], str]:
+            return select_steps(calls, question, plan, [arrow for *_, arrow in pool], k)
+
         # The next depth's (events, pool, beam), pooled during this depth,
-        # and its beam's verification outcomes when they shared this round.
-        ahead = prefetched = None
+        # and the outcomes of its calls that rode in this depth's round.
+        ahead, prefetched = None, []
+        limit = client.backend.concurrency_limit
         for depth in range(1, config.max_depth + 1):
             if not live or halted:
                 break
@@ -500,12 +509,18 @@ def run_dvbs(
             else:
                 (events, pool, beam), ahead = ahead, None
                 trace.events += events.events
-            outcomes, prefetched = prefetched, None
+            early, prefetched = prefetched, []
             if not pool:
                 break
             if beam is None:
-                with _step(client, trace) as calls:
-                    selection = select_steps(calls, question, plan, [arrow for *_, arrow in pool], k)
+                if early:  # the selection rode in the round before
+                    ((calls, selection, error),), early = early, []
+                    trace.add_calls(calls.records)
+                    if error is not None:
+                        raise error
+                else:
+                    with _step(client, trace) as calls:
+                        selection = select(calls, pool)
                 beam = keep(depth, pool, selection, trace)
             live = beam
             if not config.use_deductive_verifier:
@@ -513,19 +528,25 @@ def run_dvbs(
 
             # Verify the beam as one batch (concurrently when calls wait) and
             # fold the outcomes back in selection-rank order, so the trace
-            # reads as if run one by one. Once calls wait, the next depth is
-            # pooled first, and a beam that score order fixes rides in this
-            # batch, after this depth's paths, if both fit the backend's limit.
-            if outcomes is None:
-                paths = [path for _, path in live]
-                if depth < config.max_depth and client.calls_wait():
+            # reads as if run one by one. Once calls wait and a call can join
+            # the batch, the next depth is pooled first, and its selection
+            # call, or a beam that score order fixes, rides in this batch,
+            # after this depth's paths, if all fit the backend's limit.
+            outcomes = early
+            if not outcomes:
+                jobs = [(verify, path) for _, path in live]
+                if depth < config.max_depth and len(jobs) < limit and client.calls_wait():
                     events = SearchTrace(question)
                     next_pool, next_beam = expand(depth + 1, live, events)
                     ahead = events, next_pool, next_beam
-                    if next_beam and len(paths) + len(next_beam) <= client.backend.concurrency_limit:
-                        paths += [path for _, path in next_beam]
-                outcomes = client.run_steps(verify, paths)
-                prefetched = outcomes[len(live) :] or None
+                    if next_beam:
+                        riders = [(verify, path) for _, path in next_beam]
+                    else:
+                        riders = [(select, next_pool)] if next_pool else []
+                    if len(jobs) + len(riders) <= limit:
+                        jobs += riders
+                outcomes = client.run_steps(lambda calls, job: job[0](calls, job[1]), jobs)
+                prefetched = outcomes[len(live) :]
             verified, live = live, []
             for (arrow, path), (calls, deduced, error) in zip(verified, outcomes):
                 trace.add_calls(calls.records)

@@ -22,6 +22,7 @@ from kgreason.kg import (
 )
 from kgreason.llm import (
     CallRecord,
+    Completion,
     LlmClient,
     LlmError,
     MockBackend,
@@ -31,7 +32,7 @@ from kgreason.llm import (
 )
 from kgreason.evaluate import QARecord, evaluate_question, load_dataset, run_experiment
 from kgreason.pathrag import RETRIEVER_MODES, RetrievalConfig, ScoreContext
-from kgreason.prompts import DEDUCTIVE_VERIFY
+from kgreason.prompts import BEAM_SELECT, DEDUCTIVE_VERIFY
 from kgreason.search import (
     PRUNE_NO_CANDIDATES,
     PRUNE_WIDTH_TRUNCATION,
@@ -1039,7 +1040,7 @@ def test_plain_mock_run_never_starts_a_pool(pools_started):
     assert pools_started == []
 
 
-# --- the next depth's fixed beam in the current depth's batch ----------------------
+# --- the next depth's calls in the current depth's batch --------------------------
 
 
 @pytest.fixture
@@ -1093,14 +1094,18 @@ def test_fixed_last_beam_is_verified_in_the_round_before(batches):
     assert client.usage() == serial_client.usage()
 
 
-def test_a_beam_that_needs_a_selection_waits_for_its_round(batches):
+def test_a_selection_rides_in_the_round_before(batches):
+    # Depth 1 keeps its one path; depth 2's pool of 3 needs a selection call.
     config = SearchConfig(beam_width=2, max_depth=3)
-    _, serial_trace, _, _ = slow_iran_run(1, config=config)
+    serial_answers, serial_trace, _, serial_client = slow_iran_run(1, config=config)
     assert batches == [1, 2]
     batches.clear()
-    _, trace, _, _ = slow_iran_run(8, config=config)
-    assert batches == [1, 2]
+    answers, trace, _, client = slow_iran_run(8, config=config)
+    assert batches == [2, 2]
+    assert [e["mode"] for e in trace.events if e["event"] == "selection"] == ["saturated", "llm"]
     assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert answers == serial_answers and len(answers.answers) == 2
+    assert client.usage() == serial_client.usage()
 
 
 def test_prefetched_calls_of_a_halting_depth_are_booked_not_traced(batches):
@@ -1175,6 +1180,127 @@ def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_st
     assert client.usage() == plain_client.usage()
 
 
+def test_no_early_pooling_when_no_call_can_ride(monkeypatch):
+    """With a limit equal to the width, depth 1's four verifications fill
+    the batch, so depth 2 is pooled only in its own turn, as a serial run
+    pools it; a run that halts at depth 1 ranks one frontier set."""
+    ranked = []
+    real = ScoreContext.rank
+
+    def counting(self, *args, **kwargs):
+        ranked.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScoreContext, "rank", counting)
+    _, serial_trace, _, _ = fan_run(["A1", "A3"])
+    serial_ranked, ranked[:] = list(ranked), []
+    _, trace, backend, _ = fan_run(["A1", "A3"], 4)
+    assert backend.max_in_flight == 4
+    assert ranked == serial_ranked == [["S"]]
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+
+
+def chains_tree():
+    """S -> r -> A1, A2; three r2 edges from each A_i to Bi1..Bi3; one r3
+    edge from each B to a C. Depth 1 keeps its pool of two whole at width 2;
+    depth 2's pool of six needs a selection call."""
+    edges = [("S", "r", f"A{i}") for i in (1, 2)]
+    edges += [(f"A{i}", "r2", f"B{i}{j}") for i in (1, 2) for j in (1, 2, 3)]
+    edges += [(f"B{i}{j}", "r3", f"C{i}{j}") for i in (1, 2) for j in (1, 2, 3)]
+    return KnowledgeGraph(edges)
+
+
+class GarbledFirstSelection:
+    """Wraps a backend: the first selection call gets a response that is
+    not JSON, so the client asks again."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.concurrency_limit = inner.concurrency_limit
+        self.garbled = False
+
+    def complete(self, rendered, params):
+        if rendered.key == BEAM_SELECT and not self.garbled:
+            self.garbled = True
+            return Completion("the first two, I think", 10, 5)
+        return self.inner.complete(rendered, params)
+
+
+def tree_run(answers, concurrency_limit=None, fail=None, garble=False):
+    """One "which ones?" run over ``chains_tree`` at width 2 and
+    ``max_depth`` 3, through a SlowBackend when a ``concurrency_limit`` is
+    given: (answers, trace, client)."""
+    g = chains_tree()
+    emb = HashingEmbedder()
+    idx = build_index(g, emb)
+    backend = which_ones_backend(g, answers)
+    if garble:
+        backend = GarbledFirstSelection(backend)
+    if concurrency_limit is not None:
+        backend = SlowBackend(backend, concurrency_limit, fail=fail)
+    client = LlmClient(backend)
+    answer_set, trace = run_dvbs(
+        "which ones?", ["S"], ScoreContext(g, idx, emb), client,
+        search_config=SearchConfig(beam_width=2, max_depth=3),
+    )
+    return answer_set, trace, client
+
+
+def test_dropped_early_selection_is_booked_not_traced(batches):
+    serial_answers, serial_trace, serial_client = tree_run(["A1"])
+    assert batches == [2]
+    batches.clear()
+    answers, trace, client = tree_run(["A1"], 8)
+    assert batches == [3]  # depth 2's selection rode with depth 1's verifications
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert answers == serial_answers and answers.answers == ("A1",)
+    assert client.usage()["llm_calls"] == serial_client.usage()["llm_calls"] + 1
+    (extra,) = Counter(client.records) - Counter(trace.call_records())
+    assert extra.key == BEAM_SELECT
+    assert client.usage()["llm_calls"] <= call_budget(SearchConfig(beam_width=2, max_depth=3))
+
+
+def test_failed_early_selection_is_dropped_when_the_depth_before_halts(batches):
+    serial_answers, serial_trace, serial_client = tree_run(["A1"])
+    batches.clear()
+    answers, trace, client = tree_run(["A1"], 8, fail=lambda r: r.key == BEAM_SELECT)
+    assert batches == [3]
+    assert answers == serial_answers and answers.answers == ("A1",)
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert client.usage() == serial_client.usage()  # the failed call books nothing
+
+
+def test_failed_early_selection_is_raised_at_its_own_depth(batches):
+    def fail(rendered):
+        return rendered.key == BEAM_SELECT
+
+    serial_answers, serial_trace, _ = tree_run(["C11"], 1, fail=fail)
+    assert batches == [2]
+    batches.clear()
+    answers, trace, _ = tree_run(["C11"], 8, fail=fail)
+    assert batches == [3]
+    assert answers == serial_answers and answers.reason == REASON_BACKEND_FAILURE
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    kinds = [e["event"] for e in trace.events]
+    assert kinds[-4:] == ["verdict", "depth", "backend-failure", "final"]
+
+
+def test_json_re_ask_inside_an_early_selection_traces_like_serial(batches):
+    serial_answers, serial_trace, serial_client = tree_run(["C11"], garble=True)
+    assert batches == [2, 2, 2]
+    batches.clear()
+    answers, trace, client = tree_run(["C11"], 8, garble=True)
+    assert batches == [3, 4]
+    assert trace.to_jsonl() == serial_trace.to_jsonl()
+    assert answers == serial_answers and answers.answers == ("C11",)
+    keys = [e.get("key") for e in trace.events if e["event"] in ("llm_call", "selection")]
+    first = keys.index(BEAM_SELECT)
+    assert keys[first : first + 3] == [BEAM_SELECT, BEAM_SELECT, None]  # re-asked, then selected
+    garbled, valid = [r for r in trace.call_records() if r.key == BEAM_SELECT]
+    assert garbled.response == "the first two, I think" and valid.response == "[0, 1]"
+    assert client.usage() == serial_client.usage()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_no_call_after_the_halting_depth_when_calls_wait(data):
@@ -1199,6 +1325,41 @@ def test_no_call_after_the_halting_depth_when_calls_wait(data):
     replay = LlmClient(ReplayBackend(trace.call_records()))
     _, replayed = run_dvbs("q", [topic], ScoreContext(g, idx, emb), replay, search, retrieval)
     assert replayed.to_jsonl() == trace.to_jsonl()
+
+
+@pytest.fixture(scope="module")
+def fixture_world():
+    """The fixture graph, its index and embedder, and a mock backend."""
+    g, idx, emb, client = mock_runner()
+    return g, idx, emb, client.backend
+
+
+@pytest.mark.parametrize("adequacy_mode", [False, True], ids=["deductive", "adequacy"])
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("beam_width", [1, 2, 3, 4])
+def test_batched_run_matches_a_serial_run(fixture_world, beam_width, max_depth, adequacy_mode):
+    """Differential check of the round scheduler: with calls that wait and
+    room for eight at once, each fixture question gives the serial run's
+    answers and trace bytes, usage at least the serial run's and within
+    ``call_budget``, and leaves no pool thread behind."""
+    g, idx, emb, mock = fixture_world
+    config = SearchConfig(beam_width=beam_width, max_depth=max_depth, adequacy_mode=adequacy_mode)
+    for question, topic in ((BIEBER_Q, "Justin_Bieber"), (IRAN_Q, "Iranian_rial")):
+        serial_client = LlmClient(mock)
+        serial_answers, serial_trace = run_dvbs(
+            question, [topic], ScoreContext(g, idx, emb), serial_client, config
+        )
+        baseline = threading.active_count()
+        backend = SlowBackend(mock, 8, delay=0.002)
+        client = LlmClient(backend)
+        answers, trace = run_dvbs(question, [topic], ScoreContext(g, idx, emb), client, config)
+        assert threading.active_count() == baseline
+        assert backend.max_in_flight <= 8
+        assert trace.to_jsonl() == serial_trace.to_jsonl()
+        assert answers == serial_answers
+        usage, serial_usage = client.usage(), serial_client.usage()
+        assert all(usage[name] >= serial_usage[name] for name in usage)
+        assert usage["llm_calls"] <= call_budget(config)
 
 
 # --- trace serialization ----------------------------------------------------------
