@@ -514,7 +514,7 @@ def run_dvbs(
                 break
             if beam is None:
                 if early:  # the selection rode in the round before
-                    ((calls, selection, error),), early = early, []
+                    (calls, selection, error), early = early[0], []
                     trace.add_calls(calls.records)
                     if error is not None:
                         raise error
