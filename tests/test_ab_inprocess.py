@@ -5,6 +5,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgreason
@@ -34,3 +35,10 @@ def test_side_summary_reads_medians_and_sums():
     assert summary["question_min_s_sum"] == pytest.approx(0.006)
     assert summary["question_min_ms_median"] == 3.0
     assert (summary["llm_calls"], summary["prompt_tokens"]) == (20, 900)
+
+
+def test_median_interval_holds_the_median():
+    rng = np.random.default_rng(1)
+    assert ab_inprocess.median_interval([1.0] * 9, rng) == [1.0, 1.0]
+    low, high = ab_inprocess.median_interval([0.9, 0.95, 1.0, 1.05, 1.1], rng)
+    assert 0.9 <= low <= 1.0 <= high <= 1.1

@@ -1169,35 +1169,31 @@ def test_failed_prefetched_call_is_raised_at_its_own_depth(batches):
     assert [e["depth"] for e in trace.events if e["event"] == "verdict"][-1] == 2
 
 
-def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_started):
+def test_no_prefetch_without_waiting_calls_or_beyond_the_limit(batches, pools_started, monkeypatch):
+    """Without waiting calls, or when depth 1's four verifications fill a
+    limit of 4, nothing rides and depth 2 is pooled only in its own turn,
+    as a serial run pools it: a run that halts at depth 1 ranks one
+    frontier set."""
+    ranked = []
+    real_rank = ScoreContext.rank
+
+    def counting(self, frontiers, *args):
+        ranked.append(frontiers)
+        return real_rank(self, frontiers, *args)
+
+    monkeypatch.setattr(ScoreContext, "rank", counting)
     _, plain_trace, _, plain_client = fan_run(["A1", "A3"])
     assert batches == [4]
     assert pools_started == []
+    assert ranked == [["S"]]
     batches.clear()
-    _, trace, _, client = fan_run(["A1", "A3"], 4)
-    assert batches == [4]  # 4 paths now and 4 next would exceed the limit of 4
+    ranked.clear()
+    _, trace, backend, client = fan_run(["A1", "A3"], 4)
+    assert batches == [4]  # 4 paths now leave no room under the limit of 4
+    assert backend.max_in_flight == 4
+    assert ranked == [["S"]]
     assert trace.to_jsonl() == plain_trace.to_jsonl()
     assert client.usage() == plain_client.usage()
-
-
-def test_no_early_pooling_when_no_call_can_ride(monkeypatch):
-    """With a limit equal to the width, depth 1's four verifications fill
-    the batch, so depth 2 is pooled only in its own turn, as a serial run
-    pools it; a run that halts at depth 1 ranks one frontier set."""
-    ranked = []
-    real = ScoreContext.rank
-
-    def counting(self, *args, **kwargs):
-        ranked.append(args[0])
-        return real(self, *args, **kwargs)
-
-    monkeypatch.setattr(ScoreContext, "rank", counting)
-    _, serial_trace, _, _ = fan_run(["A1", "A3"])
-    serial_ranked, ranked[:] = list(ranked), []
-    _, trace, backend, _ = fan_run(["A1", "A3"], 4)
-    assert backend.max_in_flight == 4
-    assert ranked == serial_ranked == [["S"]]
-    assert trace.to_jsonl() == serial_trace.to_jsonl()
 
 
 def chains_tree():

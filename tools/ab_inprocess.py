@@ -23,8 +23,10 @@ that differs ends the run with exit 1 and nothing written. Otherwise the
 name, one entry: the revisions and settings; per side, every pass's set-up
 seconds with their median and quartiles, the sum over questions of each
 question's fastest time, the median of those fastest times, and one pass's
-calls and prompt tokens; and the median over questions of the change/parent
-ratio of fastest times.
+calls and prompt tokens; the median over questions of the change/parent
+ratio of fastest times, and the median over passes of the change/parent
+ratio of set-up seconds, each with a bootstrap 95% interval (2,000
+resamples, seeded from ``--seed``).
 """
 
 from __future__ import annotations
@@ -59,6 +61,13 @@ def import_tree(src: Path, name: str):
     spec.loader.exec_module(package)
     logging.getLogger(name).setLevel(logging.ERROR)
     return package
+
+
+def median_interval(values, rng, resamples: int = 2000) -> list[float]:
+    """A bootstrap 95% interval of the median of ``values``."""
+    draws = rng.choice(np.asarray(values, dtype=float), size=(resamples, len(values)))
+    low, high = np.percentile(np.median(draws, axis=1), [2.5, 97.5])
+    return [float(low), float(high)]
 
 
 def side_summary(setups: list[float], fastest: dict[str, float], calls: int, tokens: int) -> dict:
@@ -133,7 +142,9 @@ def main(argv=None) -> int:
             usage = totals
             print(f"ab_inprocess: {args.workload} pass {i + 1} of {args.passes} done", file=sys.stderr)
 
+    rng = np.random.default_rng(args.seed)
     ratios = [fastest["change"][q] / fastest["parent"][q] for q in fastest["parent"]]
+    setup_ratios = [c / p for p, c in zip(setups["parent"], setups["change"])]
     entry = {
         "revisions": {side: getattr(args, side) for side in SIDES},
         "seed": args.seed,
@@ -141,6 +152,9 @@ def main(argv=None) -> int:
         "latency_s": latency_s,
         "questions": len(ratios),
         "question_ratio_median": float(np.median(ratios)),
+        "question_ratio_interval": median_interval(ratios, rng),
+        "setup_ratio_median": float(np.median(setup_ratios)),
+        "setup_ratio_interval": median_interval(setup_ratios, rng),
         **{side: side_summary(setups[side], fastest[side], *usage[side]) for side in SIDES},
     }
     path = ROOT / f"BENCH_{args.label}.json"
