@@ -4,7 +4,7 @@ readings that subprocess pairs (``tools/ab_pairs.py``) cannot resolve.
 Usage, from the root of a checkout:
 
     python3 tools/ab_inprocess.py --parent REV --change REV --workload slow-llm-eval \
-        --seed 31301 --passes 5 --label pr31
+        --seed 3001 --passes 5 --label NAME
 
 Both revisions are exported with ``git archive`` and imported into this one
 process as two packages, ``kgreason_parent`` and ``kgreason_change``. The
